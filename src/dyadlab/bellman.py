@@ -24,6 +24,7 @@ from .tree import (
     DomainError,
     DyadicIndex,
     LeafFunction,
+    _subtree_sum,
     level_averages,
     level_diffs,
 )
@@ -74,76 +75,32 @@ class OmegaDomain:
         return in_domain(p, self.Q, tol)
 
 
-def in_domain(p: BellmanPoint, Q: float, tol: float = 0.0) -> bool:
-    if Q < 1.0:
-        raise DomainError("domain parameter must be >= 1")
-    if min(p.X, p.Y, p.u, p.v) <= 0.0:
-        return False
+def _member(c, Q: float, tol: float):
+    """Membership of the coordinates c = (X, Y, x, y, u, v) in Omega_Q; each
+    coordinate is a float or an array, and so is the result."""
+    X, Y, x, y, u, v = c
+    uv = u * v
     return (
-        p.x * p.x <= p.X * p.v + tol
-        and p.y * p.y <= p.Y * p.u + tol
-        and 1.0 - tol <= p.u * p.v <= Q + tol
+        (X > 0.0) & (Y > 0.0) & (u > 0.0) & (v > 0.0)
+        & (x * x <= X * v + tol)
+        & (y * y <= Y * u + tol)
+        & (uv >= 1.0 - tol)
+        & (uv <= Q + tol)
     )
 
 
-def _quad_max_01(g0: float, g1: float, g2: float) -> float:
-    """Max of g0 + g1 t + g2 t^2 over t in [0, 1]."""
-    best = max(g0, g0 + g1 + g2)
-    if g2 < 0.0:
-        t = -g1 / (2.0 * g2)
-        if 0.0 < t < 1.0:
-            best = max(best, g0 + g1 * t + g2 * t * t)
-    return best
-
-
-def _segment_quads(p: BellmanPoint, q: BellmanPoint):
-    """Constraint quadratics g(t) (violation iff g > 0) along p + t(q - p)."""
-    dX, dY = q.X - p.X, q.Y - p.Y
-    dx, dy = q.x - p.x, q.y - p.y
-    du, dv = q.u - p.u, q.v - p.v
-    quads = [
-        # x(t)^2 - X(t) v(t) <= 0
-        (p.x * p.x - p.X * p.v, 2 * p.x * dx - (p.X * dv + p.v * dX), dx * dx - dX * dv),
-        # y(t)^2 - Y(t) u(t) <= 0
-        (p.y * p.y - p.Y * p.u, 2 * p.y * dy - (p.Y * du + p.u * dY), dy * dy - dY * du),
-        # u(t) v(t) - Q <= 0 (Q subtracted by the caller)
-        (p.u * p.v, p.u * dv + p.v * du, du * dv),
-        # 1 - u(t) v(t) <= 0
-        (1.0 - p.u * p.v, -(p.u * dv + p.v * du), -du * dv),
-    ]
-    return quads
-
-
-def segment_in_domain(p: BellmanPoint, q: BellmanPoint, Q: float, tol: float = 0.0) -> bool:
-    """Closed-form check that the whole segment [p, q] lies in Omega_Q."""
+def in_domain(p: BellmanPoint, Q: float, tol: float = 0.0) -> bool:
     if Q < 1.0:
         raise DomainError("domain parameter must be >= 1")
-    # positivity of X, Y, u, v is linear: endpoints suffice
-    for c in ("X", "Y", "u", "v"):
-        if getattr(p, c) <= 0.0 or getattr(q, c) <= 0.0:
-            return False
-    quads = _segment_quads(p, q)
-    if _quad_max_01(*quads[0]) > tol:
-        return False
-    if _quad_max_01(*quads[1]) > tol:
-        return False
-    if _quad_max_01(*quads[2]) - Q > tol:
-        return False
-    if _quad_max_01(quads[3][0], quads[3][1], quads[3][2]) > tol:
-        return False
-    return True
+    return bool(_member((p.X, p.Y, p.x, p.y, p.u, p.v), Q, tol))
 
 
-def segment_max_uv(p: BellmanPoint, q: BellmanPoint) -> float:
-    """Max of u(t) v(t) along the segment (closed form)."""
-    g0, g1, g2 = _segment_quads(p, q)[2]
-    return _quad_max_01(g0, g1, g2)
+def in_domain_arr(P: np.ndarray, Q: float, tol: float = 0.0):
+    return _member(P.T, Q, tol)
 
 
-# -- vectorized segment utilities (campaign scale) ------------------------
-
-
-def _quad_max_01_arr(g0, g1, g2):
+def _quad_max_01(g0, g1, g2):
+    """Max of g0 + g1 t + g2 t^2 over t in [0, 1], elementwise."""
     best = np.maximum(g0, g0 + g1 + g2)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(g2 < 0.0, -g1 / (2.0 * g2), -1.0)
@@ -152,64 +109,64 @@ def _quad_max_01_arr(g0, g1, g2):
     return np.where(interior & (g2 < 0.0), np.maximum(best, vertex), best)
 
 
-def _segments_quads_arr(P: np.ndarray, R: np.ndarray):
-    X, Y, x, y, u, v = (P[:, i] for i in range(6))
-    d = R - P
-    dX, dY, dx, dy, du, dv = (d[:, i] for i in range(6))
-    qx = (x * x - X * v, 2 * x * dx - (X * dv + v * dX), dx * dx - dX * dv)
-    qy = (y * y - Y * u, 2 * y * dy - (Y * du + u * dY), dy * dy - dY * du)
-    quv = (u * v, u * dv + v * du, du * dv)
-    return qx, qy, quv
+def _segment_checks(p: np.ndarray, q: np.ndarray, tol: float):
+    """Closed-form checks along the segments p + t(q - p), t in [0, 1], for
+    coordinate arrays of shape (6,) or (6, n).
+
+    Returns (caps_ok, max_uv): whether every constraint but uv <= Q holds
+    within tol all along, and the max of u(t) v(t).  Each constraint is a
+    quadratic g(t) (violation iff g > 0); positivity of X, Y, u, v is linear,
+    so the endpoints decide it.
+    """
+    X, Y, x, y, u, v = p
+    dX, dY, dx, dy, du, dv = q - p
+    pos = np.all((p[[0, 1, 4, 5]] > 0.0) & (q[[0, 1, 4, 5]] > 0.0), axis=0)
+    # x(t)^2 - X(t) v(t) and y(t)^2 - Y(t) u(t)
+    cap_x = _quad_max_01(x * x - X * v, 2 * x * dx - (X * dv + v * dX), dx * dx - dX * dv)
+    cap_y = _quad_max_01(y * y - Y * u, 2 * y * dy - (Y * du + u * dY), dy * dy - dY * du)
+    # u(t) v(t)
+    g0, g1, g2 = u * v, u * dv + v * du, du * dv
+    caps_ok = pos & (cap_x <= tol) & (cap_y <= tol) & (_quad_max_01(1.0 - g0, -g1, -g2) <= tol)
+    return caps_ok, _quad_max_01(g0, g1, g2)
+
+
+def segment_in_domain(p: BellmanPoint, q: BellmanPoint, Q: float, tol: float = 0.0) -> bool:
+    """Closed-form check that the whole segment [p, q] lies in Omega_Q."""
+    if Q < 1.0:
+        raise DomainError("domain parameter must be >= 1")
+    caps_ok, max_uv = _segment_checks(p.as_array(), q.as_array(), tol)
+    return bool(caps_ok & (max_uv <= Q + tol))
+
+
+def segment_max_uv(p: BellmanPoint, q: BellmanPoint) -> float:
+    """Max of u(t) v(t) along the segment (closed form)."""
+    return float(_segment_checks(p.as_array(), q.as_array(), 0.0)[1])
 
 
 def segments_in_domain_arr(P: np.ndarray, R: np.ndarray, Q: float, tol: float = 0.0):
     """Vectorized segment containment for (n, 6) endpoint arrays."""
-    qx, qy, quv = _segments_quads_arr(P, R)
-    pos = np.ones(P.shape[0], dtype=bool)
-    for i in (0, 1, 4, 5):
-        pos &= (P[:, i] > 0.0) & (R[:, i] > 0.0)
-    ok = pos
-    ok = ok & (_quad_max_01_arr(*qx) <= tol)
-    ok = ok & (_quad_max_01_arr(*qy) <= tol)
-    ok = ok & (_quad_max_01_arr(*quv) <= Q + tol)
-    g0, g1, g2 = quv
-    ok = ok & (_quad_max_01_arr(1.0 - g0, -g1, -g2) <= tol)
-    return ok
+    caps_ok, max_uv = _segment_checks(P.T, R.T, tol)
+    return caps_ok & (max_uv <= Q + tol)
 
 
 def segments_max_uv_arr(P: np.ndarray, R: np.ndarray):
-    qx, qy, quv = _segments_quads_arr(P, R)
-    return _quad_max_01_arr(*quv)
+    return _segment_checks(P.T, R.T, 0.0)[1]
 
 
 def segments_caps_ok_arr(P: np.ndarray, R: np.ndarray, tol: float = 0.0):
     """The Q-independent constraints along the segments (caps, uv >= 1, positivity)."""
-    qx, qy, quv = _segments_quads_arr(P, R)
-    pos = np.ones(P.shape[0], dtype=bool)
-    for i in (0, 1, 4, 5):
-        pos &= (P[:, i] > 0.0) & (R[:, i] > 0.0)
-    g0, g1, g2 = quv
-    return (
-        pos
-        & (_quad_max_01_arr(*qx) <= tol)
-        & (_quad_max_01_arr(*qy) <= tol)
-        & (_quad_max_01_arr(1.0 - g0, -g1, -g2) <= tol)
-    )
-
-
-def in_domain_arr(P: np.ndarray, Q: float, tol: float = 0.0):
-    X, Y, x, y, u, v = (P[:, i] for i in range(6))
-    pos = (X > 0) & (Y > 0) & (u > 0) & (v > 0)
-    return (
-        pos
-        & (x * x <= X * v + tol)
-        & (y * y <= Y * u + tol)
-        & (u * v >= 1.0 - tol)
-        & (u * v <= Q + tol)
-    )
+    return _segment_checks(P.T, R.T, tol)[0]
 
 
 # -- sampling -------------------------------------------------------------
+
+
+def _sample_strip(Q: float, n: int, rng, log_spread: float = np.log(10.0)):
+    """(u, v) pairs in the hyperbolic strip 1 <= uv <= Q."""
+    P = np.exp(rng.uniform(0.0, np.log(Q), size=n)) if Q > 1 else np.ones(n)
+    h = rng.uniform(-log_spread, log_spread, size=n)
+    u = np.sqrt(P) * np.exp(h)
+    return u, P / u
 
 
 def sample_omega(Q: float, n: int, rng, boundary_prob: float = 0.1,
@@ -220,10 +177,7 @@ def sample_omega(Q: float, n: int, rng, boundary_prob: float = 0.1,
     signed fractions of their caps, with a boundary_prob chance of sitting
     exactly on the cap.
     """
-    P = np.exp(rng.uniform(0.0, np.log(Q), size=n)) if Q > 1 else np.ones(n)
-    h = rng.uniform(-log_spread, log_spread, size=n)
-    u = np.sqrt(P) * np.exp(h)
-    v = P / u
+    u, v = _sample_strip(Q, n, rng, log_spread)
     X = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=n))
     Y = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=n))
     fx = rng.uniform(0.0, 1.0, size=n)
@@ -243,14 +197,6 @@ def sample_omega(Q: float, n: int, rng, boundary_prob: float = 0.1,
         u = u * f
         v = v * f
     return np.column_stack([X, Y, x, y, u, v])
-
-
-def _sample_strip(Q: float, n: int, rng, log_spread: float = np.log(10.0)):
-    """(u, v) pairs in the hyperbolic strip 1 <= uv <= Q."""
-    P = np.exp(rng.uniform(0.0, np.log(Q), size=n)) if Q > 1 else np.ones(n)
-    h = rng.uniform(-log_spread, log_spread, size=n)
-    u = np.sqrt(P) * np.exp(h)
-    return u, P / u
 
 
 def _slack_points(u: np.ndarray, v: np.ndarray, big: float = 1e6) -> np.ndarray:
@@ -361,85 +307,86 @@ class CampaignReport:
         }
 
 
-def run_triangle_campaign(Q: float, valid_trials: int, seed: int,
-                          asserted_k: float = 4.5, tol: float = 1e-12,
-                          batch: int = 40000) -> CampaignReport:
-    """Randomized verification of the median-repair lemma on slack-coordinate
-    triples (rejection sampling in the hyperbolic strip)."""
+def _run_campaign(lemma: str, draw, premise, segments, Q: float, valid_trials: int,
+                  seed: int, asserted_k: float, tol: float, batch: int) -> CampaignReport:
+    """Rejection sampling shared by the lemma campaigns.
+
+    draw(Q, batch, rng) returns a list of (batch, 6) point arrays and
+    premise(points, Q, tol) the mask of premise-valid draws.  A valid draw
+    needs k = max(1, max uv / Q) over its segments (points[i], points[j]),
+    (i, j) in segments, or k = inf when a segment leaves the caps.
+    """
     rng = np.random.default_rng(seed)
     valid = total = violations = 0
     max_needed = 1.0
     worst = None
     while valid < valid_trials:
-        ua, va = _sample_strip(Q, batch, rng)
-        ub, vb = _sample_strip(Q, batch, rng)
-        uc, vc = _sample_strip(Q, batch, rng)
-        A = _slack_points(ua, va)
-        B = _slack_points(ub, vb)
-        C = _slack_points(uc, vc)
-        M = (A + B) / 2.0
+        pts = draw(Q, batch, rng)
         total += batch
-        prem = segments_in_domain_arr(A, B, Q, tol) & segments_in_domain_arr(C, M, Q, tol)
-        idx = np.nonzero(prem)[0]
-        if idx.size == 0:
+        take = np.nonzero(premise(pts, Q, tol))[0][: valid_trials - valid]
+        if take.size == 0:
             continue
-        take = idx[: valid_trials - valid] if valid + idx.size > valid_trials else idx
-        a, b, c = A[take], B[take], C[take]
-        caps_ok = segments_caps_ok_arr(c, a, tol) & segments_caps_ok_arr(c, b, tol)
-        needed = np.maximum(segments_max_uv_arr(c, a), segments_max_uv_arr(c, b)) / Q
-        needed = np.maximum(needed, 1.0)
+        pts = [arr[take] for arr in pts]
+        needed = np.ones(take.size)
+        caps_ok = np.ones(take.size, dtype=bool)
+        for i, j in segments:
+            seg_caps_ok, max_uv = _segment_checks(pts[i].T, pts[j].T, tol)
+            caps_ok &= seg_caps_ok
+            needed = np.maximum(needed, max_uv / Q)
         needed = np.where(caps_ok, needed, np.inf)
         bad = needed > asserted_k * (1.0 + 1e-12)
         violations += int(np.sum(bad))
         k = int(np.argmax(needed))
         if needed[k] > max_needed:
             max_needed = float(needed[k])
-            worst = [a[k].tolist(), b[k].tolist(), c[k].tolist()]
+            worst = [arr[k].tolist() for arr in pts]
         valid += take.size
     return CampaignReport(
-        lemma="triangle", trials_valid=valid, trials_total=total,
+        lemma=lemma, trials_valid=valid, trials_total=total,
         violations=violations, max_needed_k=max_needed, asserted_k=asserted_k,
         worst_case_point=worst,
     )
+
+
+def _triangle_draw(Q: float, batch: int, rng):
+    return [_slack_points(*_sample_strip(Q, batch, rng)) for _ in range(3)]
+
+
+def _triangle_premise(pts, Q: float, tol: float):
+    A, B, C = pts
+    return segments_in_domain_arr(A, B, Q, tol) & segments_in_domain_arr(C, (A + B) / 2.0, Q, tol)
+
+
+def run_triangle_campaign(Q: float, valid_trials: int, seed: int,
+                          asserted_k: float = 4.5, tol: float = 1e-12,
+                          batch: int = 40000) -> CampaignReport:
+    """Randomized verification of the median-repair lemma on slack-coordinate
+    triples (rejection sampling in the hyperbolic strip)."""
+    # worst_case_point lists A, B, C; the segments are [C, A] and [C, B]
+    return _run_campaign("triangle", _triangle_draw, _triangle_premise, ((2, 0), (2, 1)),
+                         Q, valid_trials, seed, asserted_k, tol, batch)
+
+
+def _barycenter_draw(Q: float, batch: int, rng):
+    pts = [sample_omega(Q, batch, rng) for _ in range(4)]
+    return [sum(pts) / 4.0] + pts
+
+
+def _barycenter_premise(pts, Q: float, tol: float):
+    member = in_domain_arr(pts[0], Q, tol)
+    for arr in pts[1:]:
+        member &= in_domain_arr(arr, Q, tol)
+    return member
 
 
 def run_barycenter_campaign(Q: float, valid_trials: int, seed: int,
                             asserted_k: float = 40.0, tol: float = 1e-12,
                             batch: int = 40000) -> CampaignReport:
     """Randomized verification of the barycenter lemma on general members."""
-    rng = np.random.default_rng(seed)
-    valid = total = violations = 0
-    max_needed = 1.0
-    worst = None
-    while valid < valid_trials:
-        pts = [sample_omega(Q, batch, rng) for _ in range(4)]
-        P = sum(pts) / 4.0
-        total += batch
-        member = in_domain_arr(P, Q, tol)
-        for arr in pts:
-            member &= in_domain_arr(arr, Q, tol)
-        idx = np.nonzero(member)[0]
-        if idx.size == 0:
-            continue
-        take = idx[: valid_trials - valid] if valid + idx.size > valid_trials else idx
-        needed = np.ones(take.size)
-        caps_ok = np.ones(take.size, dtype=bool)
-        for arr in pts:
-            caps_ok &= segments_caps_ok_arr(P[take], arr[take], tol)
-            needed = np.maximum(needed, segments_max_uv_arr(P[take], arr[take]) / Q)
-        needed = np.where(caps_ok, needed, np.inf)
-        bad = needed > asserted_k * (1.0 + 1e-12)
-        violations += int(np.sum(bad))
-        k = int(np.argmax(needed))
-        if needed[k] > max_needed:
-            max_needed = float(needed[k])
-            worst = [P[take][k].tolist()] + [arr[take][k].tolist() for arr in pts]
-        valid += take.size
-    return CampaignReport(
-        lemma="barycenter", trials_valid=valid, trials_total=total,
-        violations=violations, max_needed_k=max_needed, asserted_k=asserted_k,
-        worst_case_point=worst,
-    )
+    # worst_case_point lists the barycenter, then the four points it joins
+    return _run_campaign("barycenter", _barycenter_draw, _barycenter_premise,
+                         ((0, 1), (0, 2), (0, 3), (0, 4)),
+                         Q, valid_trials, seed, asserted_k, tol, batch)
 
 
 # -- node splits ----------------------------------------------------------
@@ -578,16 +525,6 @@ def _node_rng(arr: np.ndarray, seed: int):
     return rng, canonical != k
 
 
-def _in_domain_arr6(arr: np.ndarray, Q: float) -> bool:
-    X, Y, x, y, u, v = arr
-    return (
-        min(X, Y, u, v) > 0.0
-        and x * x <= X * v
-        and y * y <= Y * u
-        and 1.0 <= u * v <= Q
-    )
-
-
 def _xy_game_value(arr: np.ndarray) -> float:
     """Exact value of the x,y-only split game at fixed (X, Y, u, v).
 
@@ -703,7 +640,7 @@ class DpEstimator:
         for _ in range(8):
             plus = arr + delta
             minus = arr - delta
-            if _in_domain_arr6(plus, self.Q) and _in_domain_arr6(minus, self.Q):
+            if _member(plus, self.Q, 0.0) and _member(minus, self.Q, 0.0):
                 sp = _snap(plus, self.Q)
                 sm = _snap(minus, self.Q)
                 if _key(sp) == parent and _key(sm) == parent:
@@ -753,12 +690,7 @@ def point_from_data(phi: LeafFunction, psi: LeafFunction, w: Weight,
     point = BellmanPoint(X=X, Y=Y, x=x, y=y, u=u, v=v)
     da = level_diffs(level_averages(phi.values * w.values))
     db = level_diffs(level_averages(psi.values * sig_vals))
-    total = 0.0
-    for lev in range(J.level, depth):
-        span = 1 << (lev - J.level)
-        s = slice(J.position * span, (J.position + 1) * span)
-        total += 2.0**-lev * np.sum(np.abs(da[lev][s]) * np.abs(db[lev][s]))
-    local_sum = total / J.length
+    local_sum = _subtree_sum(J, [np.abs(a) * np.abs(b) for a, b in zip(da, db)]) / J.length
     return point, float(local_sum)
 
 
@@ -793,12 +725,9 @@ def tree_sum_ratio(f1: LeafFunction, f2: LeafFunction, w: Weight,
         raise StructureError("depth mismatch")
     d1 = level_diffs(level_averages(f1.values))
     d2 = level_diffs(level_averages(f2.values))
-    lhs = 0.0
-    for lev in range(I.level, depth - 1):
-        span = 1 << (lev - I.level)
-        s = slice(I.position * span, (I.position + 1) * span)
-        kids = np.abs(d2[lev + 1]).reshape(-1, 2).sum(axis=1)
-        lhs += 2.0**-lev * np.sum(np.abs(d1[lev][s]) * kids[s])
+    # |Delta_{J-} f2| + |Delta_{J+} f2| for J at levels 0 .. depth - 2
+    kids = [np.abs(d).reshape(-1, 2).sum(axis=1) for d in d2[1:]]
+    lhs = _subtree_sum(I, [np.abs(d) * k for d, k in zip(d1, kids)])
     q = a2_characteristic(w).characteristic
     sl = I.leaf_slice(depth)
     sig = 1.0 / w.values

@@ -16,11 +16,12 @@ from .tree import (
     InvariantError,
     LeafFunction,
     StructureError,
+    _subtree_sum,
     internal_indices,
     level_averages,
     level_diffs,
 )
-from .weights import Weight, interval_stats, weighted_norm
+from .weights import Weight, _haar_values, interval_stats, weighted_norm
 
 
 def _check_depths(*fns):
@@ -92,20 +93,16 @@ def four_terms(phi: LeafFunction, psi: LeafFunction, w: Weight) -> FourTerms:
     aw, asig, dw, dsig = interval_stats(w)
     a_pw = level_averages(pw)
     a_ps = level_averages(ps)
+    haar_w = _haar_values(aw)
+    haar_s = _haar_values(asig)
 
     t1 = t2 = t3 = t4 = 0.0
     for lev in range(depth):
         L = 2.0**-lev
-        wl, wr = _halved(aw, lev)
-        sl, sr = _halved(asig, lev)
         gl, gr = _halved(a_pw, lev)
         ql, qr = _halved(a_ps, lev)
-
-        # weighted Haar values for w and for sigma at this level
-        a_w = np.sqrt(2.0 * wr / (L * wl * (wl + wr)))
-        b_w = -a_w * wl / wr
-        a_s = np.sqrt(2.0 * sr / (L * sl * (sl + sr)))
-        b_s = -a_s * sl / sr
+        a_w, b_w = haar_w[lev]
+        a_s, b_s = haar_s[lev]
 
         # unweighted inner products (g, h^w_I) = (|I|/2)(a <g>_- + b <g>_+)
         ip_w = (L / 2.0) * (a_w * gl + b_w * gr)
@@ -159,27 +156,37 @@ def duality_product(phi: LeafFunction, psi: LeafFunction, w: Weight) -> DualityR
     return DualityReport(product=product, ratio=product / denom if denom > 0 else 0.0)
 
 
+def _alpha_levels(dw, dsig):
+    """Per-level arrays of alpha_I = |Delta_I w| |Delta_I sigma| |I|."""
+    return [np.abs(a) * np.abs(b) * 2.0**-lev for lev, (a, b) in enumerate(zip(dw, dsig))]
+
+
+def _subtree_sums(levels):
+    """Per-level arrays of sum_{I inside or equal to L} t_I for every L, where
+    levels[lev] holds t_I at level lev (accumulated from the bottom up)."""
+    sums = list(levels)
+    for lev in range(len(levels) - 2, -1, -1):
+        sums[lev] = levels[lev] + sums[lev + 1][0::2] + sums[lev + 1][1::2]
+    return sums
+
+
+def _carleson_norm_levels(alpha) -> float:
+    sums = _subtree_sums(alpha)
+    return max((float(np.max(sums[lev]) * 2.0**lev) for lev in reversed(range(len(sums)))),
+               default=0.0)
+
+
 def carleson_measure_of(w: Weight) -> CarlesonMeasure:
     """alpha_I = |Delta_I w| |Delta_I sigma| |I| over internal intervals."""
     _, _, dw, dsig = interval_stats(w)
-    alpha = {}
-    for I in internal_indices(w.depth):
-        alpha[I] = float(abs(dw[I.level][I.position]) * abs(dsig[I.level][I.position]) * I.length)
-    return CarlesonMeasure(depth=w.depth, alpha=alpha)
+    alpha = np.concatenate(_alpha_levels(dw, dsig))
+    return CarlesonMeasure(depth=w.depth, alpha={
+        I: float(a) for I, a in zip(internal_indices(w.depth), alpha)})
 
 
 def carleson_norm(m: CarlesonMeasure) -> float:
     """Max over internal L of (1/|L|) sum_{I inside or equal to L} alpha_I."""
-    levels = m.level_arrays()
-    depth = m.depth
-    if depth == 0:
-        return 0.0
-    acc = levels[depth - 1].copy()
-    best = float(np.max(acc) * 2.0 ** (depth - 1))
-    for lev in range(depth - 2, -1, -1):
-        acc = levels[lev] + acc[0::2] + acc[1::2]
-        best = max(best, float(np.max(acc) * 2.0**lev))
-    return best
+    return _carleson_norm_levels(m.level_arrays())
 
 
 @dataclass(frozen=True)
@@ -213,11 +220,7 @@ def two_weight_ratio(u: LeafFunction, v: LeafFunction, L: DyadicIndex) -> TwoWei
         sl = slice(L.position * span, (L.position + 1) * span)
         worst = max(worst, float(np.max(au[lev][sl] * av[lev][sl])))
 
-    total = 0.0
-    for lev in range(L.level, depth):
-        span = 1 << (lev - L.level)
-        sl = slice(L.position * span, (L.position + 1) * span)
-        total += 2.0**-lev * np.sum(np.abs(du[lev][sl]) * np.abs(dv[lev][sl]))
+    total = _subtree_sum(L, [np.abs(a) * np.abs(b) for a, b in zip(du, dv)])
     mean_u = au[L.level][L.position]
     mean_v = av[L.level][L.position]
     ratio = (total / L.length) / np.sqrt(mean_u * mean_v)
@@ -233,12 +236,10 @@ def two_weight_ratio_max(u: LeafFunction, v: LeafFunction) -> float:
     du = level_diffs(au)
     dv = level_diffs(av)
     per_level = [2.0**-lev * np.abs(du[lev]) * np.abs(dv[lev]) for lev in range(depth)]
+    sums = _subtree_sums(per_level)
     best = 0.0
-    acc = per_level[depth - 1].copy()
     for lev in range(depth - 1, -1, -1):
-        if lev < depth - 1:
-            acc = per_level[lev] + acc[0::2] + acc[1::2]
-        ratios = (acc * 2.0**lev) / np.sqrt(au[lev] * av[lev])
+        ratios = (sums[lev] * 2.0**lev) / np.sqrt(au[lev] * av[lev])
         best = max(best, float(np.max(ratios)))
     return best
 
@@ -255,14 +256,14 @@ def carleson_box_check(phi: LeafFunction, psi: LeafFunction, w: Weight) -> Tuple
     aw, asig, dw, dsig = interval_stats(w)
     a_pw = level_averages(phi.values * w.values)
     a_ps = level_averages(psi.values / w.values)
+    alpha = _alpha_levels(dw, dsig)
     lhs = 0.0
     for lev in range(depth):
-        alpha = np.abs(dw[lev]) * np.abs(dsig[lev]) * 2.0**-lev
         lhs += np.sum(
-            (np.abs(a_pw[lev]) / aw[lev]) * (np.abs(a_ps[lev]) / asig[lev]) * alpha
+            (np.abs(a_pw[lev]) / aw[lev]) * (np.abs(a_ps[lev]) / asig[lev]) * alpha[lev]
         )
     lhs = float(lhs)
-    rhs = carleson_norm(carleson_measure_of(w)) * duality_product(phi, psi, w).product
+    rhs = _carleson_norm_levels(alpha) * duality_product(phi, psi, w).product
     if lhs > rhs * (1.0 + 1e-12) + 1e-15:
         raise InvariantError(f"Carleson box bound violated: {lhs} > {rhs}")
     return lhs, rhs

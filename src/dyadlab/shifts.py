@@ -19,6 +19,7 @@ from .tree import (
     DyadicIndex,
     LeafFunction,
     StructureError,
+    _synthesis_values,
     haar_analysis_matrix,
     internal_indices,
     level_haar_coeffs,
@@ -155,23 +156,15 @@ def norm_lower_search(
 
 def martingale_transform_apply(signs, f: LeafFunction) -> LeafFunction:
     """T f = sum_I signs(I) (f, h_I) h_I, with the mean set to zero."""
-    coeffs = level_haar_coeffs(f.values)
-    avgs = np.zeros(1)
-    for level in range(f.depth):
-        deltas = np.empty(1 << level)
-        for position in range(1 << level):
-            idx = DyadicIndex(level, position)
-            if idx not in signs:
-                raise StructureError(f"missing sign for {idx}")
-            s = signs[idx]
-            if abs(s) > 1.0:
-                raise DomainError(f"sign multiplier {s} outside [-1, 1]")
-            deltas[position] = s * coeffs[level][position] / np.sqrt(idx.length)
-        nxt = np.empty(2 << level)
-        nxt[0::2] = avgs + deltas
-        nxt[1::2] = avgs - deltas
-        avgs = nxt
-    return LeafFunction(avgs)
+    mult = []
+    for I in internal_indices(f.depth):
+        if I not in signs:
+            raise StructureError(f"missing sign for {I}")
+        s = signs[I]
+        if abs(s) > 1.0:
+            raise DomainError(f"sign multiplier {s} outside [-1, 1]")
+        mult.append(s)
+    return LeafFunction(_synthesis_values(0.0, np.array(mult, dtype=float) * _coeff_vector(f)))
 
 
 def save_shift_spec(spec: ShiftSpec, path) -> None:

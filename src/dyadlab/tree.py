@@ -192,37 +192,61 @@ def haar_analysis(f: LeafFunction) -> HaarExpansion:
     return HaarExpansion(depth=f.depth, mean=f.integral(), coefficients=coeffs)
 
 
-def haar_synthesis(e: HaarExpansion) -> LeafFunction:
-    """Exact inverse of haar_analysis."""
-    avgs = np.array([e.mean])
-    for level in range(e.depth):
-        deltas = np.empty(1 << level)
-        for position in range(1 << level):
-            idx = DyadicIndex(level, position)
-            if idx not in e.coefficients:
-                raise StructureError(f"missing Haar coefficient for {idx}")
-            deltas[position] = e.coefficients[idx] / np.sqrt(idx.length)
-        nxt = np.empty(2 << level)
+def _synthesis_values(mean: float, coeffs: np.ndarray) -> np.ndarray:
+    """Leaf values with the given mean and Haar coefficients (f, h_I), the
+    coefficients ordered like internal_indices; the inverse of haar analysis."""
+    avgs = np.array([mean])
+    for level in range((coeffs.size + 1).bit_length() - 1):
+        k = 1 << level
+        deltas = coeffs[k - 1 : 2 * k - 1] / np.sqrt(2.0**-level)
+        nxt = np.empty(2 * k)
         nxt[0::2] = avgs + deltas
         nxt[1::2] = avgs - deltas
         avgs = nxt
-    return LeafFunction(avgs)
+    return avgs
+
+
+def haar_synthesis(e: HaarExpansion) -> LeafFunction:
+    """Exact inverse of haar_analysis."""
+    coeffs = []
+    for I in internal_indices(e.depth):
+        if I not in e.coefficients:
+            raise StructureError(f"missing Haar coefficient for {I}")
+        coeffs.append(e.coefficients[I])
+    return LeafFunction(_synthesis_values(e.mean, np.array(coeffs, dtype=float)))
+
+
+def _two_valued_matrix(depth: int, levels) -> np.ndarray:
+    """Rows ordered like internal_indices; row I takes levels[I.level][0] on the
+    left half of I and levels[I.level][1] on the right half, each a scalar or
+    an array over the positions of the level."""
+    n = 1 << depth
+    out = np.zeros((n - 1, n))
+    for level, (left, right) in enumerate(levels):
+        k = 1 << level
+        # row block of this level, viewed as (row, interval, half, leaf in half)
+        block = out[k - 1 : 2 * k - 1].reshape(k, k, 2, n // (2 * k))
+        rows = np.arange(k)
+        block[rows, rows, 0] = np.reshape(left, (-1, 1))
+        block[rows, rows, 1] = np.reshape(right, (-1, 1))
+    return out
 
 
 def haar_analysis_matrix(depth: int) -> np.ndarray:
     """Matrix H with (H f)_I = (f, h_I); rows follow internal_indices order."""
-    n_leaves = 1 << depth
-    rows = []
     scale = 2.0**-depth
-    for I in internal_indices(depth):
-        row = np.zeros(n_leaves)
-        half = 1 << (depth - I.level - 1)
-        start = I.position * 2 * half
-        amp = 1.0 / np.sqrt(I.length)
-        row[start : start + half] = amp * scale
-        row[start + half : start + 2 * half] = -amp * scale
-        rows.append(row)
-    return np.array(rows)
+    amps = [1.0 / np.sqrt(2.0**-level) for level in range(depth)]
+    return _two_valued_matrix(depth, [(amp * scale, -amp * scale) for amp in amps])
+
+
+def _subtree_sum(J: DyadicIndex, levels) -> float:
+    """Sum over I inside or equal to J of |I| t_I, where levels[lev] holds t_I
+    for the intervals at level lev (the sum stops at the last given level)."""
+    total = 0.0
+    for lev in range(J.level, len(levels)):
+        span = 1 << (lev - J.level)
+        total += 2.0**-lev * np.sum(levels[lev][J.position * span : (J.position + 1) * span])
+    return total
 
 
 def save_leaf_function(f: LeafFunction, path, comments=()) -> None:

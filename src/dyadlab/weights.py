@@ -17,7 +17,7 @@ from .tree import (
     DyadicIndex,
     LeafFunction,
     StructureError,
-    internal_indices,
+    _two_valued_matrix,
     level_averages,
     level_diffs,
     load_leaf_function,
@@ -121,6 +121,8 @@ def weighted_inner(f: LeafFunction, g: LeafFunction, w: Weight) -> float:
 
 
 def _children_averages(w: Weight, I: DyadicIndex):
+    if I.level >= w.depth:
+        raise DomainError("weighted Haar needs an internal interval")
     avgs = level_averages(w.values)
     wl = float(avgs[I.level + 1][2 * I.position])
     wr = float(avgs[I.level + 1][2 * I.position + 1])
@@ -131,21 +133,15 @@ def weighted_haar(w: Weight, I: DyadicIndex) -> WeightedHaar:
     """The L2(w)-normalized mean-zero (w.r.t. w) two-valued function on I."""
     if I.level >= w.depth:
         raise DomainError("weighted Haar needs an internal interval")
-    wl, wr = _children_averages(w, I)
-    L = I.length
-    a = np.sqrt(2.0 * wr / (L * wl * (wl + wr)))
-    b = -a * wl / wr
-    return WeightedHaar(index=I, value_left=float(a), value_right=float(b))
+    a, b = weighted_haar_levels(w)[I.level]
+    return WeightedHaar(index=I, value_left=float(a[I.position]),
+                        value_right=float(b[I.position]))
 
 
 def haar_split(w: Weight, I: DyadicIndex) -> HaarSplit:
     """Solve h_I = alpha * h_I^w + beta * chi_I/sqrt|I| on the two halves of I."""
-    hw = weighted_haar(w, I)
-    sL = np.sqrt(I.length)
-    a, b = hw.value_left, hw.value_right
-    alpha = 2.0 / (sL * (a - b))
-    beta = -alpha * (a + b) * sL / 2.0
     wl, wr = _children_averages(w, I)
+    alpha, beta = (float(arr[I.position]) for arr in haar_split_levels(w)[I.level])
     mean_w = (wl + wr) / 2.0
     delta_w = (wl - wr) / 2.0
     if delta_w == 0.0:
@@ -154,11 +150,23 @@ def haar_split(w: Weight, I: DyadicIndex) -> HaarSplit:
     else:
         beta_ratio = abs(beta) * mean_w / abs(delta_w)
     return HaarSplit(
-        alpha=float(alpha),
-        beta=float(beta),
+        alpha=alpha,
+        beta=beta,
         alpha_bound_ratio=float(abs(alpha) / np.sqrt(mean_w)),
         beta_bound_ratio=beta_ratio,
     )
+
+
+def _haar_values(avgs: list):
+    """Per-level (a, b) arrays: the left and right values of h_I^w for every
+    internal I, from the level averages of w (tree.level_averages)."""
+    out = []
+    for lev in range(len(avgs) - 1):
+        wl = avgs[lev + 1][0::2]
+        wr = avgs[lev + 1][1::2]
+        a = np.sqrt(2.0 * wr / (2.0**-lev * wl * (wl + wr)))
+        out.append((a, -a * wl / wr))
+    return out
 
 
 def weighted_haar_levels(w: Weight):
@@ -167,23 +175,13 @@ def weighted_haar_levels(w: Weight):
     Returns a list indexed by level; entry lev is a pair of arrays of length
     2^lev holding the left and right values of h_I^w for every I at that level.
     """
-    avgs = level_averages(w.values)
-    out = []
-    for lev in range(w.depth):
-        wl = avgs[lev + 1][0::2]
-        wr = avgs[lev + 1][1::2]
-        L = 2.0**-lev
-        a = np.sqrt(2.0 * wr / (L * wl * (wl + wr)))
-        b = -a * wl / wr
-        out.append((a, b))
-    return out
+    return _haar_values(level_averages(w.values))
 
 
 def haar_split_levels(w: Weight):
     """Per-level (alpha, beta) arrays for all internal intervals."""
-    wh = weighted_haar_levels(w)
     out = []
-    for lev, (a, b) in enumerate(wh):
+    for lev, (a, b) in enumerate(weighted_haar_levels(w)):
         sL = np.sqrt(2.0**-lev)
         alpha = 2.0 / (sL * (a - b))
         beta = -alpha * (a + b) * sL / 2.0
@@ -193,19 +191,7 @@ def haar_split_levels(w: Weight):
 
 def weighted_haar_matrix(w: Weight) -> np.ndarray:
     """Rows are leaf samplings of h_I^w, ordered like internal_indices."""
-    depth = w.depth
-    n_leaves = 1 << depth
-    wh = weighted_haar_levels(w)
-    rows = []
-    for I in internal_indices(depth):
-        a, b = wh[I.level]
-        row = np.zeros(n_leaves)
-        half = 1 << (depth - I.level - 1)
-        start = I.position * 2 * half
-        row[start : start + half] = a[I.position]
-        row[start + half : start + 2 * half] = b[I.position]
-        rows.append(row)
-    return np.array(rows)
+    return _two_valued_matrix(w.depth, weighted_haar_levels(w))
 
 
 def gen_power(depth: int, a: float) -> Weight:
