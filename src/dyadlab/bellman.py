@@ -99,9 +99,10 @@ def in_domain_arr(P: np.ndarray, Q: float, tol: float = 0.0):
     return _member(P.T, Q, tol)
 
 
-def _quad_max_01(g0, g1, g2):
-    """Max of g0 + g1 t + g2 t^2 over t in [0, 1], elementwise."""
-    best = np.maximum(g0, g0 + g1 + g2)
+def _quad_max_01(g0, g1, g2, g_end):
+    """Max of g(t) = g0 + g1 t + g2 t^2 over t in [0, 1], elementwise, where
+    g_end = g(1) as computed from the segment's end point itself."""
+    best = np.maximum(g0, g_end)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(g2 < 0.0, -g1 / (2.0 * g2), -1.0)
     interior = (t > 0.0) & (t < 1.0)
@@ -116,18 +117,24 @@ def _segment_checks(p: np.ndarray, q: np.ndarray, tol: float):
     Returns (caps_ok, max_uv): whether every constraint but uv <= Q holds
     within tol all along, and the max of u(t) v(t).  Each constraint is a
     quadratic g(t) (violation iff g > 0); positivity of X, Y, u, v is linear,
-    so the endpoints decide it.
+    so the endpoints decide it.  g(0) and g(1) come from the end points' own
+    coordinates, as in membership: the sum g0 + g1 + g2 can miss g(1) by more
+    than tol where the terms are large.
     """
     X, Y, x, y, u, v = p
+    qX, qY, qx, qy, qu, qv = q
     dX, dY, dx, dy, du, dv = q - p
     pos = np.all((p[[0, 1, 4, 5]] > 0.0) & (q[[0, 1, 4, 5]] > 0.0), axis=0)
     # x(t)^2 - X(t) v(t) and y(t)^2 - Y(t) u(t)
-    cap_x = _quad_max_01(x * x - X * v, 2 * x * dx - (X * dv + v * dX), dx * dx - dX * dv)
-    cap_y = _quad_max_01(y * y - Y * u, 2 * y * dy - (Y * du + u * dY), dy * dy - dY * du)
+    cap_x = _quad_max_01(x * x - X * v, 2 * x * dx - (X * dv + v * dX), dx * dx - dX * dv,
+                         qx * qx - qX * qv)
+    cap_y = _quad_max_01(y * y - Y * u, 2 * y * dy - (Y * du + u * dY), dy * dy - dY * du,
+                         qy * qy - qY * qu)
     # u(t) v(t)
-    g0, g1, g2 = u * v, u * dv + v * du, du * dv
-    caps_ok = pos & (cap_x <= tol) & (cap_y <= tol) & (_quad_max_01(1.0 - g0, -g1, -g2) <= tol)
-    return caps_ok, _quad_max_01(g0, g1, g2)
+    g0, g1, g2, g_end = u * v, u * dv + v * du, du * dv, qu * qv
+    caps_ok = (pos & (cap_x <= tol) & (cap_y <= tol)
+               & (_quad_max_01(1.0 - g0, -g1, -g2, 1.0 - g_end) <= tol))
+    return caps_ok, _quad_max_01(g0, g1, g2, g_end)
 
 
 def segment_in_domain(p: BellmanPoint, q: BellmanPoint, Q: float, tol: float = 0.0) -> bool:
@@ -307,6 +314,12 @@ class CampaignReport:
         }
 
 
+# A campaign gives up after this many consecutive batches without a
+# premise-valid draw.  At Q = 1.5 about one triangle draw in ten and one
+# barycenter draw in twenty is valid, so a default batch is never empty.
+MAX_EMPTY_BATCHES = 10
+
+
 def _run_campaign(lemma: str, draw, premise, segments, Q: float, valid_trials: int,
                   seed: int, asserted_k: float, tol: float, batch: int) -> CampaignReport:
     """Rejection sampling shared by the lemma campaigns.
@@ -316,8 +329,10 @@ def _run_campaign(lemma: str, draw, premise, segments, Q: float, valid_trials: i
     needs k = max(1, max uv / Q) over its segments (points[i], points[j]),
     (i, j) in segments, or k = inf when a segment leaves the caps.
     """
+    if Q < 1.0:
+        raise DomainError("domain parameter must be >= 1")
     rng = np.random.default_rng(seed)
-    valid = total = violations = 0
+    valid = total = violations = empty = 0
     max_needed = 1.0
     worst = None
     while valid < valid_trials:
@@ -325,7 +340,12 @@ def _run_campaign(lemma: str, draw, premise, segments, Q: float, valid_trials: i
         total += batch
         take = np.nonzero(premise(pts, Q, tol))[0][: valid_trials - valid]
         if take.size == 0:
+            empty += 1
+            if empty == MAX_EMPTY_BATCHES:
+                raise DomainError(f"{lemma} campaign at Q = {Q}: no premise-valid "
+                                  f"draw in {empty * batch} consecutive draws")
             continue
+        empty = 0
         pts = [arr[take] for arr in pts]
         needed = np.ones(take.size)
         caps_ok = np.ones(take.size, dtype=bool)

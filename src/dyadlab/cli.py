@@ -83,6 +83,8 @@ class SweepConfig:
         for d in self.depths:
             if not 1 <= d <= 20:
                 raise UsageError(f"depth {d} outside [1, 20]")
+        if self.jobs < 0:
+            raise UsageError(f"jobs must be >= 0, got {self.jobs}")
 
 
 def fit_slope(pairs: Sequence[Tuple[float, float]]) -> Tuple[float, float, float]:
@@ -191,8 +193,9 @@ def _compute_row(cfg: SweepConfig, job: dict) -> dict:
 def run_sweep(cfg: SweepConfig):
     """Execute the sweep; returns (rows, summary dict)."""
     jobs = list(_row_jobs(cfg))
-    n_jobs = cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1)
-    if n_jobs > 1 and len(jobs) > 1:
+    cores = os.cpu_count() or 1
+    n_jobs = min(cfg.jobs or cores, len(jobs), cores)
+    if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
@@ -222,11 +225,11 @@ def run_sweep(cfg: SweepConfig):
         if vals:
             summary["max_ratios"][col] = max(vals)
 
+    qs = [r["Q"] for r in rows if not r["error"]]
     for lemma, runner in (("lemma_triangle", bellman.run_triangle_campaign),
                           ("lemma_barycenter", bellman.run_barycenter_campaign)):
         if lemma in cfg.experiments:
-            q = max(cfg.params) if cfg.family == "power" else 4.0
-            q = max(q, 2.0)
+            q = max(max(qs), 2.0) if qs else 4.0
             rep = runner(Q=q, valid_trials=cfg.trials,
                          seed=cfg.seeds[0] if cfg.seeds else 0)
             summary[lemma] = rep.to_json()
@@ -496,7 +499,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, DomainError, StructureError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except InvariantError as exc:

@@ -177,6 +177,34 @@ class TestBarycenterLemma:
         assert rep.max_needed_k <= 40.0
 
 
+class TestCampaignRobustness:
+    @pytest.mark.parametrize("runner", [run_triangle_campaign, run_barycenter_campaign])
+    @pytest.mark.parametrize("Q", [0.5, 1.0])
+    def test_no_valid_draw_raises(self, runner, Q, time_limit):
+        # Q < 1 is no domain; at Q = 1 no premise can hold
+        with time_limit(5.0):
+            with pytest.raises(DomainError):
+                runner(Q=Q, valid_trials=10, seed=0)
+
+    def test_member_end_point_on_cap(self):
+        # a barycenter-campaign draw (Q = 50, seed 603764293) whose end point
+        # lies exactly on the x cap: x^2 - X v is 0 there, but the segment
+        # quadratic summed to t = 1 gave ~1e-12 and failed the segment
+        P = BellmanPoint(21.82531333320576, 10.278697361221674, 17.20650599530855,
+                         -0.20572765301821316, 2.974380833136564, 16.03971511031972)
+        end = BellmanPoint(76.65309110727966, 35.61662128504723, 65.16956210327164,
+                           -0.115495577808272, 0.7819158059164839, 55.40639996876576)
+        assert end.x * end.x - end.X * end.v == 0.0
+        assert in_domain(P, 50.0) and in_domain(end, 50.0)
+        assert segment_in_domain(P, end, np.inf, tol=1e-12)
+
+    @pytest.mark.parametrize("seed", [137677007, 603764293])
+    def test_barycenter_cap_draws_no_violation(self, seed):
+        rep = run_barycenter_campaign(Q=50.0, valid_trials=50_000, seed=seed)
+        assert rep.violations == 0
+        assert np.isfinite(rep.max_needed_k)
+
+
 class TestNodeSplit:
     def build_split(self, seed, Q=4.0):
         rng = np.random.default_rng(seed)

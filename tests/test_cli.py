@@ -1,10 +1,12 @@
 """CLI: argument handling, exit codes, CSV/JSON schemas, determinism."""
+import concurrent.futures
 import csv
 import json
 
 import numpy as np
 import pytest
 
+from dyadlab import bellman
 from dyadlab.cli import (
     CSV_COLUMNS,
     EXTRA_COLUMNS,
@@ -101,6 +103,49 @@ class TestRunSweep:
         assert rows[0]["error"] == ""
         assert rows[1]["error"] != ""
 
+    def test_negative_jobs_rejected(self):
+        with pytest.raises(UsageError):
+            self.cfg(jobs=-1)
+
+    def test_workers_capped_by_rows(self, monkeypatch):
+        # a recorder in place of the pool: no worker process is started
+        asked = []
+
+        class Recorder:
+            def __init__(self, max_workers=None):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        rows, _ = run_sweep(self.cfg(params=[0.2, 0.5], jobs=10**6))
+        assert len(rows) == 2
+        assert all(n <= 2 for n in asked)
+
+    def test_campaign_q_is_largest_row_q(self, monkeypatch):
+        seen = []
+
+        def runner(Q, valid_trials, seed):
+            seen.append(Q)
+            return bellman.CampaignReport(
+                lemma="triangle", trials_valid=0, trials_total=0, violations=0,
+                max_needed_k=1.0, asserted_k=4.5, worst_case_point=None)
+
+        monkeypatch.setattr(bellman, "run_triangle_campaign", runner)
+        # x^-0.9 has Q ~ 5.2 at depth 4; the exponents themselves are below 2
+        rows, _ = run_sweep(self.cfg(params=[-0.9, 0.5],
+                                     experiments=("a2", "lemma_triangle")))
+        q_max = max(r["Q"] for r in rows)
+        assert q_max > 2.0
+        assert seen == [q_max]
+
 
 class TestMakeWeight:
     def test_families(self):
@@ -189,3 +234,18 @@ class TestMainExitCodes:
         code = main(["a2", "--family", "file", "--file", str(wpath),
                      "--depth", "4", "--json", str(tmp_path / "o.json")])
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["a2", "--param", "-2"],
+        ["a2", "--depth", "0"],
+        ["a2", "--family", "file", "--file", "MISSING"],
+        ["norm", "--depth", "5", "--exact"],
+        ["geom", "--Q", "1.0", "--trials", "10"],
+    ])
+    def test_bad_input_is_one_line(self, argv, capsys, tmp_path, time_limit):
+        argv = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in argv]
+        with time_limit(5.0):
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
