@@ -24,6 +24,7 @@ from .tree import (
     DomainError,
     DyadicIndex,
     LeafFunction,
+    StructureError,
     _subtree_sum,
     level_averages,
     level_diffs,
@@ -337,8 +338,10 @@ def _run_campaign(lemma: str, draw, premise, segments, Q: float, valid_trials: i
     worst = None
     while valid < valid_trials:
         pts = draw(Q, batch, rng)
-        total += batch
-        take = np.nonzero(premise(pts, Q, tol))[0][: valid_trials - valid]
+        need = valid_trials - valid
+        take = np.nonzero(premise(pts, Q, tol))[0][:need]
+        # the campaign stops at the draw that completes it
+        total += int(take[-1]) + 1 if take.size == need else batch
         if take.size == 0:
             empty += 1
             if empty == MAX_EMPTY_BATCHES:

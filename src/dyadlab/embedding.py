@@ -298,11 +298,14 @@ def key_sum_form(w: Weight) -> AbsBilinearForm:
     """sup over ||phi||_w = ||psi||_sigma = 1 of key_sum, as an AbsBilinearForm."""
     depth = w.depth
     scale = 2.0**-depth
+    # the maps first: their builder refuses over-deep forms before np.eye runs
+    left = _analysis_of_product(depth, w.values)
+    right = _analysis_of_product(depth, 1.0 / w.values)
     n = (1 << depth) - 1
     return AbsBilinearForm(
         m=np.eye(n),
-        left_map=_analysis_of_product(depth, w.values),
-        right_map=_analysis_of_product(depth, 1.0 / w.values),
+        left_map=left,
+        right_map=right,
         left_metric=w.values * scale,
         right_metric=(1.0 / w.values) * scale,
     )

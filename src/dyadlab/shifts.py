@@ -19,6 +19,7 @@ from .tree import (
     DyadicIndex,
     LeafFunction,
     StructureError,
+    _check_dense_depth,
     _synthesis_values,
     haar_analysis_matrix,
     internal_indices,
@@ -74,8 +75,9 @@ class ShiftSpec:
 
 def shift_matrix(spec: ShiftSpec) -> np.ndarray:
     """(N x N) matrix of 2^{-n/2} |c_IJ| in internal_indices ordering."""
-    order = {I: k for k, I in enumerate(internal_indices(spec.depth))}
     n = n_internal(spec.depth)
+    _check_dense_depth(spec.depth, n, n)
+    order = {I: k for k, I in enumerate(internal_indices(spec.depth))}
     m = np.zeros((n, n))
     scale = 2.0 ** (-spec.complexity / 2.0)
     for (I, J), c in spec.coeffs.items():

@@ -14,6 +14,9 @@ import numpy as np
 
 # 2^20 leaves is already past anything useful at desk scale.
 MAX_DEPTH = 20
+# Dense (2^d - 1) x 2^d float matrices take 134 MB at depth 12, 537 MB at
+# depth 13 and 2 GB at depth 14, so the dense form builders stop at 12.
+MAX_DENSE_DEPTH = 12
 
 
 class DomainError(ValueError):
@@ -216,11 +219,21 @@ def haar_synthesis(e: HaarExpansion) -> LeafFunction:
     return LeafFunction(_synthesis_values(e.mean, np.array(coeffs, dtype=float)))
 
 
+def _check_dense_depth(depth: int, rows: int, cols: int) -> None:
+    """Refuse a dense rows x cols float matrix above MAX_DENSE_DEPTH."""
+    if depth > MAX_DENSE_DEPTH:
+        raise DomainError(
+            f"depth {depth} exceeds the dense-matrix cap {MAX_DENSE_DEPTH}: one "
+            f"{rows} x {cols} matrix would take {8 * rows * cols} bytes"
+        )
+
+
 def _two_valued_matrix(depth: int, levels) -> np.ndarray:
     """Rows ordered like internal_indices; row I takes levels[I.level][0] on the
     left half of I and levels[I.level][1] on the right half, each a scalar or
     an array over the positions of the level."""
     n = 1 << depth
+    _check_dense_depth(depth, n - 1, n)
     out = np.zeros((n - 1, n))
     for level, (left, right) in enumerate(levels):
         k = 1 << level

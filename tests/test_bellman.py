@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadlab.tree import DomainError, DyadicIndex, LeafFunction, ROOT
+from dyadlab.tree import DomainError, DyadicIndex, LeafFunction, ROOT, StructureError
 from dyadlab.weights import Weight, a2_characteristic, gen_cascade
 from dyadlab.bellman import (
     BellmanPoint,
@@ -204,6 +204,15 @@ class TestCampaignRobustness:
         assert rep.violations == 0
         assert np.isfinite(rep.max_needed_k)
 
+    def test_draws_counted_up_to_last_taken(self):
+        # about one draw in ten is valid, so ten valid trials need about a
+        # hundred draws, not the whole 40000-draw batch
+        rep = run_triangle_campaign(Q=1.5, valid_trials=10, seed=0)
+        js = rep.to_json()
+        assert js["trials"] == 10
+        assert js["vacuous"] < 1000
+        assert js["trials_total"] == js["trials"] + js["vacuous"]
+
 
 class TestNodeSplit:
     def build_split(self, seed, Q=4.0):
@@ -324,8 +333,20 @@ class TestPointFromData:
         assert rep["dp_depth"] == 3
         assert np.isfinite(rep["ratio"])
 
+    def test_depth_mismatch_raises(self):
+        phi = LeafFunction.constant(1, 1.0)
+        psi = LeafFunction.constant(2, 1.0)
+        with pytest.raises(StructureError):
+            point_from_data(phi, psi, Weight.from_values([1.0] * 4), ROOT)
+
 
 class TestTreeSumRatio:
+    def test_depth_mismatch_raises(self):
+        f1 = LeafFunction.constant(1, 1.0)
+        f2 = LeafFunction.constant(2, 1.0)
+        with pytest.raises(StructureError):
+            tree_sum_ratio(f1, f2, Weight.from_values([1.0] * 4), ROOT)
+
     def test_constant_inputs(self):
         w = gen_cascade(4, 0.5, seed=10)
         one = LeafFunction.constant(4, 1.0)

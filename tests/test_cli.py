@@ -249,3 +249,16 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["norm", "embed"])
+    def test_over_deep_dense_form_is_one_line(self, command, capsys, time_limit):
+        with time_limit(10.0):
+            assert main([command, "--depth", "13"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: depth 13 ") and err.count("\n") == 1
+        assert "bytes" in err
+
+    def test_a2_deep_still_runs(self, capsys, time_limit):
+        with time_limit(20.0):
+            assert main(["a2", "--depth", "16"]) == 0
+        assert json.loads(capsys.readouterr().out)["a2"]

@@ -1,0 +1,132 @@
+"""Sign-flip polish: parity with a full SVD per flip, and its edge cases."""
+import numpy as np
+import pytest
+
+from dyadlab.embedding import key_sum_form, term1_form
+from dyadlab.forms import AbsBilinearForm
+from dyadlab.shifts import ShiftSpec, _weighted_form
+from dyadlab.weights import gen_cascade
+
+
+def reference_polish(form, s, t, max_passes=40):
+    """The polish with a full SVD per flip, kept verbatim as the reference."""
+    s = s.copy()
+    t = t.copy()
+    val, f, g = form._sigma_max_signed(s, t)
+    n1, n2 = form.m.shape
+    for _ in range(max_passes):
+        improved = False
+        for side, n in ((0, n1), (1, n2)):
+            arr = s if side == 0 else t
+            for i in range(n):
+                arr[i] = -arr[i]
+                cand, cf, cg = form._sigma_max_signed(s, t)
+                if cand > val * (1.0 + 1e-13):
+                    val, f, g = cand, cf, cg
+                    improved = True
+                else:
+                    arr[i] = -arr[i]
+        if not improved:
+            break
+    return val, f, g, s, t
+
+
+def assert_same_polish(got, want):
+    val, f, g, s, t = got
+    rval, rf, rg, rs, rt = want
+    assert val == pytest.approx(rval, rel=1e-12)
+    assert np.array_equal(s, rs)
+    assert np.array_equal(t, rt)
+    np.testing.assert_allclose(f, rf, rtol=1e-12, atol=1e-12 * np.max(np.abs(rf)))
+    np.testing.assert_allclose(g, rg, rtol=1e-12, atol=1e-12 * np.max(np.abs(rg)))
+
+
+def random_signs(n, rng):
+    return rng.choice([-1.0, 1.0], size=n)
+
+
+FORMS = {
+    "key_sum": lambda d, k: key_sum_form(gen_cascade(d, 0.7, 100 + k)),
+    "term_i": lambda d, k: term1_form(gen_cascade(d, 0.6, 200 + k)),
+    "shift0_const": lambda d, k: _weighted_form(ShiftSpec.constant(0, d),
+                                                gen_cascade(d, 0.7, 300 + k)),
+    "shift1_const": lambda d, k: _weighted_form(ShiftSpec.constant(1, d),
+                                                gen_cascade(d, 0.7, 400 + k)),
+    "shift0_random": lambda d, k: _weighted_form(ShiftSpec.random(0, d, 500 + k),
+                                                 gen_cascade(d, 0.5, 600 + k)),
+    "shift1_random": lambda d, k: _weighted_form(ShiftSpec.random(1, d, 700 + k),
+                                                 gen_cascade(d, 0.5, 800 + k)),
+}
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", sorted(FORMS))
+def test_polish_matches_full_svd_per_flip(kind, depth):
+    for k in range(2 if depth == 5 else 3):
+        form = FORMS[kind](depth, k)
+        rng = np.random.default_rng(1000 * depth + k)
+        n1, n2 = form.m.shape
+        s, t = random_signs(n1, rng), random_signs(n2, rng)
+        assert_same_polish(form._flip_polish(s, t), reference_polish(form, s, t))
+
+
+def direct_form(n1, n2, cols_left, cols_right, seed):
+    rng = np.random.default_rng(seed)
+    return AbsBilinearForm(
+        m=rng.uniform(0.0, 1.0, (n1, n2)),
+        left_map=rng.standard_normal((n1, cols_left)),
+        right_map=rng.standard_normal((n2, cols_right)),
+        left_metric=rng.uniform(0.5, 2.0, cols_left),
+        right_metric=rng.uniform(0.5, 2.0, cols_right),
+    )
+
+
+def test_zero_row_flip_rejected():
+    form = direct_form(5, 6, 7, 7, seed=1)
+    form.m[2] = 0.0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        s, t = random_signs(5, rng), random_signs(6, rng)
+        got = form._flip_polish(s, t)
+        assert got[3][2] == s[2]
+        assert_same_polish(got, reference_polish(form, s, t))
+
+
+@pytest.mark.parametrize("cols_left, cols_right", [(9, 4), (4, 9)])
+def test_unequal_column_counts(cols_left, cols_right):
+    # the flipped matrix c is cols_left x cols_right, so the Gram matrix of
+    # the rejection test is formed on each side in turn
+    for seed in range(10):
+        form = direct_form(6, 5, cols_left, cols_right, seed=10 + seed)
+        rng = np.random.default_rng(seed)
+        s, t = random_signs(6, rng), random_signs(5, rng)
+        assert_same_polish(form._flip_polish(s, t), reference_polish(form, s, t))
+
+
+def test_search_sup_unchanged():
+    form = key_sum_form(gen_cascade(5, 0.7, 3))
+    res = form.search_sup(iters=40, seed=4, restarts=2)
+    form._flip_polish = lambda s, t: reference_polish(form, s, t)
+    ref = form.search_sup(iters=40, seed=4, restarts=2)
+    assert res.value == pytest.approx(ref.value, rel=1e-12)
+    assert np.array_equal(res.sign_left, ref.sign_left)
+    assert np.array_equal(res.sign_right, ref.sign_right)
+
+
+@pytest.mark.parametrize("build", [
+    # the depth-4 inputs of the fold-path exact_sup tests in test_shifts.py
+    # and a depth-4 key-sum form; the fold runs search_sup with the polish
+    lambda: _weighted_form(ShiftSpec.random(1, 4, seed=3), gen_cascade(4, 0.6, seed=8)),
+    lambda: _weighted_form(ShiftSpec.random(1, 4, seed=6), gen_cascade(4, 0.6, seed=7)),
+    lambda: key_sum_form(gen_cascade(4, 0.7, 2)),
+])
+def test_exact_sup_unchanged(build):
+    form = build()
+    res = form.exact_sup()
+    form._flip_polish = lambda s, t: reference_polish(form, s, t)
+    ref = form.exact_sup()
+    assert res.value == pytest.approx(ref.value, rel=1e-12)
+    assert res.upper_bound == ref.upper_bound
+    assert np.array_equal(res.sign_left, ref.sign_left)
+    assert np.array_equal(res.sign_right, ref.sign_right)
+

@@ -19,6 +19,7 @@ from dyadlab.shifts import (
     norm_exact_small,
     norm_lower_search,
     save_shift_spec,
+    shift_matrix,
     valid_pairs,
 )
 
@@ -61,6 +62,14 @@ class TestShiftSpec:
         a = ShiftSpec.random(1, 4, seed=5)
         b = ShiftSpec.random(1, 4, seed=5)
         assert a.coeffs == b.coeffs
+
+
+class TestShiftMatrix:
+    def test_over_deep_refused(self, time_limit):
+        spec = ShiftSpec.constant(0, 13)
+        with time_limit(5.0):
+            with pytest.raises(DomainError, match=r"depth 13 .* 536739848 bytes"):
+                shift_matrix(spec)
 
 
 class TestFormValue:

@@ -209,6 +209,13 @@ class TestAnalysisMatrix:
         gram = H @ H.T * (1 << depth)
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-12
 
+    def test_over_deep_refused(self, time_limit):
+        # one 8191 x 8192 matrix would take 537 MB; refused before allocation
+        with time_limit(5.0):
+            with pytest.raises(DomainError, match=r"depth 13 exceeds the dense-matrix "
+                                                  r"cap 12: .* 536805376 bytes"):
+                haar_analysis_matrix(13)
+
 
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
