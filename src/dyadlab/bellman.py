@@ -309,6 +309,8 @@ class CampaignReport:
             "trials_total": self.trials_total,
             "vacuous": self.trials_total - self.trials_valid,
             "violations": self.violations,
+            "max_needed_k": self.max_needed_k,
+            # the same value under its former, misleading key
             "min_k_holding": self.max_needed_k,
             "asserted_k": self.asserted_k,
             "worst_case_point": self.worst_case_point,

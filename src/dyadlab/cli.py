@@ -91,11 +91,13 @@ def fit_slope(pairs: Sequence[Tuple[float, float]]) -> Tuple[float, float, float
     """Least squares of log(value) against log(Q); zero values are dropped.
 
     Returns (slope, intercept, r2).  Raises UsageError when fewer than three
-    usable pairs remain.
+    usable pairs remain or when they have fewer than two distinct Q.
     """
     usable = [(q, v) for q, v in pairs if v > 0 and q > 0]
     if len(usable) < 3:
         raise UsageError(f"need >= 3 positive pairs for a slope fit, got {len(usable)}")
+    if len({q for q, _ in usable}) < 2:
+        raise UsageError(f"need >= 2 distinct Q for a slope fit, got Q = {usable[0][0]!r} only")
     lq = np.log([q for q, _ in usable])
     lv = np.log([v for _, v in usable])
     slope, intercept = np.polyfit(lq, lv, 1)
@@ -104,6 +106,15 @@ def fit_slope(pairs: Sequence[Tuple[float, float]]) -> Tuple[float, float, float
     ss_tot = float(np.sum((lv - lv.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(slope), float(intercept), r2
+
+
+def _slope_entry(pairs) -> Optional[dict]:
+    """The fitted slope as a JSON object, or None when the pairs fix none."""
+    try:
+        slope, intercept, r2 = fit_slope(pairs)
+    except UsageError:
+        return None
+    return {"slope": slope, "intercept": intercept, "r2": r2}
 
 
 def n_dropped(pairs: Sequence[Tuple[float, float]]) -> int:
@@ -212,14 +223,10 @@ def run_sweep(cfg: SweepConfig):
                   "shift0_norm", "shift1_norm"]
     for col in slope_cols:
         pairs = [(r["Q"], r[col]) for r in rows if r["Q"] != "" and r[col] != ""]
-        if len(pairs) >= 3:
-            try:
-                slope, intercept, r2 = fit_slope(pairs)
-                summary["slopes"][col] = {"slope": slope, "intercept": intercept,
-                                          "r2": r2}
-                summary["dropped_zero_rows"][col] = n_dropped(pairs)
-            except UsageError:
-                pass
+        entry = _slope_entry(pairs)
+        if entry:
+            summary["slopes"][col] = entry
+            summary["dropped_zero_rows"][col] = n_dropped(pairs)
     for col in ("vavo_ratio_max", "duality_ratio_max", "bellman_b1_ratio"):
         vals = [r[col] for r in rows if r[col] != ""]
         if vals:
@@ -380,10 +387,9 @@ def cmd_norm(args) -> int:
         values.append({"Q": q, "norm": est.value, "mode": est.mode})
     summary = {"schema_version": SCHEMA_VERSION,
                "complexity": args.complexity, "norms": values}
-    pairs = [(v["Q"], v["norm"]) for v in values]
-    if len([p for p in pairs if p[1] > 0]) >= 3:
-        slope, intercept, r2 = fit_slope(pairs)
-        summary["slope"] = {"slope": slope, "intercept": intercept, "r2": r2}
+    entry = _slope_entry([(v["Q"], v["norm"]) for v in values])
+    if entry:
+        summary["slope"] = entry
     _emit(rows, summary, args)
     return 0
 
@@ -400,10 +406,9 @@ def cmd_embed(args) -> int:
         rows.append(row)
     summary = {"schema_version": SCHEMA_VERSION}
     for col in ("key_sum_max", "termI_max"):
-        pairs = [(r["Q"], r[col]) for r in rows]
-        if len([p for p in pairs if p[1] > 0]) >= 3:
-            slope, intercept, r2 = fit_slope(pairs)
-            summary[col] = {"slope": slope, "intercept": intercept, "r2": r2}
+        entry = _slope_entry([(r["Q"], r[col]) for r in rows])
+        if entry:
+            summary[col] = entry
     _emit(rows, summary, args)
     return 0
 
@@ -422,10 +427,9 @@ def cmd_carleson(args) -> int:
     summary = {"schema_version": SCHEMA_VERSION,
                "max_carleson_over_Q": max(r["carleson_norm"] / r["Q"] for r in rows),
                "max_vavo_ratio": max(r["vavo_ratio_max"] for r in rows)}
-    pairs = [(r["Q"], r["carleson_norm"]) for r in rows]
-    if len([p for p in pairs if p[1] > 0]) >= 3:
-        slope, intercept, r2 = fit_slope(pairs)
-        summary["carleson_norm"] = {"slope": slope, "intercept": intercept, "r2": r2}
+    entry = _slope_entry([(r["Q"], r["carleson_norm"]) for r in rows])
+    if entry:
+        summary["carleson_norm"] = entry
     _emit(rows, summary, args)
     return 0
 

@@ -9,13 +9,16 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .forms import AbsBilinearForm
+from .forms import AbsBilinearForm, _form_operands
 from .tree import (
     DomainError,
     DyadicIndex,
+    IdentityOperator,
     InvariantError,
     LeafFunction,
     StructureError,
+    TwoValuedRowOperator,
+    _haar_operator,
     _subtree_sum,
     internal_indices,
     level_averages,
@@ -287,23 +290,16 @@ def ltrick_ratios(phi: LeafFunction, psi: LeafFunction, w: Weight) -> Tuple[floa
 # -- form builders for scaling sweeps ------------------------------------
 
 
-def _analysis_of_product(depth: int, mult: np.ndarray) -> np.ndarray:
-    """Matrix taking leaf values of phi to Haar coefficients of phi*mult."""
-    from .tree import haar_analysis_matrix
-
-    return haar_analysis_matrix(depth) * mult[None, :]
-
-
 def key_sum_form(w: Weight) -> AbsBilinearForm:
     """sup over ||phi||_w = ||psi||_sigma = 1 of key_sum, as an AbsBilinearForm."""
     depth = w.depth
     scale = 2.0**-depth
-    # the maps first: their builder refuses over-deep forms before np.eye runs
-    left = _analysis_of_product(depth, w.values)
-    right = _analysis_of_product(depth, 1.0 / w.values)
-    n = (1 << depth) - 1
+    # Haar coefficients of phi w and psi sigma as linear maps of the leaf values
+    m, left, right = _form_operands(
+        depth, IdentityOperator((1 << depth) - 1),
+        _haar_operator(depth, w.values), _haar_operator(depth, 1.0 / w.values))
     return AbsBilinearForm(
-        m=np.eye(n),
+        m=m,
         left_map=left,
         right_map=right,
         left_metric=w.values * scale,
@@ -313,21 +309,21 @@ def key_sum_form(w: Weight) -> AbsBilinearForm:
 
 def term1_form(w: Weight) -> AbsBilinearForm:
     """sup of the first decomposition term over the same unit balls."""
-    from .weights import weighted_haar_matrix
-
     depth = w.depth
     scale = 2.0**-depth
     sig_vals = 1.0 / w.values
-    sig = Weight(LeafFunction(sig_vals))
     aw, asig, _, _ = interval_stats(w)
-    root_w = np.concatenate([np.sqrt(aw[lev]) for lev in range(depth)])
-    root_s = np.concatenate([np.sqrt(asig[lev]) for lev in range(depth)])
-    # (phi w, h^w_I) sqrt(<w>_I) as a linear map of phi's leaf values
-    left = root_w[:, None] * weighted_haar_matrix(w) * (w.values * scale)[None, :]
-    right = root_s[:, None] * weighted_haar_matrix(sig) * (sig_vals * scale)[None, :]
-    n = (1 << depth) - 1
+
+    def rows(avgs, mult):
+        # (phi mult, h^mult_I) sqrt(<mult>_I) as a linear map of phi's leaf values
+        levels = [(np.sqrt(avgs[lev]) * a, np.sqrt(avgs[lev]) * b)
+                  for lev, (a, b) in enumerate(_haar_values(avgs))]
+        return TwoValuedRowOperator(depth, levels, mult * scale)
+
+    m, left, right = _form_operands(
+        depth, IdentityOperator((1 << depth) - 1), rows(aw, w.values), rows(asig, sig_vals))
     return AbsBilinearForm(
-        m=np.eye(n),
+        m=m,
         left_map=left,
         right_map=right,
         left_metric=w.values * scale,

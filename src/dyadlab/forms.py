@@ -20,6 +20,18 @@ sign-flip polish.  It rejects a flip by a Cholesky factorization of
 tau^2 I - c c' instead of a singular value decomposition; the rounding of
 c c' (about N eps sigma_1^2) is far inside the polish's 1e-13 acceptance
 margin, so the decisions are those of a full SVD per flip.
+
+The coefficient matrix m and the two maps are ndarrays or matrix-free
+operators (tree.LinearOperator).  The search uses only `op @ x`, `x @ op`,
+`op.T` and `op.shape`, so an operator needs just those, plus `nbytes`
+(what it stores) and `__array_ufunc__ = None`, which makes `ndarray @ op`
+return NotImplemented and defer to `op.__rmatmul__`.  An operator m must
+have nonnegative entries; an array m is replaced by its absolute values.
+The exact mode and the sign-flip polish take ndarrays only; they run on
+at most 15 and 64 coefficients, where the builders pass dense matrices.
+The form builders pass `op @ np.eye(n)` (the dense matrix) while the maps
+have at most DENSE_MAX_COLUMNS columns, and the operators above (see
+_form_operands).
 """
 from __future__ import annotations
 
@@ -28,11 +40,33 @@ from typing import Optional
 
 import numpy as np
 
-from .tree import DomainError
+from .tree import DomainError, LinearOperator, _check_dense_depth
 
 FULL_ENUM_LIMIT = 7  # 4^N sign pairs
 FOLD_LIMIT = 15  # 2^N sign patterns with the t-fold
 FLIP_LIMIT = 64  # n1 + n2 above which the sign-flip polish is skipped
+# The widest map (2^depth columns) that the form builders pass dense.  One
+# product of the (2^d - 1) x 2^d Haar map (times a leafwise multiplier) with
+# a vector, best of 5 x 2000, Intel Xeon core, numpy 2.4, OpenBLAS 1 thread:
+#   depth   dense     operator
+#   8         9 us      23 us
+#   9        68 us      24 us
+#   10      418 us      25 us
+DENSE_MAX_COLUMNS = 256
+
+
+def _form_operands(depth: int, *ops) -> list:
+    """The operators of a depth-d form as AbsBilinearForm gets them: each
+    one dense up to DENSE_MAX_COLUMNS columns, else the operator itself.
+    Forms keep the dense builders' depth cap, tree.MAX_DENSE_DEPTH."""
+    n = 1 << depth
+    _check_dense_depth(depth, n - 1, n)
+    return [op @ np.eye(op.shape[1]) if op.shape[1] <= DENSE_MAX_COLUMNS else op
+            for op in ops]
+
+
+def _as_map(a):
+    return a if isinstance(a, LinearOperator) else np.asarray(a, dtype=float)
 
 
 def _sign_table(n: int) -> np.ndarray:
@@ -75,9 +109,9 @@ class FormResult:
 
 class AbsBilinearForm:
     def __init__(self, m, left_map, right_map, left_metric, right_metric):
-        self.m = np.abs(np.asarray(m, dtype=float))
-        self.left_map = np.asarray(left_map, dtype=float)
-        self.right_map = np.asarray(right_map, dtype=float)
+        self.m = m if isinstance(m, LinearOperator) else np.abs(np.asarray(m, dtype=float))
+        self.left_map = _as_map(left_map)
+        self.right_map = _as_map(right_map)
         self.left_metric = np.asarray(left_metric, dtype=float)
         self.right_metric = np.asarray(right_metric, dtype=float)
         if np.any(self.left_metric <= 0) or np.any(self.right_metric <= 0):

@@ -13,15 +13,16 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .forms import AbsBilinearForm, FormResult
+from .forms import AbsBilinearForm, FormResult, _form_operands
 from .tree import (
     DomainError,
     DyadicIndex,
     LeafFunction,
+    LinearOperator,
     StructureError,
-    _check_dense_depth,
+    _dense,
+    _haar_operator,
     _synthesis_values,
-    haar_analysis_matrix,
     internal_indices,
     level_haar_coeffs,
     n_internal,
@@ -73,16 +74,54 @@ class ShiftSpec:
         return cls(complexity=complexity, depth=depth, coeffs=coeffs)
 
 
+class ShiftOperator(LinearOperator):
+    """The N x N map of 2^{-n/2} |c_IJ| (N internal intervals, ordered like
+    internal_indices), applied per level in O(N 2^n).
+
+    Row I's coefficients are the 2^n entries of blocks[r], r its index in
+    internal_indices; its n-th generation descendants J are consecutive in
+    that order, and so are the descendant blocks of consecutive I.
+    """
+
+    def __init__(self, spec: ShiftSpec):
+        n = n_internal(spec.depth)
+        width = 1 << spec.complexity
+        self.shape = (n, n)
+        self.offset = width - 1  # index of the first interval at level n
+        self.blocks = np.zeros(((1 << max(spec.depth - spec.complexity, 0)) - 1, width))
+        scale = 2.0 ** (-spec.complexity / 2.0)
+        for (I, J), c in spec.coeffs.items():
+            self.blocks[(1 << I.level) - 1 + I.position,
+                        J.position - (I.position << spec.complexity)] = scale * abs(c)
+
+    @property
+    def nbytes(self) -> int:
+        return self.blocks.nbytes
+
+    def _descendants(self, x, cols):
+        """x from level n down, as (row I, descendant J, column) blocks."""
+        rows, width = self.blocks.shape
+        return x[self.offset : self.offset + rows * width].reshape(rows, width, cols)
+
+    def _apply(self, x):
+        cols = x[0].size
+        out = np.zeros((self.shape[0], cols))
+        np.einsum("rk,rkc->rc", self.blocks, self._descendants(x, cols),
+                  out=out[: len(self.blocks)])
+        return out.reshape(x.shape)
+
+    def _apply_adjoint(self, y):
+        cols = y[0].size
+        out = np.zeros((self.shape[1], cols))
+        rows = len(self.blocks)
+        self._descendants(out, cols)[...] = (
+            self.blocks[:, :, None] * y[:rows].reshape(rows, 1, cols))
+        return out.reshape(y.shape)
+
+
 def shift_matrix(spec: ShiftSpec) -> np.ndarray:
     """(N x N) matrix of 2^{-n/2} |c_IJ| in internal_indices ordering."""
-    n = n_internal(spec.depth)
-    _check_dense_depth(spec.depth, n, n)
-    order = {I: k for k, I in enumerate(internal_indices(spec.depth))}
-    m = np.zeros((n, n))
-    scale = 2.0 ** (-spec.complexity / 2.0)
-    for (I, J), c in spec.coeffs.items():
-        m[order[I], order[J]] = scale * abs(c)
-    return m
+    return _dense(ShiftOperator(spec), spec.depth)
 
 
 def _coeff_vector(f: LeafFunction) -> np.ndarray:
@@ -95,7 +134,7 @@ def form_value(spec: ShiftSpec, f1: LeafFunction, f2: LeafFunction) -> float:
         raise StructureError("function depths must match the shift depth")
     a = np.abs(_coeff_vector(f1))
     b = np.abs(_coeff_vector(f2))
-    return float(a @ shift_matrix(spec) @ b)
+    return float(a @ (ShiftOperator(spec) @ b))
 
 
 @dataclass
@@ -111,10 +150,10 @@ class NormEstimate:
 def _weighted_form(spec: ShiftSpec, w: Weight) -> AbsBilinearForm:
     if w.depth != spec.depth:
         raise StructureError("weight depth must match the shift depth")
-    h = haar_analysis_matrix(spec.depth)
+    m, h = _form_operands(spec.depth, ShiftOperator(spec), _haar_operator(spec.depth))
     scale = 2.0**-spec.depth
     return AbsBilinearForm(
-        m=shift_matrix(spec),
+        m=m,
         left_map=h,
         right_map=h,
         left_metric=w.values * scale,

@@ -1,4 +1,5 @@
-"""Finite dyadic tree on [0,1): intervals, leaf functions, Haar analysis.
+"""Finite dyadic tree on [0,1): intervals, leaf functions, Haar analysis,
+and the matrix-free linear operators the forms are built from.
 
 Everything downstream computes on a depth-n binary subdivision of [0,1).
 A function is represented by its 2^n leaf values; dyadic intervals are
@@ -228,28 +229,147 @@ def _check_dense_depth(depth: int, rows: int, cols: int) -> None:
         )
 
 
-def _two_valued_matrix(depth: int, levels) -> np.ndarray:
-    """Rows ordered like internal_indices; row I takes levels[I.level][0] on the
-    left half of I and levels[I.level][1] on the right half, each a scalar or
-    an array over the positions of the level."""
-    n = 1 << depth
-    _check_dense_depth(depth, n - 1, n)
-    out = np.zeros((n - 1, n))
-    for level, (left, right) in enumerate(levels):
-        k = 1 << level
-        # row block of this level, viewed as (row, interval, half, leaf in half)
-        block = out[k - 1 : 2 * k - 1].reshape(k, k, 2, n // (2 * k))
-        rows = np.arange(k)
-        block[rows, rows, 0] = np.reshape(left, (-1, 1))
-        block[rows, rows, 1] = np.reshape(right, (-1, 1))
-    return out
+class LinearOperator:
+    """A linear map applied without its matrix, in the protocol of
+    forms.AbsBilinearForm: `op @ x` maps a vector or the columns of a 2-d
+    block along axis 0 (so `op @ np.eye(n)` is the dense matrix), `x @ op`
+    and `op.T` give the adjoint, `shape` and `nbytes` read like an ndarray's.
+    Subclasses set `shape` and define `_apply`, `_apply_adjoint` and `nbytes`.
+    """
+
+    # ndarray @ op returns NotImplemented, so Python calls op.__rmatmul__
+    __array_ufunc__ = None
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape[:1] != self.shape[1:]:
+            raise StructureError(
+                f"operator of shape {self.shape} cannot apply to shape {x.shape}")
+        return self._apply(x)
+
+    def __rmatmul__(self, x):
+        return (self.T @ np.asarray(x, dtype=float).T).T
+
+    @property
+    def T(self) -> "LinearOperator":
+        return _Adjoint(self)
+
+
+class _Adjoint(LinearOperator):
+    def __init__(self, op: LinearOperator):
+        self.op = op
+        self.shape = op.shape[::-1]
+
+    def _apply(self, x):
+        return self.op._apply_adjoint(x)
+
+    def _apply_adjoint(self, x):
+        return self.op._apply(x)
+
+    @property
+    def T(self) -> LinearOperator:
+        return self.op
+
+    @property
+    def nbytes(self) -> int:
+        return self.op.nbytes
+
+
+class IdentityOperator(LinearOperator):
+    """The n x n identity; it stores nothing."""
+
+    nbytes = 0
+
+    def __init__(self, n: int):
+        self.shape = (n, n)
+
+    def _apply(self, x):
+        return x
+
+    _apply_adjoint = _apply
+
+
+def _column(v, x):
+    """v shaped to broadcast along axis 0 of x."""
+    return v.reshape(v.shape + (1,) * (x.ndim - 1))
+
+
+class TwoValuedRowOperator(LinearOperator):
+    """(2^d - 1) x 2^d map with rows ordered like internal_indices: row I
+    takes levels[I.level][0] on the left half of I and levels[I.level][1] on
+    the right half, each a scalar or an array over the positions of the
+    level, times the leafwise column multiplier `mult` when given.
+
+    The product sums the (multiplied) leaf values over every dyadic interval
+    bottom up, in O(2^d) per column; the adjoint accumulates each row's
+    value down the tree, as Haar synthesis does.
+    """
+
+    def __init__(self, depth: int, levels, mult=None):
+        n = 1 << depth
+        self.depth = depth
+        self.shape = (n - 1, n)
+
+        def rows(half):
+            """The value of every row on that half, ordered like internal_indices."""
+            return np.concatenate([np.broadcast_to(np.asarray(pair[half], dtype=float),
+                                                   (1 << lev,))
+                                   for lev, pair in enumerate(levels)])
+
+        self.left, self.right = rows(0), rows(1)
+        self.mult = None if mult is None else np.asarray(mult, dtype=float)
+
+    @property
+    def nbytes(self) -> int:
+        return self.left.nbytes + self.right.nbytes + (
+            0 if self.mult is None else self.mult.nbytes)
+
+    def _apply(self, x):
+        n = self.shape[1]
+        # sums over every dyadic interval, heap-ordered: interval (lev, p) at
+        # (1 << lev) - 1 + p, its children at 2 i + 1 and 2 i + 2, leaves last
+        sums = np.empty((2 * n - 1,) + x.shape[1:])
+        sums[n - 1 :] = x if self.mult is None else _column(self.mult, x) * x
+        for lev in range(self.depth - 1, -1, -1):
+            k = 1 << lev
+            np.add(sums[2 * k - 1 : 4 * k - 1 : 2], sums[2 * k : 4 * k - 1 : 2],
+                   out=sums[k - 1 : 2 * k - 1])
+        return _column(self.left, x) * sums[1::2] + _column(self.right, x) * sums[2::2]
+
+    def _apply_adjoint(self, y):
+        n = self.shape[1]
+        # acc[i]: the sum of the row values over the strict ancestors of
+        # interval i, heap-ordered as in _apply
+        acc = np.empty((2 * n - 1,) + y.shape[1:])
+        acc[0] = 0.0
+        ly = _column(self.left, y) * y
+        ry = _column(self.right, y) * y
+        for lev in range(self.depth):
+            k = 1 << lev
+            rows = slice(k - 1, 2 * k - 1)
+            np.add(acc[rows], ly[rows], out=acc[2 * k - 1 : 4 * k - 1 : 2])
+            np.add(acc[rows], ry[rows], out=acc[2 * k : 4 * k - 1 : 2])
+        leaves = acc[n - 1 :]
+        return leaves if self.mult is None else _column(self.mult, y) * leaves
+
+
+def _dense(op: LinearOperator, depth: int) -> np.ndarray:
+    """The matrix of op, refused above MAX_DENSE_DEPTH before allocating."""
+    rows, cols = op.shape
+    _check_dense_depth(depth, rows, cols)
+    return op @ np.eye(cols)
+
+
+def _haar_operator(depth: int, mult=None) -> TwoValuedRowOperator:
+    """H with (H f)_I = (f, h_I), times the leafwise multiplier when given."""
+    scale = 2.0**-depth
+    amps = [1.0 / np.sqrt(2.0**-level) for level in range(depth)]
+    return TwoValuedRowOperator(depth, [(amp * scale, -amp * scale) for amp in amps], mult)
 
 
 def haar_analysis_matrix(depth: int) -> np.ndarray:
     """Matrix H with (H f)_I = (f, h_I); rows follow internal_indices order."""
-    scale = 2.0**-depth
-    amps = [1.0 / np.sqrt(2.0**-level) for level in range(depth)]
-    return _two_valued_matrix(depth, [(amp * scale, -amp * scale) for amp in amps])
+    return _dense(_haar_operator(depth), depth)
 
 
 def _subtree_sum(J: DyadicIndex, levels) -> float:

@@ -17,7 +17,8 @@ from .tree import (
     DyadicIndex,
     LeafFunction,
     StructureError,
-    _two_valued_matrix,
+    TwoValuedRowOperator,
+    _dense,
     level_averages,
     level_diffs,
     load_leaf_function,
@@ -191,7 +192,7 @@ def haar_split_levels(w: Weight):
 
 def weighted_haar_matrix(w: Weight) -> np.ndarray:
     """Rows are leaf samplings of h_I^w, ordered like internal_indices."""
-    return _two_valued_matrix(w.depth, weighted_haar_levels(w))
+    return _dense(TwoValuedRowOperator(w.depth, weighted_haar_levels(w)), w.depth)
 
 
 def gen_power(depth: int, a: float) -> Weight:

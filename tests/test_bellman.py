@@ -157,6 +157,13 @@ class TestTriangleLemma:
                     "worst_case_point", "violations"):
             assert key in j
 
+    def test_campaign_json_max_needed_k(self):
+        # min_k_holding is kept as an alias of max_needed_k
+        rep = run_triangle_campaign(Q=2.0, valid_trials=500, seed=1)
+        j = rep.to_json()
+        assert j["max_needed_k"] == rep.max_needed_k
+        assert j["min_k_holding"] == j["max_needed_k"]
+
 
 class TestBarycenterLemma:
     def test_all_equal(self):

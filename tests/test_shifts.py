@@ -8,7 +8,9 @@ from dyadlab.tree import (
     LeafFunction,
     ROOT,
     StructureError,
+    haar_analysis_matrix,
     internal_indices,
+    level_haar_coeffs,
 )
 from dyadlab.weights import Weight, gen_cascade, weighted_norm, dual
 from dyadlab.shifts import (
@@ -105,6 +107,31 @@ class TestFormValue:
         f = LeafFunction(rng.standard_normal(8))
         g = LeafFunction(rng.standard_normal(8))
         assert form_value(spec, f, g) == pytest.approx(form_value(flipped, f, g))
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_matches_dense_formula(self, depth):
+        rng = np.random.default_rng(depth)
+        f = LeafFunction(rng.standard_normal(1 << depth))
+        g = LeafFunction(rng.standard_normal(1 << depth))
+        a = np.abs(haar_analysis_matrix(depth) @ f.values)
+        b = np.abs(haar_analysis_matrix(depth) @ g.values)
+        for n in (0, 1, 2):
+            spec = ShiftSpec.random(n, depth, seed=depth + 10 * n)
+            assert form_value(spec, f, g) == pytest.approx(a @ shift_matrix(spec) @ b,
+                                                           rel=1e-12)
+
+    def test_past_the_dense_cap(self, time_limit):
+        # an N x N shift matrix is refused at depth 13; the form value is not
+        rng = np.random.default_rng(13)
+        f = LeafFunction(rng.standard_normal(1 << 13))
+        g = LeafFunction(rng.standard_normal(1 << 13))
+        with time_limit(10.0):
+            diag = form_value(ShiftSpec.constant(0, 13), f, g)
+            value = form_value(ShiftSpec.random(1, 13, seed=1), f, g)
+        a = np.abs(np.concatenate(level_haar_coeffs(f.values)))
+        b = np.abs(np.concatenate(level_haar_coeffs(g.values)))
+        assert diag == pytest.approx(float(a @ b), rel=1e-12)
+        assert np.isfinite(value) and value > 0.0
 
 
 class TestNormExact:
