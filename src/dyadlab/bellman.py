@@ -8,7 +8,9 @@ with x^2 <= X v, y^2 <= Y u and 1 <= u v <= Q.  This module provides:
 * randomized verification campaigns for the two convexity-repair lemmas
   (triangle/median and barycenter);
 * a depth-limited dynamic-programming lower estimate of the value function,
-  with gain |dx||dy| per node split;
+  with gain |dx||dy| per node split: the best split at the query point, its
+  children valued in closed form (the best grid split and the exactly solved
+  x/y-only split game), so every depth >= 3 gives the same estimate;
 * extraction of domain points from concrete dyadic data, together with the
   localized key sum they witness.
 """
@@ -185,6 +187,8 @@ def sample_omega(Q: float, n: int, rng, boundary_prob: float = 0.1,
     signed fractions of their caps, with a boundary_prob chance of sitting
     exactly on the cap.
     """
+    if not Q >= 1.0:
+        raise DomainError("domain parameter must be >= 1")
     u, v = _sample_strip(Q, n, rng, log_spread)
     X = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=n))
     Y = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=n))
@@ -204,7 +208,13 @@ def sample_omega(Q: float, n: int, rng, boundary_prob: float = 0.1,
         f = np.where(uv > Q, 1.0 - 4e-16, np.where(uv < 1.0, 1.0 + 4e-16, 1.0))
         u = u * f
         v = v * f
-    return np.column_stack([X, Y, x, y, u, v])
+    out = np.column_stack([X, Y, x, y, u, v])
+    # at Q = 1 some u admit no double v with fl(u v) = 1; only those rows are
+    # drawn again, so draws that need no mending consume no extra randomness
+    bad = ~_member((X, Y, x, y, u, v), Q, 0.0)
+    if bad.any():
+        out[bad] = sample_omega(Q, int(bad.sum()), rng, boundary_prob, log_spread)
+    return out
 
 
 def _slack_points(u: np.ndarray, v: np.ndarray, big: float = 1e6) -> np.ndarray:
@@ -334,6 +344,8 @@ def _run_campaign(lemma: str, draw, premise, segments, Q: float, valid_trials: i
     """
     if Q < 1.0:
         raise DomainError("domain parameter must be >= 1")
+    if valid_trials < 1:
+        raise DomainError("a campaign needs at least 1 trial")
     rng = np.random.default_rng(seed)
     valid = total = violations = empty = 0
     max_needed = 1.0
@@ -514,7 +526,7 @@ def node_defect(split: NodeSplit, Q: float,
 
 
 def _snap(arr: np.ndarray, Q: float) -> np.ndarray:
-    """Quantize a member point onto the memoization grid, staying inside."""
+    """Quantize a member point onto the grid of child points, staying inside."""
     X, Y, x, y, u, v = arr
     X = np.exp(round(np.log(X) / _LOG_STEP) * _LOG_STEP)
     Y = np.exp(round(np.log(Y) / _LOG_STEP) * _LOG_STEP)
@@ -565,26 +577,50 @@ def _xy_game_value(arr: np.ndarray) -> float:
     )
 
 
+def _grid_moves(arr: np.ndarray):
+    """The deterministic one-step x/y-only increments (t, s) at a point:
+    proportional moves plus equal-increment moves in both sign patterns
+    (|dx||dy| = (dx^2 + dy^2)/2 when |dx| = |dy|), at each of _XY_FRACS."""
+    X, Y, x, y, u, v = arr
+    tmax = np.sqrt(X * v) - abs(x)
+    smax = np.sqrt(Y * u) - abs(y)
+    eq = min(tmax, smax)
+    for fr in _XY_FRACS:
+        for t, s in ((fr * tmax, fr * smax),
+                     (fr * eq, fr * eq),
+                     (fr * eq, -fr * eq)):
+            if t != 0.0 and s != 0.0:
+                yield t, s
+
+
+def _child_value(arr: np.ndarray, levels: int) -> float:
+    """Value of a child with 0, 1 or >= 2 levels left below it: 0, the best
+    grid move G, or max(G, _xy_game_value), which no deeper play beats."""
+    if levels == 0:
+        return 0.0
+    g = max([0.0] + [GAIN_FACTOR * abs(t) * abs(s) for t, s in _grid_moves(arr)])
+    return g if levels == 1 else max(g, _xy_game_value(arr))
+
+
 class DpEstimator:
-    """Memoized depth-limited lower estimate of the value function on Omega_Q.
+    """Depth-limited lower estimate of the value function on Omega_Q.
 
-    B^0 = 0 and B^d(p) is the best found over candidate midpoint splits of
-    (average of children values) + GAIN_FACTOR |dx||dy|.  Candidates are the
-    null split (making the estimate monotone in depth), a deterministic grid
-    of one-step x/y-only splits, the exactly solved x/y-only split game
-    (_xy_game_value, attached once two or more levels remain), and seeded
-    random six-coordinate directions (a prefix sequence, making the estimate
-    monotone in the sample count).
-
-    Random directions are explored at the query point only; the subtrees
-    under every candidate child are valued by the analytic x/y game, which
-    they cannot beat (it is a supersolution of the x/y-only recursion), so
-    deep estimates cost one closed-form evaluation per child and the
-    estimate is depth-stable once every tail is summed analytically."""
+    B^0 = 0 and B^d(p) is the best found over candidate midpoint splits of p
+    of (average of children values) + GAIN_FACTOR |dx||dy|, and over the
+    exactly solved x/y-only split game (_xy_game_value) once d >= 2.  The
+    candidates are a deterministic grid of one-step x/y-only splits and
+    seeded random six-coordinate directions (a prefix sequence, making the
+    estimate monotone in the sample count), halved until both children are
+    members.  Children are snapped to a grid and valued in closed form with
+    d - 1 levels left (_child_value).  Child values grow with d up to d = 3
+    and then stay put, so the estimate is monotone in depth and the same at
+    every depth >= 3.  memo holds finished estimates by (point, min(d, 3))."""
 
     def __init__(self, Q: float, samples: int = 6, seed: int = 0):
         if Q < 1.0:
             raise DomainError("domain parameter must be >= 1")
+        if samples < 0:
+            raise DomainError("samples must be >= 0")
         self.Q = Q
         self.samples = samples
         self.seed = seed
@@ -595,72 +631,45 @@ class DpEstimator:
             raise DomainError("point outside the domain")
         if depth < 0:
             raise DomainError("depth must be >= 0")
-        return self._rec(p.as_array(), depth, root=True)
+        if depth == 0:
+            return 0.0
+        arr = p.as_array()
+        d = min(depth, 3)
+        key = (_key(arr), d)
+        if key not in self.memo:
+            best = _xy_game_value(arr) if d >= 2 else 0.0
+            for sp, sm, gain in self._splits(arr):
+                val = 0.5 * (_child_value(sp, d - 1) + _child_value(sm, d - 1)) + gain
+                best = max(best, val)
+            self.memo[key] = best
+        return self.memo[key]
 
     def b1_ratio(self, p: BellmanPoint, depth: int) -> float:
         return self.estimate(p, depth) / (self.Q * (p.X + p.Y))
 
-    def _rec(self, arr: np.ndarray, d: int, root: bool = False) -> float:
-        if d == 0:
-            return 0.0
-        key = (_key(arr), d, root)
-        if key in self.memo:
-            return self.memo[key]
-        # null split keeps the point; it makes the estimate monotone in depth
-        best = self._rec(arr, d - 1, root=root) if d > 1 else 0.0
-        if d >= 2:
-            # exact x/y-only tail value; it dominates every one-step x/y
-            # split followed by further x/y play, so those are only searched
-            # explicitly where a genuine one-step value is needed
-            best = max(best, _xy_game_value(arr))
-        if root or d == 1:
-            X, Y, x, y, u, v = arr
-            cx = np.sqrt(X * v)
-            cy = np.sqrt(Y * u)
-            tmax = cx - abs(x)
-            smax = cy - abs(y)
-            eq = min(tmax, smax)
-            for fr in _XY_FRACS:
-                # proportional moves plus equal-increment moves in both sign
-                # patterns (|dx||dy| = (dx^2 + dy^2)/2 when |dx| = |dy|)
-                for t, s in ((fr * tmax, fr * smax),
-                             (fr * eq, fr * eq),
-                             (fr * eq, -fr * eq)):
-                    if t == 0.0 or s == 0.0:
-                        continue
-                    plus = arr.copy()
-                    minus = arr.copy()
-                    plus[2] += t
-                    plus[3] += s
-                    minus[2] -= t
-                    minus[3] -= s
-                    sp = _snap(plus, self.Q)
-                    sm = _snap(minus, self.Q)
-                    val = 0.5 * (
-                        self._rec(sp, d - 1) + self._rec(sm, d - 1)
-                    ) + GAIN_FACTOR * abs(t) * abs(s)
-                    best = max(best, val)
-        if root:
-            rng, swap = self._directions(arr)
-            for delta in rng:
-                if swap:
-                    delta = delta[[1, 0, 3, 2, 5, 4]]
-                val = self._try_direction(arr, delta, d)
-                if val is not None:
-                    best = max(best, val)
-        self.memo[key] = best
-        return best
+    def _splits(self, arr: np.ndarray):
+        """(plus child, minus child, gain) of every candidate split at arr."""
+        for t, s in _grid_moves(arr):
+            step = np.array([0.0, 0.0, t, s, 0.0, 0.0])
+            gain = GAIN_FACTOR * abs(t) * abs(s)
+            yield _snap(arr + step, self.Q), _snap(arr - step, self.Q), gain
+        for delta in self._directions(arr):
+            split = self._try_direction(arr, delta)
+            if split is not None:
+                yield split
 
-    def _directions(self, arr: np.ndarray):
+    def _directions(self, arr: np.ndarray) -> np.ndarray:
         rng, swapped = _node_rng(arr, self.seed)
         base = arr if not swapped else arr[[1, 0, 3, 2, 5, 4]]
         X, Y, x, y, u, v = base
         scales = np.array([0.3 * X, 0.3 * Y, 0.5 * np.sqrt(X * v),
                            0.5 * np.sqrt(Y * u), 0.2 * u, 0.2 * v])
         dirs = rng.standard_normal((self.samples, 6)) * scales[None, :]
-        return list(dirs), swapped
+        return dirs[:, [1, 0, 3, 2, 5, 4]] if swapped else dirs
 
-    def _try_direction(self, arr: np.ndarray, delta: np.ndarray, d: int):
+    def _try_direction(self, arr: np.ndarray, delta: np.ndarray):
+        """The split along the first of 8 halvings of delta that keeps both
+        children members; None if none does or both snap back onto arr."""
         parent = _key(arr)
         for _ in range(8):
             plus = arr + delta
@@ -670,8 +679,7 @@ class DpEstimator:
                 sm = _snap(minus, self.Q)
                 if _key(sp) == parent and _key(sm) == parent:
                     return None
-                gain = GAIN_FACTOR * abs(delta[2]) * abs(delta[3])
-                return 0.5 * (self._rec(sp, d - 1) + self._rec(sm, d - 1)) + gain
+                return sp, sm, GAIN_FACTOR * abs(delta[2]) * abs(delta[3])
             delta = delta / 2.0
         return None
 

@@ -34,6 +34,8 @@ EXACT_CAP = 15  # internal intervals; past this, exact mode refuses
 
 def valid_pairs(complexity: int, depth: int):
     """All (I, J) with J inside I, |J| = 2^-n |I|, both internal."""
+    if complexity < 0:
+        raise DomainError("complexity must be >= 0")
     for I in internal_indices(depth):
         if I.level + complexity >= depth and complexity > 0:
             continue

@@ -211,6 +211,8 @@ def gen_cascade(depth: int, eps: float, seed: int) -> Weight:
     """Multiplicative cascade: children multiply the parent by (1 +- xi_I)."""
     if not 0.0 <= eps < 1.0:
         raise DomainError("cascade amplitude must lie in [0, 1)")
+    if seed < 0:
+        raise DomainError("cascade seed must be >= 0")
     rng = np.random.default_rng(seed)
     vals = np.ones(1)
     for _ in range(depth):

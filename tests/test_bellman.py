@@ -14,7 +14,9 @@ from dyadlab.bellman import (
     barycenter_lemma_check,
     calibrate_gain,
     dp_estimate,
+    _sample_strip,
     in_domain,
+    in_domain_arr,
     node_defect,
     node_pattern_check,
     point_from_data,
@@ -26,6 +28,30 @@ from dyadlab.bellman import (
     triangle_lemma_check,
     tree_sum_ratio,
 )
+
+
+def reference_sample_omega(Q, n, rng, boundary_prob=0.1, log_spread=np.log(10.0)):
+    """sample_omega before rows left outside at Q = 1 were drawn again."""
+    u, v = _sample_strip(Q, n, rng, log_spread)
+    X = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=n))
+    Y = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=n))
+    fx = rng.uniform(0.0, 1.0, size=n)
+    fy = rng.uniform(0.0, 1.0, size=n)
+    fx = np.where(rng.uniform(size=n) < boundary_prob, 1.0, fx)
+    fy = np.where(rng.uniform(size=n) < boundary_prob, 1.0, fy)
+    sx = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+    sy = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+    x = sx * fx * np.sqrt(X * v)
+    y = sy * fy * np.sqrt(Y * u)
+    # exact-cap draws can land an ulp outside under exact comparisons; nudge in
+    for _ in range(4):
+        x = np.where(x * x > X * v, x * (1.0 - 4e-16), x)
+        y = np.where(y * y > Y * u, y * (1.0 - 4e-16), y)
+        uv = u * v
+        f = np.where(uv > Q, 1.0 - 4e-16, np.where(uv < 1.0, 1.0 + 4e-16, 1.0))
+        u = u * f
+        v = v * f
+    return np.column_stack([X, Y, x, y, u, v])
 
 
 def strip_point(u, v, big=1e6):
@@ -120,6 +146,26 @@ class TestSampling:
         for row in P:
             assert in_domain(BellmanPoint.from_array(row), 8.0, tol=1e-9)
 
+    def test_members_at_q_one(self):
+        # at Q = 1 some u admit no double v with fl(u v) = 1
+        for seed in range(20):
+            P = sample_omega(1.0, 1000, np.random.default_rng(seed))
+            assert np.all(in_domain_arr(P, 1.0, 0.0))
+
+    @pytest.mark.parametrize("Q", [1.5, 4.0, 50.0])
+    def test_unchanged_above_q_one(self, Q):
+        # rows that need no mending are drawn as before, from the same stream
+        for seed in range(20):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(sample_omega(Q, 1000, rng),
+                                  reference_sample_omega(Q, 1000, ref_rng))
+            assert rng.uniform() == ref_rng.uniform()
+
+    @pytest.mark.parametrize("Q", [0.5, float("nan")])
+    def test_rejects_no_domain(self, Q):
+        with pytest.raises(DomainError):
+            sample_omega(Q, 10, np.random.default_rng(0))
+
     def test_boundary_coverage(self):
         rng = np.random.default_rng(2)
         P = sample_omega(8.0, 5000, rng)
@@ -211,6 +257,12 @@ class TestCampaignRobustness:
         assert rep.violations == 0
         assert np.isfinite(rep.max_needed_k)
 
+    @pytest.mark.parametrize("runner", [run_triangle_campaign, run_barycenter_campaign])
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_needs_a_trial(self, runner, trials):
+        with pytest.raises(DomainError):
+            runner(Q=2.0, valid_trials=trials, seed=0)
+
     def test_draws_counted_up_to_last_taken(self):
         # about one draw in ten is valid, so ten valid trials need about a
         # hundred draws, not the whole 40000-draw batch
@@ -300,6 +352,10 @@ class TestDpEstimator:
     def test_rejects_outsider(self):
         with pytest.raises(DomainError):
             dp_estimate(BellmanPoint(1, 1, 5, 0, 1, 1), 2.0, 2, 4, 0)
+
+    def test_rejects_negative_samples(self):
+        with pytest.raises(DomainError):
+            DpEstimator(Q=2.0, samples=-1)
 
     def test_b1_ratio_finite(self):
         rng = np.random.default_rng(7)

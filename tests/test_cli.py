@@ -103,6 +103,13 @@ class TestRunSweep:
         assert rows[0]["error"] == ""
         assert rows[1]["error"] != ""
 
+    def test_negative_seed_row_carries_error(self):
+        cfg = SweepConfig(family="cascade", params=[0.5], depths=[3], seeds=[1, -1],
+                          experiments=("a2",), jobs=1)
+        rows, _ = run_sweep(cfg)
+        assert rows[0]["error"] == ""
+        assert rows[1]["error"] == "cascade seed must be >= 0"
+
     def test_negative_jobs_rejected(self):
         with pytest.raises(UsageError):
             self.cfg(jobs=-1)
@@ -236,11 +243,28 @@ class TestMainExitCodes:
         assert code == 0
 
     @pytest.mark.parametrize("argv", [
+        ["--family", "cascade", "--param", "0", "--seed", "0"],
+        ["--family", "cascade", "--param", "0", "--seed", "1"],
+        ["--family", "cascade", "--param", "0", "--seed", "2"],
+        ["--family", "power", "--param", "0"],
+    ])
+    def test_bellman_at_constant_weight(self, argv, capsys):
+        # a constant weight has Q = 1, where every sampled point must still
+        # be a member at zero tolerance
+        assert main(["bellman", "--depth", "3", *argv]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["bellman"][0]["Q"] == 1.0
+
+    @pytest.mark.parametrize("argv", [
         ["a2", "--param", "-2"],
         ["a2", "--depth", "0"],
         ["a2", "--family", "file", "--file", "MISSING"],
         ["norm", "--depth", "5", "--exact"],
         ["geom", "--Q", "1.0", "--trials", "10"],
+        ["bellman", "--samples", "-1"],
+        ["norm", "--complexity", "-1"],
+        ["a2", "--family", "cascade", "--seed", "-1"],
+        ["geom", "--trials", "-5"],
     ])
     def test_bad_input_is_one_line(self, argv, capsys, tmp_path, time_limit):
         argv = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in argv]

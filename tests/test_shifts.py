@@ -60,6 +60,14 @@ class TestShiftSpec:
         with pytest.raises(DomainError):
             ShiftSpec(complexity=1, depth=2, coeffs={pair: 0.5})
 
+    @pytest.mark.parametrize("build", [
+        lambda: ShiftSpec.constant(-1, 3),
+        lambda: ShiftSpec.random(-1, 3, seed=0),
+    ])
+    def test_rejects_negative_complexity(self, build):
+        with pytest.raises(DomainError):
+            build()
+
     def test_random_is_deterministic(self):
         a = ShiftSpec.random(1, 4, seed=5)
         b = ShiftSpec.random(1, 4, seed=5)

@@ -232,6 +232,10 @@ class TestGenerators:
         with pytest.raises(DomainError):
             gen_cascade(3, 1.0, 0)
 
+    def test_cascade_rejects_negative_seed(self):
+        with pytest.raises(DomainError):
+            gen_cascade(3, 0.5, -1)
+
     def test_cascade_characteristic_grows_with_eps(self):
         means = []
         for eps in (0.1, 0.3, 0.5, 0.7, 0.9):
