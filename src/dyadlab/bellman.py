@@ -342,8 +342,8 @@ def _run_campaign(lemma: str, draw, premise, segments, Q: float, valid_trials: i
     needs k = max(1, max uv / Q) over its segments (points[i], points[j]),
     (i, j) in segments, or k = inf when a segment leaves the caps.
     """
-    if Q < 1.0:
-        raise DomainError("domain parameter must be >= 1")
+    if not 1.0 <= Q < np.inf:  # also false for nan
+        raise DomainError(f"domain parameter must be finite and >= 1, got {Q}")
     if valid_trials < 1:
         raise DomainError("a campaign needs at least 1 trial")
     rng = np.random.default_rng(seed)

@@ -1,9 +1,31 @@
 """Experiment runner: weight-family sweeps, scaling fits, lemma campaigns.
 
-Subcommands: a2, norm, embed, carleson, bellman, geom, sweep.  CSV is the
-contract for sweep output (schema below); JSON summaries carry fitted
-slopes, max ratios and `schema_version: 1`.  Exit codes: 0 success,
-1 usage error, 2 invariant violation.
+Every weight subcommand is a preset of one sweep (`run_sweep`): it runs a
+subset of the experiments on the same rows and adds a few summary keys.
+
+  a2        a2                    a2: [{Q, witness}]
+  norm      shift_norm            complexity, norms: [{Q, norm, mode}], slope
+  embed     key_sum, four_terms   key_sum_max, termI_max (slopes)
+  carleson  carleson, vavo        max_carleson_over_Q, max_vavo_ratio,
+                                  carleson_norm (slope)
+  bellman   bellman_b1            bellman: [{Q, b1_ratio, dp_depth}]
+  sweep     --experiments         (the sweep summary only)
+
+Weights: --family power|cascade|file, --param, --depth, --seed, --file,
+each repeatable; defaults power, param 0.5, depth 6, seed 0.  Every row
+searches with seed + 7919 * depth and 6 restarts, whichever subcommand
+asks.  --jobs spreads the rows over worker processes (0 = all cores).
+CSV rows have the fixed columns CSV_COLUMNS + EXTRA_COLUMNS; JSON summaries
+carry the config, fitted slopes, max ratios and `schema_version: 1`.
+
+geom runs one lemma campaign on no weight: --lemma triangle|barycenter,
+--trials, --Q (finite, >= 1), --seed, --json.
+
+Exit codes: 0 success, 1 usage error, 2 invariant violation (a lemma
+campaign with violations, from geom or sweep).  A row whose weight cannot
+be built (a missing file, a bad parameter) carries the message in its
+`error` column and does not stop the run: every output is written, then
+the command exits 1 with the first row error.
 """
 from __future__ import annotations
 
@@ -13,7 +35,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,10 +65,7 @@ ALL_EXPERIMENTS = (
     "duality", "bellman_b1", "lemma_triangle", "lemma_barycenter",
 )
 
-WEIGHT_EXPERIMENTS = {
-    "a2", "shift_norm", "key_sum", "four_terms", "carleson", "vavo",
-    "duality", "bellman_b1",
-}
+CAMPAIGNS = ("lemma_triangle", "lemma_barycenter")
 
 
 class UsageError(ValueError):
@@ -65,6 +84,10 @@ class SweepConfig:
     restarts: int = 6
     trials: int = 1000
     jobs: int = 0  # 0 -> available cores
+    complexities: Tuple[int, ...] = (0, 1)  # shift_norm
+    exact: bool = False  # shift_norm: exhaustive instead of search
+    samples: int = 4  # bellman_b1: DP directions per split
+    dp_depth: int = 6  # bellman_b1
 
     def __post_init__(self):
         if not self.experiments:
@@ -133,22 +156,16 @@ def make_weight(family: str, param: float, seed: int, depth: int,
 
 
 def _row_jobs(cfg: SweepConfig):
-    if cfg.family == "file":
-        for depth in cfg.depths:
+    for depth in cfg.depths:
+        if cfg.family == "file":
             for path in cfg.files:
                 yield {"family": "file", "param": 0.0, "seed": 0,
                        "depth": depth, "path": path}
-    elif cfg.family == "power":
-        for depth in cfg.depths:
-            for param in cfg.params:
-                yield {"family": "power", "param": param, "seed": 0,
+            continue
+        for param in cfg.params:
+            for seed in (cfg.seeds or [0]) if cfg.family == "cascade" else [0]:
+                yield {"family": cfg.family, "param": param, "seed": seed,
                        "depth": depth, "path": None}
-    else:
-        for depth in cfg.depths:
-            for param in cfg.params:
-                for seed in cfg.seeds or [0]:
-                    yield {"family": "cascade", "param": param, "seed": seed,
-                           "depth": depth, "path": None}
 
 
 def _compute_row(cfg: SweepConfig, job: dict) -> dict:
@@ -161,9 +178,10 @@ def _compute_row(cfg: SweepConfig, job: dict) -> dict:
     except (OSError, DomainError, StructureError) as exc:
         row["error"] = str(exc)
         return row
-    sig = dual(w)
-    q = a2_characteristic(w).characteristic
+    a2 = a2_characteristic(w)
+    q = a2.characteristic
     row["Q"] = q
+    row["a2_witness"] = [a2.witness.level, a2.witness.position]
     ex = set(cfg.experiments)
     seed = int(job["seed"]) + 7919 * int(job["depth"])
     if "key_sum" in ex or "four_terms" in ex:
@@ -176,7 +194,7 @@ def _compute_row(cfg: SweepConfig, job: dict) -> dict:
         row["carleson_norm"] = embedding.carleson_norm(embedding.carleson_measure_of(w))
     if "vavo" in ex:
         u_fn = LeafFunction(w.values / q)
-        row["vavo_ratio_max"] = embedding.two_weight_ratio_max(u_fn, sig.base)
+        row["vavo_ratio_max"] = embedding.two_weight_ratio_max(u_fn, dual(w).base)
     if "duality" in ex:
         rng = np.random.default_rng(seed)
         best = 0.0
@@ -186,17 +204,18 @@ def _compute_row(cfg: SweepConfig, job: dict) -> dict:
             best = max(best, embedding.duality_product(phi, psi, w).ratio)
         row["duality_ratio_max"] = best
     if "shift_norm" in ex:
-        for n, col in ((0, "shift0_norm"), (1, "shift1_norm")):
+        for n in cfg.complexities:
             spec = shifts.ShiftSpec.constant(n, w.depth)
-            row[col] = shifts.norm_lower_search(
-                spec, w, iters=cfg.iters, seed=seed, restarts=cfg.restarts
-            ).value
+            est = (shifts.norm_exact_small(spec, w) if cfg.exact else
+                   shifts.norm_lower_search(spec, w, cfg.iters, seed, cfg.restarts))
+            row[f"shift{n}_norm"] = est.value
+            row["shift_norm_mode"] = est.mode
     if "bellman_b1" in ex:
         rng = np.random.default_rng(seed)
         pts = bellman.sample_omega(q, 3, rng)
-        est = bellman.DpEstimator(Q=q, samples=4, seed=seed)
+        est = bellman.DpEstimator(Q=q, samples=cfg.samples, seed=seed)
         row["bellman_b1_ratio"] = max(
-            est.b1_ratio(bellman.BellmanPoint.from_array(p), 6) for p in pts
+            est.b1_ratio(bellman.BellmanPoint.from_array(p), cfg.dp_depth) for p in pts
         )
     return row
 
@@ -244,9 +263,11 @@ def run_sweep(cfg: SweepConfig):
 
 
 def rows_to_csv(rows) -> str:
+    """The fixed columns of the rows; other row keys (a2_witness,
+    shift_norm_mode, shift{n}_norm for n >= 2) stay out of the CSV."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS + EXTRA_COLUMNS,
-                            lineterminator="\n")
+                            lineterminator="\n", extrasaction="ignore")
     writer.writeheader()
     for r in rows:
         writer.writerow({k: (repr(float(v)) if isinstance(v, float) else v)
@@ -271,14 +292,13 @@ def _add_common(sp):
     sp.add_argument("--file", action="append", default=None,
                     help="weight file (family=file)")
     sp.add_argument("--out", default=None, help="CSV output path")
-    sp.add_argument("--json", dest="json_path", default=None,
-                    help="JSON output path")
     sp.add_argument("--jobs", type=int, default=0,
-                    help="worker processes for sweeps (0 = all cores)")
+                    help="worker processes, one row each (0 = all cores)")
 
 
 def build_parser() -> _Parser:
-    p = _Parser(prog="dyadlab", description=__doc__)
+    p = _Parser(prog="dyadlab", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
     for name, hlp in (
@@ -291,211 +311,129 @@ def build_parser() -> _Parser:
         ("sweep", "full multi-experiment sweep"),
     ):
         sp = sub.add_parser(name, help=hlp)
-        _add_common(sp)
-        if name == "norm":
-            sp.add_argument("--complexity", type=int, default=1)
-            sp.add_argument("--iters", type=int, default=40)
-            sp.add_argument("--exact", action="store_true")
-        if name == "embed":
-            sp.add_argument("--iters", type=int, default=40)
-        if name == "bellman":
-            sp.add_argument("--dp-depth", type=int, default=6)
-            sp.add_argument("--samples", type=int, default=4)
+        sp.add_argument("--json", dest="json_path", default=None,
+                        help="JSON output path")
         if name == "geom":
             sp.add_argument("--lemma", choices=["triangle", "barycenter"],
                             default="triangle")
             sp.add_argument("--trials", type=int, default=10000)
             sp.add_argument("--Q", type=float, default=4.0)
+            sp.add_argument("--seed", type=int, default=0)
+            continue
+        _add_common(sp)
+        if name in ("norm", "embed", "sweep"):
+            sp.add_argument("--iters", type=int, default=40)
+        if name == "norm":
+            sp.add_argument("--complexity", type=int, default=1)
+            sp.add_argument("--exact", action="store_true")
+        if name == "bellman":
+            sp.add_argument("--dp-depth", type=int, default=6)
+            sp.add_argument("--samples", type=int, default=4)
         if name == "sweep":
             sp.add_argument("--experiments",
                             default="a2,key_sum,four_terms,carleson,vavo,duality")
-            sp.add_argument("--iters", type=int, default=40)
             sp.add_argument("--trials", type=int, default=1000)
     return p
 
 
-def _weights_from_args(args):
-    depths = args.depth or [6]
-    params = args.param if args.param is not None else [0.5]
-    seeds = args.seed or [0]
-    out = []
-    for depth in depths:
-        if args.family == "file":
-            for path in args.file or []:
-                out.append(("file", 0.0, 0, depth, load_weight(path)))
-        elif args.family == "power":
-            for a in params:
-                out.append(("power", a, 0, depth, gen_power(depth, a)))
-        else:
-            for eps in params:
-                for seed in seeds:
-                    out.append(("cascade", eps, seed, depth,
-                                gen_cascade(depth, eps, seed)))
-    if not out:
-        raise UsageError("no weights selected")
-    return out
+def _emit(rows, summary, args, campaigns=()) -> int:
+    """Write every output, then fail on what the outputs report.
 
-
-def _emit(rows, summary, args):
-    csv_text = rows_to_csv(rows) if rows is not None else None
-    if args.out and csv_text is not None:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
+    A campaign with violations raises InvariantError (exit 2); otherwise a
+    row carrying an error raises UsageError with the first one (exit 1).
+    """
+    out = getattr(args, "out", None)  # geom writes no CSV
+    text = json.dumps(summary, indent=2, sort_keys=True)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(rows_to_csv(rows))
     if args.json_path:
         with open(args.json_path, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if not args.out and not args.json_path:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-
-
-def _blank_row():
-    return {c: "" for c in CSV_COLUMNS + EXTRA_COLUMNS}
-
-
-def cmd_a2(args) -> int:
-    rows = []
-    witnesses = []
-    for family, param, seed, depth, w in _weights_from_args(args):
-        rep = a2_characteristic(w)
-        row = _blank_row()
-        row.update(family=family, param=param, seed=seed, depth=depth,
-                   Q=rep.characteristic)
-        rows.append(row)
-        witnesses.append({"Q": rep.characteristic,
-                          "witness": [rep.witness.level, rep.witness.position]})
-    _emit(rows, {"schema_version": SCHEMA_VERSION, "a2": witnesses}, args)
+            fh.write(text + "\n")
+    if not out and not args.json_path:
+        print(text)
+    for rep in campaigns:
+        if rep["violations"]:
+            raise InvariantError(
+                f"{rep['lemma']} lemma violated in {rep['violations']} trials")
+    errors = [r["error"] for r in rows if r["error"]]
+    if errors:
+        raise UsageError(errors[0])
     return 0
 
 
-def cmd_norm(args) -> int:
-    rows = []
-    values = []
-    for family, param, seed, depth, w in _weights_from_args(args):
-        spec = shifts.ShiftSpec.constant(args.complexity, depth)
-        if args.exact:
-            est = shifts.norm_exact_small(spec, w)
-        else:
-            est = shifts.norm_lower_search(spec, w, iters=args.iters,
-                                           seed=seed)
-        row = _blank_row()
-        q = a2_characteristic(w).characteristic
-        col = "shift0_norm" if args.complexity == 0 else "shift1_norm"
-        row.update(family=family, param=param, seed=seed, depth=depth, Q=q)
-        row[col] = est.value
-        rows.append(row)
-        values.append({"Q": q, "norm": est.value, "mode": est.mode})
-    summary = {"schema_version": SCHEMA_VERSION,
-               "complexity": args.complexity, "norms": values}
-    entry = _slope_entry([(v["Q"], v["norm"]) for v in values])
+def _slopes(rows, cols) -> dict:
+    """{col: slope entry} for the columns whose (Q, value) pairs fix a slope."""
+    entries = {col: _slope_entry([(r["Q"], r[col]) for r in rows]) for col in cols}
+    return {col: entry for col, entry in entries.items() if entry}
+
+
+def _norm_keys(cfg, rows) -> dict:
+    n = cfg.complexities[0]
+    norms = [{"Q": r["Q"], "norm": r[f"shift{n}_norm"], "mode": r["shift_norm_mode"]}
+             for r in rows]
+    keys = {"complexity": n, "norms": norms}
+    entry = _slope_entry([(v["Q"], v["norm"]) for v in norms])
     if entry:
-        summary["slope"] = entry
-    _emit(rows, summary, args)
-    return 0
+        keys["slope"] = entry
+    return keys
 
 
-def cmd_embed(args) -> int:
-    rows = []
-    for family, param, seed, depth, w in _weights_from_args(args):
-        row = _blank_row()
-        q = a2_characteristic(w).characteristic
-        key = embedding.key_sum_form(w).search_sup(args.iters, seed).value
-        t1 = embedding.term1_form(w).search_sup(args.iters, seed).value
-        row.update(family=family, param=param, seed=seed, depth=depth, Q=q,
-                   key_sum_max=key, termI_max=t1)
-        rows.append(row)
-    summary = {"schema_version": SCHEMA_VERSION}
-    for col in ("key_sum_max", "termI_max"):
-        entry = _slope_entry([(r["Q"], r[col]) for r in rows])
-        if entry:
-            summary[col] = entry
-    _emit(rows, summary, args)
-    return 0
+def _carleson_keys(cfg, rows) -> dict:
+    return {
+        "max_carleson_over_Q": max((r["carleson_norm"] / r["Q"] for r in rows),
+                                   default=None),
+        "max_vavo_ratio": max((r["vavo_ratio_max"] for r in rows), default=None),
+        **_slopes(rows, ["carleson_norm"]),
+    }
 
 
-def cmd_carleson(args) -> int:
-    rows = []
-    for family, param, seed, depth, w in _weights_from_args(args):
-        row = _blank_row()
-        q = a2_characteristic(w).characteristic
-        cn = embedding.carleson_norm(embedding.carleson_measure_of(w))
-        u_fn = LeafFunction(w.values / q)
-        ratio = embedding.two_weight_ratio_max(u_fn, dual(w).base)
-        row.update(family=family, param=param, seed=seed, depth=depth, Q=q,
-                   carleson_norm=cn, vavo_ratio_max=ratio)
-        rows.append(row)
-    summary = {"schema_version": SCHEMA_VERSION,
-               "max_carleson_over_Q": max(r["carleson_norm"] / r["Q"] for r in rows),
-               "max_vavo_ratio": max(r["vavo_ratio_max"] for r in rows)}
-    entry = _slope_entry([(r["Q"], r["carleson_norm"]) for r in rows])
-    if entry:
-        summary["carleson_norm"] = entry
-    _emit(rows, summary, args)
-    return 0
-
-
-def cmd_bellman(args) -> int:
-    rows = []
-    reports = []
-    for family, param, seed, depth, w in _weights_from_args(args):
-        q = a2_characteristic(w).characteristic
-        rng = np.random.default_rng(seed)
-        est = bellman.DpEstimator(Q=q, samples=args.samples, seed=seed)
-        pts = bellman.sample_omega(q, 3, rng)
-        ratio = max(est.b1_ratio(bellman.BellmanPoint.from_array(p), args.dp_depth)
-                    for p in pts)
-        row = _blank_row()
-        row.update(family=family, param=param, seed=seed, depth=depth, Q=q,
-                   bellman_b1_ratio=ratio)
-        rows.append(row)
-        reports.append({"Q": q, "b1_ratio": ratio, "dp_depth": args.dp_depth})
-    _emit(rows, {"schema_version": SCHEMA_VERSION, "bellman": reports}, args)
-    return 0
-
-
-def cmd_geom(args) -> int:
-    seed = (args.seed or [0])[0]
-    if args.lemma == "triangle":
-        rep = bellman.run_triangle_campaign(Q=args.Q, valid_trials=args.trials,
-                                            seed=seed)
-    else:
-        rep = bellman.run_barycenter_campaign(Q=args.Q, valid_trials=args.trials,
-                                              seed=seed)
-    summary = {"schema_version": SCHEMA_VERSION, **rep.to_json()}
-    _emit(None, summary, args)
-    if rep.violations:
-        raise InvariantError(
-            f"{rep.lemma} lemma violated in {rep.violations} trials"
-        )
-    return 0
+# subcommand -> (experiments, None for sweep's --experiments; a function of
+# (cfg, rows without errors) giving the keys it adds to the sweep summary)
+PRESETS = {
+    "a2": (("a2",), lambda cfg, rows: {
+        "a2": [{"Q": r["Q"], "witness": r["a2_witness"]} for r in rows]}),
+    "norm": (("shift_norm",), _norm_keys),
+    "embed": (("key_sum", "four_terms"),
+              lambda cfg, rows: _slopes(rows, ["key_sum_max", "termI_max"])),
+    "carleson": (("carleson", "vavo"), _carleson_keys),
+    "bellman": (("bellman_b1",), lambda cfg, rows: {"bellman": [
+        {"Q": r["Q"], "b1_ratio": r["bellman_b1_ratio"], "dp_depth": cfg.dp_depth}
+        for r in rows]}),
+    "sweep": (None, lambda cfg, rows: {}),
+}
 
 
 def cmd_sweep(args) -> int:
+    """Every weight subcommand: run its preset's sweep and emit the result."""
+    experiments, extra_keys = PRESETS[args.command]
+    opts = {k: getattr(args, k) for k in ("iters", "trials", "exact", "samples",
+                                          "dp_depth") if hasattr(args, k)}
+    if hasattr(args, "complexity"):
+        opts["complexities"] = (args.complexity,)
     cfg = SweepConfig(
         family=args.family,
-        params=args.param if args.param is not None else [],
+        params=args.param or ([] if args.family == "file" else [0.5]),
         depths=args.depth or [6],
         seeds=args.seed or [0],
-        experiments=tuple(e for e in args.experiments.split(",") if e),
+        experiments=experiments or tuple(e for e in args.experiments.split(",") if e),
         files=tuple(args.file or []),
-        iters=args.iters,
-        trials=args.trials,
         jobs=args.jobs,
+        **opts,
     )
     rows, summary = run_sweep(cfg)
-    _emit(rows, summary, args)
-    return 0
+    summary.update(extra_keys(cfg, [r for r in rows if not r["error"]]))
+    return _emit(rows, summary, args, [summary[c] for c in CAMPAIGNS if c in summary])
 
 
-COMMANDS = {
-    "a2": cmd_a2,
-    "norm": cmd_norm,
-    "embed": cmd_embed,
-    "carleson": cmd_carleson,
-    "bellman": cmd_bellman,
-    "geom": cmd_geom,
-    "sweep": cmd_sweep,
-}
+def cmd_geom(args) -> int:
+    runner = (bellman.run_triangle_campaign if args.lemma == "triangle"
+              else bellman.run_barycenter_campaign)
+    rep = runner(Q=args.Q, valid_trials=args.trials, seed=args.seed).to_json()
+    return _emit([], {"schema_version": SCHEMA_VERSION, **rep}, args, [rep])
+
+
+COMMANDS = {"geom": cmd_geom, **{name: cmd_sweep for name in PRESETS}}
 
 
 def main(argv=None) -> int:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from dyadlab import bellman
+from dyadlab import bellman, embedding
 from dyadlab.cli import (
     CSV_COLUMNS,
     EXTRA_COLUMNS,
@@ -18,7 +18,8 @@ from dyadlab.cli import (
     rows_to_csv,
     run_sweep,
 )
-from dyadlab.weights import gen_power, save_weight
+from dyadlab.tree import LeafFunction
+from dyadlab.weights import a2_characteristic, dual, gen_cascade, gen_power, save_weight
 
 
 class TestFitSlope:
@@ -265,6 +266,11 @@ class TestMainExitCodes:
         ["norm", "--complexity", "-1"],
         ["a2", "--family", "cascade", "--seed", "-1"],
         ["geom", "--trials", "-5"],
+        ["geom", "--out", "g.csv"],
+        ["geom", "--lemma", "barycenter", "--Q", "inf", "--trials", "10"],
+        ["geom", "--lemma", "triangle", "--Q", "inf"],
+        ["geom", "--lemma", "barycenter", "--Q", "nan"],
+        ["geom", "--lemma", "triangle", "--Q", "nan"],
     ])
     def test_bad_input_is_one_line(self, argv, capsys, tmp_path, time_limit):
         argv = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in argv]
@@ -286,3 +292,89 @@ class TestMainExitCodes:
         with time_limit(20.0):
             assert main(["a2", "--depth", "16"]) == 0
         assert json.loads(capsys.readouterr().out)["a2"]
+
+
+def _violating_runner(Q, valid_trials, seed):
+    return bellman.CampaignReport(
+        lemma="triangle", trials_valid=10, trials_total=10, violations=3,
+        max_needed_k=9.0, asserted_k=4.5, worst_case_point=None)
+
+
+class TestPresets:
+    """The weight subcommands are presets of run_sweep."""
+
+    def test_norm_complexity_two_stays_out_of_csv(self, tmp_path):
+        out_csv, out_json = tmp_path / "n.csv", tmp_path / "n.json"
+        assert main(["norm", "--depth", "3", "--complexity", "2",
+                     "--out", str(out_csv), "--json", str(out_json)]) == 0
+        row = next(csv.DictReader(out_csv.read_text().splitlines()))
+        assert row["shift1_norm"] == ""
+        data = json.loads(out_json.read_text())
+        assert data["complexity"] == 2
+        assert data["norms"][0]["norm"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["carleson", "--param", "0.3", "--param", "0.6", "--param", "0.9", "--depth", "4"],
+        ["embed", "--param", "0.3", "--param", "0.7", "--depth", "3"],
+    ])
+    def test_jobs_do_not_change_csv(self, argv, tmp_path):
+        texts = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert main([*argv, "--jobs", jobs, "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+
+    def test_a2_matches_library(self, tmp_path):
+        out = tmp_path / "a2.json"
+        assert main(["a2", "--family", "cascade", "--param", "0.4", "--seed", "3",
+                     "--depth", "3", "--depth", "6", "--json", str(out)]) == 0
+        got = json.loads(out.read_text())["a2"]
+        for entry, depth in zip(got, (3, 6), strict=True):
+            rep = a2_characteristic(gen_cascade(depth, 0.4, 3))
+            assert entry == {"Q": rep.characteristic,
+                             "witness": [rep.witness.level, rep.witness.position]}
+
+    def test_carleson_matches_library(self, tmp_path):
+        out = tmp_path / "c.json"
+        params = (0.2, 0.5, 0.8)
+        assert main(["carleson", "--depth", "5", "--jobs", "1", "--json", str(out),
+                     *[a for p in params for a in ("--param", str(p))]]) == 0
+        data = json.loads(out.read_text())
+        pairs, vavo = [], []
+        for p in params:
+            w = gen_power(5, p)
+            q = a2_characteristic(w).characteristic
+            pairs.append((q, embedding.carleson_norm(embedding.carleson_measure_of(w))))
+            vavo.append(embedding.two_weight_ratio_max(LeafFunction(w.values / q),
+                                                       dual(w).base))
+        assert data["max_carleson_over_Q"] == max(n / q for q, n in pairs)
+        assert data["max_vavo_ratio"] == max(vavo)
+        slope, intercept, r2 = fit_slope(pairs)
+        assert data["carleson_norm"] == {"slope": slope, "intercept": intercept, "r2": r2}
+
+    def test_row_error_exits_one_after_writing(self, tmp_path, capsys):
+        good = tmp_path / "good.txt"
+        save_weight(gen_power(3, 0.5), good)
+        out_csv, out_json = tmp_path / "s.csv", tmp_path / "s.json"
+        assert main(["sweep", "--family", "file", "--file", str(good),
+                     "--file", str(tmp_path / "missing.txt"), "--depth", "3",
+                     "--experiments", "a2", "--jobs", "1",
+                     "--out", str(out_csv), "--json", str(out_json)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        rows = list(csv.DictReader(out_csv.read_text().splitlines()))
+        assert [r["error"] == "" for r in rows] == [True, False]
+        assert json.loads(out_json.read_text())["config"]["family"] == "file"
+
+    @pytest.mark.parametrize("argv", [
+        ["geom", "--trials", "10"],
+        ["sweep", "--depth", "3", "--experiments", "a2,lemma_triangle", "--jobs", "1"],
+    ])
+    def test_campaign_violation_exits_two(self, argv, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(bellman, "run_triangle_campaign", _violating_runner)
+        out = tmp_path / "v.json"
+        assert main([*argv, "--json", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("invariant violated: ")
+        data = json.loads(out.read_text())
+        assert data.get("lemma_triangle", data)["violations"] == 3
