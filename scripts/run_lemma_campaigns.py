@@ -3,7 +3,9 @@
 
 Runs the triangle (median-repair, asserted k = 4.5) and barycenter
 (asserted k = 40) campaigns over a grid of domain parameters Q and writes
-one JSON report per campaign.
+one JSON report per campaign.  Each report and each printed line carries
+the campaign's acceptance rate (premise-valid over drawn trials) and its
+elapsed wall time in seconds.
 
 Example:
     python3 scripts/run_lemma_campaigns.py --trials 100000 --out-dir results/
@@ -11,6 +13,7 @@ Example:
 import argparse
 import json
 import pathlib
+import time
 
 from dyadlab.bellman import run_barycenter_campaign, run_triangle_campaign
 
@@ -33,15 +36,18 @@ def main() -> int:
                          ("barycenter", run_barycenter_campaign)):
         reports = []
         for i, q in enumerate(qs):
+            t0 = time.perf_counter()
             rep = runner(Q=q, valid_trials=args.trials,
                          seed=args.seed + 1000 * i)
-            reports.append(rep.to_json())
+            js = dict(rep.to_json(), elapsed_s=time.perf_counter() - t0)
+            reports.append(js)
             status = "OK" if rep.violations == 0 else "VIOLATED"
             failures += rep.violations
             print(f"{name} Q={q}: {rep.trials_valid} valid trials, "
+                  f"accept {js['accept_ratio']:.4f}, "
                   f"violations={rep.violations}, max needed k="
-                  f"{rep.max_needed_k:.4f} (asserted {rep.asserted_k}) "
-                  f"[{status}]")
+                  f"{rep.max_needed_k:.4f} (asserted {rep.asserted_k}), "
+                  f"{js['elapsed_s']:.2f} s [{status}]")
         (out / f"{name}_campaign.json").write_text(
             json.dumps(reports, indent=2))
     print(f"wrote {out}/triangle_campaign.json, barycenter_campaign.json")

@@ -13,6 +13,14 @@ with x^2 <= X v, y^2 <= Y u and 1 <= u v <= Q.  This module provides:
   x/y-only split game), so every depth >= 3 gives the same estimate;
 * extraction of domain points from concrete dyadic data, together with the
   localized key sum they witness.
+
+Point arrays at the API are (n, 6), one point per row.  The campaigns keep
+their points coordinate-major, as (6, n) C-contiguous arrays whose rows
+are the six coordinates: every formula here works one coordinate at a
+time, and contiguous rows make those elementwise passes cheaper.
+sample_omega fills one (6, n) buffer and returns its (n, 6) `.T` view; the
+campaigns pass `.T` views of their (6, n) arrays to the (n, 6) functions,
+which take `.T` again, so no copy is made either way.
 """
 from __future__ import annotations
 
@@ -171,12 +179,29 @@ def segments_caps_ok_arr(P: np.ndarray, R: np.ndarray, tol: float = 0.0):
 # -- sampling -------------------------------------------------------------
 
 
-def _sample_strip(Q: float, n: int, rng, log_spread: float = np.log(10.0)):
-    """(u, v) pairs in the hyperbolic strip 1 <= uv <= Q."""
-    P = np.exp(rng.uniform(0.0, np.log(Q), size=n)) if Q > 1 else np.ones(n)
-    h = rng.uniform(-log_spread, log_spread, size=n)
+def _uniform(U: np.ndarray, low: float, high: float) -> np.ndarray:
+    """A row of rng.random values mapped onto [low, high) by the same
+    low + (high - low) * U that Generator.uniform applies to the same draws."""
+    return low + (high - low) * U
+
+
+def _strip_rows(Q: float) -> int:
+    """Uniform rows a strip draw uses: log uv (none at Q = 1) and the split."""
+    return 2 if Q > 1 else 1
+
+
+def _strip(U: np.ndarray, Q: float, log_spread: float):
+    """(u, v) in the hyperbolic strip 1 <= uv <= Q from _strip_rows(Q) rows
+    of uniform draws: uv log-uniform in [1, Q], split log-uniformly."""
+    P = np.exp(_uniform(U[0], 0.0, np.log(Q))) if Q > 1 else np.ones(U.shape[1])
+    h = _uniform(U[-1], -log_spread, log_spread)
     u = np.sqrt(P) * np.exp(h)
     return u, P / u
+
+
+def _sample_strip(Q: float, n: int, rng, log_spread: float = np.log(10.0)):
+    """(u, v) pairs in the hyperbolic strip 1 <= uv <= Q."""
+    return _strip(rng.random((_strip_rows(Q), n)), Q, log_spread)
 
 
 def sample_omega(Q: float, n: int, rng, boundary_prob: float = 0.1,
@@ -186,47 +211,67 @@ def sample_omega(Q: float, n: int, rng, boundary_prob: float = 0.1,
     uv is log-uniform in [1, Q] and split log-uniformly; x and y are drawn as
     signed fractions of their caps, with a boundary_prob chance of sitting
     exactly on the cap.
+
+    The points are stored coordinate-major: the result is the (n, 6)
+    transposed view of one C-contiguous (6, n) buffer, so callers that work
+    per coordinate take `.T` and get contiguous rows without a copy.  All
+    randomness is one rng.random((k, n)) block, k = 10 (9 at Q = 1, where
+    uv = 1 needs no draw).  Generator.uniform(low, high) maps each
+    rng.random draw by low + (high - low) * U, and a block fills its rows
+    one after the other, so each row, mapped that way, equals the
+    corresponding call of n uniform draws, and the stream and every value
+    are those of one uniform call per coordinate and per coin.
     """
-    if not Q >= 1.0:
-        raise DomainError("domain parameter must be >= 1")
-    u, v = _sample_strip(Q, n, rng, log_spread)
-    X = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=n))
-    Y = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=n))
-    fx = rng.uniform(0.0, 1.0, size=n)
-    fy = rng.uniform(0.0, 1.0, size=n)
-    fx = np.where(rng.uniform(size=n) < boundary_prob, 1.0, fx)
-    fy = np.where(rng.uniform(size=n) < boundary_prob, 1.0, fy)
-    sx = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
-    sy = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
-    x = sx * fx * np.sqrt(X * v)
-    y = sy * fy * np.sqrt(Y * u)
-    # exact-cap draws can land an ulp outside under exact comparisons; nudge in
+    if not 1.0 <= Q < np.inf:  # also false for nan
+        raise DomainError(f"domain parameter must be finite and >= 1, got {Q}")
+    r = _strip_rows(Q)
+    U = rng.random((r + 8, n))
+    out = np.empty((6, n))
+    X, Y, x, y, u, v = out  # row views
+    out[4:] = _strip(U[:r], Q, log_spread)
+    np.exp(_uniform(U[r], np.log(1e-2), np.log(1e2)), out=X)
+    np.exp(_uniform(U[r + 1], np.log(1e-2), np.log(1e2)), out=Y)
+    # cap fractions U[r + 2], U[r + 3]; exactly on the cap with boundary_prob
+    fx = np.where(U[r + 4] < boundary_prob, 1.0, U[r + 2])
+    fy = np.where(U[r + 5] < boundary_prob, 1.0, U[r + 3])
+    sx = np.where(U[r + 6] < 0.5, -1.0, 1.0)
+    sy = np.where(U[r + 7] < 0.5, -1.0, 1.0)
+    np.multiply(sx * fx, np.sqrt(X * v), out=x)
+    np.multiply(sy * fy, np.sqrt(Y * u), out=y)
+    # exact-cap draws can land an ulp outside under exact comparisons; nudge
+    # in, stopping at the first pass that changes nothing (a no-op pass
+    # leaves every later pass a no-op too)
     for _ in range(4):
-        x = np.where(x * x > X * v, x * (1.0 - 4e-16), x)
-        y = np.where(y * y > Y * u, y * (1.0 - 4e-16), y)
+        fix_x = x * x > X * v
+        fix_y = y * y > Y * u
         uv = u * v
-        f = np.where(uv > Q, 1.0 - 4e-16, np.where(uv < 1.0, 1.0 + 4e-16, 1.0))
-        u = u * f
-        v = v * f
-    out = np.column_stack([X, Y, x, y, u, v])
+        high = uv > Q
+        low = uv < 1.0
+        if not (fix_x.any() or fix_y.any() or high.any() or low.any()):
+            break
+        np.multiply(x, 1.0 - 4e-16, out=x, where=fix_x)
+        np.multiply(y, 1.0 - 4e-16, out=y, where=fix_y)
+        for row in (u, v):
+            np.multiply(row, 1.0 - 4e-16, out=row, where=high)
+            np.multiply(row, 1.0 + 4e-16, out=row, where=low)
     # at Q = 1 some u admit no double v with fl(u v) = 1; only those rows are
     # drawn again, so draws that need no mending consume no extra randomness
-    bad = ~_member((X, Y, x, y, u, v), Q, 0.0)
+    bad = ~_member(out, Q, 0.0)
     if bad.any():
-        out[bad] = sample_omega(Q, int(bad.sum()), rng, boundary_prob, log_spread)
-    return out
+        out[:, bad] = sample_omega(Q, int(bad.sum()), rng, boundary_prob, log_spread).T
+    return out.T
 
 
 def _slack_points(u: np.ndarray, v: np.ndarray, big: float = 1e6) -> np.ndarray:
-    """Embed strip points into 6-tuples with slack remaining coordinates."""
-    n = u.size
-    out = np.empty((n, 6))
-    out[:, 0] = big
-    out[:, 1] = big
-    out[:, 2] = 0.0
-    out[:, 3] = 0.0
-    out[:, 4] = u
-    out[:, 5] = v
+    """Embed strip points into 6-tuples with slack remaining coordinates,
+    as a (6, n) coordinate-major array."""
+    out = np.empty((6, u.size))
+    out[0] = big
+    out[1] = big
+    out[2] = 0.0
+    out[3] = 0.0
+    out[4] = u
+    out[5] = v
     return out
 
 
@@ -318,6 +363,8 @@ class CampaignReport:
             "trials": self.trials_valid,
             "trials_total": self.trials_total,
             "vacuous": self.trials_total - self.trials_valid,
+            "accept_ratio": (self.trials_valid / self.trials_total
+                             if self.trials_total else 0.0),
             "violations": self.violations,
             "max_needed_k": self.max_needed_k,
             # the same value under its former, misleading key
@@ -337,10 +384,11 @@ def _run_campaign(lemma: str, draw, premise, segments, Q: float, valid_trials: i
                   seed: int, asserted_k: float, tol: float, batch: int) -> CampaignReport:
     """Rejection sampling shared by the lemma campaigns.
 
-    draw(Q, batch, rng) returns a list of (batch, 6) point arrays and
-    premise(points, Q, tol) the mask of premise-valid draws.  A valid draw
-    needs k = max(1, max uv / Q) over its segments (points[i], points[j]),
-    (i, j) in segments, or k = inf when a segment leaves the caps.
+    draw(Q, batch, rng) returns a list of (6, batch) coordinate-major point
+    arrays and premise(points, Q, tol) the mask of premise-valid draws.  A
+    valid draw needs k = max(1, max uv / Q) over its segments
+    (points[i], points[j]), (i, j) in segments, or k = inf when a segment
+    leaves the caps.
     """
     if not 1.0 <= Q < np.inf:  # also false for nan
         raise DomainError(f"domain parameter must be finite and >= 1, got {Q}")
@@ -363,11 +411,11 @@ def _run_campaign(lemma: str, draw, premise, segments, Q: float, valid_trials: i
                                   f"draw in {empty * batch} consecutive draws")
             continue
         empty = 0
-        pts = [arr[take] for arr in pts]
+        pts = [arr[:, take] for arr in pts]
         needed = np.ones(take.size)
         caps_ok = np.ones(take.size, dtype=bool)
         for i, j in segments:
-            seg_caps_ok, max_uv = _segment_checks(pts[i].T, pts[j].T, tol)
+            seg_caps_ok, max_uv = _segment_checks(pts[i], pts[j], tol)
             caps_ok &= seg_caps_ok
             needed = np.maximum(needed, max_uv / Q)
         needed = np.where(caps_ok, needed, np.inf)
@@ -376,7 +424,7 @@ def _run_campaign(lemma: str, draw, premise, segments, Q: float, valid_trials: i
         k = int(np.argmax(needed))
         if needed[k] > max_needed:
             max_needed = float(needed[k])
-            worst = [arr[k].tolist() for arr in pts]
+            worst = [arr[:, k].tolist() for arr in pts]
         valid += take.size
     return CampaignReport(
         lemma=lemma, trials_valid=valid, trials_total=total,
@@ -390,8 +438,13 @@ def _triangle_draw(Q: float, batch: int, rng):
 
 
 def _triangle_premise(pts, Q: float, tol: float):
+    """[A, B] in the domain, then [C, mid(A, B)] on the rows where it is."""
     A, B, C = pts
-    return segments_in_domain_arr(A, B, Q, tol) & segments_in_domain_arr(C, (A + B) / 2.0, Q, tol)
+    ok = segments_in_domain_arr(A.T, B.T, Q, tol)
+    rows = np.nonzero(ok)[0]
+    A, B, C = A[:, rows], B[:, rows], C[:, rows]
+    ok[rows] = segments_in_domain_arr(C.T, ((A + B) / 2.0).T, Q, tol)
+    return ok
 
 
 def run_triangle_campaign(Q: float, valid_trials: int, seed: int,
@@ -405,14 +458,14 @@ def run_triangle_campaign(Q: float, valid_trials: int, seed: int,
 
 
 def _barycenter_draw(Q: float, batch: int, rng):
-    pts = [sample_omega(Q, batch, rng) for _ in range(4)]
+    pts = [sample_omega(Q, batch, rng).T for _ in range(4)]
     return [sum(pts) / 4.0] + pts
 
 
 def _barycenter_premise(pts, Q: float, tol: float):
-    member = in_domain_arr(pts[0], Q, tol)
+    member = in_domain_arr(pts[0].T, Q, tol)
     for arr in pts[1:]:
-        member &= in_domain_arr(arr, Q, tol)
+        member &= in_domain_arr(arr.T, Q, tol)
     return member
 
 

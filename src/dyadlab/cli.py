@@ -23,9 +23,10 @@ geom runs one lemma campaign on no weight: --lemma triangle|barycenter,
 
 Exit codes: 0 success, 1 usage error, 2 invariant violation (a lemma
 campaign with violations, from geom or sweep).  A row whose weight cannot
-be built (a missing file, a bad parameter) carries the message in its
-`error` column and does not stop the run: every output is written, then
-the command exits 1 with the first row error.
+be built (a missing file, a bad parameter) or whose experiments fail (a
+form too deep to build, a negative --samples or --complexity) carries the
+message in its `error` column and does not stop the run: every output is
+written, then the command exits 1 with the first row error.
 """
 from __future__ import annotations
 
@@ -169,15 +170,22 @@ def _row_jobs(cfg: SweepConfig):
 
 
 def _compute_row(cfg: SweepConfig, job: dict) -> dict:
+    """One sweep row.  An error in building the weight or in an experiment
+    (an over-deep form, a bad option) ends the row with its message in the
+    `error` column; the cells computed before it are kept."""
     row = {c: "" for c in CSV_COLUMNS + EXTRA_COLUMNS}
     row.update(family=job["family"], param=job["param"], seed=job["seed"],
                depth=job["depth"])
     try:
-        w = make_weight(job["family"], job["param"], job["seed"], job["depth"],
-                        job["path"])
+        _fill_row(cfg, job, row)
     except (OSError, DomainError, StructureError) as exc:
         row["error"] = str(exc)
-        return row
+    return row
+
+
+def _fill_row(cfg: SweepConfig, job: dict, row: dict) -> None:
+    w = make_weight(job["family"], job["param"], job["seed"], job["depth"],
+                    job["path"])
     a2 = a2_characteristic(w)
     q = a2.characteristic
     row["Q"] = q
@@ -217,7 +225,6 @@ def _compute_row(cfg: SweepConfig, job: dict) -> dict:
         row["bellman_b1_ratio"] = max(
             est.b1_ratio(bellman.BellmanPoint.from_array(p), cfg.dp_depth) for p in pts
         )
-    return row
 
 
 def run_sweep(cfg: SweepConfig):
@@ -238,20 +245,22 @@ def run_sweep(cfg: SweepConfig):
         "seeds": cfg.seeds, "experiments": list(cfg.experiments),
     }, "slopes": {}, "max_ratios": {}, "dropped_zero_rows": {}}
 
+    # the summary is over the rows without an error
+    good = [r for r in rows if not r["error"]]
     slope_cols = ["key_sum_max", "termI_max", "carleson_norm",
                   "shift0_norm", "shift1_norm"]
     for col in slope_cols:
-        pairs = [(r["Q"], r[col]) for r in rows if r["Q"] != "" and r[col] != ""]
+        pairs = [(r["Q"], r[col]) for r in good if r[col] != ""]
         entry = _slope_entry(pairs)
         if entry:
             summary["slopes"][col] = entry
             summary["dropped_zero_rows"][col] = n_dropped(pairs)
     for col in ("vavo_ratio_max", "duality_ratio_max", "bellman_b1_ratio"):
-        vals = [r[col] for r in rows if r[col] != ""]
+        vals = [r[col] for r in good if r[col] != ""]
         if vals:
             summary["max_ratios"][col] = max(vals)
 
-    qs = [r["Q"] for r in rows if not r["error"]]
+    qs = [r["Q"] for r in good]
     for lemma, runner in (("lemma_triangle", bellman.run_triangle_campaign),
                           ("lemma_barycenter", bellman.run_barycenter_campaign)):
         if lemma in cfg.experiments:

@@ -8,6 +8,7 @@ from dyadlab.tree import DomainError, DyadicIndex, LeafFunction, ROOT, Structure
 from dyadlab.weights import Weight, a2_characteristic, gen_cascade
 from dyadlab.bellman import (
     BellmanPoint,
+    CampaignReport,
     DpEstimator,
     NodeSplit,
     OmegaDomain,
@@ -202,6 +203,15 @@ class TestTriangleLemma:
         for key in ("lemma", "trials", "vacuous", "min_k_holding",
                     "worst_case_point", "violations"):
             assert key in j
+
+    def test_campaign_json_accept_ratio(self):
+        rep = run_triangle_campaign(Q=2.0, valid_trials=500, seed=1)
+        j = rep.to_json()
+        assert j["accept_ratio"] == rep.trials_valid / rep.trials_total
+        empty = CampaignReport(
+            lemma="triangle", trials_valid=0, trials_total=0, violations=0,
+            max_needed_k=1.0, asserted_k=4.5, worst_case_point=None)
+        assert empty.to_json()["accept_ratio"] == 0.0
 
     def test_campaign_json_max_needed_k(self):
         # min_k_holding is kept as an alias of max_needed_k

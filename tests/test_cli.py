@@ -367,6 +367,31 @@ class TestPresets:
         assert [r["error"] == "" for r in rows] == [True, False]
         assert json.loads(out_json.read_text())["config"]["family"] == "file"
 
+    def test_experiment_error_is_a_row_error(self, tmp_path, capsys, time_limit):
+        # the depth-13 form cannot be built; the depth-4 row is still
+        # computed and both files are written before the exit with 1
+        out_csv, out_json = tmp_path / "e.csv", tmp_path / "e.json"
+        with time_limit(20.0):
+            assert main(["embed", "--depth", "4", "--depth", "13", "--jobs", "1",
+                         "--out", str(out_csv), "--json", str(out_json)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: depth 13 ") and err.count("\n") == 1
+        rows = list(csv.DictReader(out_csv.read_text().splitlines()))
+        assert [r["depth"] for r in rows] == ["4", "13"]
+        assert rows[0]["error"] == ""
+        assert float(rows[0]["key_sum_max"]) > 0 and float(rows[0]["termI_max"]) > 0
+        assert rows[1]["error"] == err.strip()[len("usage error: "):]
+        assert rows[1]["key_sum_max"] == "" and float(rows[1]["Q"]) >= 1.0
+        data = json.loads(out_json.read_text())
+        assert data["config"]["depths"] == [4, 13]
+
+    def test_campaign_json_carries_accept_ratio(self, tmp_path):
+        out = tmp_path / "g.json"
+        assert main(["geom", "--Q", "1.5", "--trials", "200", "--json", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["accept_ratio"] == data["trials"] / data["trials_total"]
+        assert 0.0 < data["accept_ratio"] < 1.0
+
     @pytest.mark.parametrize("argv", [
         ["geom", "--trials", "10"],
         ["sweep", "--depth", "3", "--experiments", "a2,lemma_triangle", "--jobs", "1"],
