@@ -30,14 +30,15 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .embedding import _key_terms
 from .tree import (
     DomainError,
     DyadicIndex,
     LeafFunction,
     StructureError,
+    _heap_diffs,
     _subtree_sum,
-    level_averages,
-    level_diffs,
+    heap_averages,
 )
 from .weights import Weight, a2_characteristic
 
@@ -655,6 +656,11 @@ def _child_value(arr: np.ndarray, levels: int) -> float:
     return g if levels == 1 else max(g, _xy_game_value(arr))
 
 
+# DpEstimator values every depth >= DP_SATURATION_DEPTH alike (its closed
+# form stops growing there), so deeper requests repeat this depth's estimate.
+DP_SATURATION_DEPTH = 3
+
+
 class DpEstimator:
     """Depth-limited lower estimate of the value function on Omega_Q.
 
@@ -687,7 +693,7 @@ class DpEstimator:
         if depth == 0:
             return 0.0
         arr = p.as_array()
-        d = min(depth, 3)
+        d = min(depth, DP_SATURATION_DEPTH)
         key = (_key(arr), d)
         if key not in self.memo:
             best = _xy_game_value(arr) if d >= 2 else 0.0
@@ -753,13 +759,15 @@ def point_from_data(phi: LeafFunction, psi: LeafFunction, w: Weight,
         raise StructureError("depth mismatch")
     if J.level > depth:
         raise DomainError("interval below leaf level")
-    sig_vals = 1.0 / w.values
+    sig_vals = w.sigma
     sl = J.leaf_slice(depth)
-    # <w>_J and <sigma>_J use the same pairwise halving as a2_characteristic,
-    # so u*v here is bitwise one of the products whose max defines Q and
-    # u*v <= Q holds in floating point, not just in exact arithmetic
-    u = float(level_averages(w.values)[J.level][J.position])
-    v = float(level_averages(sig_vals)[J.level][J.position])
+    # <w>_J and <sigma>_J come from the weight's cached averages, the ones
+    # a2_characteristic reads, so u*v here is bitwise one of the products
+    # whose max defines Q and u*v <= Q holds in floating point, not just in
+    # exact arithmetic
+    avg = w._stats.avg
+    u = float(avg[0, (1 << J.level) - 1 + J.position])
+    v = float(avg[1, (1 << J.level) - 1 + J.position])
     X = float(np.mean(phi.values[sl] ** 2 * w.values[sl]))
     Y = float(np.mean(psi.values[sl] ** 2 * sig_vals[sl]))
     x = float(np.mean(phi.values[sl]))
@@ -774,9 +782,7 @@ def point_from_data(phi: LeafFunction, psi: LeafFunction, w: Weight,
         if u * v < 1.0:
             u *= 1.0 + 4e-16
     point = BellmanPoint(X=X, Y=Y, x=x, y=y, u=u, v=v)
-    da = level_diffs(level_averages(phi.values * w.values))
-    db = level_diffs(level_averages(psi.values * sig_vals))
-    local_sum = _subtree_sum(J, [np.abs(a) * np.abs(b) for a, b in zip(da, db)]) / J.length
+    local_sum = _subtree_sum(J, _key_terms(phi, psi, w)) / J.length
     return point, float(local_sum)
 
 
@@ -809,14 +815,13 @@ def tree_sum_ratio(f1: LeafFunction, f2: LeafFunction, w: Weight,
     depth = w.depth
     if f1.depth != depth or f2.depth != depth:
         raise StructureError("depth mismatch")
-    d1 = level_diffs(level_averages(f1.values))
-    d2 = level_diffs(level_averages(f2.values))
-    # |Delta_{J-} f2| + |Delta_{J+} f2| for J at levels 0 .. depth - 2
-    kids = [np.abs(d).reshape(-1, 2).sum(axis=1) for d in d2[1:]]
-    lhs = _subtree_sum(I, [np.abs(d) * k for d, k in zip(d1, kids)])
+    d = _heap_diffs(heap_averages([f1.values, f2.values]))
+    # |Delta_{J-} f2| + |Delta_{J+} f2| for J at levels 0 .. depth - 2, heap-ordered
+    kids = np.abs(d[1, 1:]).reshape(-1, 2).sum(axis=1)
+    lhs = _subtree_sum(I, np.abs(d[0, : kids.size]) * kids)
     q = a2_characteristic(w).characteristic
     sl = I.leaf_slice(depth)
-    sig = 1.0 / w.values
+    sig = w.sigma
     rhs0 = 40.0 * q * (
         float(np.mean(f1.values[sl] ** 2 * w.values[sl]))
         + float(np.mean(f2.values[sl] ** 2 * sig[sl]))

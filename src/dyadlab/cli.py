@@ -8,7 +8,8 @@ subset of the experiments on the same rows and adds a few summary keys.
   embed     key_sum, four_terms   key_sum_max, termI_max (slopes)
   carleson  carleson, vavo        max_carleson_over_Q, max_vavo_ratio,
                                   carleson_norm (slope)
-  bellman   bellman_b1            bellman: [{Q, b1_ratio, dp_depth}]
+  bellman   bellman_b1            bellman: [{Q, b1_ratio, dp_depth,
+                                  dp_depth_effective}]
   sweep     --experiments         (the sweep summary only)
 
 Weights: --family power|cascade|file, --param, --depth, --seed, --file,
@@ -336,7 +337,10 @@ def build_parser() -> _Parser:
             sp.add_argument("--complexity", type=int, default=1)
             sp.add_argument("--exact", action="store_true")
         if name == "bellman":
-            sp.add_argument("--dp-depth", type=int, default=6)
+            sp.add_argument("--dp-depth", type=int, default=6,
+                            help="DP depth; every depth >= "
+                                 f"{bellman.DP_SATURATION_DEPTH} gives one estimate "
+                                 "(dp_depth_effective in the JSON)")
             sp.add_argument("--samples", type=int, default=4)
         if name == "sweep":
             sp.add_argument("--experiments",
@@ -407,7 +411,8 @@ PRESETS = {
               lambda cfg, rows: _slopes(rows, ["key_sum_max", "termI_max"])),
     "carleson": (("carleson", "vavo"), _carleson_keys),
     "bellman": (("bellman_b1",), lambda cfg, rows: {"bellman": [
-        {"Q": r["Q"], "b1_ratio": r["bellman_b1_ratio"], "dp_depth": cfg.dp_depth}
+        {"Q": r["Q"], "b1_ratio": r["bellman_b1_ratio"], "dp_depth": cfg.dp_depth,
+         "dp_depth_effective": min(cfg.dp_depth, bellman.DP_SATURATION_DEPTH)}
         for r in rows]}),
     "sweep": (None, lambda cfg, rows: {}),
 }

@@ -11,6 +11,7 @@ import numpy as np
 
 from .forms import AbsBilinearForm, _form_operands
 from .tree import (
+    ROOT,
     DomainError,
     DyadicIndex,
     IdentityOperator,
@@ -19,12 +20,17 @@ from .tree import (
     StructureError,
     TwoValuedRowOperator,
     _haar_operator,
+    _heap_diffs,
+    _heap_levels,
+    _interval_lengths,
+    _subtree_slices,
     _subtree_sum,
+    _subtree_sums,
+    heap_averages,
     internal_indices,
-    level_averages,
-    level_diffs,
+    level_averages,  # kept importable here: the benchmark's tracer test wraps it
 )
-from .weights import Weight, _haar_values, interval_stats, weighted_norm
+from .weights import Weight, _carleson_norm, _weighted_norm, weighted_norm
 
 
 def _check_depths(*fns):
@@ -32,6 +38,16 @@ def _check_depths(*fns):
     if len(depths) != 1:
         raise StructureError(f"depth mismatch: {sorted(depths)}")
     return depths.pop()
+
+
+def _level_total(t: np.ndarray):
+    """Sum of t over every internal interval (heap-ordered along the last
+    axis): each level is summed on its contiguous slice, then the levels are
+    added in order."""
+    total = 0.0
+    for level in _heap_levels(t):
+        total += np.add.reduce(level, axis=-1)
+    return total
 
 
 @dataclass(frozen=True)
@@ -66,80 +82,61 @@ class CarlesonMeasure:
         return out
 
 
+def _key_terms(phi: LeafFunction, psi: LeafFunction, w: Weight) -> np.ndarray:
+    """|Delta_I (phi w)| |Delta_I (psi sigma)| for every internal I, heap-ordered."""
+    d = _heap_diffs(heap_averages([phi.values * w.values, psi.values * w.sigma]))
+    return np.abs(d[0]) * np.abs(d[1])
+
+
 def key_sum(phi: LeafFunction, psi: LeafFunction, w: Weight) -> float:
     """Sum over internal I of |(phi*w, h_I)| * |(psi*sigma, h_I)|."""
     _check_depths(phi, psi, w.base)
-    pw = phi.values * w.values
-    ps = psi.values * (1.0 / w.values)
-    da = level_diffs(level_averages(pw))
-    db = level_diffs(level_averages(ps))
-    total = 0.0
-    for lev in range(w.depth):
-        L = 2.0**-lev
-        total += L * np.sum(np.abs(da[lev]) * np.abs(db[lev]))
-    return float(total)
-
-
-def _halved(avgs, lev):
-    """Children averages at level lev, as (left, right) arrays."""
-    return avgs[lev + 1][0::2], avgs[lev + 1][1::2]
+    return float(_subtree_sum(ROOT, _key_terms(phi, psi, w)))
 
 
 def four_terms(phi: LeafFunction, psi: LeafFunction, w: Weight) -> FourTerms:
     """The four sums whose total dominates key_sum (triangle inequality on
     the split of h_I into its weighted Haar part and a constant part)."""
     depth = _check_depths(phi, psi, w.base)
-    sig_vals = 1.0 / w.values
-    pw = phi.values * w.values
-    ps = psi.values * sig_vals
+    inner = (1 << depth) - 1
+    st = w._stats
+    # row 0 belongs to phi w (with w), row 1 to psi sigma (with sigma)
+    avg = heap_averages([phi.values * w.values, psi.values * w.sigma])
+    L = _interval_lengths(depth)
 
-    aw, asig, dw, dsig = interval_stats(w)
-    a_pw = level_averages(pw)
-    a_ps = level_averages(ps)
-    haar_w = _haar_values(aw)
-    haar_s = _haar_values(asig)
+    # unweighted inner products (g, h^w_I) = (|I|/2)(a <g>_- + b <g>_+)
+    ip = np.abs((L / 2.0) * (st.haar[0] * avg[:, 1::2] + st.haar[1] * avg[:, 2::2]))
+    m = st.avg[:, :inner]
+    mp = np.abs(avg[:, :inner])
+    r = np.abs(st.delta) / m
+    sm = np.sqrt(m)
+    sL = np.sqrt(L)
 
-    t1 = t2 = t3 = t4 = 0.0
-    for lev in range(depth):
-        L = 2.0**-lev
-        gl, gr = _halved(a_pw, lev)
-        ql, qr = _halved(a_ps, lev)
-        a_w, b_w = haar_w[lev]
-        a_s, b_s = haar_s[lev]
+    t = _level_total(np.array([
+        ip[0] * sm[0] * ip[1] * sm[1],
+        mp[0] * r[0] * ip[1] * sm[1] * sL,
+        mp[1] * r[1] * ip[0] * sm[0] * sL,
+        mp[0] * mp[1] * r[0] * r[1] * L,
+    ]))
+    return FourTerms(term_i=float(t[0]), term_ii=float(t[1]), term_iii=float(t[2]),
+                     term_iv=float(t[3]))
 
-        # unweighted inner products (g, h^w_I) = (|I|/2)(a <g>_- + b <g>_+)
-        ip_w = (L / 2.0) * (a_w * gl + b_w * gr)
-        ip_s = (L / 2.0) * (a_s * ql + b_s * qr)
 
-        mw = aw[lev]
-        ms = asig[lev]
-        mpw = a_pw[lev]
-        mps = a_ps[lev]
-        rw = np.abs(dw[lev]) / mw
-        rs = np.abs(dsig[lev]) / ms
-        sL = np.sqrt(L)
-
-        t1 += np.sum(np.abs(ip_w) * np.sqrt(mw) * np.abs(ip_s) * np.sqrt(ms))
-        t2 += np.sum(np.abs(mpw) * rw * np.abs(ip_s) * np.sqrt(ms) * sL)
-        t3 += np.sum(np.abs(mps) * rs * np.abs(ip_w) * np.sqrt(mw) * sL)
-        t4 += np.sum(np.abs(mpw) * np.abs(mps) * rw * rs * L)
-    return FourTerms(term_i=float(t1), term_ii=float(t2), term_iii=float(t3),
-                     term_iv=float(t4))
+def _maximal(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Leafwise max of num / den over the dyadic intervals containing each
+    leaf, from heap averages (last axis): a running max from the root down,
+    in O(2^d) memory."""
+    levels = _heap_levels(num / den)
+    running = levels[0]
+    for ratio in levels[1:]:
+        running = np.maximum(np.repeat(running, 2, axis=-1), ratio)
+    return running
 
 
 def maximal_weighted(phi: LeafFunction, w: Weight) -> LeafFunction:
     """Leafwise max over containing dyadic I of <|phi| w>_I / <w>_I."""
     _check_depths(phi, w.base)
-    num = level_averages(np.abs(phi.values) * w.values)
-    den = level_averages(w.values)
-    running = None
-    for lev in range(w.depth + 1):
-        ratio = num[lev] / den[lev]
-        if running is None:
-            running = ratio
-        else:
-            running = np.maximum(np.repeat(running, 2), ratio)
-    return LeafFunction(running)
+    return LeafFunction(_maximal(heap_averages(np.abs(phi.values) * w.values), w._stats.avg[0]))
 
 
 @dataclass(frozen=True)
@@ -148,48 +145,30 @@ class DualityReport:
     ratio: float
 
 
-def duality_product(phi: LeafFunction, psi: LeafFunction, w: Weight) -> DualityReport:
-    """Integral of M_w phi * M_sigma psi, and its ratio to ||phi||_w ||psi||_sigma."""
-    _check_depths(phi, psi, w.base)
-    sig = Weight(LeafFunction(1.0 / w.values))
-    mphi = maximal_weighted(phi, w)
-    mpsi = maximal_weighted(psi, sig)
-    product = float(np.mean(mphi.values * mpsi.values))
-    denom = weighted_norm(phi, w) * weighted_norm(psi, sig)
+def _duality(num: np.ndarray, phi: LeafFunction, psi: LeafFunction, w: Weight) -> DualityReport:
+    """The duality report, from num: the heap averages of |phi| w and |psi| sigma."""
+    m = _maximal(num, w._stats.avg)
+    product = float(np.mean(m[0] * m[1]))
+    denom = _weighted_norm(phi.values, w.values) * _weighted_norm(psi.values, w.sigma)
     return DualityReport(product=product, ratio=product / denom if denom > 0 else 0.0)
 
 
-def _alpha_levels(dw, dsig):
-    """Per-level arrays of alpha_I = |Delta_I w| |Delta_I sigma| |I|."""
-    return [np.abs(a) * np.abs(b) * 2.0**-lev for lev, (a, b) in enumerate(zip(dw, dsig))]
-
-
-def _subtree_sums(levels):
-    """Per-level arrays of sum_{I inside or equal to L} t_I for every L, where
-    levels[lev] holds t_I at level lev (accumulated from the bottom up)."""
-    sums = list(levels)
-    for lev in range(len(levels) - 2, -1, -1):
-        sums[lev] = levels[lev] + sums[lev + 1][0::2] + sums[lev + 1][1::2]
-    return sums
-
-
-def _carleson_norm_levels(alpha) -> float:
-    sums = _subtree_sums(alpha)
-    return max((float(np.max(sums[lev]) * 2.0**lev) for lev in reversed(range(len(sums)))),
-               default=0.0)
+def duality_product(phi: LeafFunction, psi: LeafFunction, w: Weight) -> DualityReport:
+    """Integral of M_w phi * M_sigma psi, and its ratio to ||phi||_w ||psi||_sigma."""
+    _check_depths(phi, psi, w.base)
+    num = heap_averages([np.abs(phi.values) * w.values, np.abs(psi.values) * w.sigma])
+    return _duality(num, phi, psi, w)
 
 
 def carleson_measure_of(w: Weight) -> CarlesonMeasure:
     """alpha_I = |Delta_I w| |Delta_I sigma| |I| over internal intervals."""
-    _, _, dw, dsig = interval_stats(w)
-    alpha = np.concatenate(_alpha_levels(dw, dsig))
     return CarlesonMeasure(depth=w.depth, alpha={
-        I: float(a) for I, a in zip(internal_indices(w.depth), alpha)})
+        I: float(a) for I, a in zip(internal_indices(w.depth), w._stats.alpha)})
 
 
 def carleson_norm(m: CarlesonMeasure) -> float:
     """Max over internal L of (1/|L|) sum_{I inside or equal to L} alpha_I."""
-    return _carleson_norm_levels(m.level_arrays())
+    return _carleson_norm(np.concatenate(m.level_arrays()))
 
 
 @dataclass(frozen=True)
@@ -212,20 +191,15 @@ def two_weight_ratio(u: LeafFunction, v: LeafFunction, L: DyadicIndex) -> TwoWei
         raise DomainError("both functions must be strictly positive")
     if L.level > depth:
         raise DomainError("interval below leaf level")
-    au = level_averages(u.values)
-    av = level_averages(v.values)
-    du = level_diffs(au)
-    dv = level_diffs(av)
+    avg = heap_averages([u.values, v.values])
+    d = _heap_diffs(avg)
+    prod = avg[0] * avg[1]
+    worst = max(float(np.max(prod[sl])) for _, sl in _subtree_slices(L, depth + 1))
 
-    worst = -np.inf
-    for lev in range(L.level, depth + 1):
-        span = 1 << (lev - L.level)
-        sl = slice(L.position * span, (L.position + 1) * span)
-        worst = max(worst, float(np.max(au[lev][sl] * av[lev][sl])))
-
-    total = _subtree_sum(L, [np.abs(a) * np.abs(b) for a, b in zip(du, dv)])
-    mean_u = au[L.level][L.position]
-    mean_v = av[L.level][L.position]
+    total = _subtree_sum(L, np.abs(d[0]) * np.abs(d[1]))
+    i = (1 << L.level) - 1 + L.position
+    mean_u = avg[0, i]
+    mean_v = avg[1, i]
     ratio = (total / L.length) / np.sqrt(mean_u * mean_v)
     return TwoWeightReport(ratio=float(ratio), hypothesis_ok=bool(worst <= 1.0 + 1e-12),
                            worst_product=float(worst))
@@ -234,16 +208,15 @@ def two_weight_ratio(u: LeafFunction, v: LeafFunction, L: DyadicIndex) -> TwoWei
 def two_weight_ratio_max(u: LeafFunction, v: LeafFunction) -> float:
     """Max of the difference-sum ratio over every internal L (vectorized)."""
     depth = _check_depths(u, v)
-    au = level_averages(u.values)
-    av = level_averages(v.values)
-    du = level_diffs(au)
-    dv = level_diffs(av)
-    per_level = [2.0**-lev * np.abs(du[lev]) * np.abs(dv[lev]) for lev in range(depth)]
-    sums = _subtree_sums(per_level)
+    inner = (1 << depth) - 1
+    avg = heap_averages([u.values, v.values])
+    d = _heap_diffs(avg)
+    L = _interval_lengths(depth)
+    sums = _subtree_sums(L * np.abs(d[0]) * np.abs(d[1]))
+    ratios = _heap_levels((sums * (1.0 / L)) / np.sqrt(avg[0, :inner] * avg[1, :inner]))
     best = 0.0
     for lev in range(depth - 1, -1, -1):
-        ratios = (sums[lev] * 2.0**lev) / np.sqrt(au[lev] * av[lev])
-        best = max(best, float(np.max(ratios)))
+        best = max(best, float(np.max(ratios[lev])))
     return best
 
 
@@ -256,17 +229,14 @@ def carleson_box_check(phi: LeafFunction, psi: LeafFunction, w: Weight) -> Tuple
     pointwise product of the two maximal functions on its interval).
     """
     depth = _check_depths(phi, psi, w.base)
-    aw, asig, dw, dsig = interval_stats(w)
-    a_pw = level_averages(phi.values * w.values)
-    a_ps = level_averages(psi.values / w.values)
-    alpha = _alpha_levels(dw, dsig)
-    lhs = 0.0
-    for lev in range(depth):
-        lhs += np.sum(
-            (np.abs(a_pw[lev]) / aw[lev]) * (np.abs(a_ps[lev]) / asig[lev]) * alpha[lev]
-        )
-    lhs = float(lhs)
-    rhs = _carleson_norm_levels(alpha) * duality_product(phi, psi, w).product
+    inner = (1 << depth) - 1
+    st = w._stats
+    # rows 0, 1 give the box sum, rows 2, 3 the maximal functions of the bound
+    avg = heap_averages([phi.values * w.values, psi.values / w.values,
+                         np.abs(phi.values) * w.values, np.abs(psi.values) * w.sigma])
+    r = np.abs(avg[:2, :inner]) / st.avg[:, :inner]
+    lhs = float(_level_total(r[0] * r[1] * st.alpha))
+    rhs = st.carleson * _duality(avg[2:], phi, psi, w).product
     if lhs > rhs * (1.0 + 1e-12) + 1e-15:
         raise InvariantError(f"Carleson box bound violated: {lhs} > {rhs}")
     return lhs, rhs
@@ -311,17 +281,17 @@ def term1_form(w: Weight) -> AbsBilinearForm:
     """sup of the first decomposition term over the same unit balls."""
     depth = w.depth
     scale = 2.0**-depth
-    sig_vals = 1.0 / w.values
-    aw, asig, _, _ = interval_stats(w)
+    sig_vals = w.sigma
+    st = w._stats
 
-    def rows(avgs, mult):
+    def rows(k, mult):
         # (phi mult, h^mult_I) sqrt(<mult>_I) as a linear map of phi's leaf values
-        levels = [(np.sqrt(avgs[lev]) * a, np.sqrt(avgs[lev]) * b)
-                  for lev, (a, b) in enumerate(_haar_values(avgs))]
-        return TwoValuedRowOperator(depth, levels, mult * scale)
+        root = np.sqrt(st.avg[k, : (1 << depth) - 1])
+        levels = zip(_heap_levels(root * st.haar[0, k]), _heap_levels(root * st.haar[1, k]))
+        return TwoValuedRowOperator(depth, list(levels), mult * scale)
 
     m, left, right = _form_operands(
-        depth, IdentityOperator((1 << depth) - 1), rows(aw, w.values), rows(asig, sig_vals))
+        depth, IdentityOperator((1 << depth) - 1), rows(0, w.values), rows(1, sig_vals))
     return AbsBilinearForm(
         m=m,
         left_map=left,

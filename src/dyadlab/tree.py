@@ -5,10 +5,17 @@ Everything downstream computes on a depth-n binary subdivision of [0,1).
 A function is represented by its 2^n leaf values; dyadic intervals are
 (level, position) pairs.  All objects are immutable after construction and
 all operations are pure, so they are safe to share across workers.
+
+Per-interval quantities are stored heap-ordered: interval (lev, p) sits at
+index (1 << lev) - 1 + p, the children of entry i are at 2 i + 1 and 2 i + 2,
+and the leaves come last.  `heap_averages` computes the averages over every
+dyadic interval in one bottom-up pass; the first 2^n - 1 entries are the
+internal intervals, level after level, so a level is one contiguous slice.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -163,28 +170,59 @@ def haar_coefficient(f: LeafFunction, I: DyadicIndex) -> float:
     return np.sqrt(I.length) * martingale_difference(f, I)
 
 
+def heap_averages(values) -> np.ndarray:
+    """Averages over every dyadic interval, heap-ordered along the last axis:
+    a 2^d vector gives 2^(d+1) - 1 entries, a (k, 2^d) stack (or a list of
+    k vectors) k such rows.  Each average is (left + right) / 2 of its
+    children's."""
+    x = np.asarray(values, dtype=float)
+    n = x.shape[-1]
+    # built heap-major, where a level is a plain slice along axis 0, then
+    # returned C-contiguous in the caller's layout
+    out = np.empty((2 * n - 1,) + x.shape[:-1])
+    out[n - 1 :] = x.T
+    for lev in range(n.bit_length() - 2, -1, -1):
+        k = 1 << lev
+        parents = out[k - 1 : 2 * k - 1]
+        np.add(out[2 * k - 1 : 4 * k - 1 : 2], out[2 * k : 4 * k - 1 : 2], out=parents)
+        parents /= 2.0
+    return np.ascontiguousarray(out.T)
+
+
+def _heap_levels(heap: np.ndarray) -> list:
+    """Per-level views of a heap-ordered array: result[lev] has 2^lev entries."""
+    return [heap[..., (1 << lev) - 1 : (2 << lev) - 1]
+            for lev in range((heap.shape[-1] + 1).bit_length() - 1)]
+
+
+def _heap_diffs(heap: np.ndarray) -> np.ndarray:
+    """Martingale differences (<f>_left - <f>_right) / 2 of every internal
+    interval, heap-ordered, from heap averages."""
+    return (heap[..., 1::2] - heap[..., 2::2]) / 2.0
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=None)
+def _interval_lengths(depth: int) -> np.ndarray:
+    """|I| of every internal interval, heap-ordered (read-only)."""
+    return _read_only(np.concatenate([np.full(1 << lev, 2.0**-lev) for lev in range(depth)]))
+
+
 def level_averages(values: np.ndarray) -> list:
-    """Averages at every level: result[level] has 2^level entries, result[depth] = values."""
-    depth = int(np.asarray(values).size).bit_length() - 1
-    out = [None] * (depth + 1)
-    out[depth] = np.asarray(values, dtype=float)
-    for level in range(depth - 1, -1, -1):
-        upper = out[level + 1]
-        out[level] = (upper[0::2] + upper[1::2]) / 2.0
-    return out
-
-
-def level_diffs(avgs: list) -> list:
-    """Martingale differences per internal level, from precomputed level averages."""
-    depth = len(avgs) - 1
-    return [(avgs[lev + 1][0::2] - avgs[lev + 1][1::2]) / 2.0 for lev in range(depth)]
+    """Averages at every level: result[level] has 2^level entries, result[depth]
+    holds the values themselves.  The arrays are read-only views of one
+    heap_averages array."""
+    return _heap_levels(_read_only(heap_averages(values)))
 
 
 def level_haar_coeffs(values: np.ndarray) -> list:
     """Haar coefficients (f, h_I) per internal level, as arrays."""
-    avgs = level_averages(values)
-    diffs = level_diffs(avgs)
-    return [d * np.sqrt(2.0**-lev) for lev, d in enumerate(diffs)]
+    diffs = _heap_diffs(heap_averages(values))
+    return [d * np.sqrt(2.0**-lev) for lev, d in enumerate(_heap_levels(diffs))]
 
 
 def haar_analysis(f: LeafFunction) -> HaarExpansion:
@@ -372,14 +410,34 @@ def haar_analysis_matrix(depth: int) -> np.ndarray:
     return _dense(_haar_operator(depth), depth)
 
 
-def _subtree_sum(J: DyadicIndex, levels) -> float:
-    """Sum over I inside or equal to J of |I| t_I, where levels[lev] holds t_I
-    for the intervals at level lev (the sum stops at the last given level)."""
-    total = 0.0
-    for lev in range(J.level, len(levels)):
+def _subtree_slices(J: DyadicIndex, levels: int):
+    """(level, heap slice) of the intervals inside or equal to J at each level
+    from J's down to levels - 1; in heap order each level's part is contiguous."""
+    for lev in range(J.level, levels):
         span = 1 << (lev - J.level)
-        total += 2.0**-lev * np.sum(levels[lev][J.position * span : (J.position + 1) * span])
+        start = (1 << lev) - 1 + J.position * span
+        yield lev, slice(start, start + span)
+
+
+def _subtree_sum(J: DyadicIndex, t: np.ndarray) -> float:
+    """Sum over I inside or equal to J of |I| t_I, where t holds t_I heap-ordered
+    (the sum stops at the last level t covers): each level is summed on its
+    contiguous slice, then the levels are added in order."""
+    total = 0.0
+    for lev, sl in _subtree_slices(J, (t.size + 1).bit_length() - 1):
+        total += 2.0**-lev * np.add.reduce(t[sl])
     return total
+
+
+def _subtree_sums(t: np.ndarray) -> np.ndarray:
+    """sum_{I inside or equal to L} t_I for every internal L, heap-ordered like
+    t, accumulated from the bottom up."""
+    sums = t.copy()
+    for lev in range((t.size + 1).bit_length() - 3, -1, -1):
+        k = 1 << lev
+        sums[k - 1 : 2 * k - 1] = (t[k - 1 : 2 * k - 1] + sums[2 * k - 1 : 4 * k - 1 : 2]
+                                   + sums[2 * k : 4 * k - 1 : 2])
+    return sums
 
 
 def save_leaf_function(f: LeafFunction, path, comments=()) -> None:

@@ -4,6 +4,13 @@ Holds the weight w, its dual sigma = 1/w (leafwise reciprocal, so that
 w*sigma == 1 exactly at leaf level), the A2 characteristic, weighted norms,
 the weighted Haar basis with its split against the ordinary Haar function,
 and two controlled weight generators (power profile, multiplicative cascade).
+
+Every weight-only quantity is computed once per Weight, on first use, and
+kept in a private slot (`_WeightStats`): the heap-ordered averages of w and
+sigma, their martingale differences, the weighted Haar values of both, the
+Carleson sequence alpha_I and its Carleson norm.  A Weight and its leaf
+values cannot be changed after construction and every cached array is
+read-only, so the cache never needs invalidating and no caller can alter it.
 """
 from __future__ import annotations
 
@@ -19,8 +26,12 @@ from .tree import (
     StructureError,
     TwoValuedRowOperator,
     _dense,
-    level_averages,
-    level_diffs,
+    _heap_diffs,
+    _heap_levels,
+    _interval_lengths,
+    _read_only,
+    _subtree_sums,
+    heap_averages,
     load_leaf_function,
     save_leaf_function,
 )
@@ -29,10 +40,49 @@ VALUE_FLOOR = 1e-8
 VALUE_CEIL = 1e8
 
 
+def _haar_values(avg: np.ndarray, lengths: np.ndarray):
+    """(a, b): the left and right values of h_I^w for every internal I,
+    heap-ordered along the last axis, from the heap averages of w
+    (tree.heap_averages; a stack of weights gives stacks of values)."""
+    wl = avg[..., 1::2]
+    wr = avg[..., 2::2]
+    a = np.sqrt(2.0 * wr / (lengths * wl * (wl + wr)))
+    return a, -a * wl / wr
+
+
+def _carleson_norm(alpha: np.ndarray) -> float:
+    """Max over internal L of (1/|L|) sum_{I inside or equal to L} alpha_I,
+    alpha heap-ordered."""
+    levels = _heap_levels(_subtree_sums(alpha))
+    return max((float(np.max(levels[lev]) * 2.0**lev) for lev in reversed(range(len(levels)))),
+               default=0.0)
+
+
+class _WeightStats:
+    """The weight-only quantities of one Weight, heap-ordered, read-only:
+    avg[0] and avg[1] are the averages of w and sigma over every dyadic
+    interval (their leaf entries are w and sigma), delta[k] the martingale
+    differences of avg[k], haar[0, k] and haar[1, k] the left and right
+    values of the weighted Haar functions of w (k = 0) and sigma (k = 1),
+    alpha_I = |Delta_I w| |Delta_I sigma| |I|, and carleson its Carleson norm."""
+
+    __slots__ = ("avg", "delta", "haar", "alpha", "carleson")
+
+    def __init__(self, w: np.ndarray):
+        lengths = _interval_lengths(w.size.bit_length() - 1)
+        avg = heap_averages([w, 1.0 / w])
+        delta = _heap_diffs(avg)
+        self.avg = _read_only(avg)
+        self.delta = _read_only(delta)
+        self.haar = _read_only(np.array(_haar_values(avg, lengths)))
+        self.alpha = _read_only(np.abs(delta[0]) * np.abs(delta[1]) * lengths)
+        self.carleson = _carleson_norm(self.alpha)
+
+
 class Weight:
     """Strictly positive leaf function with values in [1e-8, 1e8]."""
 
-    __slots__ = ("base",)
+    __slots__ = ("base", "_cache")
 
     def __init__(self, base: LeafFunction):
         v = base.values
@@ -41,9 +91,23 @@ class Weight:
                 f"weight values must lie in [{VALUE_FLOOR}, {VALUE_CEIL}]"
             )
         object.__setattr__(self, "base", base)
+        object.__setattr__(self, "_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Weight is immutable")
+
+    @property
+    def _stats(self) -> _WeightStats:
+        """The cached weight-only quantities, computed on first use."""
+        if self._cache is None:
+            object.__setattr__(self, "_cache", _WeightStats(self.values))
+        return self._cache
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """The dual weight's leaf values 1/w (read-only)."""
+        n = self.values.size
+        return self._stats.avg[1, n - 1 :]
 
     @property
     def depth(self) -> int:
@@ -95,24 +159,27 @@ def dual(w: Weight) -> Weight:
 
 
 def a2_characteristic(w: Weight) -> A2Report:
-    """Exact max of <w>_I <1/w>_I over all dyadic I (leaves included)."""
-    aw = level_averages(w.values)
-    asig = level_averages(1.0 / w.values)
-    best = -np.inf
-    witness = None
-    for level in range(w.depth + 1):
-        prod = aw[level] * asig[level]
-        k = int(np.argmax(prod))
-        if prod[k] > best:
-            best = float(prod[k])
-            witness = DyadicIndex(level, k)
-    return A2Report(characteristic=best, witness=witness)
+    """Exact max of <w>_I <1/w>_I over all dyadic I (leaves included).
+
+    The witness is the first maximum in heap order: the coarsest level that
+    reaches the maximum, at its leftmost position there."""
+    avg = w._stats.avg
+    prod = avg[0] * avg[1]
+    k = int(np.argmax(prod))
+    level = (k + 1).bit_length() - 1
+    return A2Report(characteristic=float(prod[k]),
+                    witness=DyadicIndex(level, k + 1 - (1 << level)))
+
+
+def _weighted_norm(f: np.ndarray, w: np.ndarray) -> float:
+    """||f||_w from leaf values."""
+    return float(np.sqrt(np.mean(f**2 * w)))
 
 
 def weighted_norm(f: LeafFunction, w: Weight) -> float:
     if f.depth != w.depth:
         raise StructureError(f"depth mismatch: {f.depth} vs {w.depth}")
-    return float(np.sqrt(np.mean(f.values**2 * w.values)))
+    return _weighted_norm(f.values, w.values)
 
 
 def weighted_inner(f: LeafFunction, g: LeafFunction, w: Weight) -> float:
@@ -124,10 +191,9 @@ def weighted_inner(f: LeafFunction, g: LeafFunction, w: Weight) -> float:
 def _children_averages(w: Weight, I: DyadicIndex):
     if I.level >= w.depth:
         raise DomainError("weighted Haar needs an internal interval")
-    avgs = level_averages(w.values)
-    wl = float(avgs[I.level + 1][2 * I.position])
-    wr = float(avgs[I.level + 1][2 * I.position + 1])
-    return wl, wr
+    i = (1 << I.level) - 1 + I.position
+    avg = w._stats.avg[0]
+    return float(avg[2 * i + 1]), float(avg[2 * i + 2])
 
 
 def weighted_haar(w: Weight, I: DyadicIndex) -> WeightedHaar:
@@ -158,25 +224,14 @@ def haar_split(w: Weight, I: DyadicIndex) -> HaarSplit:
     )
 
 
-def _haar_values(avgs: list):
-    """Per-level (a, b) arrays: the left and right values of h_I^w for every
-    internal I, from the level averages of w (tree.level_averages)."""
-    out = []
-    for lev in range(len(avgs) - 1):
-        wl = avgs[lev + 1][0::2]
-        wr = avgs[lev + 1][1::2]
-        a = np.sqrt(2.0 * wr / (2.0**-lev * wl * (wl + wr)))
-        out.append((a, -a * wl / wr))
-    return out
-
-
 def weighted_haar_levels(w: Weight):
     """Per-level (a, b) arrays of weighted Haar values for all internal intervals.
 
-    Returns a list indexed by level; entry lev is a pair of arrays of length
-    2^lev holding the left and right values of h_I^w for every I at that level.
+    Returns a list indexed by level; entry lev is a pair of read-only arrays
+    of length 2^lev holding the left and right values of h_I^w for every I at
+    that level.
     """
-    return _haar_values(level_averages(w.values))
+    return [tuple(pair) for pair in _heap_levels(w._stats.haar[:, 0])]
 
 
 def haar_split_levels(w: Weight):
@@ -231,9 +286,8 @@ def load_weight(path) -> Weight:
 
 
 def interval_stats(w: Weight):
-    """Per-level arrays (<w>, <sigma>, Delta w, Delta sigma) reused everywhere."""
-    aw = level_averages(w.values)
-    asig = level_averages(1.0 / w.values)
-    dw = level_diffs(aw)
-    dsig = level_diffs(asig)
-    return aw, asig, dw, dsig
+    """Per-level read-only arrays (<w>, <sigma>, Delta w, Delta sigma), from the
+    weight's cache."""
+    st = w._stats
+    return (_heap_levels(st.avg[0]), _heap_levels(st.avg[1]),
+            _heap_levels(st.delta[0]), _heap_levels(st.delta[1]))

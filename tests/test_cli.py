@@ -222,6 +222,18 @@ class TestMainExitCodes:
         data = json.loads(out.read_text())
         assert np.isfinite(data["bellman"][0]["b1_ratio"])
 
+    def test_bellman_reports_the_effective_dp_depth(self, tmp_path):
+        entries = []
+        for dp_depth in ("8", "12"):
+            out = tmp_path / f"b{dp_depth}.json"
+            assert main(["bellman", "--family", "cascade", "--param", "0.5",
+                         "--depth", "3", "--dp-depth", dp_depth, "--samples", "2",
+                         "--json", str(out)]) == 0
+            entries.append(json.loads(out.read_text())["bellman"][0])
+        assert entries[0]["b1_ratio"] == entries[1]["b1_ratio"]
+        assert [e["dp_depth"] for e in entries] == [8, 12]
+        assert [e["dp_depth_effective"] for e in entries] == [3, 3]
+
     def test_sweep_end_to_end(self, tmp_path):
         out_csv = tmp_path / "s.csv"
         out_json = tmp_path / "s.json"
