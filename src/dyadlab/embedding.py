@@ -28,7 +28,8 @@ from .tree import (
     _subtree_sums,
     heap_averages,
     internal_indices,
-    level_averages,  # kept importable here: the benchmark's tracer test wraps it
+    level_averages,
+    level_diffs,
 )
 from .weights import Weight, _carleson_norm, _weighted_norm, weighted_norm
 
@@ -83,9 +84,12 @@ class CarlesonMeasure:
 
 
 def _key_terms(phi: LeafFunction, psi: LeafFunction, w: Weight) -> np.ndarray:
-    """|Delta_I (phi w)| |Delta_I (psi sigma)| for every internal I, heap-ordered."""
-    d = _heap_diffs(heap_averages([phi.values * w.values, psi.values * w.sigma]))
-    return np.abs(d[0]) * np.abs(d[1])
+    """|Delta_I (phi w)| |Delta_I (psi sigma)| for every internal I, heap-ordered.
+
+    sigma is taken from the leaf values, so the key sum builds no weight cache."""
+    da = level_diffs(level_averages(phi.values * w.values))
+    db = level_diffs(level_averages(psi.values * (1.0 / w.values)))
+    return np.abs(np.concatenate(da)) * np.abs(np.concatenate(db))
 
 
 def key_sum(phi: LeafFunction, psi: LeafFunction, w: Weight) -> float:

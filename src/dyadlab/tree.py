@@ -177,16 +177,14 @@ def heap_averages(values) -> np.ndarray:
     children's."""
     x = np.asarray(values, dtype=float)
     n = x.shape[-1]
-    # built heap-major, where a level is a plain slice along axis 0, then
-    # returned C-contiguous in the caller's layout
-    out = np.empty((2 * n - 1,) + x.shape[:-1])
-    out[n - 1 :] = x.T
+    out = np.empty(x.shape[:-1] + (2 * n - 1,))
+    out[..., n - 1 :] = x
     for lev in range(n.bit_length() - 2, -1, -1):
         k = 1 << lev
-        parents = out[k - 1 : 2 * k - 1]
-        np.add(out[2 * k - 1 : 4 * k - 1 : 2], out[2 * k : 4 * k - 1 : 2], out=parents)
+        parents = out[..., k - 1 : 2 * k - 1]
+        np.add(out[..., 2 * k - 1 : 4 * k - 1 : 2], out[..., 2 * k : 4 * k - 1 : 2], out=parents)
         parents /= 2.0
-    return np.ascontiguousarray(out.T)
+    return out
 
 
 def _heap_levels(heap: np.ndarray) -> list:
@@ -217,6 +215,12 @@ def level_averages(values: np.ndarray) -> list:
     holds the values themselves.  The arrays are read-only views of one
     heap_averages array."""
     return _heap_levels(_read_only(heap_averages(values)))
+
+
+def level_diffs(avgs: list) -> list:
+    """Martingale differences (<f>_left - <f>_right) / 2 per internal level,
+    from level averages: result[level] has 2^level entries."""
+    return _heap_levels(_heap_diffs(np.concatenate(avgs, axis=-1)))
 
 
 def level_haar_coeffs(values: np.ndarray) -> list:

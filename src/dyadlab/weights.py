@@ -7,14 +7,16 @@ and two controlled weight generators (power profile, multiplicative cascade).
 
 Every weight-only quantity is computed once per Weight, on first use, and
 kept in a private slot (`_WeightStats`): the heap-ordered averages of w and
-sigma, their martingale differences, the weighted Haar values of both, the
-Carleson sequence alpha_I and its Carleson norm.  A Weight and its leaf
-values cannot be changed after construction and every cached array is
+sigma on the first use of any cached quantity; their martingale
+differences, the weighted Haar values of both, the Carleson sequence
+alpha_I and its Carleson norm each on its own first use.  A Weight and its
+leaf values cannot be changed after construction and every cached array is
 read-only, so the cache never needs invalidating and no caller can alter it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -61,22 +63,33 @@ def _carleson_norm(alpha: np.ndarray) -> float:
 class _WeightStats:
     """The weight-only quantities of one Weight, heap-ordered, read-only:
     avg[0] and avg[1] are the averages of w and sigma over every dyadic
-    interval (their leaf entries are w and sigma), delta[k] the martingale
-    differences of avg[k], haar[0, k] and haar[1, k] the left and right
+    interval (their leaf entries are w and sigma), computed at once; each of
+    the others is computed on its first use: delta[k], the martingale
+    differences of avg[k], haar[0, k] and haar[1, k], the left and right
     values of the weighted Haar functions of w (k = 0) and sigma (k = 1),
-    alpha_I = |Delta_I w| |Delta_I sigma| |I|, and carleson its Carleson norm."""
-
-    __slots__ = ("avg", "delta", "haar", "alpha", "carleson")
+    alpha_I = |Delta_I w| |Delta_I sigma| |I| and carleson, its Carleson
+    norm."""
 
     def __init__(self, w: np.ndarray):
-        lengths = _interval_lengths(w.size.bit_length() - 1)
-        avg = heap_averages([w, 1.0 / w])
-        delta = _heap_diffs(avg)
-        self.avg = _read_only(avg)
-        self.delta = _read_only(delta)
-        self.haar = _read_only(np.array(_haar_values(avg, lengths)))
-        self.alpha = _read_only(np.abs(delta[0]) * np.abs(delta[1]) * lengths)
-        self.carleson = _carleson_norm(self.alpha)
+        self.depth = w.size.bit_length() - 1
+        self.avg = _read_only(heap_averages([w, 1.0 / w]))
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        return _read_only(_heap_diffs(self.avg))
+
+    @cached_property
+    def haar(self) -> np.ndarray:
+        return _read_only(np.array(_haar_values(self.avg, _interval_lengths(self.depth))))
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        return _read_only(np.abs(self.delta[0]) * np.abs(self.delta[1])
+                          * _interval_lengths(self.depth))
+
+    @cached_property
+    def carleson(self) -> float:
+        return _carleson_norm(self.alpha)
 
 
 class Weight:

@@ -384,8 +384,15 @@ def _inputs(depth, seed):
 def test_tree_level_functions_match(depth, seed):
     w, phi, _ = _inputs(depth, seed)
     for vals in (phi.values, w.values, 1.0 / w.values):
-        assert bits(tree.level_averages(vals)) == bits(reference_level_averages(vals))
+        avgs = reference_level_averages(vals)
+        assert bits(tree.level_averages(vals)) == bits(avgs)
+        diffs = tree.level_diffs(tree.level_averages(vals))
+        assert bits(diffs) == bits(reference_level_diffs(avgs))
         assert bits(tree.level_haar_coeffs(vals)) == bits(reference_level_haar_coeffs(vals))
+    stack = np.array([phi.values, w.values, 1.0 / w.values])
+    heap = tree.heap_averages(stack)
+    assert heap.flags.c_contiguous
+    assert [bits(row) for row in heap] == [bits(tree.heap_averages(v)) for v in stack]
 
 
 @pytest.mark.parametrize("depth,seed", CASES)
