@@ -395,6 +395,8 @@ def _run_campaign(lemma: str, draw, premise, segments, Q: float, valid_trials: i
         raise DomainError(f"domain parameter must be finite and >= 1, got {Q}")
     if valid_trials < 1:
         raise DomainError("a campaign needs at least 1 trial")
+    if seed < 0:
+        raise DomainError("campaign seed must be >= 0")
     rng = np.random.default_rng(seed)
     valid = total = violations = empty = 0
     max_needed = 1.0

@@ -19,7 +19,14 @@ Below FLIP_LIMIT coefficients the alternating search is finished by a 1-opt
 sign-flip polish.  It rejects a flip by a Cholesky factorization of
 tau^2 I - c c' instead of a singular value decomposition; the rounding of
 c c' (about N eps sigma_1^2) is far inside the polish's 1e-13 acceptance
-margin, so the decisions are those of a full SVD per flip.
+margin, so the decisions are those of a full SVD per flip.  The candidate
+c depends on the signs only through s_i t_j on the nonzeros of m, so the
+polish factorizes each such pattern at most once: one met before was the
+start, an accepted flip or a rejected one, its sigma_1 is at most the
+current value, and the test would reject it again.  For a diagonal m
+(key-sum, term-I and complexity-0 shift forms) every t flip repeats an s
+flip.  With the other side's signs fixed during each loop, a candidate
+costs one matrix product.
 
 The coefficient matrix m and the two maps are ndarrays or matrix-free
 operators (tree.LinearOperator).  The search uses only `op @ x`, `x @ op`,
@@ -221,25 +228,25 @@ class AbsBilinearForm:
 
     def _argmax_generic(self, u, amap, metric, prev):
         """Maximize sum_i u_i |(amap x)_i| over the metric unit sphere, u >= 0."""
-        if not np.any(u > 0):
+        if not (u > 0).any():
             x = np.ones(amap.shape[1])
-            return x / np.sqrt(np.sum(metric * x**2))
+            return x / np.sqrt((metric * x**2).sum())
         s = np.sign(amap @ prev) if prev is not None else np.ones(amap.shape[0])
         s[s == 0] = 1.0
         x = prev
         for _ in range(30):
             ell = amap.T @ (u * s)
-            nrm = np.sqrt(np.sum(ell**2 / metric))
+            nrm = np.sqrt((ell**2 / metric).sum())
             if nrm == 0.0:
                 break
             x = ell / metric / nrm
             s_new = np.sign(amap @ x)
             s_new[s_new == 0] = 1.0
-            if np.array_equal(s_new, s):
+            if (s_new == s).all():
                 break
             s = s_new
         if x is None:
-            x = np.ones(amap.shape[1]) / np.sqrt(np.sum(metric))
+            x = np.ones(amap.shape[1]) / np.sqrt(metric.sum())
         return x
 
     def _argmax_left(self, g, prev):
@@ -274,27 +281,46 @@ class AbsBilinearForm:
         N eps sigma_1^2 (7e-15 relative at N = 32, far inside the 1e-13
         margin).  Only a failed factorization pays for singular values, and
         the witnesses come from one full SVD of the final pattern.
+
+        c depends on the signs only through s_i t_j on the nonzeros of m, so
+        that pattern is the memo key of each candidate.  A pattern met before
+        is rejected without a factorization, which is the test's own verdict:
+        it was the start, an accepted flip (sigma_1 at most val, since val
+        never decreases) or a rejected one (sigma_1 at most an earlier tau).
+        For a diagonal m, flipping t_i gives the candidate of flipping s_i.
+        While the s loop runs, m t zr is fixed and each candidate costs one
+        product; while the t loop runs, zl' (s m) is.
         """
         s = s.copy()
         t = t.copy()
+        m = self.m
         zl = self.left_map / np.sqrt(self.left_metric)[None, :]
         zr = self.right_map / np.sqrt(self.right_metric)[None, :]
+        rows, cols = np.nonzero(m)
 
-        def signed():
-            return zl.T @ (s[:, None] * self.m * t[None, :]) @ zr
+        def pattern():
+            return (s[rows] * t[cols] > 0).tobytes()
 
-        val = float(np.linalg.svd(signed(), compute_uv=False)[0])
+        seen = {pattern()}
+        val = float(np.linalg.svd(zl.T @ (s[:, None] * m * t[None, :]) @ zr,
+                                  compute_uv=False)[0])
         for _ in range(max_passes):
             improved = False
             for arr in (s, t):
+                fixed = (m * t[None, :]) @ zr if arr is s else zl.T @ (s[:, None] * m)
                 for i in range(arr.size):
                     arr[i] = -arr[i]
-                    cand = _sigma_max_above(signed(), val * (1.0 + 1e-13))
-                    if cand is not None:
-                        val = cand
-                        improved = True
-                    else:
-                        arr[i] = -arr[i]
+                    key = pattern()
+                    if key not in seen:
+                        seen.add(key)
+                        c = (zl.T @ (s[:, None] * fixed) if arr is s
+                             else (fixed * t[None, :]) @ zr)
+                        cand = _sigma_max_above(c, val * (1.0 + 1e-13))
+                        if cand is not None:
+                            val = cand
+                            improved = True
+                            continue
+                    arr[i] = -arr[i]
             if not improved:
                 break
         val, f, g = self._sigma_max_signed(s, t)

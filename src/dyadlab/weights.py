@@ -285,7 +285,10 @@ def gen_cascade(depth: int, eps: float, seed: int) -> Weight:
     vals = np.ones(1)
     for _ in range(depth):
         xi = rng.uniform(-eps, eps, size=vals.size)
-        vals = np.stack([vals * (1.0 + xi), vals * (1.0 - xi)], axis=1).reshape(-1)
+        children = np.empty(2 * vals.size)
+        np.multiply(vals, 1.0 + xi, out=children[0::2])
+        np.multiply(vals, 1.0 - xi, out=children[1::2])
+        vals = children
     return Weight(LeafFunction(vals))
 
 

@@ -268,6 +268,11 @@ class TestCampaignRobustness:
         assert np.isfinite(rep.max_needed_k)
 
     @pytest.mark.parametrize("runner", [run_triangle_campaign, run_barycenter_campaign])
+    def test_negative_seed_raises(self, runner):
+        with pytest.raises(DomainError, match="campaign seed must be >= 0"):
+            runner(Q=1.5, valid_trials=10, seed=-1)
+
+    @pytest.mark.parametrize("runner", [run_triangle_campaign, run_barycenter_campaign])
     @pytest.mark.parametrize("trials", [0, -5])
     def test_needs_a_trial(self, runner, trials):
         with pytest.raises(DomainError):

@@ -283,6 +283,8 @@ class TestMainExitCodes:
         ["geom", "--lemma", "triangle", "--Q", "inf"],
         ["geom", "--lemma", "barycenter", "--Q", "nan"],
         ["geom", "--lemma", "triangle", "--Q", "nan"],
+        ["geom", "--lemma", "triangle", "--trials", "10", "--Q", "1.5", "--seed", "-1"],
+        ["geom", "--lemma", "barycenter", "--trials", "10", "--Q", "1.5", "--seed", "-1"],
     ])
     def test_bad_input_is_one_line(self, argv, capsys, tmp_path, time_limit):
         argv = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in argv]

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from dyadlab import forms
 from dyadlab.embedding import key_sum_form, term1_form
 from dyadlab.forms import AbsBilinearForm
 from dyadlab.shifts import ShiftSpec, _weighted_form
@@ -130,3 +131,87 @@ def test_exact_sup_unchanged(build):
     assert np.array_equal(res.sign_left, ref.sign_left)
     assert np.array_equal(res.sign_right, ref.sign_right)
 
+
+
+def record_factorizations(monkeypatch):
+    """Count np.linalg.cholesky calls and keep each candidate matrix that the
+    polish puts to the rejection test."""
+    calls = {"cholesky": 0}
+    mats = []
+    cholesky = np.linalg.cholesky
+    above = forms._sigma_max_above
+
+    def counting(a):
+        calls["cholesky"] += 1
+        return cholesky(a)
+
+    def recording(c, tau):
+        mats.append(c.copy())
+        return above(c, tau)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    monkeypatch.setattr(forms, "_sigma_max_above", recording)
+    return calls, mats
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+@pytest.mark.parametrize("kind", sorted(FORMS))
+def test_no_pattern_factorized_twice(kind, depth, monkeypatch):
+    calls, mats = record_factorizations(monkeypatch)
+    for k in range(2):
+        form = FORMS[kind](depth, k)
+        rng = np.random.default_rng(50 * depth + k)
+        n1, n2 = form.m.shape
+        s, t = random_signs(n1, rng), random_signs(n2, rng)
+        calls["cholesky"] = 0
+        mats.clear()
+        got = form._flip_polish(s, t)
+        assert calls["cholesky"] == len(mats) > 0
+        # a repeated pattern gives the same matrix up to the rounding of its
+        # products; distinct patterns differ by a whole signed term
+        for i in range(len(mats)):
+            for j in range(i):
+                assert not np.allclose(mats[i], mats[j], rtol=0.0,
+                                       atol=1e-9 * np.max(np.abs(mats[j])))
+        assert_same_polish(got, reference_polish(form, s, t))
+
+
+def test_diagonal_form_t_loop_factorizes_nothing(monkeypatch):
+    form = key_sum_form(gen_cascade(5, 0.7, 3))
+    diag = np.diag(form.m)
+    assert np.array_equal(form.m, np.diag(diag))
+    n1, n2 = form.m.shape
+    rng = np.random.default_rng(0)
+    # a polished pattern: no single flip improves it, so the s loop accepts
+    # nothing and each t flip repeats the pattern of the s flip at its index
+    _, _, _, s, t = form._flip_polish(random_signs(n1, rng), random_signs(n2, rng))
+    calls, _ = record_factorizations(monkeypatch)
+    got = form._flip_polish(s, t)
+    assert np.array_equal(got[3], s) and np.array_equal(got[4], t)
+    assert calls["cholesky"] == np.count_nonzero(diag)
+
+
+@pytest.mark.parametrize("kind", sorted(FORMS))
+def test_search_sup_matches_reference_polish(kind):
+    form = FORMS[kind](5, 0)
+    res = form.search_sup(iters=40, seed=9, restarts=2)
+    form._flip_polish = lambda s, t: reference_polish(form, s, t)
+    ref = form.search_sup(iters=40, seed=9, restarts=2)
+    assert res.value == ref.value
+    for name in ("left", "right", "sign_left", "sign_right"):
+        assert getattr(res, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def test_all_zero_m(monkeypatch):
+    form = direct_form(5, 6, 7, 7, seed=2)
+    form.m[:] = 0.0
+    calls, _ = record_factorizations(monkeypatch)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        s, t = random_signs(5, rng), random_signs(6, rng)
+        got = form._flip_polish(s, t)
+        assert got[0] == 0.0
+        assert_same_polish(got, reference_polish(form, s, t))
+    # every flip leaves the (empty) pattern of the nonzeros as it was
+    assert calls["cholesky"] == 0
+    assert form.search_sup(iters=5, seed=0, restarts=2).value == 0.0

@@ -236,6 +236,18 @@ class TestGenerators:
         with pytest.raises(DomainError):
             gen_cascade(3, 0.5, -1)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 0.7, 0.95])
+    @pytest.mark.parametrize("seed", [0, 1, 42, 12345])
+    def test_cascade_matches_stacked_levels(self, eps, seed):
+        # the level formula before the children were written into one buffer
+        for depth in range(1, 13):
+            rng = np.random.default_rng(seed)
+            vals = np.ones(1)
+            for _ in range(depth):
+                xi = rng.uniform(-eps, eps, size=vals.size)
+                vals = np.stack([vals * (1.0 + xi), vals * (1.0 - xi)], axis=1).reshape(-1)
+            assert gen_cascade(depth, eps, seed).values.tobytes() == vals.tobytes()
+
     def test_cascade_characteristic_grows_with_eps(self):
         means = []
         for eps in (0.1, 0.3, 0.5, 0.7, 0.9):
