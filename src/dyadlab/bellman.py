@@ -75,13 +75,19 @@ class BellmanPoint:
         return BellmanPoint(X=self.Y, Y=self.X, x=self.y, y=self.x, u=self.v, v=self.u)
 
 
+def _check_q(Q: float, finite: bool = False) -> None:
+    """Refuse Q < 1 or nan, and inf too when finite (membership takes inf as no cap)."""
+    if not (1.0 <= Q < np.inf if finite else Q >= 1.0):  # both false for nan
+        raise DomainError(
+            f"domain parameter must be {'finite and ' if finite else ''}>= 1, got {Q}")
+
+
 @dataclass(frozen=True)
 class OmegaDomain:
     Q: float
 
     def __post_init__(self):
-        if self.Q < 1.0:
-            raise DomainError("domain parameter must be >= 1")
+        _check_q(self.Q)
 
     def contains(self, p: BellmanPoint, tol: float = 0.0) -> bool:
         return in_domain(p, self.Q, tol)
@@ -102,8 +108,7 @@ def _member(c, Q: float, tol: float):
 
 
 def in_domain(p: BellmanPoint, Q: float, tol: float = 0.0) -> bool:
-    if Q < 1.0:
-        raise DomainError("domain parameter must be >= 1")
+    _check_q(Q)
     return bool(_member((p.X, p.Y, p.x, p.y, p.u, p.v), Q, tol))
 
 
@@ -151,8 +156,7 @@ def _segment_checks(p: np.ndarray, q: np.ndarray, tol: float):
 
 def segment_in_domain(p: BellmanPoint, q: BellmanPoint, Q: float, tol: float = 0.0) -> bool:
     """Closed-form check that the whole segment [p, q] lies in Omega_Q."""
-    if Q < 1.0:
-        raise DomainError("domain parameter must be >= 1")
+    _check_q(Q)
     caps_ok, max_uv = _segment_checks(p.as_array(), q.as_array(), tol)
     return bool(caps_ok & (max_uv <= Q + tol))
 
@@ -223,8 +227,7 @@ def sample_omega(Q: float, n: int, rng, boundary_prob: float = 0.1,
     corresponding call of n uniform draws, and the stream and every value
     are those of one uniform call per coordinate and per coin.
     """
-    if not 1.0 <= Q < np.inf:  # also false for nan
-        raise DomainError(f"domain parameter must be finite and >= 1, got {Q}")
+    _check_q(Q, finite=True)
     r = _strip_rows(Q)
     U = rng.random((r + 8, n))
     out = np.empty((6, n))
@@ -391,8 +394,7 @@ def _run_campaign(lemma: str, draw, premise, segments, Q: float, valid_trials: i
     (points[i], points[j]), (i, j) in segments, or k = inf when a segment
     leaves the caps.
     """
-    if not 1.0 <= Q < np.inf:  # also false for nan
-        raise DomainError(f"domain parameter must be finite and >= 1, got {Q}")
+    _check_q(Q, finite=True)
     if valid_trials < 1:
         raise DomainError("a campaign needs at least 1 trial")
     if seed < 0:
@@ -678,8 +680,7 @@ class DpEstimator:
     every depth >= 3.  memo holds finished estimates by (point, min(d, 3))."""
 
     def __init__(self, Q: float, samples: int = 6, seed: int = 0):
-        if Q < 1.0:
-            raise DomainError("domain parameter must be >= 1")
+        _check_q(Q)
         if samples < 0:
             raise DomainError("samples must be >= 0")
         self.Q = Q

@@ -5,7 +5,7 @@ the two-function difference-sum lemma used to bound the Carleson norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .tree import (
     _subtree_sum,
     _subtree_sums,
     heap_averages,
-    internal_indices,
     level_averages,
     level_diffs,
 )
@@ -62,25 +61,20 @@ class FourTerms:
         return self.term_i + self.term_ii + self.term_iii + self.term_iv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CarlesonMeasure:
-    """Nonnegative values alpha_I over internal intervals."""
+    """Nonnegative values alpha_I over internal intervals, heap-ordered."""
 
     depth: int
-    alpha: Dict[DyadicIndex, float]
+    alpha: np.ndarray
 
     def __post_init__(self):
-        for I, a in self.alpha.items():
-            if a < 0:
-                raise DomainError(f"negative mass {a} at {I}")
-            if I.level >= self.depth:
-                raise DomainError(f"{I} is not internal at depth {self.depth}")
-
-    def level_arrays(self):
-        out = [np.zeros(1 << lev) for lev in range(self.depth)]
-        for I, a in self.alpha.items():
-            out[I.level][I.position] = a
-        return out
+        alpha = np.asarray(self.alpha, dtype=float)
+        if alpha.shape != ((1 << self.depth) - 1,):
+            raise StructureError(f"expected {(1 << self.depth) - 1} masses, got {alpha.shape}")
+        if not np.all(alpha >= 0.0):  # also false for nan
+            raise DomainError("masses must be >= 0")
+        object.__setattr__(self, "alpha", alpha)
 
 
 def _key_terms(phi: LeafFunction, psi: LeafFunction, w: Weight) -> np.ndarray:
@@ -166,13 +160,12 @@ def duality_product(phi: LeafFunction, psi: LeafFunction, w: Weight) -> DualityR
 
 def carleson_measure_of(w: Weight) -> CarlesonMeasure:
     """alpha_I = |Delta_I w| |Delta_I sigma| |I| over internal intervals."""
-    return CarlesonMeasure(depth=w.depth, alpha={
-        I: float(a) for I, a in zip(internal_indices(w.depth), w._stats.alpha)})
+    return CarlesonMeasure(depth=w.depth, alpha=w._stats.alpha)
 
 
 def carleson_norm(m: CarlesonMeasure) -> float:
     """Max over internal L of (1/|L|) sum_{I inside or equal to L} alpha_I."""
-    return _carleson_norm(np.concatenate(m.level_arrays()))
+    return _carleson_norm(m.alpha)
 
 
 @dataclass(frozen=True)

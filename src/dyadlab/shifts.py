@@ -9,22 +9,23 @@ sign-invariant by construction (c and -c give the same form).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .forms import AbsBilinearForm, FormResult, _form_operands
 from .tree import (
+    MAX_DEPTH,
     DomainError,
-    DyadicIndex,
     LeafFunction,
     LinearOperator,
     StructureError,
     _dense,
     _haar_operator,
+    _read_only,
     _synthesis_values,
+    haar_analysis,
     internal_indices,
-    level_haar_coeffs,
     n_internal,
 )
 from .weights import Weight, dual
@@ -32,69 +33,60 @@ from .weights import Weight, dual
 EXACT_CAP = 15  # internal intervals; past this, exact mode refuses
 
 
-def valid_pairs(complexity: int, depth: int):
-    """All (I, J) with J inside I, |J| = 2^-n |I|, both internal."""
-    if complexity < 0:
-        raise DomainError("complexity must be >= 0")
-    for I in internal_indices(depth):
-        if I.level + complexity >= depth and complexity > 0:
-            continue
-        base = I.position << complexity
-        for k in range(1 << complexity):
-            J = DyadicIndex(I.level + complexity, base + k)
-            yield I, J
+def _coeff_shape(complexity: int, depth: int) -> Tuple[int, int]:
+    """Shape of a ShiftSpec's coefficients: one row per I whose n-th
+    generation descendants are internal, heap-ordered, one column per
+    descendant J, left to right."""
+    if not 0 <= complexity <= MAX_DEPTH:
+        raise DomainError(f"complexity must lie in [0, {MAX_DEPTH}], got {complexity}")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise DomainError(f"depth must lie in [1, {MAX_DEPTH}], got {depth}")
+    return (1 << max(depth - complexity, 0)) - 1, 1 << complexity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftSpec:
+    """The coefficients c_IJ of a shift of complexity n, read-only:
+    coeffs[r, k] pairs I, the interval at heap index r, with J, its k-th
+    n-th generation descendant from the left."""
+
     complexity: int
     depth: int
-    coeffs: Dict[Tuple[DyadicIndex, DyadicIndex], float]
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.complexity < 0:
-            raise DomainError("complexity must be >= 0")
-        if self.depth < 1:
-            raise DomainError("depth must be >= 1")
-        for (I, J), c in self.coeffs.items():
-            if abs(c) > 1.0:
-                raise DomainError(f"|c| must be <= 1, got {c} at ({I}, {J})")
-            if J.level != I.level + self.complexity or not I.contains(J):
-                raise DomainError(f"pair ({I}, {J}) violates the shift pattern")
-            if I.level >= self.depth or J.level >= self.depth:
-                raise DomainError(f"pair ({I}, {J}) is not internal at depth {self.depth}")
+        shape = _coeff_shape(self.complexity, self.depth)
+        c = np.array(self.coeffs, dtype=float)
+        if c.shape != shape:
+            raise StructureError(f"coefficients must have shape {shape}, got {c.shape}")
+        if not np.all(np.abs(c) <= 1.0):  # also false for nan
+            raise DomainError("coefficients must satisfy |c| <= 1")
+        object.__setattr__(self, "coeffs", _read_only(c))
 
     @classmethod
     def constant(cls, complexity: int, depth: int, value: float = 1.0) -> "ShiftSpec":
-        coeffs = {pair: value for pair in valid_pairs(complexity, depth)}
-        return cls(complexity=complexity, depth=depth, coeffs=coeffs)
+        return cls(complexity, depth, np.full(_coeff_shape(complexity, depth), value, dtype=float))
 
     @classmethod
     def random(cls, complexity: int, depth: int, seed: int) -> "ShiftSpec":
         rng = np.random.default_rng(seed)
-        coeffs = {pair: float(rng.uniform(-1, 1)) for pair in valid_pairs(complexity, depth)}
-        return cls(complexity=complexity, depth=depth, coeffs=coeffs)
+        return cls(complexity, depth, rng.uniform(-1, 1, size=_coeff_shape(complexity, depth)))
 
 
 class ShiftOperator(LinearOperator):
-    """The N x N map of 2^{-n/2} |c_IJ| (N internal intervals, ordered like
-    internal_indices), applied per level in O(N 2^n).
+    """The N x N map of 2^{-n/2} |c_IJ| (N internal intervals, heap-ordered),
+    applied per level in O(N 2^n).
 
-    Row I's coefficients are the 2^n entries of blocks[r], r its index in
-    internal_indices; its n-th generation descendants J are consecutive in
-    that order, and so are the descendant blocks of consecutive I.
+    blocks is 2^{-n/2} |spec.coeffs|; the n-th generation descendants J of I
+    are consecutive in heap order, and so are the descendant blocks of
+    consecutive I.
     """
 
     def __init__(self, spec: ShiftSpec):
         n = n_internal(spec.depth)
-        width = 1 << spec.complexity
         self.shape = (n, n)
-        self.offset = width - 1  # index of the first interval at level n
-        self.blocks = np.zeros(((1 << max(spec.depth - spec.complexity, 0)) - 1, width))
-        scale = 2.0 ** (-spec.complexity / 2.0)
-        for (I, J), c in spec.coeffs.items():
-            self.blocks[(1 << I.level) - 1 + I.position,
-                        J.position - (I.position << spec.complexity)] = scale * abs(c)
+        self.offset = (1 << spec.complexity) - 1  # index of the first interval at level n
+        self.blocks = 2.0 ** (-spec.complexity / 2.0) * np.abs(spec.coeffs)
 
     @property
     def nbytes(self) -> int:
@@ -126,16 +118,12 @@ def shift_matrix(spec: ShiftSpec) -> np.ndarray:
     return _dense(ShiftOperator(spec), spec.depth)
 
 
-def _coeff_vector(f: LeafFunction) -> np.ndarray:
-    return np.concatenate(level_haar_coeffs(f.values))
-
-
 def form_value(spec: ShiftSpec, f1: LeafFunction, f2: LeafFunction) -> float:
     """The sub-bilinear sum with absolute values on both Haar coefficients."""
     if f1.depth != spec.depth or f2.depth != spec.depth:
         raise StructureError("function depths must match the shift depth")
-    a = np.abs(_coeff_vector(f1))
-    b = np.abs(_coeff_vector(f2))
+    a = np.abs(haar_analysis(f1).coefficients)
+    b = np.abs(haar_analysis(f2).coefficients)
     return float(a @ (ShiftOperator(spec) @ b))
 
 
@@ -198,38 +186,60 @@ def norm_lower_search(
 
 
 def martingale_transform_apply(signs, f: LeafFunction) -> LeafFunction:
-    """T f = sum_I signs(I) (f, h_I) h_I, with the mean set to zero."""
-    mult = []
-    for I in internal_indices(f.depth):
-        if I not in signs:
-            raise StructureError(f"missing sign for {I}")
-        s = signs[I]
-        if abs(s) > 1.0:
-            raise DomainError(f"sign multiplier {s} outside [-1, 1]")
-        mult.append(s)
-    return LeafFunction(_synthesis_values(0.0, np.array(mult, dtype=float) * _coeff_vector(f)))
+    """T f = sum_I signs_I (f, h_I) h_I, with the mean set to zero; signs
+    holds one multiplier in [-1, 1] per internal I, heap-ordered."""
+    s = np.asarray(signs, dtype=float)
+    if s.shape != (n_internal(f.depth),):
+        raise StructureError(f"expected {n_internal(f.depth)} signs, got shape {s.shape}")
+    if not np.all(np.abs(s) <= 1.0):  # also false for nan
+        raise DomainError("sign multipliers must lie in [-1, 1]")
+    return LeafFunction(_synthesis_values(0.0, s * haar_analysis(f).coefficients))
 
 
 def save_shift_spec(spec: ShiftSpec, path) -> None:
-    """Header `complexity=<n> depth=<d>`, then `I_level I_pos J_level J_pos c`."""
+    """Header `complexity=<n> depth=<d>`, then `I_level I_pos J_level J_pos c` per pair, sorted."""
+    n = spec.complexity
     with open(path, "w") as fh:
-        fh.write(f"complexity={spec.complexity} depth={spec.depth}\n")
-        for (I, J), c in sorted(spec.coeffs.items()):
-            fh.write(f"{I.level} {I.position} {J.level} {J.position} {c!r}\n")
+        fh.write(f"complexity={n} depth={spec.depth}\n")
+        for I, row in zip(internal_indices(max(spec.depth - n, 0)), spec.coeffs):
+            for k, c in enumerate(row):
+                fh.write(f"{I.level} {I.position} {I.level + n} {(I.position << n) + k} "
+                         f"{float(c)!r}\n")
 
 
 def load_shift_spec(path) -> ShiftSpec:
+    """Read save_shift_spec's format; a pair the file leaves out gets c = 0.
+    A malformed line raises StructureError or DomainError naming it."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        fields = dict(tok.split("=") for tok in header.split())
-        complexity = int(fields["complexity"])
-        depth = int(fields["depth"])
-        coeffs = {}
-        for line in fh:
-            line = line.strip()
-            if not line:
+        header = fh.readline()
+        fields = dict(tok.partition("=")[::2] for tok in header.split())
+        try:
+            complexity, depth = int(fields["complexity"]), int(fields["depth"])
+        except (KeyError, ValueError):
+            raise StructureError(f"line 1: expected `complexity=<n> depth=<d>`, "
+                                 f"got {header.strip()!r}") from None
+        coeffs = np.zeros(_coeff_shape(complexity, depth))
+        seen = np.zeros(coeffs.shape, dtype=bool)
+        for num, line in enumerate(fh, start=2):
+            toks = line.split()
+            if not toks:
                 continue
-            il, ip, jl, jp, c = line.split()
-            pair = (DyadicIndex(int(il), int(ip)), DyadicIndex(int(jl), int(jp)))
-            coeffs[pair] = float(c)
-    return ShiftSpec(complexity=complexity, depth=depth, coeffs=coeffs)
+            try:
+                il, ip, jl, jp, c = toks
+                il, ip, jl, jp, c = int(il), int(ip), int(jl), int(jp), float(c)
+            except ValueError:
+                raise StructureError(f"line {num}: expected `I_level I_pos J_level J_pos c`, "
+                                     f"got {line.strip()!r}") from None
+            if not abs(c) <= 1.0:  # also true for nan
+                raise DomainError(f"line {num}: |c| must be <= 1, got {c}")
+            k = jp - (ip << complexity)  # J's offset among I's descendants
+            if not (jl == il + complexity and 0 <= il and jl < depth
+                    and 0 <= ip < 1 << il and 0 <= k < 1 << complexity):
+                raise DomainError(f"line {num}: ({il}, {ip}) and ({jl}, {jp}) are not an "
+                                  f"internal pair of complexity {complexity} at depth {depth}")
+            r = (1 << il) - 1 + ip
+            if seen[r, k]:
+                raise StructureError(f"line {num}: pair ({il}, {ip}), ({jl}, {jp}) given twice")
+            seen[r, k] = True
+            coeffs[r, k] = c
+    return ShiftSpec(complexity, depth, coeffs)

@@ -142,13 +142,13 @@ class LeafFunction:
         return f"LeafFunction(depth={self.depth}, values={self.values!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HaarExpansion:
-    """Mean plus one Haar coefficient per internal interval."""
+    """Mean plus one Haar coefficient per internal interval, heap-ordered."""
 
     depth: int
     mean: float
-    coefficients: dict
+    coefficients: np.ndarray
 
 
 def average(f: LeafFunction, I: DyadicIndex) -> float:
@@ -230,17 +230,13 @@ def level_haar_coeffs(values: np.ndarray) -> list:
 
 
 def haar_analysis(f: LeafFunction) -> HaarExpansion:
-    coeffs = {}
-    per_level = level_haar_coeffs(f.values)
-    for level, arr in enumerate(per_level):
-        for position, c in enumerate(arr):
-            coeffs[DyadicIndex(level, position)] = float(c)
-    return HaarExpansion(depth=f.depth, mean=f.integral(), coefficients=coeffs)
+    return HaarExpansion(depth=f.depth, mean=f.integral(),
+                         coefficients=_read_only(np.concatenate(level_haar_coeffs(f.values))))
 
 
 def _synthesis_values(mean: float, coeffs: np.ndarray) -> np.ndarray:
     """Leaf values with the given mean and Haar coefficients (f, h_I), the
-    coefficients ordered like internal_indices; the inverse of haar analysis."""
+    coefficients heap-ordered; the inverse of haar analysis."""
     avgs = np.array([mean])
     for level in range((coeffs.size + 1).bit_length() - 1):
         k = 1 << level
@@ -254,12 +250,10 @@ def _synthesis_values(mean: float, coeffs: np.ndarray) -> np.ndarray:
 
 def haar_synthesis(e: HaarExpansion) -> LeafFunction:
     """Exact inverse of haar_analysis."""
-    coeffs = []
-    for I in internal_indices(e.depth):
-        if I not in e.coefficients:
-            raise StructureError(f"missing Haar coefficient for {I}")
-        coeffs.append(e.coefficients[I])
-    return LeafFunction(_synthesis_values(e.mean, np.array(coeffs, dtype=float)))
+    coeffs = np.asarray(e.coefficients, dtype=float)
+    if coeffs.shape != (n_internal(e.depth),):
+        raise StructureError(f"expected {n_internal(e.depth)} coefficients, got {coeffs.shape}")
+    return LeafFunction(_synthesis_values(e.mean, coeffs))
 
 
 def _check_dense_depth(depth: int, rows: int, cols: int) -> None:

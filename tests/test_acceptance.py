@@ -87,7 +87,7 @@ def test_criterion_1_exactness_floor(report):
             )
             e = haar_analysis(f)
             lhs = float(np.mean(f.values**2))
-            rhs = e.mean**2 + sum(c * c for c in e.coefficients.values())
+            rhs = e.mean**2 + sum(c * c for c in e.coefficients)
             worst_parseval = max(worst_parseval, abs(lhs - rhs) / max(1.0, lhs))
         h = haar_analysis_matrix(depth)
         gram = h @ h.T * (1 << depth)

@@ -80,6 +80,23 @@ class TestInDomain:
         with pytest.raises(DomainError):
             OmegaDomain(Q=0.5)
 
+    @pytest.mark.parametrize("build", [
+        lambda: OmegaDomain(Q=float("nan")),
+        lambda: in_domain(BellmanPoint(1, 1, 0, 0, 1, 1), Q=float("nan")),
+        lambda: segment_in_domain(BellmanPoint(1, 1, 0, 0, 1, 1),
+                                  BellmanPoint(1, 1, 0, 0, 1, 1), Q=float("nan")),
+        lambda: DpEstimator(Q=float("nan")),
+    ])
+    def test_nan_q(self, build):
+        with pytest.raises(DomainError, match="domain parameter must be >= 1, got nan"):
+            build()
+
+    def test_infinite_q_is_no_cap(self):
+        far = BellmanPoint(1, 1, 0, 0, 1e6, 1e6)
+        assert in_domain(far, Q=np.inf)
+        assert OmegaDomain(Q=np.inf).contains(far)
+        assert segment_in_domain(BellmanPoint(1, 1, 0, 0, 1, 1), far, Q=np.inf)
+
 
 class TestSegmentInDomain:
     def test_degenerate(self):

@@ -161,18 +161,18 @@ class TestDualityProduct:
 class TestCarlesonMeasure:
     def test_constant_weight(self):
         m = carleson_measure_of(Weight.from_values([1.0] * 8))
-        assert all(a == 0.0 for a in m.alpha.values())
+        assert all(a == 0.0 for a in m.alpha)
         assert carleson_norm(m) == 0.0
 
     def test_depth1_mild(self):
         m = carleson_measure_of(Weight.from_values([2.0, 2.0 / 3.0]))
-        assert m.alpha[ROOT] == pytest.approx(1.0 / 3.0)
+        assert m.alpha[0] == pytest.approx(1.0 / 3.0)
         assert carleson_norm(m) == pytest.approx(1.0 / 3.0)
 
     def test_depth1_extreme(self):
         w = Weight.from_values([4.0, 0.25])
         m = carleson_measure_of(w)
-        assert m.alpha[ROOT] == pytest.approx(225.0 / 64.0)
+        assert m.alpha[0] == pytest.approx(225.0 / 64.0)
         assert carleson_norm(m) == pytest.approx(225.0 / 64.0)
         q = a2_characteristic(w).characteristic
         assert carleson_norm(m) / q == pytest.approx(225.0 / 289.0)
@@ -181,19 +181,27 @@ class TestCarlesonMeasure:
         w = gen_cascade(6, 0.8, seed=3)
         a = carleson_measure_of(w).alpha
         b = carleson_measure_of(dual(w)).alpha
-        for I in internal_indices(6):
-            assert a[I] == pytest.approx(b[I], rel=1e-12)
+        assert a.shape == b.shape == (63,)
+        assert a == pytest.approx(b, rel=1e-12)
 
     def test_rejects_negative_mass(self):
         with pytest.raises(DomainError):
-            CarlesonMeasure(depth=2, alpha={ROOT: -1.0})
+            CarlesonMeasure(depth=2, alpha=[-1.0, 0.0, 0.0])
+
+    def test_rejects_nan_mass(self):
+        with pytest.raises(DomainError):
+            CarlesonMeasure(depth=1, alpha=[np.nan])
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(StructureError):
+            CarlesonMeasure(depth=2, alpha=[1.0])
 
     def test_norm_matches_bruteforce(self):
         w = gen_cascade(5, 0.8, seed=9)
         m = carleson_measure_of(w)
         best = 0.0
         for L in internal_indices(5):
-            s = sum(a for I, a in m.alpha.items() if L.contains(I))
+            s = sum(a for I, a in zip(internal_indices(5), m.alpha) if L.contains(I))
             best = max(best, s / L.length)
         assert carleson_norm(m) == pytest.approx(best, rel=1e-12)
 
@@ -246,7 +254,7 @@ class TestCarlesonBoxCheck:
         one = LeafFunction.constant(5, 1.0)
         lhs, rhs = carleson_box_check(one, one, w)
         m = carleson_measure_of(w)
-        assert lhs == pytest.approx(sum(m.alpha.values()), rel=1e-12)
+        assert lhs == pytest.approx(sum(m.alpha), rel=1e-12)
         assert rhs == pytest.approx(carleson_norm(m), rel=1e-12)
         assert lhs <= rhs * (1.0 + 1e-12)
 

@@ -6,7 +6,7 @@ import pytest
 
 from dyadlab import bellman, embedding, tree, weights
 from dyadlab.bellman import BellmanPoint
-from dyadlab.embedding import CarlesonMeasure, DualityReport, FourTerms, TwoWeightReport
+from dyadlab.embedding import DualityReport, FourTerms, TwoWeightReport
 from dyadlab.forms import AbsBilinearForm, _form_operands
 from dyadlab.tree import (
     DomainError,
@@ -201,16 +201,18 @@ def reference_carleson_norm_levels(alpha) -> float:
                default=0.0)
 
 
-def reference_carleson_measure_of(w: Weight) -> CarlesonMeasure:
-    """alpha_I = |Delta_I w| |Delta_I sigma| |I| over internal intervals."""
+def reference_carleson_measure_of(w: Weight) -> dict:
+    """alpha_I = |Delta_I w| |Delta_I sigma| |I| over internal intervals, by interval."""
     _, _, dw, dsig = reference_interval_stats(w)
     alpha = np.concatenate(reference_alpha_levels(dw, dsig))
-    return CarlesonMeasure(depth=w.depth, alpha={
-        I: float(a) for I, a in zip(tree.internal_indices(w.depth), alpha)})
+    return {I: float(a) for I, a in zip(tree.internal_indices(w.depth), alpha)}
 
 
-def reference_carleson_norm(m: CarlesonMeasure) -> float:
-    return reference_carleson_norm_levels(m.level_arrays())
+def reference_carleson_norm(alpha: dict, depth: int) -> float:
+    levels = [np.zeros(1 << lev) for lev in range(depth)]
+    for I, a in alpha.items():
+        levels[I.level][I.position] = a
+    return reference_carleson_norm_levels(levels)
 
 
 def reference_two_weight_ratio(u: LeafFunction, v: LeafFunction, L: DyadicIndex):
@@ -403,9 +405,10 @@ def test_weight_quantities_match(depth, seed):
     assert weights.a2_characteristic(w) == reference_a2_characteristic(w)
     m = embedding.carleson_measure_of(w)
     ref = reference_carleson_measure_of(w)
-    assert list(m.alpha) == list(ref.alpha)
-    assert bits(list(m.alpha.values())) == bits(list(ref.alpha.values()))
-    assert bits(embedding.carleson_norm(m)) == bits(reference_carleson_norm(ref))
+    assert m.alpha is w._stats.alpha
+    assert list(ref) == list(tree.internal_indices(depth))
+    assert bits(m.alpha) == bits(np.array(list(ref.values())))
+    assert bits(embedding.carleson_norm(m)) == bits(reference_carleson_norm(ref, depth))
 
 
 @pytest.mark.parametrize("depth,seed", CASES[::3])

@@ -9,8 +9,9 @@ import pytest
 
 from dyadlab.embedding import four_terms, key_sum, key_sum_form, term1_form
 from dyadlab.forms import DENSE_MAX_COLUMNS, AbsBilinearForm
-from dyadlab.shifts import ShiftOperator, ShiftSpec, _weighted_form, valid_pairs
+from dyadlab.shifts import ShiftOperator, ShiftSpec, _weighted_form
 from dyadlab.tree import (
+    DyadicIndex,
     IdentityOperator,
     LeafFunction,
     StructureError,
@@ -37,10 +38,13 @@ def reference_two_valued(depth, levels, mult=None):
 
 
 def reference_shift(spec):
+    n = spec.complexity
     order = {I: k for k, I in enumerate(internal_indices(spec.depth))}
     m = np.zeros((len(order), len(order)))
-    for (I, J), c in spec.coeffs.items():
-        m[order[I], order[J]] = 2.0 ** (-spec.complexity / 2.0) * abs(c)
+    for I, row in zip(internal_indices(max(spec.depth - n, 0)), spec.coeffs):
+        for k, c in enumerate(row):
+            J = DyadicIndex(I.level + n, (I.position << n) + k)
+            m[order[I], order[J]] = 2.0 ** (-n / 2.0) * abs(c)
     return m
 
 
@@ -172,7 +176,7 @@ def test_operator_forms_match_direct_sums(depth):
 def test_shift_operator_without_pairs():
     # complexity above the depth: no valid pair, the zero map
     spec = ShiftSpec.constant(4, 3)
-    assert list(valid_pairs(4, 3)) == []
+    assert spec.coeffs.size == 0
     op = ShiftOperator(spec)
     assert np.array_equal(op @ np.ones(7), np.zeros(7))
     assert np.array_equal(op.T @ np.ones((7, 2)), np.zeros((7, 2)))

@@ -22,7 +22,6 @@ from dyadlab.shifts import (
     norm_lower_search,
     save_shift_spec,
     shift_matrix,
-    valid_pairs,
 )
 
 
@@ -36,29 +35,54 @@ def haar_leaf(depth, I):
     return LeafFunction(vals)
 
 
+def write_spec_file(path, header, *pairs):
+    """A shift file with the given header line and `I_level I_pos J_level J_pos c` lines."""
+    path.write_text("".join(f"{line}\n" for line in (header, *pairs)))
+    return path
+
+
 class TestShiftSpec:
     def test_pair_counts(self):
         # complexity 0: one pair per internal interval
-        assert len(list(valid_pairs(0, 3))) == 7
+        assert ShiftSpec.constant(0, 3).coeffs.shape == (7, 1)
         # complexity 1: two children per internal I whose children are internal
-        assert len(list(valid_pairs(1, 3))) == 2 * 3
+        assert ShiftSpec.constant(1, 3).coeffs.shape == (3, 2)
 
     def test_rejects_large_coefficient(self):
         with pytest.raises(DomainError):
-            ShiftSpec(complexity=0, depth=2, coeffs={(ROOT, ROOT): 1.5})
+            ShiftSpec(complexity=0, depth=2, coeffs=[[1.5], [0.0], [0.0]])
 
-    def test_rejects_wrong_pattern(self):
-        bad = (ROOT, DyadicIndex(2, 0))  # grandchild under complexity 0
+    @pytest.mark.parametrize("build", [
+        lambda: ShiftSpec.constant(0, 3, value=np.nan),
+        lambda: ShiftSpec(complexity=1, depth=2, coeffs=[[0.5, np.nan]]),
+    ])
+    def test_rejects_nan_coefficient(self, build):
         with pytest.raises(DomainError):
-            ShiftSpec(complexity=0, depth=3, coeffs={bad: 0.5})
-        disjoint = (DyadicIndex(1, 0), DyadicIndex(2, 2))
-        with pytest.raises(DomainError):
-            ShiftSpec(complexity=1, depth=3, coeffs={disjoint: 0.5})
+            build()
 
-    def test_rejects_leaf_pairs(self):
-        pair = (DyadicIndex(1, 0), DyadicIndex(2, 0))
-        with pytest.raises(DomainError):
-            ShiftSpec(complexity=1, depth=2, coeffs={pair: 0.5})
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(StructureError):
+            ShiftSpec(complexity=1, depth=3, coeffs=np.zeros((7, 2)))
+
+    def test_coefficients_are_read_only(self):
+        spec = ShiftSpec.constant(1, 3)
+        with pytest.raises(ValueError):
+            spec.coeffs[0, 0] = 0.5
+
+    def test_rejects_wrong_pattern(self, tmp_path):
+        # grandchild under complexity 0
+        path = write_spec_file(tmp_path / "s.txt", "complexity=0 depth=3", "0 0 2 0 0.5")
+        with pytest.raises(DomainError, match="line 2"):
+            load_shift_spec(path)
+        # disjoint child under complexity 1
+        path = write_spec_file(tmp_path / "s.txt", "complexity=1 depth=3", "1 0 2 2 0.5")
+        with pytest.raises(DomainError, match="line 2"):
+            load_shift_spec(path)
+
+    def test_rejects_leaf_pairs(self, tmp_path):
+        path = write_spec_file(tmp_path / "s.txt", "complexity=1 depth=2", "1 0 2 0 0.5")
+        with pytest.raises(DomainError, match="line 2"):
+            load_shift_spec(path)
 
     @pytest.mark.parametrize("build", [
         lambda: ShiftSpec.constant(-1, 3),
@@ -71,7 +95,7 @@ class TestShiftSpec:
     def test_random_is_deterministic(self):
         a = ShiftSpec.random(1, 4, seed=5)
         b = ShiftSpec.random(1, 4, seed=5)
-        assert a.coeffs == b.coeffs
+        assert np.array_equal(a.coeffs, b.coeffs)
 
 
 class TestShiftMatrix:
@@ -110,8 +134,7 @@ class TestFormValue:
     def test_sign_invariance(self):
         rng = np.random.default_rng(3)
         spec = ShiftSpec.random(1, 3, seed=9)
-        flipped = ShiftSpec(complexity=1, depth=3,
-                            coeffs={k: -v for k, v in spec.coeffs.items()})
+        flipped = ShiftSpec(complexity=1, depth=3, coeffs=-spec.coeffs)
         f = LeafFunction(rng.standard_normal(8))
         g = LeafFunction(rng.standard_normal(8))
         assert form_value(spec, f, g) == pytest.approx(form_value(flipped, f, g))
@@ -155,8 +178,7 @@ class TestNormExact:
         assert est.value == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_coefficients(self):
-        spec = ShiftSpec(complexity=0, depth=2,
-                         coeffs={p: 0.0 for p in valid_pairs(0, 2)})
+        spec = ShiftSpec(complexity=0, depth=2, coeffs=np.zeros((3, 1)))
         est = norm_exact_small(spec, gen_cascade(2, 0.5, 1))
         assert est.value == pytest.approx(0.0, abs=1e-12)
 
@@ -184,9 +206,9 @@ class TestNormExact:
     def test_monotone_in_coefficients(self):
         w = gen_cascade(3, 0.6, seed=1)
         small = ShiftSpec.random(0, 3, seed=4)
+        c = small.coeffs
         grown = ShiftSpec(complexity=0, depth=3,
-                          coeffs={k: np.sign(v) * min(1.0, abs(v) * 1.5)
-                                  for k, v in small.coeffs.items()})
+                          coeffs=np.sign(c) * np.minimum(1.0, np.abs(c) * 1.5))
         assert norm_exact_small(grown, w).value >= \
             norm_exact_small(small, w).value - 1e-12
 
@@ -237,13 +259,13 @@ class TestNormSearch:
 class TestMartingaleTransform:
     def test_all_plus_one(self):
         f = LeafFunction(np.random.default_rng(1).standard_normal(16))
-        signs = {I: 1.0 for I in internal_indices(4)}
+        signs = np.ones(15)
         out = martingale_transform_apply(signs, f)
         assert np.allclose(out.values, f.values - f.integral(), atol=1e-12)
 
     def test_all_minus_one(self):
         f = LeafFunction(np.random.default_rng(2).standard_normal(16))
-        signs = {I: -1.0 for I in internal_indices(4)}
+        signs = -np.ones(15)
         out = martingale_transform_apply(signs, f)
         assert np.allclose(out.values, f.integral() - f.values, atol=1e-12)
 
@@ -251,18 +273,23 @@ class TestMartingaleTransform:
         rng = np.random.default_rng(3)
         for _ in range(10):
             f = LeafFunction(rng.standard_normal(32))
-            signs = {I: float(rng.uniform(-1, 1)) for I in internal_indices(5)}
+            signs = rng.uniform(-1, 1, 31)
             assert martingale_transform_apply(signs, f).norm2() <= f.norm2() + 1e-12
 
     def test_missing_sign(self):
         f = LeafFunction([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(StructureError):
-            martingale_transform_apply({ROOT: 1.0}, f)
+            martingale_transform_apply([1.0], f)
 
     def test_rejects_large_sign(self):
         f = LeafFunction([1.0, 2.0])
         with pytest.raises(DomainError):
-            martingale_transform_apply({ROOT: 2.0}, f)
+            martingale_transform_apply([2.0], f)
+
+    def test_rejects_nan_sign(self):
+        f = LeafFunction([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(DomainError):
+            martingale_transform_apply([1.0, np.nan, -1.0], f)
 
 
 class TestShiftFiles:
@@ -273,4 +300,40 @@ class TestShiftFiles:
         back = load_shift_spec(path)
         assert back.complexity == spec.complexity
         assert back.depth == spec.depth
-        assert back.coeffs == spec.coeffs
+        assert np.array_equal(back.coeffs, spec.coeffs)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ShiftSpec.constant(0, 4, value=-0.5),
+        lambda: ShiftSpec.random(1, 5, seed=3),
+        lambda: ShiftSpec.random(4, 3, seed=3),
+    ])
+    def test_save_load_save_is_byte_identical(self, build, tmp_path):
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_shift_spec(build(), first)
+        save_shift_spec(load_shift_spec(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_missing_pairs_load_as_zero(self, tmp_path):
+        path = write_spec_file(tmp_path / "s.txt", "complexity=1 depth=3", "1 1 2 3 -0.25")
+        spec = load_shift_spec(path)
+        expected = np.zeros((3, 2))
+        expected[2, 1] = -0.25
+        assert np.array_equal(spec.coeffs, expected)
+
+    @pytest.mark.parametrize("lines,error,where", [
+        (["depth=3", "0 0 0 0 0.5"], StructureError, "line 1"),
+        (["complexity=0 depth=x"], StructureError, "line 1"),
+        (["complexity=0 depth=30"], DomainError, "depth must lie"),
+        (["complexity=0 depth=2", "0 0 0 0"], StructureError, "line 2"),
+        (["complexity=0 depth=2", "0 0 0 0 0.5 7"], StructureError, "line 2"),
+        (["complexity=0 depth=2", "0 0 0 0 half"], StructureError, "line 2"),
+        (["complexity=0 depth=2", "0 0 0 0 0.5", "", "0 0 0 0 0.5"], StructureError, "line 4"),
+        (["complexity=0 depth=2", "0 0 0 0 nan"], DomainError, "line 2"),
+        (["complexity=0 depth=2", "0 0 0 0 1.5"], DomainError, "line 2"),
+        (["complexity=0 depth=2", "1 2 1 2 0.5"], DomainError, "line 2"),
+        (["complexity=0 depth=2", "-1 0 -1 0 0.5"], DomainError, "line 2"),
+    ])
+    def test_rejects_bad_files(self, lines, error, where, tmp_path):
+        path = write_spec_file(tmp_path / "s.txt", *lines)
+        with pytest.raises(error, match=where):
+            load_shift_spec(path)
