@@ -110,6 +110,8 @@ class SweepConfig:
                 raise UsageError(f"depth {d} outside [1, 20]")
         if self.jobs < 0:
             raise UsageError(f"jobs must be >= 0, got {self.jobs}")
+        if self.restarts < 1:
+            raise UsageError(f"restarts must be >= 1, got {self.restarts}")
 
 
 def fit_slope(pairs: Sequence[Tuple[float, float]]) -> Tuple[float, float, float]:

@@ -29,6 +29,7 @@ from .tree import (
     heap_averages,
     level_averages,
     level_diffs,
+    n_internal,
 )
 from .weights import Weight, _carleson_norm, _weighted_norm, weighted_norm
 
@@ -70,8 +71,9 @@ class CarlesonMeasure:
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
-        if alpha.shape != ((1 << self.depth) - 1,):
-            raise StructureError(f"expected {(1 << self.depth) - 1} masses, got {alpha.shape}")
+        n = n_internal(self.depth)
+        if alpha.shape != (n,):
+            raise StructureError(f"expected {n} masses, got {alpha.shape}")
         if not np.all(alpha >= 0.0):  # also false for nan
             raise DomainError("masses must be >= 0")
         object.__setattr__(self, "alpha", alpha)

@@ -15,6 +15,12 @@ the folded signs, and it is cross-checked against full enumeration on
 small instances (see tests) and against the achieved witness value on
 every call.
 
+The alternating search forms each map product once.  An argmax step hands
+back its maximizer x together with the image A x (or B x) that its last
+sign test formed; the other side's step takes its weights from that image,
+the same side's next step takes its starting signs from it, and the step
+value |A f| m |B g| and the final signs s, t are read from the two images.
+
 Below FLIP_LIMIT coefficients the alternating search is finished by a 1-opt
 sign-flip polish.  It rejects a flip by a Cholesky factorization of
 tau^2 I - c c' instead of a singular value decomposition; the rounding of
@@ -76,6 +82,13 @@ def _as_map(a):
     return a if isinstance(a, LinearOperator) else np.asarray(a, dtype=float)
 
 
+def _sign(v: np.ndarray) -> np.ndarray:
+    """The signs of v, with +1 at its zeros."""
+    s = np.sign(v)
+    s[s == 0] = 1.0
+    return s
+
+
 def _sign_table(n: int) -> np.ndarray:
     """All 2^n sign vectors, as a (2^n, n) array of +-1."""
     bits = (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1
@@ -130,9 +143,11 @@ class AbsBilinearForm:
     # -- evaluation -------------------------------------------------------
 
     def value(self, f, g) -> float:
-        a = np.abs(self.left_map @ f)
-        b = np.abs(self.right_map @ g)
-        return float(a @ self.m @ b)
+        return self._image_value(self.left_map @ f, self.right_map @ g)
+
+    def _image_value(self, af, bg) -> float:
+        """The form value from the images A f and B g."""
+        return float(np.abs(af) @ self.m @ np.abs(bg))
 
     def left_norm(self, f) -> float:
         return float(np.sqrt(np.sum(self.left_metric * f**2)))
@@ -207,55 +222,59 @@ class AbsBilinearForm:
         msym = zl.T @ ((s[:, None] * s[None, :]) * e) @ zl
         vals, vecs = np.linalg.eigh(msym)
         f = vecs[:, -1] / np.sqrt(self.left_metric)
+        af = self.left_map @ f
         # polish the witnesses: alternating steps seeded from the fold's f,
         # plus a full multi-start search; keep the best achieved pair
-        g = self._argmax_right(f, None)
+        g, bg = self._argmax_right(af, None, None)
         for _ in range(4):
-            f = self._argmax_left(g, f)
-            g = self._argmax_right(f, g)
+            f, af = self._argmax_left(bg, f, af)
+            g, bg = self._argmax_right(af, g, bg)
         cand = self.search_sup(iters=60, seed=0, restarts=8)
-        if cand.value > self.value(f, g):
+        val = self._image_value(af, bg)
+        if cand.value > val:
             f, g = cand.left, cand.right
-        val = self.value(f, g)
-        s_out = np.sign(self.left_map @ f)
-        s_out[s_out == 0] = 1.0
-        t = np.sign(self.right_map @ g)
-        t[t == 0] = 1.0
-        return FormResult(value=val, left=f, right=g, sign_left=s_out, sign_right=t,
+            af, bg = self.left_map @ f, self.right_map @ g
+            val = self._image_value(af, bg)
+        return FormResult(value=val, left=f, right=g, sign_left=_sign(af), sign_right=_sign(bg),
                           upper_bound=float(np.sqrt(max(lam, 0.0))))
 
     # -- alternating lower-bound search ----------------------------------
 
-    def _argmax_generic(self, u, amap, metric, prev):
-        """Maximize sum_i u_i |(amap x)_i| over the metric unit sphere, u >= 0."""
+    def _argmax_generic(self, u, amap, metric, prev, prev_image):
+        """Maximize sum_i u_i |(amap x)_i| over the metric unit sphere, u >= 0.
+
+        prev_image is amap @ prev; returns the maximizer x and amap @ x."""
         if not (u > 0).any():
             x = np.ones(amap.shape[1])
-            return x / np.sqrt((metric * x**2).sum())
-        s = np.sign(amap @ prev) if prev is not None else np.ones(amap.shape[0])
-        s[s == 0] = 1.0
-        x = prev
+            x = x / np.sqrt((metric * x**2).sum())
+            return x, amap @ x
+        s = _sign(prev_image) if prev is not None else np.ones(amap.shape[0])
+        x, ax = prev, prev_image
         for _ in range(30):
             ell = amap.T @ (u * s)
             nrm = np.sqrt((ell**2 / metric).sum())
             if nrm == 0.0:
                 break
             x = ell / metric / nrm
-            s_new = np.sign(amap @ x)
-            s_new[s_new == 0] = 1.0
+            ax = amap @ x
+            s_new = _sign(ax)
             if (s_new == s).all():
                 break
             s = s_new
         if x is None:
             x = np.ones(amap.shape[1]) / np.sqrt(metric.sum())
-        return x
+            ax = amap @ x
+        return x, ax
 
-    def _argmax_left(self, g, prev):
-        u = self.m @ np.abs(self.right_map @ g)
-        return self._argmax_generic(u, self.left_map, self.left_metric, prev)
+    def _argmax_left(self, bg, prev, prev_image):
+        """The left step for the image bg = B g: returns (f, A f)."""
+        u = self.m @ np.abs(bg)
+        return self._argmax_generic(u, self.left_map, self.left_metric, prev, prev_image)
 
-    def _argmax_right(self, f, prev):
-        u = self.m.T @ np.abs(self.left_map @ f)
-        return self._argmax_generic(u, self.right_map, self.right_metric, prev)
+    def _argmax_right(self, af, prev, prev_image):
+        """The right step for the image af = A f: returns (g, B g)."""
+        u = self.m.T @ np.abs(af)
+        return self._argmax_generic(u, self.right_map, self.right_metric, prev, prev_image)
 
     def _sigma_max_signed(self, s, t):
         """sup of the ordinary bilinear form with coefficients s_i m_ij t_j,
@@ -334,6 +353,8 @@ class AbsBilinearForm:
         """
         if iters < 1:
             raise DomainError("iters must be >= 1")
+        if restarts < 1:
+            raise DomainError("restarts must be >= 1")
         rng = np.random.default_rng(seed)
         n1, n2 = self.m.shape
         flips = n1 + n2 <= FLIP_LIMIT
@@ -341,28 +362,24 @@ class AbsBilinearForm:
         for _ in range(restarts):
             g = rng.standard_normal(self.right_map.shape[1])
             g = g / self.right_norm(g)
-            f = None
+            bg = self.right_map @ g
+            f = af = None
             val = -1.0
             for _ in range(iters):
-                f = self._argmax_left(g, f)
-                g = self._argmax_right(f, g)
-                new = self.value(f, g)
+                f, af = self._argmax_left(bg, f, af)
+                g, bg = self._argmax_right(af, g, bg)
+                new = self._image_value(af, bg)
                 if new <= val * (1.0 + 1e-13):
                     val = new
                     break
                 val = new
-            s = np.sign(self.left_map @ f)
-            s[s == 0] = 1.0
-            t = np.sign(self.right_map @ g)
-            t[t == 0] = 1.0
+            s, t = _sign(af), _sign(bg)
             if flips:
                 fval, ff, fg, s, t = self._flip_polish(s, t)
                 if fval > val:
-                    val, f, g = fval, ff, fg
-                # the achieved form value can only be at least the signed one
-                achieved = self.value(f, g)
-                if achieved > val:
-                    val = achieved
+                    # the achieved form value can only be at least the signed one
+                    val = max(fval, self.value(ff, fg))
+                    f, g = ff, fg
             if best is None or val > best.value:
                 best = FormResult(value=val, left=f, right=g, sign_left=s, sign_right=t)
         return best

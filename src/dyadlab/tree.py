@@ -101,6 +101,8 @@ def internal_indices(depth: int) -> Iterator[DyadicIndex]:
 
 
 def n_internal(depth: int) -> int:
+    if depth < 0:
+        raise DomainError(f"depth must be >= 0, got {depth}")
     return (1 << depth) - 1
 
 
@@ -251,8 +253,9 @@ def _synthesis_values(mean: float, coeffs: np.ndarray) -> np.ndarray:
 def haar_synthesis(e: HaarExpansion) -> LeafFunction:
     """Exact inverse of haar_analysis."""
     coeffs = np.asarray(e.coefficients, dtype=float)
-    if coeffs.shape != (n_internal(e.depth),):
-        raise StructureError(f"expected {n_internal(e.depth)} coefficients, got {coeffs.shape}")
+    n = n_internal(e.depth)
+    if coeffs.shape != (n,):
+        raise StructureError(f"expected {n} coefficients, got {coeffs.shape}")
     return LeafFunction(_synthesis_values(e.mean, coeffs))
 
 

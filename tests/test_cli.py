@@ -2,10 +2,14 @@
 import concurrent.futures
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dyadlab
 from dyadlab import bellman, embedding
 from dyadlab.cli import (
     CSV_COLUMNS,
@@ -114,6 +118,10 @@ class TestRunSweep:
     def test_negative_jobs_rejected(self):
         with pytest.raises(UsageError):
             self.cfg(jobs=-1)
+
+    def test_zero_restarts_rejected(self):
+        with pytest.raises(UsageError, match="restarts must be >= 1"):
+            self.cfg(restarts=0)
 
     def test_workers_capped_by_rows(self, monkeypatch):
         # a recorder in place of the pool: no worker process is started
@@ -302,6 +310,15 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error: depth 13 ") and err.count("\n") == 1
         assert "bytes" in err
+
+    def test_python_m_dyadlab(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(dyadlab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "dyadlab", "a2", "--depth", "3"],
+                              cwd=tmp_path, env=env, capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["a2"]
 
     def test_a2_deep_still_runs(self, capsys, time_limit):
         with time_limit(20.0):

@@ -196,6 +196,10 @@ class TestCarlesonMeasure:
         with pytest.raises(StructureError):
             CarlesonMeasure(depth=2, alpha=[1.0])
 
+    def test_rejects_negative_depth(self):
+        with pytest.raises(DomainError, match="depth must be >= 0"):
+            CarlesonMeasure(depth=-1, alpha=[])
+
     def test_norm_matches_bruteforce(self):
         w = gen_cascade(5, 0.8, seed=9)
         m = carleson_measure_of(w)

@@ -6,6 +6,7 @@ from dyadlab import forms
 from dyadlab.embedding import key_sum_form, term1_form
 from dyadlab.forms import AbsBilinearForm
 from dyadlab.shifts import ShiftSpec, _weighted_form
+from dyadlab.tree import LinearOperator
 from dyadlab.weights import gen_cascade
 
 
@@ -215,3 +216,44 @@ def test_all_zero_m(monkeypatch):
     # every flip leaves the (empty) pattern of the nonzeros as it was
     assert calls["cholesky"] == 0
     assert form.search_sup(iters=5, seed=0, restarts=2).value == 0.0
+
+
+def test_search_sup_refuses_zero_restarts():
+    with pytest.raises(forms.DomainError, match="restarts must be >= 1"):
+        key_sum_form(gen_cascade(3, 0.5, 1)).search_sup(iters=5, seed=0, restarts=0)
+
+
+class CountingOperator(LinearOperator):
+    """An operator that counts its forward and adjoint products."""
+
+    def __init__(self, op):
+        self.op = op
+        self.shape = op.shape
+        self.nbytes = op.nbytes
+        self.forward = self.adjoint = 0
+
+    def _apply(self, x):
+        self.forward += 1
+        return self.op @ x
+
+    def _apply_adjoint(self, y):
+        self.adjoint += 1
+        return self.op.T @ y
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_search_forms_each_map_product_once(restarts):
+    # depth 9: the maps are matrix-free operators, past DENSE_MAX_COLUMNS
+    form = key_sum_form(gen_cascade(9, 0.6, 2))
+    assert isinstance(form.left_map, LinearOperator)
+    left, right = CountingOperator(form.left_map), CountingOperator(form.right_map)
+    counted = AbsBilinearForm(form.m, left, right, form.left_metric, form.right_metric)
+    res = counted.search_sup(iters=40, seed=5, restarts=restarts)
+    # each argmax step takes one adjoint and one forward product per sign
+    # update; only the random start of each restart adds a forward product
+    assert left.adjoint > 0
+    assert left.forward == left.adjoint
+    assert right.forward == right.adjoint + restarts
+    ref = form.search_sup(iters=40, seed=5, restarts=restarts)
+    assert res.value == ref.value
+    assert res.left.tobytes() == ref.left.tobytes()

@@ -182,6 +182,11 @@ class TestAnalysisSynthesis:
         with pytest.raises(StructureError):
             haar_synthesis(broken)
 
+    def test_negative_depth(self):
+        e = haar_analysis(random_leaf(3, 0))
+        with pytest.raises(DomainError, match="depth must be >= 0"):
+            haar_synthesis(type(e)(depth=-1, mean=e.mean, coefficients=e.coefficients[:0]))
+
     @given(st.integers(0, 2**10), st.integers(2, 10))
     @settings(max_examples=25, deadline=None)
     def test_parseval(self, seed, depth):
