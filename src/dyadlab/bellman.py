@@ -6,7 +6,8 @@ with x^2 <= X v, y^2 <= Y u and 1 <= u v <= Q.  This module provides:
 * exact membership and closed-form segment containment (every constraint is
   a quadratic along a segment, so no sampling is needed);
 * randomized verification campaigns for the two convexity-repair lemmas
-  (triangle/median and barycenter);
+  (triangle/median and barycenter), and scalar checks of one draw that run
+  the campaigns' premises and segment kernel on (6, 1) columns;
 * a depth-limited dynamic-programming lower estimate of the value function,
   with gain |dx||dy| per node split: the best split at the query point, its
   children valued in closed form (the best grid split and the exactly solved
@@ -52,6 +53,11 @@ _XY_STEP = 0.125  # quantization of x, y as fractions of their caps
 _LOG_STEP = 0.25  # quantization of log X, log Y, log u, log v
 
 DEFAULT_K_GRID = (1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 6.0, 9.0, 20.0, 40.0)
+
+# The (i, j) segments a lemma concludes about, indexing its points as its
+# worst_case_point lists them: A, B, C; the barycenter, then the four others.
+TRIANGLE_SEGMENTS = ((2, 0), (2, 1))
+BARYCENTER_SEGMENTS = ((0, 1), (0, 2), (0, 3), (0, 4))
 
 
 @dataclass(frozen=True)
@@ -172,13 +178,16 @@ def segments_in_domain_arr(P: np.ndarray, R: np.ndarray, Q: float, tol: float = 
     return caps_ok & (max_uv <= Q + tol)
 
 
-def segments_max_uv_arr(P: np.ndarray, R: np.ndarray):
-    return _segment_checks(P.T, R.T, 0.0)[1]
-
-
-def segments_caps_ok_arr(P: np.ndarray, R: np.ndarray, tol: float = 0.0):
-    """The Q-independent constraints along the segments (caps, uv >= 1, positivity)."""
-    return _segment_checks(P.T, R.T, tol)[0]
+def _joint_segment_checks(pts, segments, tol: float):
+    """_segment_checks over the segments (pts[i], pts[j]), (i, j) in segments,
+    of (6, n) coordinate arrays: (caps_ok, max uv), each over all segments."""
+    (i, j), *rest = segments
+    caps_ok, max_uv = _segment_checks(pts[i], pts[j], tol)
+    for i, j in rest:
+        seg_caps_ok, seg_max_uv = _segment_checks(pts[i], pts[j], tol)
+        caps_ok &= seg_caps_ok
+        np.maximum(max_uv, seg_max_uv, out=max_uv)
+    return caps_ok, max_uv
 
 
 # -- sampling -------------------------------------------------------------
@@ -289,21 +298,25 @@ class LemmaReport:
     holds_at: Dict[float, bool] = field(default_factory=dict)
     min_k_holding: Optional[float] = None
     needed_k: Optional[float] = None
-    detail: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "vacuous": self.vacuous,
-            "holds_at": {str(k): bool(b) for k, b in self.holds_at.items()},
-            "min_k_holding": self.min_k_holding,
-            "needed_k": self.needed_k,
-            "detail": self.detail,
-        }
 
 
 def _midpoint(a: BellmanPoint, b: BellmanPoint) -> BellmanPoint:
     return BellmanPoint.from_array((a.as_array() + b.as_array()) / 2.0)
+
+
+def _lemma_report(lemma: str, premises: bool, pts, segments, Q: float, k_grid,
+                  tol: float) -> LemmaReport:
+    """The segments lie in the k-fold domain iff they keep the caps and
+    max uv <= k Q + tol, and need k = max(1, max uv / Q) unless they leave them."""
+    if not premises:
+        return LemmaReport(lemma=lemma, vacuous=True)
+    caps_ok, max_uv = _joint_segment_checks(pts, segments, tol)
+    caps_ok, max_uv = bool(caps_ok[0]), float(max_uv[0])
+    holds_at = {k: caps_ok and max_uv <= k * Q + tol for k in k_grid}
+    return LemmaReport(
+        lemma=lemma, vacuous=False, holds_at=holds_at,
+        min_k_holding=next((k for k, ok in holds_at.items() if ok), None),
+        needed_k=max(1.0, max_uv / Q) if caps_ok and not np.isnan(max_uv) else None)
 
 
 def triangle_lemma_check(A: BellmanPoint, B: BellmanPoint, C: BellmanPoint,
@@ -311,44 +324,21 @@ def triangle_lemma_check(A: BellmanPoint, B: BellmanPoint, C: BellmanPoint,
                          tol: float = 1e-12) -> LemmaReport:
     """Median-repair lemma: membership of A, B, C, [A,B] and [C, mid(A,B)]
     in Omega_Q forces [C,A] and [C,B] into an enlarged domain."""
-    M = _midpoint(A, B)
-    premises = (
-        in_domain(A, Q, tol) and in_domain(B, Q, tol) and in_domain(C, Q, tol)
-        and segment_in_domain(A, B, Q, tol) and segment_in_domain(C, M, Q, tol)
-    )
-    rep = LemmaReport(lemma="triangle", vacuous=not premises)
-    if not premises:
-        return rep
-    for k in k_grid:
-        ok = segment_in_domain(C, A, k * Q, tol) and segment_in_domain(C, B, k * Q, tol)
-        rep.holds_at[k] = ok
-        if ok and rep.min_k_holding is None:
-            rep.min_k_holding = k
-    if segment_in_domain(C, A, np.inf, tol) and segment_in_domain(C, B, np.inf, tol):
-        rep.needed_k = max(
-            1.0, max(segment_max_uv(C, A), segment_max_uv(C, B)) / Q
-        )
-    return rep
+    _check_q(Q)
+    pts = [p.as_array()[:, None] for p in (A, B, C)]  # (6, 1) columns, as the campaigns
+    premises = bool(_member(np.hstack(pts), Q, tol).all() and _triangle_premise(pts, Q, tol)[0])
+    return _lemma_report("triangle", premises, pts, TRIANGLE_SEGMENTS, Q, k_grid, tol)
 
 
 def barycenter_lemma_check(P1, P2, P3, P4, Q: float, k_grid=DEFAULT_K_GRID,
                            tol: float = 1e-12) -> LemmaReport:
     """Barycenter lemma: if the four points and their barycenter are members,
     the four connecting segments lie in the 40-fold enlarged domain."""
-    pts = [P1, P2, P3, P4]
-    P = BellmanPoint.from_array(np.mean([p.as_array() for p in pts], axis=0))
-    premises = in_domain(P, Q, tol) and all(in_domain(p, Q, tol) for p in pts)
-    rep = LemmaReport(lemma="barycenter", vacuous=not premises)
-    if not premises:
-        return rep
-    for k in k_grid:
-        ok = all(segment_in_domain(P, p, k * Q, tol) for p in pts)
-        rep.holds_at[k] = ok
-        if ok and rep.min_k_holding is None:
-            rep.min_k_holding = k
-    if all(segment_in_domain(P, p, np.inf, tol) for p in pts):
-        rep.needed_k = max(1.0, max(segment_max_uv(P, p) for p in pts) / Q)
-    return rep
+    _check_q(Q)
+    pts = [p.as_array()[:, None] for p in (P1, P2, P3, P4)]
+    pts = [np.mean(pts, axis=0)] + pts
+    premises = bool(_barycenter_premise(pts, Q, tol)[0])
+    return _lemma_report("barycenter", premises, pts, BARYCENTER_SEGMENTS, Q, k_grid, tol)
 
 
 @dataclass
@@ -417,12 +407,8 @@ def _run_campaign(lemma: str, draw, premise, segments, Q: float, valid_trials: i
             continue
         empty = 0
         pts = [arr[:, take] for arr in pts]
-        needed = np.ones(take.size)
-        caps_ok = np.ones(take.size, dtype=bool)
-        for i, j in segments:
-            seg_caps_ok, max_uv = _segment_checks(pts[i], pts[j], tol)
-            caps_ok &= seg_caps_ok
-            needed = np.maximum(needed, max_uv / Q)
+        caps_ok, max_uv = _joint_segment_checks(pts, segments, tol)
+        needed = np.maximum(np.divide(max_uv, Q, out=max_uv), 1.0, out=max_uv)
         needed = np.where(caps_ok, needed, np.inf)
         bad = needed > asserted_k * (1.0 + 1e-12)
         violations += int(np.sum(bad))
@@ -457,8 +443,7 @@ def run_triangle_campaign(Q: float, valid_trials: int, seed: int,
                           batch: int = 40000) -> CampaignReport:
     """Randomized verification of the median-repair lemma on slack-coordinate
     triples (rejection sampling in the hyperbolic strip)."""
-    # worst_case_point lists A, B, C; the segments are [C, A] and [C, B]
-    return _run_campaign("triangle", _triangle_draw, _triangle_premise, ((2, 0), (2, 1)),
+    return _run_campaign("triangle", _triangle_draw, _triangle_premise, TRIANGLE_SEGMENTS,
                          Q, valid_trials, seed, asserted_k, tol, batch)
 
 
@@ -478,10 +463,8 @@ def run_barycenter_campaign(Q: float, valid_trials: int, seed: int,
                             asserted_k: float = 40.0, tol: float = 1e-12,
                             batch: int = 40000) -> CampaignReport:
     """Randomized verification of the barycenter lemma on general members."""
-    # worst_case_point lists the barycenter, then the four points it joins
     return _run_campaign("barycenter", _barycenter_draw, _barycenter_premise,
-                         ((0, 1), (0, 2), (0, 3), (0, 4)),
-                         Q, valid_trials, seed, asserted_k, tol, batch)
+                         BARYCENTER_SEGMENTS, Q, valid_trials, seed, asserted_k, tol, batch)
 
 
 # -- node splits ----------------------------------------------------------
@@ -545,18 +528,16 @@ def node_pattern_check(split: NodeSplit, Q: float, tol: float = 1e-12) -> dict:
     """The application pattern of the geometric lemmas at one node: children
     segments sit in the doubled domain, grandchildren segments in the
     40-fold domain."""
-    member = all(in_domain(p, Q, tol) for p in split.all_points())
+    _check_q(Q)
+    pts = [p.as_array()[:, None] for p in split.all_points()]
+    member = bool(_member(np.hstack(pts), Q, tol).all())
     out = {"members": member}
     if not member:
         return out
-    out["child_segments_2Q"] = (
-        segment_in_domain(split.b, split.b_plus, 2.0 * Q, tol)
-        and segment_in_domain(split.b, split.b_minus, 2.0 * Q, tol)
-    )
-    out["grandchild_segments_40Q"] = all(
-        segment_in_domain(split.b, g, 40.0 * Q, tol)
-        for g in (split.b_pp, split.b_pm, split.b_mp, split.b_mm)
-    )
+    for key, k, segments in (("child_segments_2Q", 2.0, ((0, 1), (0, 2))),
+                             ("grandchild_segments_40Q", 40.0, ((0, 3), (0, 4), (0, 5), (0, 6)))):
+        caps_ok, max_uv = _joint_segment_checks(pts, segments, tol)
+        out[key] = bool(caps_ok[0] and max_uv[0] <= k * Q + tol)
     return out
 
 

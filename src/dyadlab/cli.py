@@ -5,6 +5,7 @@ subset of the experiments on the same rows and adds a few summary keys.
 
   a2        a2                    a2: [{Q, witness}]
   norm      shift_norm            complexity, norms: [{Q, norm, mode}], slope
+                                  (mode exact: --exact at depth <= 3 only)
   embed     key_sum, four_terms   key_sum_max, termI_max (slopes)
   carleson  carleson, vavo        max_carleson_over_Q, max_vavo_ratio,
                                   carleson_norm (slope)

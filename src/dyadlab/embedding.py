@@ -9,7 +9,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .forms import AbsBilinearForm, _form_operands
+from .forms import AbsBilinearForm, weighted_form
 from .tree import (
     ROOT,
     DomainError,
@@ -261,26 +261,16 @@ def ltrick_ratios(phi: LeafFunction, psi: LeafFunction, w: Weight) -> Tuple[floa
 
 def key_sum_form(w: Weight) -> AbsBilinearForm:
     """sup over ||phi||_w = ||psi||_sigma = 1 of key_sum, as an AbsBilinearForm."""
-    depth = w.depth
-    scale = 2.0**-depth
     # Haar coefficients of phi w and psi sigma as linear maps of the leaf values
-    m, left, right = _form_operands(
-        depth, IdentityOperator((1 << depth) - 1),
-        _haar_operator(depth, w.values), _haar_operator(depth, 1.0 / w.values))
-    return AbsBilinearForm(
-        m=m,
-        left_map=left,
-        right_map=right,
-        left_metric=w.values * scale,
-        right_metric=(1.0 / w.values) * scale,
-    )
+    return weighted_form(w.values, IdentityOperator(n_internal(w.depth)),
+                         _haar_operator(w.depth, w.values),
+                         _haar_operator(w.depth, 1.0 / w.values))
 
 
 def term1_form(w: Weight) -> AbsBilinearForm:
     """sup of the first decomposition term over the same unit balls."""
     depth = w.depth
     scale = 2.0**-depth
-    sig_vals = w.sigma
     st = w._stats
 
     def rows(k, mult):
@@ -289,12 +279,5 @@ def term1_form(w: Weight) -> AbsBilinearForm:
         levels = zip(_heap_levels(root * st.haar[0, k]), _heap_levels(root * st.haar[1, k]))
         return TwoValuedRowOperator(depth, list(levels), mult * scale)
 
-    m, left, right = _form_operands(
-        depth, IdentityOperator((1 << depth) - 1), rows(0, w.values), rows(1, sig_vals))
-    return AbsBilinearForm(
-        m=m,
-        left_map=left,
-        right_map=right,
-        left_metric=w.values * scale,
-        right_metric=sig_vals * scale,
-    )
+    return weighted_form(w.values, IdentityOperator(n_internal(depth)),
+                         rows(0, w.values), rows(1, w.sigma))

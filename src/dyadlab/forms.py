@@ -8,8 +8,9 @@ with m >= 0 and diagonal positive metrics.  The load-bearing trick for the
 exact mode: since m >= 0, the absolute values equal the max over sign
 patterns (s, t) of the ordinary bilinear form with coefficients
 s_i m_ij t_j, and each of those is a largest singular value.  The two sign
-sets are therefore enumerated, not optimized.  For larger sizes the t-set
-is folded into an entrywise absolute value of the right Gram matrix; the
+sets are therefore enumerated, not optimized: one chunked sweep over s,
+max_s lambda_max(root (s s' o w0) root), runs once per t, or once when, for
+larger sizes, the t-set is folded into an entrywise absolute value of the right Gram matrix; the
 fold is an upper bound which is tight whenever the extremal g can realize
 the folded signs, and it is cross-checked against full enumeration on
 small instances (see tests) and against the achieved witness value on
@@ -40,15 +41,15 @@ operators (tree.LinearOperator).  The search uses only `op @ x`, `x @ op`,
 (what it stores) and `__array_ufunc__ = None`, which makes `ndarray @ op`
 return NotImplemented and defer to `op.__rmatmul__`.  An operator m must
 have nonnegative entries; an array m is replaced by its absolute values.
-The exact mode and the sign-flip polish take ndarrays only; they run on
-at most 15 and 64 coefficients, where the builders pass dense matrices.
-The form builders pass `op @ np.eye(n)` (the dense matrix) while the maps
-have at most DENSE_MAX_COLUMNS columns, and the operators above (see
-_form_operands).
+The exact mode and the sign-flip polish take ndarrays only (at most 15
+and 64 coefficients).  The form builders go through weighted_form: each
+operator dense (`op @ np.eye(n)`) up to DENSE_MAX_COLUMNS columns (see
+_form_operands), and the metrics w 2^-d and 2^-d / w of L2(w) x L2(1/w).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -99,6 +100,22 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(mat)
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.T
+
+
+def _sign_sweep(root: np.ndarray, w0: np.ndarray):
+    """max over the sign vectors s of lambda_max(root (s s' o w0) root), and
+    the first s attaining it, 4096 sign vectors per batch of eigvalsh."""
+    s_tab = _sign_table(len(w0))
+    best = (-1.0, 0)
+    for lo in range(0, s_tab.shape[0], 4096):
+        s_chunk = s_tab[lo : lo + 4096]
+        mats = (s_chunk[:, :, None] * s_chunk[:, None, :]) * w0[None, :, :]
+        lam = np.linalg.eigvalsh(root[None, :, :] @ mats @ root[None, :, :])[:, -1]
+        si = int(np.argmax(lam))
+        if lam[si] > best[0]:
+            best = (float(lam[si]), lo + si)
+    lam, si = best
+    return lam, s_tab[si]
 
 
 def _sigma_max_above(c: np.ndarray, tau: float) -> Optional[float]:
@@ -158,6 +175,13 @@ class AbsBilinearForm:
     def ratio(self, f, g) -> float:
         return self.value(f, g) / (self.left_norm(f) * self.right_norm(g))
 
+    @cached_property
+    def _normalized(self):
+        """(A D_l^{-1/2}, B D_r^{-1/2}) for the exact mode and the sign-flip
+        polish (ndarray maps only), formed on first use."""
+        return (self.left_map / np.sqrt(self.left_metric)[None, :],
+                self.right_map / np.sqrt(self.right_metric)[None, :])
+
     # -- exact mode -------------------------------------------------------
 
     def exact_sup(self) -> FormResult:
@@ -167,58 +191,30 @@ class AbsBilinearForm:
                 f"exact mode limited to {FOLD_LIMIT} coefficients per side; "
                 "use the alternating search instead"
             )
-        zl = self.left_map / np.sqrt(self.left_metric)[None, :]
-        zr = self.right_map / np.sqrt(self.right_metric)[None, :]
+        zl, zr = self._normalized
         w0 = zl @ zl.T
         g0 = zr @ zr.T
         if max(n1, n2) <= FULL_ENUM_LIMIT:
-            return self._exact_full(zl, zr, w0, g0)
+            return self._exact_full(w0, g0)
         return self._exact_fold(zl, zr, w0, g0)
 
-    def _exact_full(self, zl, zr, w0, g0) -> FormResult:
+    def _exact_full(self, w0, g0) -> FormResult:
         n1, n2 = self.m.shape
-        s_tab = _sign_table(n1)
-        t_tab = _sign_table(n2)
-        best = (-1.0, 0, 0)
-        for ti in range(t_tab.shape[0]):
-            t = t_tab[ti]
+        best = (-1.0, -np.ones(n1), -np.ones(n2))
+        for t in _sign_table(n2):
             kt = self.m @ ((t[:, None] * t[None, :]) * g0) @ self.m.T
-            kh = _psd_sqrt(kt)
-            mats = (s_tab[:, :, None] * s_tab[:, None, :]) * w0[None, :, :]
-            x = kh[None, :, :] @ mats @ kh[None, :, :]
-            lam = np.linalg.eigvalsh(x)[:, -1]
-            si = int(np.argmax(lam))
-            if lam[si] > best[0]:
-                best = (float(lam[si]), si, ti)
-        lam, si, ti = best
-        s = s_tab[si]
-        t = t_tab[ti]
-        c = zl.T @ (s[:, None] * self.m * t[None, :]) @ zr
-        u, sig, vt = np.linalg.svd(c)
-        f = u[:, 0] / np.sqrt(self.left_metric)
-        g = vt[0] / np.sqrt(self.right_metric)
+            lam, s = _sign_sweep(_psd_sqrt(kt), w0)
+            if lam > best[0]:
+                best = (lam, s, t)
+        lam, s, t = best
+        _, f, g = self._sigma_max_signed(s, t)
         # make the achieved form value carry the result, not the eigenvalue
-        val = self.value(f, g)
-        return FormResult(value=val, left=f, right=g, sign_left=s, sign_right=t,
+        return FormResult(value=self.value(f, g), left=f, right=g, sign_left=s, sign_right=t,
                           upper_bound=float(np.sqrt(max(lam, 0.0))))
 
     def _exact_fold(self, zl, zr, w0, g0) -> FormResult:
-        n1, n2 = self.m.shape
         e = self.m @ np.abs(g0) @ self.m.T
-        eh = _psd_sqrt(e)
-        s_tab = _sign_table(n1)
-        best = (-1.0, 0)
-        chunk = 4096
-        for lo in range(0, s_tab.shape[0], chunk):
-            s_chunk = s_tab[lo : lo + chunk]
-            mats = (s_chunk[:, :, None] * s_chunk[:, None, :]) * w0[None, :, :]
-            x = eh[None, :, :] @ mats @ eh[None, :, :]
-            lam = np.linalg.eigvalsh(x)[:, -1]
-            si = int(np.argmax(lam))
-            if lam[si] > best[0]:
-                best = (float(lam[si]), lo + si)
-        lam, si = best
-        s = s_tab[si]
+        lam, s = _sign_sweep(_psd_sqrt(e), w0)
         msym = zl.T @ ((s[:, None] * s[None, :]) * e) @ zl
         vals, vecs = np.linalg.eigh(msym)
         f = vecs[:, -1] / np.sqrt(self.left_metric)
@@ -279,8 +275,7 @@ class AbsBilinearForm:
     def _sigma_max_signed(self, s, t):
         """sup of the ordinary bilinear form with coefficients s_i m_ij t_j,
         with the metric-normalized extremizers."""
-        zl = self.left_map / np.sqrt(self.left_metric)[None, :]
-        zr = self.right_map / np.sqrt(self.right_metric)[None, :]
+        zl, zr = self._normalized
         c = zl.T @ (s[:, None] * self.m * t[None, :]) @ zr
         u, sig, vt = np.linalg.svd(c)
         f = u[:, 0] / np.sqrt(self.left_metric)
@@ -313,8 +308,7 @@ class AbsBilinearForm:
         s = s.copy()
         t = t.copy()
         m = self.m
-        zl = self.left_map / np.sqrt(self.left_metric)[None, :]
-        zr = self.right_map / np.sqrt(self.right_metric)[None, :]
+        zl, zr = self._normalized
         rows, cols = np.nonzero(m)
 
         def pattern():
@@ -383,3 +377,12 @@ class AbsBilinearForm:
             if best is None or val > best.value:
                 best = FormResult(value=val, left=f, right=g, sign_left=s, sign_right=t)
         return best
+
+
+def weighted_form(w_values: np.ndarray, m, left, right) -> AbsBilinearForm:
+    """The form of the operators m, left, right (through _form_operands) on the
+    unit balls of L2(w) x L2(1/w), from w's 2^d leaf values: metrics w 2^-d, 2^-d / w."""
+    depth = w_values.size.bit_length() - 1
+    scale = 2.0**-depth
+    m, left, right = _form_operands(depth, m, left, right)
+    return AbsBilinearForm(m, left, right, w_values * scale, (1.0 / w_values) * scale)

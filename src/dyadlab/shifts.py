@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .forms import AbsBilinearForm, FormResult, _form_operands
+from .forms import FULL_ENUM_LIMIT, AbsBilinearForm, FormResult, weighted_form
 from .tree import (
     MAX_DEPTH,
     DomainError,
@@ -28,9 +28,7 @@ from .tree import (
     internal_indices,
     n_internal,
 )
-from .weights import Weight, dual
-
-EXACT_CAP = 15  # internal intervals; past this, exact mode refuses
+from .weights import Weight
 
 
 def _coeff_shape(complexity: int, depth: int) -> Tuple[int, int]:
@@ -140,15 +138,8 @@ class NormEstimate:
 def _weighted_form(spec: ShiftSpec, w: Weight) -> AbsBilinearForm:
     if w.depth != spec.depth:
         raise StructureError("weight depth must match the shift depth")
-    m, h = _form_operands(spec.depth, ShiftOperator(spec), _haar_operator(spec.depth))
-    scale = 2.0**-spec.depth
-    return AbsBilinearForm(
-        m=m,
-        left_map=h,
-        right_map=h,
-        left_metric=w.values * scale,
-        right_metric=(1.0 / w.values) * scale,
-    )
+    h = _haar_operator(spec.depth)
+    return weighted_form(w.values, ShiftOperator(spec), h, h)
 
 
 def _wrap(res: FormResult, mode: str) -> NormEstimate:
@@ -163,18 +154,12 @@ def _wrap(res: FormResult, mode: str) -> NormEstimate:
 
 
 def norm_exact_small(spec: ShiftSpec, w: Weight) -> NormEstimate:
-    """Exact sup of the form over unit balls of L2(w) x L2(sigma).
-
-    Exhaustive over sign patterns; see forms.AbsBilinearForm.exact_sup for
-    the interchange argument and the fold used at the larger sizes.
-    """
-    n = n_internal(spec.depth)
-    if n > EXACT_CAP:
-        raise DomainError(
-            f"{n} internal intervals exceed the exhaustive cap {EXACT_CAP}; "
-            "use norm_lower_search"
-        )
-    return _wrap(_weighted_form(spec, w).exact_sup(), "exact")
+    """Sup of the form over unit balls of L2(w) x L2(sigma) by
+    forms.AbsBilinearForm.exact_sup, which refuses above FOLD_LIMIT intervals:
+    "exact" up to FULL_ENUM_LIMIT (full enumeration); above, the fold's best
+    achieved value, a "lower_bound" under its certified upper_bound."""
+    mode = "exact" if n_internal(spec.depth) <= FULL_ENUM_LIMIT else "lower_bound"
+    return _wrap(_weighted_form(spec, w).exact_sup(), mode)
 
 
 def norm_lower_search(

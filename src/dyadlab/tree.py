@@ -452,17 +452,26 @@ def save_leaf_function(f: LeafFunction, path, comments=()) -> None:
 
 
 def load_leaf_function(path) -> LeafFunction:
+    """Read save_leaf_function's format; a malformed line raises an error naming it."""
     depth = None
     vals = []
     with open(path) as fh:
-        for line in fh:
+        for num, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if line.startswith("depth="):
-                depth = int(line.split("=", 1)[1])
-                continue
-            vals.append(float(line))
+            header = line.startswith("depth=")
+            try:
+                value = int(line[len("depth="):]) if header else float(line)
+            except ValueError:
+                what = "`depth=<n>`" if header else "a number"
+                raise StructureError(f"line {num}: expected {what}, got {line!r}") from None
+            if not header:
+                vals.append(value)
+            elif not 1 <= value <= MAX_DEPTH:
+                raise DomainError(f"line {num}: depth must lie in [1, {MAX_DEPTH}], got {value}")
+            else:
+                depth = value
     if depth is None:
         raise StructureError("missing depth= header line")
     if len(vals) != 1 << depth:

@@ -17,9 +17,7 @@ from dyadlab.bellman import (
     run_barycenter_campaign,
     run_triangle_campaign,
     sample_omega,
-    segments_caps_ok_arr,
     segments_in_domain_arr,
-    segments_max_uv_arr,
 )
 from dyadlab.tree import DomainError
 
@@ -324,9 +322,6 @@ def test_array_checks_same_on_either_memory_order():
             r = to_r(R)
             assert np.array_equal(segments_in_domain_arr(p, r, 3.0, 1e-12),
                                   segments_in_domain_arr(P, R, 3.0, 1e-12))
-            assert np.array_equal(segments_caps_ok_arr(p, r, 1e-12),
-                                  segments_caps_ok_arr(P, R, 1e-12))
-            assert segments_max_uv_arr(p, r).tobytes() == segments_max_uv_arr(P, R).tobytes()
     assert np.ascontiguousarray(P).flags.c_contiguous and P.flags.f_contiguous
     mask = segments_in_domain_arr(P, R, 3.0, 1e-12)
     assert 0 < mask.sum() < mask.size

@@ -303,6 +303,17 @@ class TestMainExitCodes:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["depth=2\n1.0\nabc\n", "depth=x\n1.0\n2.0\n",
+                                      "depth=-1\n1.0\n"],
+                             ids=["value", "depth-word", "depth-negative"])
+    def test_malformed_weight_file_is_one_line(self, text, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["a2", "--family", "file", "--file", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: line ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["norm", "embed"])
     def test_over_deep_dense_form_is_one_line(self, command, capsys, time_limit):
         with time_limit(10.0):

@@ -12,7 +12,7 @@ from dyadlab.tree import (
     internal_indices,
     level_haar_coeffs,
 )
-from dyadlab.weights import Weight, gen_cascade, weighted_norm, dual
+from dyadlab.weights import Weight, gen_cascade, gen_power, weighted_norm, dual
 from dyadlab.shifts import (
     ShiftSpec,
     form_value,
@@ -202,6 +202,24 @@ class TestNormExact:
         est = norm_exact_small(spec, w)
         assert est.upper_bound is not None
         assert est.value <= est.upper_bound * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("complexity", [0, 1])
+    @pytest.mark.parametrize("w", [gen_power(3, 0.8), gen_cascade(3, 0.7, seed=2)],
+                             ids=["power", "cascade"])
+    def test_full_enumeration_is_exact(self, complexity, w):
+        est = norm_exact_small(ShiftSpec.constant(complexity, 3), w)
+        assert est.mode == "exact"
+        assert est.value == pytest.approx(est.upper_bound, rel=1e-9)
+
+    @pytest.mark.parametrize("complexity", [0, 1])
+    @pytest.mark.parametrize("w", [gen_power(4, 0.8), gen_cascade(4, 0.7, seed=2)],
+                             ids=["power", "cascade"])
+    def test_fold_value_is_a_lower_bound(self, complexity, w):
+        # the fold's value is the best achieved witness pair, below its
+        # certified upper bound (13% below at complexity 0 here)
+        est = norm_exact_small(ShiftSpec.constant(complexity, 4), w)
+        assert est.mode == "lower_bound"
+        assert est.upper_bound is not None and est.value <= est.upper_bound * (1.0 + 1e-9)
 
     def test_monotone_in_coefficients(self):
         w = gen_cascade(3, 0.6, seed=1)

@@ -240,3 +240,20 @@ class TestFileFormat:
         path.write_text("depth=2\n1.0\n2.0\n")
         with pytest.raises(StructureError):
             load_leaf_function(path)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("depth=2\n1.0\nabc\n3.0\n4.0\n", StructureError,
+         "line 3: expected a number, got 'abc'"),
+        ("# w\ndepth=x\n1.0\n2.0\n", StructureError, "line 2: expected `depth=<n>`, got 'depth=x'"),
+        ("depth=\n1.0\n2.0\n", StructureError, "line 1: expected `depth=<n>`, got 'depth='"),
+        ("depth=-1\n1.0\n", DomainError, "line 1: depth must lie in [1, 20], got -1"),
+        ("depth=0\n1.0\n", DomainError, "line 1: depth must lie in [1, 20], got 0"),
+        ("depth=100000000000000000000\n", DomainError,
+         "line 1: depth must lie in [1, 20], got 100000000000000000000"),
+    ], ids=["value", "depth-word", "depth-empty", "depth-negative", "depth-zero", "depth-huge"])
+    def test_malformed_line_is_named(self, tmp_path, text, error, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(error) as info:
+            load_leaf_function(path)
+        assert str(info.value) == message
