@@ -475,9 +475,10 @@ class NodeSplit:
     """A grandparent point with its two children and four grandchildren.
 
     Midpoint coherence (each parent is the coordinatewise midpoint of its two
-    children) holds by construction.  The named increments follow the x and y
-    coordinates: children move by (alpha, lam), grandchildren by
-    (beta1, delta1) under the + child and (beta2, delta2) under the - child.
+    children) holds by construction.  The named increments are the ones
+    node_defect's bound reads: alpha, the x step from the grandparent to the
+    + child, and delta1 and delta2, the y steps from the + and - children to
+    their first grandchildren.
     """
 
     b: BellmanPoint
@@ -500,20 +501,8 @@ class NodeSplit:
         return self.b_plus.x - self.b.x
 
     @property
-    def lam(self) -> float:
-        return self.b_plus.y - self.b.y
-
-    @property
-    def beta1(self) -> float:
-        return self.b_pp.x - self.b_plus.x
-
-    @property
     def delta1(self) -> float:
         return self.b_pp.y - self.b_plus.y
-
-    @property
-    def beta2(self) -> float:
-        return self.b_mp.x - self.b_minus.x
 
     @property
     def delta2(self) -> float:
@@ -749,7 +738,7 @@ def point_from_data(phi: LeafFunction, psi: LeafFunction, w: Weight,
     # a2_characteristic reads, so u*v here is bitwise one of the products
     # whose max defines Q and u*v <= Q holds in floating point, not just in
     # exact arithmetic
-    avg = w._stats.avg
+    avg = w._avg
     u = float(avg[0, (1 << J.level) - 1 + J.position])
     v = float(avg[1, (1 << J.level) - 1 + J.position])
     X = float(np.mean(phi.values[sl] ** 2 * w.values[sl]))

@@ -99,16 +99,15 @@ def four_terms(phi: LeafFunction, psi: LeafFunction, w: Weight) -> FourTerms:
     the split of h_I into its weighted Haar part and a constant part)."""
     depth = _check_depths(phi, psi, w.base)
     inner = (1 << depth) - 1
-    st = w._stats
     # row 0 belongs to phi w (with w), row 1 to psi sigma (with sigma)
     avg = heap_averages([phi.values * w.values, psi.values * w.sigma])
     L = _interval_lengths(depth)
 
     # unweighted inner products (g, h^w_I) = (|I|/2)(a <g>_- + b <g>_+)
-    ip = np.abs((L / 2.0) * (st.haar[0] * avg[:, 1::2] + st.haar[1] * avg[:, 2::2]))
-    m = st.avg[:, :inner]
+    ip = np.abs((L / 2.0) * (w._haar[0] * avg[:, 1::2] + w._haar[1] * avg[:, 2::2]))
+    m = w._avg[:, :inner]
     mp = np.abs(avg[:, :inner])
-    r = np.abs(st.delta) / m
+    r = np.abs(w._delta) / m
     sm = np.sqrt(m)
     sL = np.sqrt(L)
 
@@ -136,7 +135,7 @@ def _maximal(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def maximal_weighted(phi: LeafFunction, w: Weight) -> LeafFunction:
     """Leafwise max over containing dyadic I of <|phi| w>_I / <w>_I."""
     _check_depths(phi, w.base)
-    return LeafFunction(_maximal(heap_averages(np.abs(phi.values) * w.values), w._stats.avg[0]))
+    return LeafFunction(_maximal(heap_averages(np.abs(phi.values) * w.values), w._avg[0]))
 
 
 @dataclass(frozen=True)
@@ -147,7 +146,7 @@ class DualityReport:
 
 def _duality(num: np.ndarray, phi: LeafFunction, psi: LeafFunction, w: Weight) -> DualityReport:
     """The duality report, from num: the heap averages of |phi| w and |psi| sigma."""
-    m = _maximal(num, w._stats.avg)
+    m = _maximal(num, w._avg)
     product = float(np.mean(m[0] * m[1]))
     denom = _weighted_norm(phi.values, w.values) * _weighted_norm(psi.values, w.sigma)
     return DualityReport(product=product, ratio=product / denom if denom > 0 else 0.0)
@@ -162,7 +161,7 @@ def duality_product(phi: LeafFunction, psi: LeafFunction, w: Weight) -> DualityR
 
 def carleson_measure_of(w: Weight) -> CarlesonMeasure:
     """alpha_I = |Delta_I w| |Delta_I sigma| |I| over internal intervals."""
-    return CarlesonMeasure(depth=w.depth, alpha=w._stats.alpha)
+    return CarlesonMeasure(depth=w.depth, alpha=w._alpha)
 
 
 def carleson_norm(m: CarlesonMeasure) -> float:
@@ -177,6 +176,14 @@ class TwoWeightReport:
     worst_product: float
 
 
+def _positive_pair(u: LeafFunction, v: LeafFunction) -> int:
+    """The common depth of two strictly positive functions."""
+    depth = _check_depths(u, v)
+    if np.any(u.values <= 0) or np.any(v.values <= 0):
+        raise DomainError("both functions must be strictly positive")
+    return depth
+
+
 def two_weight_ratio(u: LeafFunction, v: LeafFunction, L: DyadicIndex) -> TwoWeightReport:
     """Difference-sum ratio for two positive functions, localized to L.
 
@@ -185,9 +192,7 @@ def two_weight_ratio(u: LeafFunction, v: LeafFunction, L: DyadicIndex) -> TwoWei
     (leaves included) and reported; a violation flags the report but the
     ratio is still computed.
     """
-    depth = _check_depths(u, v)
-    if np.any(u.values <= 0) or np.any(v.values <= 0):
-        raise DomainError("both functions must be strictly positive")
+    depth = _positive_pair(u, v)
     if L.level > depth:
         raise DomainError("interval below leaf level")
     avg = heap_averages([u.values, v.values])
@@ -206,17 +211,13 @@ def two_weight_ratio(u: LeafFunction, v: LeafFunction, L: DyadicIndex) -> TwoWei
 
 def two_weight_ratio_max(u: LeafFunction, v: LeafFunction) -> float:
     """Max of the difference-sum ratio over every internal L (vectorized)."""
-    depth = _check_depths(u, v)
+    depth = _positive_pair(u, v)
     inner = (1 << depth) - 1
     avg = heap_averages([u.values, v.values])
     d = _heap_diffs(avg)
     L = _interval_lengths(depth)
     sums = _subtree_sums(L * np.abs(d[0]) * np.abs(d[1]))
-    ratios = _heap_levels((sums * (1.0 / L)) / np.sqrt(avg[0, :inner] * avg[1, :inner]))
-    best = 0.0
-    for lev in range(depth - 1, -1, -1):
-        best = max(best, float(np.max(ratios[lev])))
-    return best
+    return float(np.max((sums * (1.0 / L)) / np.sqrt(avg[0, :inner] * avg[1, :inner])))
 
 
 def carleson_box_check(phi: LeafFunction, psi: LeafFunction, w: Weight) -> Tuple[float, float]:
@@ -229,13 +230,12 @@ def carleson_box_check(phi: LeafFunction, psi: LeafFunction, w: Weight) -> Tuple
     """
     depth = _check_depths(phi, psi, w.base)
     inner = (1 << depth) - 1
-    st = w._stats
     # rows 0, 1 give the box sum, rows 2, 3 the maximal functions of the bound
     avg = heap_averages([phi.values * w.values, psi.values / w.values,
                          np.abs(phi.values) * w.values, np.abs(psi.values) * w.sigma])
-    r = np.abs(avg[:2, :inner]) / st.avg[:, :inner]
-    lhs = float(_level_total(r[0] * r[1] * st.alpha))
-    rhs = st.carleson * _duality(avg[2:], phi, psi, w).product
+    r = np.abs(avg[:2, :inner]) / w._avg[:, :inner]
+    lhs = float(_level_total(r[0] * r[1] * w._alpha))
+    rhs = w._carleson * _duality(avg[2:], phi, psi, w).product
     if lhs > rhs * (1.0 + 1e-12) + 1e-15:
         raise InvariantError(f"Carleson box bound violated: {lhs} > {rhs}")
     return lhs, rhs
@@ -271,13 +271,11 @@ def term1_form(w: Weight) -> AbsBilinearForm:
     """sup of the first decomposition term over the same unit balls."""
     depth = w.depth
     scale = 2.0**-depth
-    st = w._stats
 
     def rows(k, mult):
         # (phi mult, h^mult_I) sqrt(<mult>_I) as a linear map of phi's leaf values
-        root = np.sqrt(st.avg[k, : (1 << depth) - 1])
-        levels = zip(_heap_levels(root * st.haar[0, k]), _heap_levels(root * st.haar[1, k]))
-        return TwoValuedRowOperator(depth, list(levels), mult * scale)
+        root = np.sqrt(w._avg[k, : (1 << depth) - 1])
+        return TwoValuedRowOperator(depth, root * w._haar[0, k], root * w._haar[1, k], mult * scale)
 
     return weighted_form(w.values, IdentityOperator(n_internal(depth)),
                          rows(0, w.values), rows(1, w.sigma))

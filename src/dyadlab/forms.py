@@ -151,8 +151,9 @@ class AbsBilinearForm:
         self.right_map = _as_map(right_map)
         self.left_metric = np.asarray(left_metric, dtype=float)
         self.right_metric = np.asarray(right_metric, dtype=float)
-        if np.any(self.left_metric <= 0) or np.any(self.right_metric <= 0):
-            raise DomainError("metrics must be strictly positive")
+        for metric in (self.left_metric, self.right_metric):
+            if not np.all((metric > 0) & (metric < np.inf)):  # also false for nan
+                raise DomainError("metrics must be finite and strictly positive")
         n1, n2 = self.m.shape
         if self.left_map.shape[0] != n1 or self.right_map.shape[0] != n2:
             raise DomainError("coefficient matrix and maps disagree in shape")
@@ -166,14 +167,8 @@ class AbsBilinearForm:
         """The form value from the images A f and B g."""
         return float(np.abs(af) @ self.m @ np.abs(bg))
 
-    def left_norm(self, f) -> float:
-        return float(np.sqrt(np.sum(self.left_metric * f**2)))
-
     def right_norm(self, g) -> float:
         return float(np.sqrt(np.sum(self.right_metric * g**2)))
-
-    def ratio(self, f, g) -> float:
-        return self.value(f, g) / (self.left_norm(f) * self.right_norm(g))
 
     @cached_property
     def _normalized(self):

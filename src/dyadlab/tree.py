@@ -225,15 +225,15 @@ def level_diffs(avgs: list) -> list:
     return _heap_levels(_heap_diffs(np.concatenate(avgs, axis=-1)))
 
 
-def level_haar_coeffs(values: np.ndarray) -> list:
-    """Haar coefficients (f, h_I) per internal level, as arrays."""
-    diffs = _heap_diffs(heap_averages(values))
-    return [d * np.sqrt(2.0**-lev) for lev, d in enumerate(_heap_levels(diffs))]
-
-
 def haar_analysis(f: LeafFunction) -> HaarExpansion:
-    return HaarExpansion(depth=f.depth, mean=f.integral(),
-                         coefficients=_read_only(np.concatenate(level_haar_coeffs(f.values))))
+    return HaarExpansion(depth=f.depth, mean=f.integral(), coefficients=_read_only(
+        _heap_diffs(heap_averages(f.values)) * np.sqrt(_interval_lengths(f.depth))))
+
+
+def level_haar_coeffs(values: np.ndarray) -> list:
+    """Haar coefficients (f, h_I) per internal level: read-only views of the
+    haar_analysis coefficients."""
+    return _heap_levels(haar_analysis(LeafFunction(values)).coefficients)
 
 
 def _synthesis_values(mean: float, coeffs: np.ndarray) -> np.ndarray:
@@ -335,27 +335,23 @@ def _column(v, x):
 
 class TwoValuedRowOperator(LinearOperator):
     """(2^d - 1) x 2^d map with rows ordered like internal_indices: row I
-    takes levels[I.level][0] on the left half of I and levels[I.level][1] on
-    the right half, each a scalar or an array over the positions of the
-    level, times the leafwise column multiplier `mult` when given.
+    takes left[i] on the left half of I and right[i] on the right half, i
+    the heap index of I (left and right are heap-ordered arrays of 2^d - 1
+    row values), times the leafwise column multiplier `mult` when given.
 
     The product sums the (multiplied) leaf values over every dyadic interval
     bottom up, in O(2^d) per column; the adjoint accumulates each row's
     value down the tree, as Haar synthesis does.
     """
 
-    def __init__(self, depth: int, levels, mult=None):
+    def __init__(self, depth: int, left, right, mult=None):
         n = 1 << depth
         self.depth = depth
         self.shape = (n - 1, n)
-
-        def rows(half):
-            """The value of every row on that half, ordered like internal_indices."""
-            return np.concatenate([np.broadcast_to(np.asarray(pair[half], dtype=float),
-                                                   (1 << lev,))
-                                   for lev, pair in enumerate(levels)])
-
-        self.left, self.right = rows(0), rows(1)
+        self.left, self.right = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
+        if self.left.shape != (n - 1,) or self.right.shape != (n - 1,):
+            raise StructureError(f"expected {n - 1} row values per half, got "
+                                 f"{self.left.shape} and {self.right.shape}")
         self.mult = None if mult is None else np.asarray(mult, dtype=float)
 
     @property
@@ -401,9 +397,8 @@ def _dense(op: LinearOperator, depth: int) -> np.ndarray:
 
 def _haar_operator(depth: int, mult=None) -> TwoValuedRowOperator:
     """H with (H f)_I = (f, h_I), times the leafwise multiplier when given."""
-    scale = 2.0**-depth
-    amps = [1.0 / np.sqrt(2.0**-level) for level in range(depth)]
-    return TwoValuedRowOperator(depth, [(amp * scale, -amp * scale) for amp in amps], mult)
+    amp = 1.0 / np.sqrt(_interval_lengths(depth)) * 2.0**-depth
+    return TwoValuedRowOperator(depth, amp, -amp, mult)
 
 
 def haar_analysis_matrix(depth: int) -> np.ndarray:

@@ -5,13 +5,12 @@ w*sigma == 1 exactly at leaf level), the A2 characteristic, weighted norms,
 the weighted Haar basis with its split against the ordinary Haar function,
 and two controlled weight generators (power profile, multiplicative cascade).
 
-Every weight-only quantity is computed once per Weight, on first use, and
-kept in a private slot (`_WeightStats`): the heap-ordered averages of w and
-sigma on the first use of any cached quantity; their martingale
-differences, the weighted Haar values of both, the Carleson sequence
-alpha_I and its Carleson norm each on its own first use.  A Weight and its
-leaf values cannot be changed after construction and every cached array is
-read-only, so the cache never needs invalidating and no caller can alter it.
+Every weight-only quantity is a heap-ordered, read-only array that the
+Weight computes on its first use and keeps as a cached property (listed in
+its docstring); every reader takes these arrays as they are.  A Weight and
+its leaf values cannot be changed after construction and every cached array
+is read-only, so the cache never needs invalidating and no caller can alter
+it.
 """
 from __future__ import annotations
 
@@ -55,47 +54,22 @@ def _haar_values(avg: np.ndarray, lengths: np.ndarray):
 def _carleson_norm(alpha: np.ndarray) -> float:
     """Max over internal L of (1/|L|) sum_{I inside or equal to L} alpha_I,
     alpha heap-ordered."""
-    levels = _heap_levels(_subtree_sums(alpha))
-    return max((float(np.max(levels[lev]) * 2.0**lev) for lev in reversed(range(len(levels)))),
-               default=0.0)
-
-
-class _WeightStats:
-    """The weight-only quantities of one Weight, heap-ordered, read-only:
-    avg[0] and avg[1] are the averages of w and sigma over every dyadic
-    interval (their leaf entries are w and sigma), computed at once; each of
-    the others is computed on its first use: delta[k], the martingale
-    differences of avg[k], haar[0, k] and haar[1, k], the left and right
-    values of the weighted Haar functions of w (k = 0) and sigma (k = 1),
-    alpha_I = |Delta_I w| |Delta_I sigma| |I| and carleson, its Carleson
-    norm."""
-
-    def __init__(self, w: np.ndarray):
-        self.depth = w.size.bit_length() - 1
-        self.avg = _read_only(heap_averages([w, 1.0 / w]))
-
-    @cached_property
-    def delta(self) -> np.ndarray:
-        return _read_only(_heap_diffs(self.avg))
-
-    @cached_property
-    def haar(self) -> np.ndarray:
-        return _read_only(np.array(_haar_values(self.avg, _interval_lengths(self.depth))))
-
-    @cached_property
-    def alpha(self) -> np.ndarray:
-        return _read_only(np.abs(self.delta[0]) * np.abs(self.delta[1])
-                          * _interval_lengths(self.depth))
-
-    @cached_property
-    def carleson(self) -> float:
-        return _carleson_norm(self.alpha)
+    if alpha.size == 0:
+        return 0.0
+    depth = (alpha.size + 1).bit_length() - 1
+    return float(np.max(_subtree_sums(alpha) / _interval_lengths(depth)))
 
 
 class Weight:
-    """Strictly positive leaf function with values in [1e-8, 1e8]."""
+    """Strictly positive leaf function with values in [1e-8, 1e8].
 
-    __slots__ = ("base", "_cache")
+    Its weight-only quantities are heap-ordered, read-only and each computed
+    on first use: _avg[0] and _avg[1], the averages of w and sigma over every
+    dyadic interval (their leaf entries are w and sigma); _delta[k], the
+    martingale differences of _avg[k]; _haar[0, k] and _haar[1, k], the left
+    and right values of the weighted Haar functions of w (k = 0) and sigma
+    (k = 1); _alpha, alpha_I = |Delta_I w| |Delta_I sigma| |I|, and
+    _carleson, its Carleson norm."""
 
     def __init__(self, base: LeafFunction):
         v = base.values
@@ -104,23 +78,35 @@ class Weight:
                 f"weight values must lie in [{VALUE_FLOOR}, {VALUE_CEIL}]"
             )
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Weight is immutable")
 
-    @property
-    def _stats(self) -> _WeightStats:
-        """The cached weight-only quantities, computed on first use."""
-        if self._cache is None:
-            object.__setattr__(self, "_cache", _WeightStats(self.values))
-        return self._cache
+    @cached_property
+    def _avg(self) -> np.ndarray:
+        return _read_only(heap_averages([self.values, 1.0 / self.values]))
+
+    @cached_property
+    def _delta(self) -> np.ndarray:
+        return _read_only(_heap_diffs(self._avg))
+
+    @cached_property
+    def _haar(self) -> np.ndarray:
+        return _read_only(np.array(_haar_values(self._avg, _interval_lengths(self.depth))))
+
+    @cached_property
+    def _alpha(self) -> np.ndarray:
+        return _read_only(np.abs(self._delta[0]) * np.abs(self._delta[1])
+                          * _interval_lengths(self.depth))
+
+    @cached_property
+    def _carleson(self) -> float:
+        return _carleson_norm(self._alpha)
 
     @property
     def sigma(self) -> np.ndarray:
         """The dual weight's leaf values 1/w (read-only)."""
-        n = self.values.size
-        return self._stats.avg[1, n - 1 :]
+        return self._avg[1, self.values.size - 1 :]
 
     @property
     def depth(self) -> int:
@@ -176,7 +162,7 @@ def a2_characteristic(w: Weight) -> A2Report:
 
     The witness is the first maximum in heap order: the coarsest level that
     reaches the maximum, at its leftmost position there."""
-    avg = w._stats.avg
+    avg = w._avg
     prod = avg[0] * avg[1]
     k = int(np.argmax(prod))
     level = (k + 1).bit_length() - 1
@@ -201,29 +187,33 @@ def weighted_inner(f: LeafFunction, g: LeafFunction, w: Weight) -> float:
     return float(np.mean(f.values * g.values * w.values))
 
 
-def _children_averages(w: Weight, I: DyadicIndex):
+def _internal_entry(w: Weight, I: DyadicIndex) -> int:
+    """The heap index of I, which must be an internal interval of w's tree."""
     if I.level >= w.depth:
         raise DomainError("weighted Haar needs an internal interval")
-    i = (1 << I.level) - 1 + I.position
-    avg = w._stats.avg[0]
-    return float(avg[2 * i + 1]), float(avg[2 * i + 2])
+    return (1 << I.level) - 1 + I.position
 
 
 def weighted_haar(w: Weight, I: DyadicIndex) -> WeightedHaar:
     """The L2(w)-normalized mean-zero (w.r.t. w) two-valued function on I."""
-    if I.level >= w.depth:
-        raise DomainError("weighted Haar needs an internal interval")
-    a, b = weighted_haar_levels(w)[I.level]
-    return WeightedHaar(index=I, value_left=float(a[I.position]),
-                        value_right=float(b[I.position]))
+    a, b = w._haar[:, 0, _internal_entry(w, I)]
+    return WeightedHaar(index=I, value_left=float(a), value_right=float(b))
+
+
+def _haar_splits(w: Weight) -> np.ndarray:
+    """(alpha, beta) of every internal interval, heap-ordered."""
+    a, b = w._haar[:, 0]
+    sL = np.sqrt(_interval_lengths(w.depth))
+    alpha = 2.0 / (sL * (a - b))
+    return np.array([alpha, -alpha * (a + b) * sL / 2.0])
 
 
 def haar_split(w: Weight, I: DyadicIndex) -> HaarSplit:
     """Solve h_I = alpha * h_I^w + beta * chi_I/sqrt|I| on the two halves of I."""
-    wl, wr = _children_averages(w, I)
-    alpha, beta = (float(arr[I.position]) for arr in haar_split_levels(w)[I.level])
-    mean_w = (wl + wr) / 2.0
-    delta_w = (wl - wr) / 2.0
+    i = _internal_entry(w, I)
+    alpha, beta = (float(x) for x in _haar_splits(w)[:, i])
+    mean_w = float(w._avg[0, i])
+    delta_w = float(w._delta[0, i])
     if delta_w == 0.0:
         beta = 0.0
         beta_ratio = None
@@ -244,23 +234,17 @@ def weighted_haar_levels(w: Weight):
     of length 2^lev holding the left and right values of h_I^w for every I at
     that level.
     """
-    return [tuple(pair) for pair in _heap_levels(w._stats.haar[:, 0])]
+    return [tuple(pair) for pair in _heap_levels(w._haar[:, 0])]
 
 
 def haar_split_levels(w: Weight):
     """Per-level (alpha, beta) arrays for all internal intervals."""
-    out = []
-    for lev, (a, b) in enumerate(weighted_haar_levels(w)):
-        sL = np.sqrt(2.0**-lev)
-        alpha = 2.0 / (sL * (a - b))
-        beta = -alpha * (a + b) * sL / 2.0
-        out.append((alpha, beta))
-    return out
+    return [tuple(pair) for pair in _heap_levels(_haar_splits(w))]
 
 
 def weighted_haar_matrix(w: Weight) -> np.ndarray:
     """Rows are leaf samplings of h_I^w, ordered like internal_indices."""
-    return _dense(TwoValuedRowOperator(w.depth, weighted_haar_levels(w)), w.depth)
+    return _dense(TwoValuedRowOperator(w.depth, *w._haar[:, 0]), w.depth)
 
 
 def gen_power(depth: int, a: float) -> Weight:
@@ -304,6 +288,4 @@ def load_weight(path) -> Weight:
 def interval_stats(w: Weight):
     """Per-level read-only arrays (<w>, <sigma>, Delta w, Delta sigma), from the
     weight's cache."""
-    st = w._stats
-    return (_heap_levels(st.avg[0]), _heap_levels(st.avg[1]),
-            _heap_levels(st.delta[0]), _heap_levels(st.delta[1]))
+    return tuple(_heap_levels(heap) for heap in (*w._avg, *w._delta))

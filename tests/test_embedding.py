@@ -237,6 +237,14 @@ class TestTwoWeightRatio:
         with pytest.raises(DomainError):
             two_weight_ratio(LeafFunction([1.0, -1.0]), LeafFunction([1.0, 1.0]), ROOT)
 
+    @pytest.mark.parametrize("bad", [-3.0, 0.0])
+    def test_max_rejects_nonpositive(self, bad):
+        u = LeafFunction([1.0, bad, 1.0, 1.0])
+        one = LeafFunction([1.0] * 4)
+        for pair in ((u, one), (one, u)):
+            with pytest.raises(DomainError, match="strictly positive"):
+                two_weight_ratio_max(*pair)
+
     def test_max_matches_scalar(self):
         w = gen_cascade(5, 0.8, seed=21)
         q = a2_characteristic(w).characteristic

@@ -218,6 +218,14 @@ def test_all_zero_m(monkeypatch):
     assert form.search_sup(iters=5, seed=0, restarts=2).value == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_metrics_must_be_finite_and_positive(bad):
+    eye = np.eye(2)
+    for metrics in (([bad, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, bad])):
+        with pytest.raises(forms.DomainError, match="finite and strictly positive"):
+            AbsBilinearForm(eye, eye, eye, *metrics)
+
+
 def test_search_sup_refuses_zero_restarts():
     with pytest.raises(forms.DomainError, match="restarts must be >= 1"):
         key_sum_form(gen_cascade(3, 0.5, 1)).search_sup(iters=5, seed=0, restarts=0)

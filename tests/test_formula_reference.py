@@ -251,13 +251,13 @@ def reference_term1_form(w) -> AbsBilinearForm:
     depth = w.depth
     scale = 2.0**-depth
     sig_vals = w.sigma
-    st = w._stats
+    st = w
 
     def rows(k, mult):
         # (phi mult, h^mult_I) sqrt(<mult>_I) as a linear map of phi's leaf values
-        root = np.sqrt(st.avg[k, : (1 << depth) - 1])
-        levels = zip(_heap_levels(root * st.haar[0, k]), _heap_levels(root * st.haar[1, k]))
-        return TwoValuedRowOperator(depth, list(levels), mult * scale)
+        root = np.sqrt(st._avg[k, : (1 << depth) - 1])
+        levels = zip(_heap_levels(root * st._haar[0, k]), _heap_levels(root * st._haar[1, k]))
+        return TwoValuedRowOperator(depth, *np.concatenate(list(levels), axis=-1), mult * scale)
 
     m, left, right = _form_operands(
         depth, IdentityOperator((1 << depth) - 1), rows(0, w.values), rows(1, sig_vals))

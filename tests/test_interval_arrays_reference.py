@@ -111,7 +111,7 @@ class ReferenceCarlesonMeasure:
 def reference_carleson_measure_of(w: Weight) -> ReferenceCarlesonMeasure:
     """alpha_I = |Delta_I w| |Delta_I sigma| |I| over internal intervals."""
     return ReferenceCarlesonMeasure(depth=w.depth, alpha={
-        I: float(a) for I, a in zip(internal_indices(w.depth), w._stats.alpha)})
+        I: float(a) for I, a in zip(internal_indices(w.depth), w._alpha)})
 
 
 def reference_carleson_norm(m: ReferenceCarlesonMeasure) -> float:

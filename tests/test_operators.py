@@ -53,6 +53,12 @@ def haar_levels(depth):
             for lev in range(depth)]
 
 
+def heap_rows(levels):
+    """The per-level (left, right) row values joined into two heap-ordered arrays."""
+    return [np.concatenate([np.broadcast_to(pair[half], (1 << lev,))
+                            for lev, pair in enumerate(levels)]) for half in (0, 1)]
+
+
 def cases(depth):
     """(name, operator, reference matrix) for every operator kind."""
     rng = np.random.default_rng(depth)
@@ -64,9 +70,9 @@ def cases(depth):
         ("haar", _haar_operator(depth), reference_two_valued(depth, haar_levels(depth))),
         ("haar_times_w", _haar_operator(depth, mult),
          reference_two_valued(depth, haar_levels(depth), mult)),
-        ("weighted_haar", TwoValuedRowOperator(depth, weighted_haar_levels(w)),
+        ("weighted_haar", TwoValuedRowOperator(depth, *heap_rows(weighted_haar_levels(w))),
          reference_two_valued(depth, weighted_haar_levels(w))),
-        ("random_rows", TwoValuedRowOperator(depth, random_levels, mult),
+        ("random_rows", TwoValuedRowOperator(depth, *heap_rows(random_levels), mult),
          reference_two_valued(depth, random_levels, mult)),
         ("identity", IdentityOperator((1 << depth) - 1), np.eye((1 << depth) - 1)),
     ]
@@ -100,6 +106,13 @@ def test_operators_match_dense(depth):
         assert_close(op.T @ yblock, ref.T @ yblock)
         # entries are exact sums of one product, so op @ I is the matrix itself
         assert np.array_equal(op @ np.eye(cols), ref), name
+
+
+def test_row_values_of_the_wrong_shape_refused():
+    with pytest.raises(StructureError, match="expected 7 row values"):
+        TwoValuedRowOperator(3, np.ones(7), np.ones(8))
+    with pytest.raises(StructureError, match="expected 7 row values"):
+        TwoValuedRowOperator(3, 1.0, -1.0)
 
 
 def test_shape_mismatch_refused():
