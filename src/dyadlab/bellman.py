@@ -22,6 +22,16 @@ time, and contiguous rows make those elementwise passes cheaper.
 sample_omega fills one (6, n) buffer and returns its (n, 6) `.T` view; the
 campaigns pass `.T` views of their (6, n) arrays to the (n, 6) functions,
 which take `.T` again, so no copy is made either way.
+
+Sampling runs in two steps on a block of rng.random draws, one column per
+point: _redraw replaces the columns whose points would end outside the
+domain by fresh columns, and _omega_points maps columns to points.  A point
+depends on its own column alone, and its final (u, v) on the strip rows
+alone, so the first step builds only the points whose strip (u, v) start
+outside 1 <= uv <= Q.  The barycenter campaign decides on the
+barycenter's uv <= Q first, from those (u, v), and builds the other
+coordinates only for the rows that pass; its four blocks per batch live in
+one buffer allocated once per campaign and refilled in place.
 """
 from __future__ import annotations
 
@@ -178,15 +188,24 @@ def segments_in_domain_arr(P: np.ndarray, R: np.ndarray, Q: float, tol: float = 
     return caps_ok & (max_uv <= Q + tol)
 
 
+# _joint_segment_checks works through its columns in chunks of this many,
+# which bounds its temporaries; every check is elementwise, so the chunking
+# changes no result.
+_SEGMENT_CHUNK = 8192
+
+
 def _joint_segment_checks(pts, segments, tol: float):
     """_segment_checks over the segments (pts[i], pts[j]), (i, j) in segments,
     of (6, n) coordinate arrays: (caps_ok, max uv), each over all segments."""
-    (i, j), *rest = segments
-    caps_ok, max_uv = _segment_checks(pts[i], pts[j], tol)
-    for i, j in rest:
-        seg_caps_ok, seg_max_uv = _segment_checks(pts[i], pts[j], tol)
-        caps_ok &= seg_caps_ok
-        np.maximum(max_uv, seg_max_uv, out=max_uv)
+    n = pts[0].shape[1]
+    caps_ok = np.ones(n, dtype=bool)
+    max_uv = np.full(n, -np.inf)
+    for lo in range(0, n, _SEGMENT_CHUNK):
+        cols = slice(lo, lo + _SEGMENT_CHUNK)
+        for i, j in segments:
+            seg_caps_ok, seg_max_uv = _segment_checks(pts[i][:, cols], pts[j][:, cols], tol)
+            caps_ok[cols] &= seg_caps_ok
+            np.maximum(max_uv[cols], seg_max_uv, out=max_uv[cols])
     return caps_ok, max_uv
 
 
@@ -213,33 +232,22 @@ def _strip(U: np.ndarray, Q: float, log_spread: float):
     return u, P / u
 
 
-def _sample_strip(Q: float, n: int, rng, log_spread: float = np.log(10.0)):
+_LOG_SPREAD = np.log(10.0)
+_BOUNDARY_PROB = 0.1
+
+
+def _sample_strip(Q: float, n: int, rng, log_spread: float = _LOG_SPREAD):
     """(u, v) pairs in the hyperbolic strip 1 <= uv <= Q."""
     return _strip(rng.random((_strip_rows(Q), n)), Q, log_spread)
 
 
-def sample_omega(Q: float, n: int, rng, boundary_prob: float = 0.1,
-                 log_spread: float = np.log(10.0)) -> np.ndarray:
-    """Random members of Omega_Q with full boundary coverage, as an (n, 6) array.
-
-    uv is log-uniform in [1, Q] and split log-uniformly; x and y are drawn as
-    signed fractions of their caps, with a boundary_prob chance of sitting
-    exactly on the cap.
-
-    The points are stored coordinate-major: the result is the (n, 6)
-    transposed view of one C-contiguous (6, n) buffer, so callers that work
-    per coordinate take `.T` and get contiguous rows without a copy.  All
-    randomness is one rng.random((k, n)) block, k = 10 (9 at Q = 1, where
-    uv = 1 needs no draw).  Generator.uniform(low, high) maps each
-    rng.random draw by low + (high - low) * U, and a block fills its rows
-    one after the other, so each row, mapped that way, equals the
-    corresponding call of n uniform draws, and the stream and every value
-    are those of one uniform call per coordinate and per coin.
-    """
-    _check_q(Q, finite=True)
+def _omega_points(U: np.ndarray, Q: float, boundary_prob: float,
+                  log_spread: float) -> np.ndarray:
+    """The (6, n) points that sample_omega maps the uniform columns U to,
+    before any redraw.  Every step is elementwise, so each point depends on
+    its own column alone."""
     r = _strip_rows(Q)
-    U = rng.random((r + 8, n))
-    out = np.empty((6, n))
+    out = np.empty((6, U.shape[1]))
     X, Y, x, y, u, v = out  # row views
     out[4:] = _strip(U[:r], Q, log_spread)
     np.exp(_uniform(U[r], np.log(1e-2), np.log(1e2)), out=X)
@@ -267,12 +275,89 @@ def sample_omega(Q: float, n: int, rng, boundary_prob: float = 0.1,
         for row in (u, v):
             np.multiply(row, 1.0 - 4e-16, out=row, where=high)
             np.multiply(row, 1.0 + 4e-16, out=row, where=low)
-    # at Q = 1 some u admit no double v with fl(u v) = 1; only those rows are
-    # drawn again, so draws that need no mending consume no extra randomness
-    bad = ~_member(out, Q, 0.0)
-    if bad.any():
-        out[:, bad] = sample_omega(Q, int(bad.sum()), rng, boundary_prob, log_spread).T
-    return out.T
+    return out
+
+
+# _outside_rows trusts its rounding argument only where X v and Y u are
+# normal and finite, which u and v in this range guarantee (X, Y lie in
+# [1e-2, 1e2]); rows beyond it are built and tested like any other suspect.
+_UV_RANGE = (1e-300, 1e300)
+
+
+def _outside_rows(U: np.ndarray, Q: float, boundary_prob: float, log_spread: float):
+    """(rows, u, v): the columns of U whose points end outside Omega_Q, and
+    the final (u, v) of every column's point.  Only the columns whose strip
+    (u, v) start outside 1 <= uv <= Q or _UV_RANGE are built, with
+    _omega_points, and tested with _member; sample_omega says why no other
+    column can end outside."""
+    u, v = _strip(U[: _strip_rows(Q)], Q, log_spread)
+    uv = u * v
+    lo, hi = _UV_RANGE
+    rows = np.nonzero(~((uv >= 1.0) & (uv <= Q) & (u >= lo) & (v >= lo)
+                        & (u <= hi) & (v <= hi)))[0]
+    pts = _omega_points(U[:, rows], Q, boundary_prob, log_spread)
+    u[rows], v[rows] = pts[4], pts[5]
+    return rows[~_member(pts, Q, 0.0)], u, v
+
+
+def _redraw(U: np.ndarray, Q: float, rng, boundary_prob: float, log_spread: float):
+    """Step one of sample_omega: replace, in place, each column of the
+    uniform block U whose point ends outside Omega_Q by a fresh draw's
+    column, itself redrawn the same way, and return every column's final
+    (u, v).  At Q = 1 some u admit no double v with fl(u v) = 1; only those
+    rows are drawn again, so draws that need no mending consume no extra
+    randomness."""
+    bad, u, v = _outside_rows(U, Q, boundary_prob, log_spread)
+    if bad.size:
+        V = rng.random((U.shape[0], bad.size))
+        u[bad], v[bad] = _redraw(V, Q, rng, boundary_prob, log_spread)
+        U[:, bad] = V
+    return u, v
+
+
+def sample_omega(Q: float, n: int, rng, boundary_prob: float = _BOUNDARY_PROB,
+                 log_spread: float = _LOG_SPREAD) -> np.ndarray:
+    """Random members of Omega_Q with full boundary coverage, as an (n, 6) array.
+
+    uv is log-uniform in [1, Q] and split log-uniformly; x and y are drawn as
+    signed fractions of their caps, with a boundary_prob chance of sitting
+    exactly on the cap.
+
+    The points are stored coordinate-major: the result is the (n, 6)
+    transposed view of one C-contiguous (6, n) buffer, so callers that work
+    per coordinate take `.T` and get contiguous rows without a copy.  All
+    randomness is one rng.random((k, n)) block, k = 10 (9 at Q = 1, where
+    uv = 1 needs no draw), plus one smaller block per round of redraws.
+    Generator.uniform(low, high) maps each rng.random draw by
+    low + (high - low) * U, and a block fills its rows one after the other,
+    so each row, mapped that way, equals the corresponding call of n uniform
+    draws, and the stream and every value are those of one uniform call per
+    coordinate and per coin.
+
+    Sampling takes two steps.  _redraw settles the uniform block: each
+    column whose point ends outside the domain is replaced by its redraw's
+    column, in the order the redraws consume the stream.  _omega_points then
+    maps the final columns to points.  Every operation is elementwise and a
+    nudge pass changes a row only when one of that row's own masks is set
+    (a row unchanged by one pass is unchanged by every later pass), so a
+    point built from some columns of a block is bitwise the point built from
+    the whole block, and the result is that of building every point and
+    redrawing the rows that fail.
+
+    To find the rows that fail, only the rows whose strip (u, v) start
+    outside 1 <= uv <= Q are built, since no other row can fail.  u and v
+    never read x or y, so a row whose strip (u, v) start inside is never
+    nudged in u or v.  Its x starts at +-f fl(sqrt(X v)) with f <= 1, so
+    fl(x^2) <= X v (1 + 5 2^-53) under round to nearest, and one nudge by
+    fl(1 - 4e-16) = 1 - 4 2^-53 brings fl(x^2) below X v; y alike.  The
+    argument needs X v and Y u normal and finite, so rows with u or v
+    outside _UV_RANGE (reachable only with log_spread of about 690 or
+    more) count as starting outside.
+    """
+    _check_q(Q, finite=True)
+    U = rng.random((_strip_rows(Q) + 8, n))
+    _redraw(U, Q, rng, boundary_prob, log_spread)
+    return _omega_points(U, Q, boundary_prob, log_spread).T
 
 
 def _slack_points(u: np.ndarray, v: np.ndarray, big: float = 1e6) -> np.ndarray:
@@ -374,29 +459,39 @@ class CampaignReport:
 MAX_EMPTY_BATCHES = 10
 
 
-def _run_campaign(lemma: str, draw, premise, segments, Q: float, valid_trials: int,
+def _run_campaign(lemma: str, sampler, segments, Q: float, valid_trials: int,
                   seed: int, asserted_k: float, tol: float, batch: int) -> CampaignReport:
     """Rejection sampling shared by the lemma campaigns.
 
-    draw(Q, batch, rng) returns a list of (6, batch) coordinate-major point
-    arrays and premise(points, Q, tol) the mask of premise-valid draws.  A
-    valid draw needs k = max(1, max uv / Q) over its segments
-    (points[i], points[j]), (i, j) in segments, or k = inf when a segment
-    leaves the caps.
+    sampler(Q, batch, tol) sets up the campaign's draws and returns draw:
+    draw(rng) draws one batch and returns its premise-valid indices, in
+    increasing order, and a list of (6, k) coordinate-major point arrays,
+    one column per valid index.  A valid draw needs k = max(1, max uv / Q)
+    over its segments (points[i], points[j]), (i, j) in segments, or
+    k = inf when a segment leaves the caps.  The inputs are checked before
+    the sampler is set up, so a refused campaign draws and allocates
+    nothing.  A sampler may decide part of its premise before building the
+    points (the barycenter one tests the barycenter's uv first), but it
+    returns exactly the draws the full premise accepts.
     """
     _check_q(Q, finite=True)
     if valid_trials < 1:
         raise DomainError("a campaign needs at least 1 trial")
     if seed < 0:
         raise DomainError("campaign seed must be >= 0")
+    if not batch >= 1:
+        raise DomainError(f"campaign batch must be >= 1, got {batch}")
+    if np.isnan(tol):
+        raise DomainError("campaign tol must not be nan")
     rng = np.random.default_rng(seed)
+    draw = sampler(Q, batch, tol)
     valid = total = violations = empty = 0
     max_needed = 1.0
     worst = None
     while valid < valid_trials:
-        pts = draw(Q, batch, rng)
+        rows, pts = draw(rng)
         need = valid_trials - valid
-        take = np.nonzero(premise(pts, Q, tol))[0][:need]
+        take = rows[:need]
         # the campaign stops at the draw that completes it
         total += int(take[-1]) + 1 if take.size == need else batch
         if take.size == 0:
@@ -406,7 +501,7 @@ def _run_campaign(lemma: str, draw, premise, segments, Q: float, valid_trials: i
                                   f"draw in {empty * batch} consecutive draws")
             continue
         empty = 0
-        pts = [arr[:, take] for arr in pts]
+        pts = [arr[:, : take.size] for arr in pts]
         caps_ok, max_uv = _joint_segment_checks(pts, segments, tol)
         needed = np.maximum(np.divide(max_uv, Q, out=max_uv), 1.0, out=max_uv)
         needed = np.where(caps_ok, needed, np.inf)
@@ -417,6 +512,7 @@ def _run_campaign(lemma: str, draw, premise, segments, Q: float, valid_trials: i
             max_needed = float(needed[k])
             worst = [arr[:, k].tolist() for arr in pts]
         valid += take.size
+        del pts  # free this batch's points before the next batch is drawn
     return CampaignReport(
         lemma=lemma, trials_valid=valid, trials_total=total,
         violations=violations, max_needed_k=max_needed, asserted_k=asserted_k,
@@ -425,7 +521,18 @@ def _run_campaign(lemma: str, draw, premise, segments, Q: float, valid_trials: i
 
 
 def _triangle_draw(Q: float, batch: int, rng):
+    """Three strip samples embedded as slack points."""
     return [_slack_points(*_sample_strip(Q, batch, rng)) for _ in range(3)]
+
+
+def _triangle_sampler(Q: float, batch: int, tol: float):
+    """The triangle campaign's draw: _triangle_draw, then the premise on the
+    whole batch."""
+    def draw(rng):
+        pts = _triangle_draw(Q, batch, rng)
+        rows = np.nonzero(_triangle_premise(pts, Q, tol))[0]
+        return rows, [arr[:, rows] for arr in pts]
+    return draw
 
 
 def _triangle_premise(pts, Q: float, tol: float):
@@ -443,13 +550,53 @@ def run_triangle_campaign(Q: float, valid_trials: int, seed: int,
                           batch: int = 40000) -> CampaignReport:
     """Randomized verification of the median-repair lemma on slack-coordinate
     triples (rejection sampling in the hyperbolic strip)."""
-    return _run_campaign("triangle", _triangle_draw, _triangle_premise, TRIANGLE_SEGMENTS,
+    return _run_campaign("triangle", _triangle_sampler, TRIANGLE_SEGMENTS,
                          Q, valid_trials, seed, asserted_k, tol, batch)
 
 
-def _barycenter_draw(Q: float, batch: int, rng):
-    pts = [sample_omega(Q, batch, rng).T for _ in range(4)]
-    return [sum(pts) / 4.0] + pts
+def _barycenter_sampler(Q: float, batch: int, tol: float):
+    """The barycenter campaign's draw: four batches of sample_omega points
+    and their barycenter, deciding on the barycenter's uv first.
+
+    Each batch draws four uniform blocks into one buffer allocated for the
+    whole campaign, refilled by rng.random(out=...), which consumes the
+    stream as rng.random((k, batch)) does, and settles each block with
+    _redraw.  The barycenter's uv <= Q fails on most draws; it reads only
+    the four final (u, v) that _redraw hands back, summed from 0 in point
+    order and divided by 4.0 as sum(points) / 4.0 does, so the rows it
+    keeps contain every premise-valid row.  Only those rows are mapped to
+    points, and the full premise decides them.  The buffer is most of the
+    memory a batch holds: the candidate columns are moved within it, and
+    the batch-wide sums die with candidates() before any point is built.
+    """
+    blocks = np.empty((4, _strip_rows(Q) + 8, batch))
+
+    def candidates(rng):
+        bu = bv = 0
+        for U in blocks:
+            rng.random(out=U)
+            u, v = _redraw(U, Q, rng, _BOUNDARY_PROB, _LOG_SPREAD)
+            bu, bv = bu + u, bv + v
+        uv = (bu / 4.0) * (bv / 4.0)
+        return np.nonzero((uv >= 1.0 - tol) & (uv <= Q + tol))[0]
+
+    def draw(rng):
+        rows = candidates(rng)
+        m = rows.size
+        # move the candidate columns to the front of each block one row at a
+        # time, so no block-sized copy is made
+        for U in blocks:
+            for row in U:
+                row[:m] = row[rows]
+        pts = [_omega_points(U[:, :m], Q, _BOUNDARY_PROB, _LOG_SPREAD) for U in blocks]
+        pts = [sum(pts) / 4.0] + pts
+        ok = _barycenter_premise(pts, Q, tol)
+        # the barycenter of members keeps every convex constraint, so ok
+        # seldom drops a row and the points are copied only when it does
+        if not ok.all():
+            rows, pts = rows[ok], [arr[:, ok] for arr in pts]
+        return rows, pts
+    return draw
 
 
 def _barycenter_premise(pts, Q: float, tol: float):
@@ -463,8 +610,8 @@ def run_barycenter_campaign(Q: float, valid_trials: int, seed: int,
                             asserted_k: float = 40.0, tol: float = 1e-12,
                             batch: int = 40000) -> CampaignReport:
     """Randomized verification of the barycenter lemma on general members."""
-    return _run_campaign("barycenter", _barycenter_draw, _barycenter_premise,
-                         BARYCENTER_SEGMENTS, Q, valid_trials, seed, asserted_k, tol, batch)
+    return _run_campaign("barycenter", _barycenter_sampler, BARYCENTER_SEGMENTS,
+                         Q, valid_trials, seed, asserted_k, tol, batch)
 
 
 # -- node splits ----------------------------------------------------------

@@ -403,6 +403,8 @@ def _haar_operator(depth: int, mult=None) -> TwoValuedRowOperator:
 
 def haar_analysis_matrix(depth: int) -> np.ndarray:
     """Matrix H with (H f)_I = (f, h_I); rows follow internal_indices order."""
+    if depth < 1:  # as LeafFunction, which needs two leaves
+        raise DomainError(f"haar_analysis_matrix needs depth >= 1, got {depth}")
     return _dense(_haar_operator(depth), depth)
 
 

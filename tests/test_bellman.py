@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyadlab import bellman
 from dyadlab.tree import DomainError, DyadicIndex, LeafFunction, ROOT, StructureError
 from dyadlab.weights import Weight, a2_characteristic, gen_cascade
 from dyadlab.bellman import (
@@ -294,6 +295,28 @@ class TestCampaignRobustness:
     def test_needs_a_trial(self, runner, trials):
         with pytest.raises(DomainError):
             runner(Q=2.0, valid_trials=trials, seed=0)
+
+    @staticmethod
+    def refuse_set_up(monkeypatch):
+        # a refused campaign must not set up its draws (the barycenter
+        # sampler allocates its buffer there) nor draw anything
+        def set_up(*args):
+            raise AssertionError("sampler set up for a refused campaign")
+        for name in ("_triangle_sampler", "_barycenter_sampler"):
+            monkeypatch.setattr(bellman, name, set_up)
+
+    @pytest.mark.parametrize("runner", [run_triangle_campaign, run_barycenter_campaign])
+    @pytest.mark.parametrize("batch", [0, -5])
+    def test_bad_batch_raises(self, runner, batch, monkeypatch):
+        self.refuse_set_up(monkeypatch)
+        with pytest.raises(DomainError, match=f"^campaign batch must be >= 1, got {batch}$"):
+            runner(Q=1.5, valid_trials=10, seed=0, batch=batch)
+
+    @pytest.mark.parametrize("runner", [run_triangle_campaign, run_barycenter_campaign])
+    def test_nan_tol_raises(self, runner, monkeypatch):
+        self.refuse_set_up(monkeypatch)
+        with pytest.raises(DomainError, match="^campaign tol must not be nan$"):
+            runner(Q=1.5, valid_trials=10, seed=0, tol=float("nan"))
 
     def test_draws_counted_up_to_last_taken(self):
         # about one draw in ten is valid, so ten valid trials need about a

@@ -3,16 +3,21 @@ they replaced: every draw, mask and report must be bit-identical."""
 import numpy as np
 import pytest
 
+from dyadlab import bellman
 from dyadlab.bellman import (
     MAX_EMPTY_BATCHES,
     CampaignReport,
-    _barycenter_draw,
     _barycenter_premise,
+    _barycenter_sampler,
     _member,
+    _omega_points,
+    _outside_rows,
     _sample_strip,
     _segment_checks,
-    _triangle_draw,
+    _strip,
+    _strip_rows,
     _triangle_premise,
+    _triangle_sampler,
     in_domain_arr,
     run_barycenter_campaign,
     run_triangle_campaign,
@@ -192,6 +197,15 @@ def test_uniform_and_random_share_one_stream():
         for row in block:
             assert rng.uniform(size=n).tobytes() == row.tobytes()
         assert rng.random() == block_rng.random()
+        # the barycenter campaign refills one buffer of blocks in place
+        for Q in (1.0, 1.5):
+            r = _strip_rows(Q)
+            rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            buf = np.empty((4, r + 8, n))
+            for k in range(4):
+                rng.random(out=buf[k])
+                assert buf[k].tobytes() == block_rng.random((r + 8, n)).tobytes()
+            assert rng.random() == block_rng.random()
 
 
 # -- sampling ----------------------------------------------------------------
@@ -227,18 +241,83 @@ def test_sample_omega_is_a_view_of_coordinate_rows():
     assert P.T.flags.c_contiguous
 
 
+@pytest.mark.parametrize("Q", SAMPLE_Q)
+@pytest.mark.parametrize("boundary_prob", [1.0, 0.1])
+@pytest.mark.parametrize("log_spread", [np.log(10.0), np.log(1e3)])
+def test_redraw_rows_only_from_strip_outside(Q, boundary_prob, log_spread):
+    # the rows whose strip (u, v) start outside 1 <= uv <= Q, built and
+    # tested, are the whole redraw set: building every point finds no other;
+    # the final (u, v) handed back are the built points' own
+    n = 40000
+    for seed in range(4):
+        U = np.random.default_rng(seed).random((_strip_rows(Q) + 8, n))
+        if seed == 3 and Q > 1:
+            # uv drawn as exactly 1: about half the products round below 1
+            # and are nudged in, so rows start outside and end inside
+            U[0] = 0.0
+        bad, u, v = _outside_rows(U, Q, boundary_prob, log_spread)
+        pts = _omega_points(U, Q, boundary_prob, log_spread)
+        eager = np.nonzero(~_member(pts, Q, 0.0))[0]
+        assert np.array_equal(bad, eager), (Q, seed)
+        assert u.tobytes() == pts[4].tobytes() and v.tobytes() == pts[5].tobytes()
+        moved = u != _strip(U[: _strip_rows(Q)], Q, log_spread)[0]
+        if Q == 1.0:
+            assert bad.size > 0  # the redraws do happen
+        elif seed == 3:
+            assert moved.sum() > n // 10 and bad.size == 0
+
+
+def reference_valid(draw, premise, Q, batch, rng, tol=1e-12):
+    pts = draw(Q, batch, rng)
+    take = np.nonzero(premise(pts, Q, tol))[0]
+    return take, [arr[take] for arr in pts]
+
+
+SAMPLERS = [(_triangle_sampler, reference_triangle_draw, reference_triangle_premise),
+            (_barycenter_sampler, reference_barycenter_draw, reference_barycenter_premise)]
+
+
 @pytest.mark.parametrize("Q", [1.0, 1.5, 50.0])
 def test_draws_bit_identical(Q):
+    # a batch of the campaign's draw against the reference draw, premise
+    # and take: the same valid indices, points and stream position after
     for seed in range(3):
-        for draw, ref_draw in ((_triangle_draw, reference_triangle_draw),
-                               (_barycenter_draw, reference_barycenter_draw)):
+        for sampler, ref_draw, ref_premise in SAMPLERS:
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got, want = draw(Q, 5000, rng), ref_draw(Q, 5000, ref_rng)
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert g.shape == (6, 5000)
-                assert g.T.tobytes() == w.tobytes()
-            assert rng.random() == ref_rng.random()
+            draw = sampler(Q, 5000, 1e-12)
+            for _ in range(2):  # a reused buffer gives the same as a fresh one
+                rows, got = draw(rng)
+                take, want = reference_valid(ref_draw, ref_premise, Q, 5000, ref_rng)
+                assert rows.tobytes() == take.tobytes()
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.shape == (6, take.size)
+                    assert g.T.tobytes() == w.tobytes()
+                assert rng.random() == ref_rng.random()
+            if Q == 1.0:
+                assert rows.size == 0
+            else:
+                assert 0 < rows.size < 5000
+
+
+def test_barycenter_points_built_only_for_candidates(monkeypatch):
+    # the columns-to-points step sees the rows that start outside the strip
+    # and then the rows whose barycenter passes 1 <= uv <= Q, never the batch
+    Q, batch = 1.5, 40000
+    widths = []
+
+    def recording(U, *args):
+        widths.append(U.shape[1])
+        return _omega_points(U, *args)
+
+    monkeypatch.setattr(bellman, "_omega_points", recording)
+    rows, got = _barycenter_sampler(Q, batch, 1e-12)(np.random.default_rng(6))
+    bary = reference_barycenter_draw(Q, batch, np.random.default_rng(6))[0]
+    uv = bary[:, 4] * bary[:, 5]
+    candidates = int(np.sum((uv >= 1.0 - 1e-12) & (uv <= Q + 1e-12)))
+    assert widths[-4:] == [candidates] * 4
+    assert max(widths) == candidates < batch // 10
+    assert 0 < rows.size <= candidates
 
 
 # -- campaigns ---------------------------------------------------------------
@@ -278,13 +357,14 @@ def test_no_valid_draw_at_q_one_same_error(runner, reference, time_limit):
 
 
 def test_barycenter_draw_redraws_at_q_one():
-    # at Q = 1 the sampler draws some rows again; the draw and what is left
-    # of the stream after it match the reference
+    # at Q = 1 the sampler draws some rows again; what is left of the stream
+    # after a batch matches the reference draw, premise and take
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    got = _barycenter_draw(1.0, 40000, rng)
-    want = reference_barycenter_draw(1.0, 40000, ref_rng)
-    for g, w in zip(got, want):
-        assert g.T.tobytes() == w.tobytes()
+    rows, got = _barycenter_sampler(1.0, 40000, 1e-12)(rng)
+    take, want = reference_valid(reference_barycenter_draw, reference_barycenter_premise,
+                                 1.0, 40000, ref_rng)
+    assert rows.size == take.size == 0
+    assert [g.shape for g in got] == [(6, 0)] * 5
     consumed = np.random.default_rng(5)
     consumed.random((4 * 9, 40000))  # the draws without any redraw
     assert rng.random() == ref_rng.random() != consumed.random()
@@ -295,14 +375,16 @@ def test_barycenter_draw_redraws_at_q_one():
 
 @pytest.mark.parametrize("Q", [1.5, 50.0])
 def test_premise_masks_bit_identical(Q):
+    # the point-level premises the lemma checks use, on coordinate-major
+    # points, against the reference premises on row-major ones
     rng = np.random.default_rng(9)
     for draw, premise, ref_premise in (
-        (_triangle_draw, _triangle_premise, reference_triangle_premise),
-        (_barycenter_draw, _barycenter_premise, reference_barycenter_premise),
+        (reference_triangle_draw, _triangle_premise, reference_triangle_premise),
+        (reference_barycenter_draw, _barycenter_premise, reference_barycenter_premise),
     ):
         pts = draw(Q, 20000, rng)
-        got = premise(pts, Q, 1e-12)
-        want = ref_premise([np.ascontiguousarray(p.T) for p in pts], Q, 1e-12)
+        got = premise([np.ascontiguousarray(p.T) for p in pts], Q, 1e-12)
+        want = ref_premise(pts, Q, 1e-12)
         assert got.dtype == bool and np.array_equal(got, want)
         assert 0 < got.sum() < got.size
 

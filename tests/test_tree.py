@@ -219,6 +219,12 @@ class TestAnalysisMatrix:
                                                   r"cap 12: .* 536805376 bytes"):
                 haar_analysis_matrix(13)
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_no_internal_interval_refused(self, depth):
+        # depth 0 has a single leaf and no Haar function
+        with pytest.raises(DomainError, match=f"depth >= 1, got {depth}"):
+            haar_analysis_matrix(depth)
+
 
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
