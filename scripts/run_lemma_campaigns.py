@@ -13,12 +13,23 @@ Example:
 import argparse
 import json
 import pathlib
+import sys
 import time
 
 from dyadlab.bellman import run_barycenter_campaign, run_triangle_campaign
+from dyadlab.tree import DomainError
 
 
 def main() -> int:
+    """Run the campaigns; bad input prints one error line and exits 1."""
+    try:
+        return run()
+    except (DomainError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def run() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=100_000,
                     help="premise-valid trials per (lemma, Q)")

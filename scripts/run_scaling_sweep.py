@@ -11,15 +11,26 @@ Example:
 import argparse
 import json
 import pathlib
+import sys
 
 import numpy as np
 
-from dyadlab.cli import SweepConfig, rows_to_csv, run_sweep
+from dyadlab.cli import SweepConfig, UsageError, rows_to_csv, run_sweep
+from dyadlab.tree import DomainError, StructureError
 
 EXPERIMENTS = ("a2", "carleson", "key_sum", "four_terms", "shift_norm")
 
 
 def main() -> int:
+    """Run the sweeps; bad input prints one error line and exits 1."""
+    try:
+        return run()
+    except (UsageError, DomainError, StructureError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def run() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--depth", type=int, default=6)
     ap.add_argument("--cascades", type=int, default=50,

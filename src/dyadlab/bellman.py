@@ -32,6 +32,13 @@ outside 1 <= uv <= Q.  The barycenter campaign decides on the
 barycenter's uv <= Q first, from those (u, v), and builds the other
 coordinates only for the rows that pass; its four blocks per batch live in
 one buffer allocated once per campaign and refilled in place.
+
+The triangle campaign draws slack points (X = Y = 1e6, x = y = 0), whose
+caps x^2 <= X v and y^2 <= Y u cannot bind for positive u, v and tol >= 0.
+Its premise reads the (u, v) rows alone, with the uv half of the segment
+kernel, and slack points are built for the premise-valid rows only.  A
+six-coordinate triangle campaign, where the caps do bind, is still open
+(ROADMAP item 4).
 """
 from __future__ import annotations
 
@@ -134,13 +141,32 @@ def in_domain_arr(P: np.ndarray, Q: float, tol: float = 0.0):
 
 def _quad_max_01(g0, g1, g2, g_end):
     """Max of g(t) = g0 + g1 t + g2 t^2 over t in [0, 1], elementwise, where
-    g_end = g(1) as computed from the segment's end point itself."""
-    best = np.maximum(g0, g_end)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(g2 < 0.0, -g1 / (2.0 * g2), -1.0)
-    interior = (t > 0.0) & (t < 1.0)
-    vertex = g0 + g1 * t + g2 * t * t
-    return np.where(interior & (g2 < 0.0), np.maximum(best, vertex), best)
+    g_end = g(1) as computed from the segment's end point itself.  The
+    arguments are arrays (or numpy scalars) of one shape; the result is an
+    array of that shape.
+
+    The vertex t = -g1 / (2 g2) lies in (0, 1) only where g2 < 0 < g1, so
+    it is computed on those entries alone (NaN fails both tests); 0 < t < 1
+    is still tested there, since t can round to 0 or reach 1 or beyond.
+    """
+    best = np.asarray(np.maximum(g0, g_end))
+    at = np.flatnonzero((g2 < 0.0) & (g1 > 0.0))
+    if at.size:
+        g0, g1, g2, b = g0.take(at), g1.take(at), g2.take(at), best.take(at)
+        with np.errstate(invalid="ignore"):  # inf / inf where g1 = inf, g2 = -inf
+            t = -g1 / (2.0 * g2)
+        vertex = g0 + g1 * t + g2 * t * t
+        best.put(at, np.where((t > 0.0) & (t < 1.0), np.maximum(b, vertex), b))
+    return best
+
+
+def _uv_checks(u, v, qu, qv, tol: float):
+    """(uv >= 1 - tol all along, max uv) along the segments from (u, v) to
+    (qu, qv): the two quadratics of u(t) v(t) in _segment_checks."""
+    du, dv = qu - u, qv - v
+    g0, g1, g2, g_end = u * v, u * dv + v * du, du * dv, qu * qv
+    return (_quad_max_01(1.0 - g0, -g1, -g2, 1.0 - g_end) <= tol,
+            _quad_max_01(g0, g1, g2, g_end))
 
 
 def _segment_checks(p: np.ndarray, q: np.ndarray, tol: float):
@@ -156,18 +182,17 @@ def _segment_checks(p: np.ndarray, q: np.ndarray, tol: float):
     """
     X, Y, x, y, u, v = p
     qX, qY, qx, qy, qu, qv = q
-    dX, dY, dx, dy, du, dv = q - p
-    pos = np.all((p[[0, 1, 4, 5]] > 0.0) & (q[[0, 1, 4, 5]] > 0.0), axis=0)
+    dX, dY, dx, dy = qX - X, qY - Y, qx - x, qy - y
+    du, dv = qu - u, qv - v
+    pos = ((X > 0.0) & (Y > 0.0) & (u > 0.0) & (v > 0.0)
+           & (qX > 0.0) & (qY > 0.0) & (qu > 0.0) & (qv > 0.0))
     # x(t)^2 - X(t) v(t) and y(t)^2 - Y(t) u(t)
     cap_x = _quad_max_01(x * x - X * v, 2 * x * dx - (X * dv + v * dX), dx * dx - dX * dv,
                          qx * qx - qX * qv)
     cap_y = _quad_max_01(y * y - Y * u, 2 * y * dy - (Y * du + u * dY), dy * dy - dY * du,
                          qy * qy - qY * qu)
-    # u(t) v(t)
-    g0, g1, g2, g_end = u * v, u * dv + v * du, du * dv, qu * qv
-    caps_ok = (pos & (cap_x <= tol) & (cap_y <= tol)
-               & (_quad_max_01(1.0 - g0, -g1, -g2, 1.0 - g_end) <= tol))
-    return caps_ok, _quad_max_01(g0, g1, g2, g_end)
+    uv_low_ok, max_uv = _uv_checks(u, v, qu, qv, tol)
+    return pos & (cap_x <= tol) & (cap_y <= tol) & uv_low_ok, max_uv
 
 
 def segment_in_domain(p: BellmanPoint, q: BellmanPoint, Q: float, tol: float = 0.0) -> bool:
@@ -360,12 +385,16 @@ def sample_omega(Q: float, n: int, rng, boundary_prob: float = _BOUNDARY_PROB,
     return _omega_points(U, Q, boundary_prob, log_spread).T
 
 
-def _slack_points(u: np.ndarray, v: np.ndarray, big: float = 1e6) -> np.ndarray:
+# X = Y of the triangle campaign's slack points (whose x = y = 0)
+_SLACK = 1e6
+
+
+def _slack_points(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Embed strip points into 6-tuples with slack remaining coordinates,
     as a (6, n) coordinate-major array."""
     out = np.empty((6, u.size))
-    out[0] = big
-    out[1] = big
+    out[0] = _SLACK
+    out[1] = _SLACK
     out[2] = 0.0
     out[3] = 0.0
     out[4] = u
@@ -470,9 +499,10 @@ def _run_campaign(lemma: str, sampler, segments, Q: float, valid_trials: int,
     over its segments (points[i], points[j]), (i, j) in segments, or
     k = inf when a segment leaves the caps.  The inputs are checked before
     the sampler is set up, so a refused campaign draws and allocates
-    nothing.  A sampler may decide part of its premise before building the
-    points (the barycenter one tests the barycenter's uv first), but it
-    returns exactly the draws the full premise accepts.
+    nothing.  A sampler may decide its premise before building the points
+    (the triangle one entirely from (u, v), the barycenter one in part, from
+    the barycenter's uv), but it returns exactly the draws the full premise
+    accepts.
     """
     _check_q(Q, finite=True)
     if valid_trials < 1:
@@ -520,28 +550,59 @@ def _run_campaign(lemma: str, sampler, segments, Q: float, valid_trials: int,
     )
 
 
+def _triangle_strips(Q: float, batch: int, rng):
+    """The strip samples of A, B and C, as three (2, batch) (u, v) arrays."""
+    return [np.array(_sample_strip(Q, batch, rng)) for _ in range(3)]
+
+
 def _triangle_draw(Q: float, batch: int, rng):
     """Three strip samples embedded as slack points."""
-    return [_slack_points(*_sample_strip(Q, batch, rng)) for _ in range(3)]
+    return [_slack_points(*S) for S in _triangle_strips(Q, batch, rng)]
 
 
 def _triangle_sampler(Q: float, batch: int, tol: float):
-    """The triangle campaign's draw: _triangle_draw, then the premise on the
-    whole batch."""
+    """The triangle campaign's draw: the premise on the strip samples of the
+    whole batch, then slack points for the valid rows only."""
     def draw(rng):
-        pts = _triangle_draw(Q, batch, rng)
-        rows = np.nonzero(_triangle_premise(pts, Q, tol))[0]
-        return rows, [arr[:, rows] for arr in pts]
+        strips = _triangle_strips(Q, batch, rng)
+        ok = _median_premise(strips, lambda p, q: _strip_segments_ok(p, q, Q, tol))
+        rows = np.nonzero(ok)[0]
+        return rows, [_slack_points(*S[:, rows]) for S in strips]
     return draw
 
 
-def _triangle_premise(pts, Q: float, tol: float):
-    """[A, B] in the domain, then [C, mid(A, B)] on the rows where it is."""
+def _median_premise(pts, segment_ok):
+    """[A, B] by segment_ok, then [C, mid(A, B)] on the rows where it holds,
+    for coordinate-major point arrays A, B, C."""
     A, B, C = pts
-    ok = segments_in_domain_arr(A.T, B.T, Q, tol)
+    ok = segment_ok(A, B)
     rows = np.nonzero(ok)[0]
     A, B, C = A[:, rows], B[:, rows], C[:, rows]
-    ok[rows] = segments_in_domain_arr(C.T, ((A + B) / 2.0).T, Q, tol)
+    ok[rows] = segment_ok(C, (A + B) / 2.0)
+    return ok
+
+
+def _triangle_premise(pts, Q: float, tol: float):
+    """The median premise on (6, n) points."""
+    return _median_premise(pts, lambda p, q: segments_in_domain_arr(p.T, q.T, Q, tol))
+
+
+def _strip_segments_ok(p, q, Q: float, tol: float):
+    """segments_in_domain_arr on the slack points of the (2, n) (u, v)
+    arrays p and q, read from (u, v) alone.
+
+    With X = Y = _SLACK and x = y = 0 at both ends, the x cap's quadratic
+    has g2 = 0 (or nan), hence no vertex, and its max is
+    max(0 - _SLACK v, 0 - _SLACK qv); the y cap's alike in u.  Where u and
+    v are positive at both ends that is negative, so the caps hold for any
+    tol >= 0 and are computed only for tol < 0.
+    """
+    (u, v), (qu, qv) = p, q
+    uv_low_ok, max_uv = _uv_checks(u, v, qu, qv, tol)
+    ok = (u > 0.0) & (v > 0.0) & (qu > 0.0) & (qv > 0.0) & uv_low_ok & (max_uv <= Q + tol)
+    if tol < 0.0:
+        ok &= ((np.maximum(0.0 - _SLACK * v, 0.0 - _SLACK * qv) <= tol)
+               & (np.maximum(0.0 - _SLACK * u, 0.0 - _SLACK * qu) <= tol))
     return ok
 
 
@@ -549,7 +610,14 @@ def run_triangle_campaign(Q: float, valid_trials: int, seed: int,
                           asserted_k: float = 4.5, tol: float = 1e-12,
                           batch: int = 40000) -> CampaignReport:
     """Randomized verification of the median-repair lemma on slack-coordinate
-    triples (rejection sampling in the hyperbolic strip)."""
+    triples (rejection sampling in the hyperbolic strip).
+
+    The draws are slack points, X = Y = 1e6 and x = y = 0, whose caps cannot
+    bind for positive u, v and tol >= 0, so the lemma is checked on the uv
+    constraints only; a six-coordinate campaign is still open (ROADMAP
+    item 4).  The premise reads the strip samples' (u, v) rows, and slack
+    points are built for the premise-valid rows only.
+    """
     return _run_campaign("triangle", _triangle_sampler, TRIANGLE_SEGMENTS,
                          Q, valid_trials, seed, asserted_k, tol, batch)
 

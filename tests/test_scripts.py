@@ -1,0 +1,59 @@
+"""Smoke runs of the scripts in scripts/, as a user runs them: tiny inputs
+must write their JSON, and bad input must end in one error line and exit
+status 1, without a traceback."""
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import dyadlab
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, args, cwd):
+    src = os.path.dirname(os.path.dirname(dyadlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args, "--out-dir", str(cwd)],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_lemma_campaigns_smoke(tmp_path):
+    done = run_script("run_lemma_campaigns.py", ["--trials", "200", "--Q", "1.5"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    for lemma in ("triangle", "barycenter"):
+        (report,) = json.loads((tmp_path / f"{lemma}_campaign.json").read_text())
+        assert report["lemma"] == lemma and report["trials"] == 200
+        assert report["violations"] == 0
+        assert 0.0 < report["accept_ratio"] < 1.0 and report["elapsed_s"] > 0.0
+
+
+def test_scaling_sweep_smoke(tmp_path):
+    done = run_script("run_scaling_sweep.py",
+                      ["--depth", "2", "--cascades", "2", "--jobs", "1"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads((tmp_path / "scaling_summary.json").read_text())
+    assert set(summary) == {"power", "cascade"}
+    assert summary["power"]["slopes"]
+    for family in ("power", "cascade"):
+        assert (tmp_path / f"{family}_sweep.csv").read_text().startswith("family,")
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("run_lemma_campaigns.py", ["--trials", "0"], "a campaign needs at least 1 trial"),
+    ("run_lemma_campaigns.py", ["--Q", "0.5"], "domain parameter must be finite and >= 1"),
+    ("run_lemma_campaigns.py", ["--Q", "inf"], "domain parameter must be finite and >= 1"),
+    ("run_lemma_campaigns.py", ["--Q", "nan"], "domain parameter must be finite and >= 1"),
+    ("run_lemma_campaigns.py", ["--seed", "-1"], "campaign seed must be >= 0"),
+    ("run_scaling_sweep.py", ["--depth", "-3"], "depth -3 outside [1, 20]"),
+])
+def test_bad_input_is_one_error_line(name, args, message, tmp_path):
+    done = run_script(name, args, tmp_path)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"error: {message}") and done.stderr.count("\n") == 1
+    assert not list(tmp_path.glob("*.json"))
