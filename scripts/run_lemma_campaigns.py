@@ -10,13 +10,13 @@ elapsed wall time in seconds.
 Example:
     python3 scripts/run_lemma_campaigns.py --trials 100000 --out-dir results/
 """
-import argparse
 import json
 import pathlib
 import sys
 import time
 
-from dyadlab.bellman import run_barycenter_campaign, run_triangle_campaign
+from dyadlab.bellman import _check_campaign, run_barycenter_campaign, run_triangle_campaign
+from dyadlab.cli import UsageError, _Parser
 from dyadlab.tree import DomainError
 
 
@@ -24,13 +24,13 @@ def main() -> int:
     """Run the campaigns; bad input prints one error line and exits 1."""
     try:
         return run()
-    except (DomainError, OSError) as exc:
+    except (UsageError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def run() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("--trials", type=int, default=100_000,
                     help="premise-valid trials per (lemma, Q)")
     ap.add_argument("--Q", type=float, action="append", default=None,
@@ -39,6 +39,9 @@ def run() -> int:
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args()
     qs = args.Q or [1.5, 3.0, 10.0, 50.0]
+    # refuse any bad input before the first campaign runs
+    for i, q in enumerate(qs):
+        _check_campaign(q, args.trials, args.seed + 1000 * i)
 
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

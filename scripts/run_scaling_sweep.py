@@ -8,14 +8,13 @@ plus a JSON summary with fitted log-log slopes vs Q.
 Example:
     python3 scripts/run_scaling_sweep.py --depth 6 --out-dir results/
 """
-import argparse
 import json
 import pathlib
 import sys
 
 import numpy as np
 
-from dyadlab.cli import SweepConfig, UsageError, rows_to_csv, run_sweep
+from dyadlab.cli import SweepConfig, UsageError, _Parser, rows_to_csv, run_sweep
 from dyadlab.tree import DomainError, StructureError
 
 EXPERIMENTS = ("a2", "carleson", "key_sum", "four_terms", "shift_norm")
@@ -31,7 +30,7 @@ def main() -> int:
 
 
 def run() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("--depth", type=int, default=6)
     ap.add_argument("--cascades", type=int, default=50,
                     help="number of random cascade weights")

@@ -34,11 +34,10 @@ coordinates only for the rows that pass; its four blocks per batch live in
 one buffer allocated once per campaign and refilled in place.
 
 The triangle campaign draws slack points (X = Y = 1e6, x = y = 0), whose
-caps x^2 <= X v and y^2 <= Y u cannot bind for positive u, v and tol >= 0.
-Its premise reads the (u, v) rows alone, with the uv half of the segment
-kernel, and slack points are built for the premise-valid rows only.  A
-six-coordinate triangle campaign, where the caps do bind, is still open
-(ROADMAP item 4).
+caps x^2 <= X v and y^2 <= Y u cannot bind for positive u, v.  Its premise
+reads the (u, v) rows alone, with the uv half of the segment kernel, and
+slack points are built for the premise-valid rows only.  A six-coordinate
+triangle campaign, where the caps do bind, is still open (ROADMAP item 3).
 """
 from __future__ import annotations
 
@@ -202,11 +201,6 @@ def segment_in_domain(p: BellmanPoint, q: BellmanPoint, Q: float, tol: float = 0
     return bool(caps_ok & (max_uv <= Q + tol))
 
 
-def segment_max_uv(p: BellmanPoint, q: BellmanPoint) -> float:
-    """Max of u(t) v(t) along the segment (closed form)."""
-    return float(_segment_checks(p.as_array(), q.as_array(), 0.0)[1])
-
-
 def segments_in_domain_arr(P: np.ndarray, R: np.ndarray, Q: float, tol: float = 0.0):
     """Vectorized segment containment for (n, 6) endpoint arrays."""
     caps_ok, max_uv = _segment_checks(P.T, R.T, tol)
@@ -248,33 +242,32 @@ def _strip_rows(Q: float) -> int:
     return 2 if Q > 1 else 1
 
 
-def _strip(U: np.ndarray, Q: float, log_spread: float):
-    """(u, v) in the hyperbolic strip 1 <= uv <= Q from _strip_rows(Q) rows
-    of uniform draws: uv log-uniform in [1, Q], split log-uniformly."""
-    P = np.exp(_uniform(U[0], 0.0, np.log(Q))) if Q > 1 else np.ones(U.shape[1])
-    h = _uniform(U[-1], -log_spread, log_spread)
-    u = np.sqrt(P) * np.exp(h)
-    return u, P / u
-
-
 _LOG_SPREAD = np.log(10.0)
 _BOUNDARY_PROB = 0.1
 
 
-def _sample_strip(Q: float, n: int, rng, log_spread: float = _LOG_SPREAD):
+def _strip(U: np.ndarray, Q: float):
+    """(u, v) in the hyperbolic strip 1 <= uv <= Q from _strip_rows(Q) rows
+    of uniform draws: uv log-uniform in [1, Q], split log-uniformly."""
+    P = np.exp(_uniform(U[0], 0.0, np.log(Q))) if Q > 1 else np.ones(U.shape[1])
+    h = _uniform(U[-1], -_LOG_SPREAD, _LOG_SPREAD)
+    u = np.sqrt(P) * np.exp(h)
+    return u, P / u
+
+
+def _sample_strip(Q: float, n: int, rng):
     """(u, v) pairs in the hyperbolic strip 1 <= uv <= Q."""
-    return _strip(rng.random((_strip_rows(Q), n)), Q, log_spread)
+    return _strip(rng.random((_strip_rows(Q), n)), Q)
 
 
-def _omega_points(U: np.ndarray, Q: float, boundary_prob: float,
-                  log_spread: float) -> np.ndarray:
+def _omega_points(U: np.ndarray, Q: float, boundary_prob: float) -> np.ndarray:
     """The (6, n) points that sample_omega maps the uniform columns U to,
     before any redraw.  Every step is elementwise, so each point depends on
     its own column alone."""
     r = _strip_rows(Q)
     out = np.empty((6, U.shape[1]))
     X, Y, x, y, u, v = out  # row views
-    out[4:] = _strip(U[:r], Q, log_spread)
+    out[4:] = _strip(U[:r], Q)
     np.exp(_uniform(U[r], np.log(1e-2), np.log(1e2)), out=X)
     np.exp(_uniform(U[r + 1], np.log(1e-2), np.log(1e2)), out=Y)
     # cap fractions U[r + 2], U[r + 3]; exactly on the cap with boundary_prob
@@ -303,45 +296,36 @@ def _omega_points(U: np.ndarray, Q: float, boundary_prob: float,
     return out
 
 
-# _outside_rows trusts its rounding argument only where X v and Y u are
-# normal and finite, which u and v in this range guarantee (X, Y lie in
-# [1e-2, 1e2]); rows beyond it are built and tested like any other suspect.
-_UV_RANGE = (1e-300, 1e300)
-
-
-def _outside_rows(U: np.ndarray, Q: float, boundary_prob: float, log_spread: float):
+def _outside_rows(U: np.ndarray, Q: float, boundary_prob: float):
     """(rows, u, v): the columns of U whose points end outside Omega_Q, and
     the final (u, v) of every column's point.  Only the columns whose strip
-    (u, v) start outside 1 <= uv <= Q or _UV_RANGE are built, with
-    _omega_points, and tested with _member; sample_omega says why no other
-    column can end outside."""
-    u, v = _strip(U[: _strip_rows(Q)], Q, log_spread)
+    (u, v) start outside 1 <= uv <= Q are built, with _omega_points, and
+    tested with _member; sample_omega says why no other column can end
+    outside."""
+    u, v = _strip(U[: _strip_rows(Q)], Q)
     uv = u * v
-    lo, hi = _UV_RANGE
-    rows = np.nonzero(~((uv >= 1.0) & (uv <= Q) & (u >= lo) & (v >= lo)
-                        & (u <= hi) & (v <= hi)))[0]
-    pts = _omega_points(U[:, rows], Q, boundary_prob, log_spread)
+    rows = np.nonzero(~((uv >= 1.0) & (uv <= Q)))[0]
+    pts = _omega_points(U[:, rows], Q, boundary_prob)
     u[rows], v[rows] = pts[4], pts[5]
     return rows[~_member(pts, Q, 0.0)], u, v
 
 
-def _redraw(U: np.ndarray, Q: float, rng, boundary_prob: float, log_spread: float):
+def _redraw(U: np.ndarray, Q: float, rng, boundary_prob: float):
     """Step one of sample_omega: replace, in place, each column of the
     uniform block U whose point ends outside Omega_Q by a fresh draw's
     column, itself redrawn the same way, and return every column's final
     (u, v).  At Q = 1 some u admit no double v with fl(u v) = 1; only those
     rows are drawn again, so draws that need no mending consume no extra
     randomness."""
-    bad, u, v = _outside_rows(U, Q, boundary_prob, log_spread)
+    bad, u, v = _outside_rows(U, Q, boundary_prob)
     if bad.size:
         V = rng.random((U.shape[0], bad.size))
-        u[bad], v[bad] = _redraw(V, Q, rng, boundary_prob, log_spread)
+        u[bad], v[bad] = _redraw(V, Q, rng, boundary_prob)
         U[:, bad] = V
     return u, v
 
 
-def sample_omega(Q: float, n: int, rng, boundary_prob: float = _BOUNDARY_PROB,
-                 log_spread: float = _LOG_SPREAD) -> np.ndarray:
+def sample_omega(Q: float, n: int, rng, boundary_prob: float = _BOUNDARY_PROB) -> np.ndarray:
     """Random members of Omega_Q with full boundary coverage, as an (n, 6) array.
 
     uv is log-uniform in [1, Q] and split log-uniformly; x and y are drawn as
@@ -375,14 +359,14 @@ def sample_omega(Q: float, n: int, rng, boundary_prob: float = _BOUNDARY_PROB,
     nudged in u or v.  Its x starts at +-f fl(sqrt(X v)) with f <= 1, so
     fl(x^2) <= X v (1 + 5 2^-53) under round to nearest, and one nudge by
     fl(1 - 4e-16) = 1 - 4 2^-53 brings fl(x^2) below X v; y alike.  The
-    argument needs X v and Y u normal and finite, so rows with u or v
-    outside _UV_RANGE (reachable only with log_spread of about 690 or
-    more) count as starting outside.
+    argument needs X v and Y u normal and finite, and they are for every
+    finite Q: u and v lie in [0.1, 10 sqrt(Q)] and X, Y in [1e-2, 1e2].  A
+    uv that overflows fails 1 <= uv <= Q, so its row is built and redrawn.
     """
     _check_q(Q, finite=True)
     U = rng.random((_strip_rows(Q) + 8, n))
-    _redraw(U, Q, rng, boundary_prob, log_spread)
-    return _omega_points(U, Q, boundary_prob, log_spread).T
+    _redraw(U, Q, rng, boundary_prob)
+    return _omega_points(U, Q, boundary_prob).T
 
 
 # X = Y of the triangle campaign's slack points (whose x = y = 0)
@@ -487,12 +471,25 @@ class CampaignReport:
 # barycenter draw in twenty is valid, so a default batch is never empty.
 MAX_EMPTY_BATCHES = 10
 
+# The tolerance of every campaign's premises and segment checks.
+CAMPAIGN_TOL = 1e-12
+
+
+def _check_campaign(Q: float, valid_trials: int, seed: int) -> None:
+    """Refuse a campaign that could not run: Q not finite or below 1, no
+    trial, or a negative seed."""
+    _check_q(Q, finite=True)
+    if valid_trials < 1:
+        raise DomainError("a campaign needs at least 1 trial")
+    if seed < 0:
+        raise DomainError("campaign seed must be >= 0")
+
 
 def _run_campaign(lemma: str, sampler, segments, Q: float, valid_trials: int,
-                  seed: int, asserted_k: float, tol: float, batch: int) -> CampaignReport:
-    """Rejection sampling shared by the lemma campaigns.
+                  seed: int, asserted_k: float, batch: int) -> CampaignReport:
+    """Rejection sampling shared by the lemma campaigns, at CAMPAIGN_TOL.
 
-    sampler(Q, batch, tol) sets up the campaign's draws and returns draw:
+    sampler(Q, batch) sets up the campaign's draws and returns draw:
     draw(rng) draws one batch and returns its premise-valid indices, in
     increasing order, and a list of (6, k) coordinate-major point arrays,
     one column per valid index.  A valid draw needs k = max(1, max uv / Q)
@@ -504,17 +501,11 @@ def _run_campaign(lemma: str, sampler, segments, Q: float, valid_trials: int,
     the barycenter's uv), but it returns exactly the draws the full premise
     accepts.
     """
-    _check_q(Q, finite=True)
-    if valid_trials < 1:
-        raise DomainError("a campaign needs at least 1 trial")
-    if seed < 0:
-        raise DomainError("campaign seed must be >= 0")
+    _check_campaign(Q, valid_trials, seed)
     if not batch >= 1:
         raise DomainError(f"campaign batch must be >= 1, got {batch}")
-    if np.isnan(tol):
-        raise DomainError("campaign tol must not be nan")
     rng = np.random.default_rng(seed)
-    draw = sampler(Q, batch, tol)
+    draw = sampler(Q, batch)
     valid = total = violations = empty = 0
     max_needed = 1.0
     worst = None
@@ -532,7 +523,7 @@ def _run_campaign(lemma: str, sampler, segments, Q: float, valid_trials: int,
             continue
         empty = 0
         pts = [arr[:, : take.size] for arr in pts]
-        caps_ok, max_uv = _joint_segment_checks(pts, segments, tol)
+        caps_ok, max_uv = _joint_segment_checks(pts, segments, CAMPAIGN_TOL)
         needed = np.maximum(np.divide(max_uv, Q, out=max_uv), 1.0, out=max_uv)
         needed = np.where(caps_ok, needed, np.inf)
         bad = needed > asserted_k * (1.0 + 1e-12)
@@ -550,22 +541,13 @@ def _run_campaign(lemma: str, sampler, segments, Q: float, valid_trials: int,
     )
 
 
-def _triangle_strips(Q: float, batch: int, rng):
-    """The strip samples of A, B and C, as three (2, batch) (u, v) arrays."""
-    return [np.array(_sample_strip(Q, batch, rng)) for _ in range(3)]
-
-
-def _triangle_draw(Q: float, batch: int, rng):
-    """Three strip samples embedded as slack points."""
-    return [_slack_points(*S) for S in _triangle_strips(Q, batch, rng)]
-
-
-def _triangle_sampler(Q: float, batch: int, tol: float):
-    """The triangle campaign's draw: the premise on the strip samples of the
-    whole batch, then slack points for the valid rows only."""
+def _triangle_sampler(Q: float, batch: int):
+    """The triangle campaign's draw: the premise on the strip samples of A,
+    B and C, three (2, batch) (u, v) arrays, then slack points for the valid
+    rows only."""
     def draw(rng):
-        strips = _triangle_strips(Q, batch, rng)
-        ok = _median_premise(strips, lambda p, q: _strip_segments_ok(p, q, Q, tol))
+        strips = [np.array(_sample_strip(Q, batch, rng)) for _ in range(3)]
+        ok = _median_premise(strips, lambda p, q: _strip_segments_ok(p, q, Q))
         rows = np.nonzero(ok)[0]
         return rows, [_slack_points(*S[:, rows]) for S in strips]
     return draw
@@ -587,42 +569,33 @@ def _triangle_premise(pts, Q: float, tol: float):
     return _median_premise(pts, lambda p, q: segments_in_domain_arr(p.T, q.T, Q, tol))
 
 
-def _strip_segments_ok(p, q, Q: float, tol: float):
-    """segments_in_domain_arr on the slack points of the (2, n) (u, v)
-    arrays p and q, read from (u, v) alone.
-
-    With X = Y = _SLACK and x = y = 0 at both ends, the x cap's quadratic
-    has g2 = 0 (or nan), hence no vertex, and its max is
-    max(0 - _SLACK v, 0 - _SLACK qv); the y cap's alike in u.  Where u and
-    v are positive at both ends that is negative, so the caps hold for any
-    tol >= 0 and are computed only for tol < 0.
-    """
+def _strip_segments_ok(p, q, Q: float):
+    """segments_in_domain_arr at CAMPAIGN_TOL on the slack points of the
+    (2, n) (u, v) arrays p and q, read from (u, v) alone: the slack caps,
+    max(-_SLACK v, -_SLACK qv) and alike in u, are negative where u and v
+    are positive at both ends, so they hold."""
     (u, v), (qu, qv) = p, q
-    uv_low_ok, max_uv = _uv_checks(u, v, qu, qv, tol)
-    ok = (u > 0.0) & (v > 0.0) & (qu > 0.0) & (qv > 0.0) & uv_low_ok & (max_uv <= Q + tol)
-    if tol < 0.0:
-        ok &= ((np.maximum(0.0 - _SLACK * v, 0.0 - _SLACK * qv) <= tol)
-               & (np.maximum(0.0 - _SLACK * u, 0.0 - _SLACK * qu) <= tol))
-    return ok
+    uv_low_ok, max_uv = _uv_checks(u, v, qu, qv, CAMPAIGN_TOL)
+    return ((u > 0.0) & (v > 0.0) & (qu > 0.0) & (qv > 0.0) & uv_low_ok
+            & (max_uv <= Q + CAMPAIGN_TOL))
 
 
 def run_triangle_campaign(Q: float, valid_trials: int, seed: int,
-                          asserted_k: float = 4.5, tol: float = 1e-12,
                           batch: int = 40000) -> CampaignReport:
-    """Randomized verification of the median-repair lemma on slack-coordinate
-    triples (rejection sampling in the hyperbolic strip).
+    """Randomized verification of the median-repair lemma, k = 4.5, on
+    slack-coordinate triples (rejection sampling in the hyperbolic strip).
 
     The draws are slack points, X = Y = 1e6 and x = y = 0, whose caps cannot
-    bind for positive u, v and tol >= 0, so the lemma is checked on the uv
-    constraints only; a six-coordinate campaign is still open (ROADMAP
-    item 4).  The premise reads the strip samples' (u, v) rows, and slack
-    points are built for the premise-valid rows only.
+    bind for positive u, v, so the lemma is checked on the uv constraints
+    only; a six-coordinate campaign is still open (ROADMAP item 3).  The
+    premise reads the strip samples' (u, v) rows, and slack points are built
+    for the premise-valid rows only.
     """
     return _run_campaign("triangle", _triangle_sampler, TRIANGLE_SEGMENTS,
-                         Q, valid_trials, seed, asserted_k, tol, batch)
+                         Q, valid_trials, seed, 4.5, batch)
 
 
-def _barycenter_sampler(Q: float, batch: int, tol: float):
+def _barycenter_sampler(Q: float, batch: int):
     """The barycenter campaign's draw: four batches of sample_omega points
     and their barycenter, deciding on the barycenter's uv first.
 
@@ -643,10 +616,10 @@ def _barycenter_sampler(Q: float, batch: int, tol: float):
         bu = bv = 0
         for U in blocks:
             rng.random(out=U)
-            u, v = _redraw(U, Q, rng, _BOUNDARY_PROB, _LOG_SPREAD)
+            u, v = _redraw(U, Q, rng, _BOUNDARY_PROB)
             bu, bv = bu + u, bv + v
         uv = (bu / 4.0) * (bv / 4.0)
-        return np.nonzero((uv >= 1.0 - tol) & (uv <= Q + tol))[0]
+        return np.nonzero((uv >= 1.0 - CAMPAIGN_TOL) & (uv <= Q + CAMPAIGN_TOL))[0]
 
     def draw(rng):
         rows = candidates(rng)
@@ -656,9 +629,9 @@ def _barycenter_sampler(Q: float, batch: int, tol: float):
         for U in blocks:
             for row in U:
                 row[:m] = row[rows]
-        pts = [_omega_points(U[:, :m], Q, _BOUNDARY_PROB, _LOG_SPREAD) for U in blocks]
+        pts = [_omega_points(U[:, :m], Q, _BOUNDARY_PROB) for U in blocks]
         pts = [sum(pts) / 4.0] + pts
-        ok = _barycenter_premise(pts, Q, tol)
+        ok = _barycenter_premise(pts, Q, CAMPAIGN_TOL)
         # the barycenter of members keeps every convex constraint, so ok
         # seldom drops a row and the points are copied only when it does
         if not ok.all():
@@ -675,11 +648,11 @@ def _barycenter_premise(pts, Q: float, tol: float):
 
 
 def run_barycenter_campaign(Q: float, valid_trials: int, seed: int,
-                            asserted_k: float = 40.0, tol: float = 1e-12,
                             batch: int = 40000) -> CampaignReport:
-    """Randomized verification of the barycenter lemma on general members."""
+    """Randomized verification of the barycenter lemma, k = 40, on general
+    members."""
     return _run_campaign("barycenter", _barycenter_sampler, BARYCENTER_SEGMENTS,
-                         Q, valid_trials, seed, asserted_k, tol, batch)
+                         Q, valid_trials, seed, 40.0, batch)
 
 
 # -- node splits ----------------------------------------------------------

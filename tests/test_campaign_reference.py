@@ -7,6 +7,7 @@ from dyadlab import bellman
 from dyadlab.bellman import (
     MAX_EMPTY_BATCHES,
     CampaignReport,
+    _LOG_SPREAD,
     _barycenter_premise,
     _barycenter_sampler,
     _member,
@@ -211,7 +212,8 @@ def test_uniform_and_random_share_one_stream():
 # -- sampling ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("Q", SAMPLE_Q)
+# u, v in [0.1, 10 sqrt(Q)] keep X v and Y u normal up to the largest finite Q
+@pytest.mark.parametrize("Q", SAMPLE_Q + [1e300, np.finfo(float).max])
 @pytest.mark.parametrize("n", [1, 7, 40000])
 def test_sample_omega_bit_identical(Q, n):
     for seed in range(8):
@@ -243,11 +245,13 @@ def test_sample_omega_is_a_view_of_coordinate_rows():
 
 @pytest.mark.parametrize("Q", SAMPLE_Q)
 @pytest.mark.parametrize("boundary_prob", [1.0, 0.1])
-@pytest.mark.parametrize("log_spread", [np.log(10.0), np.log(1e3)])
+@pytest.mark.parametrize("log_spread", [np.log(10.0)])
 def test_redraw_rows_only_from_strip_outside(Q, boundary_prob, log_spread):
     # the rows whose strip (u, v) start outside 1 <= uv <= Q, built and
     # tested, are the whole redraw set: building every point finds no other;
-    # the final (u, v) handed back are the built points' own
+    # the final (u, v) handed back are the built points' own.  The one
+    # spread drawn keeps u and v in [0.1, 10 sqrt(Q)], which that rests on.
+    assert _LOG_SPREAD == log_spread
     n = 40000
     for seed in range(4):
         U = np.random.default_rng(seed).random((_strip_rows(Q) + 8, n))
@@ -255,12 +259,12 @@ def test_redraw_rows_only_from_strip_outside(Q, boundary_prob, log_spread):
             # uv drawn as exactly 1: about half the products round below 1
             # and are nudged in, so rows start outside and end inside
             U[0] = 0.0
-        bad, u, v = _outside_rows(U, Q, boundary_prob, log_spread)
-        pts = _omega_points(U, Q, boundary_prob, log_spread)
+        bad, u, v = _outside_rows(U, Q, boundary_prob)
+        pts = _omega_points(U, Q, boundary_prob)
         eager = np.nonzero(~_member(pts, Q, 0.0))[0]
         assert np.array_equal(bad, eager), (Q, seed)
         assert u.tobytes() == pts[4].tobytes() and v.tobytes() == pts[5].tobytes()
-        moved = u != _strip(U[: _strip_rows(Q)], Q, log_spread)[0]
+        moved = u != _strip(U[: _strip_rows(Q)], Q)[0]
         if Q == 1.0:
             assert bad.size > 0  # the redraws do happen
         elif seed == 3:
@@ -284,7 +288,7 @@ def test_draws_bit_identical(Q):
     for seed in range(3):
         for sampler, ref_draw, ref_premise in SAMPLERS:
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            draw = sampler(Q, 5000, 1e-12)
+            draw = sampler(Q, 5000)
             for _ in range(2):  # a reused buffer gives the same as a fresh one
                 rows, got = draw(rng)
                 take, want = reference_valid(ref_draw, ref_premise, Q, 5000, ref_rng)
@@ -311,7 +315,7 @@ def test_barycenter_points_built_only_for_candidates(monkeypatch):
         return _omega_points(U, *args)
 
     monkeypatch.setattr(bellman, "_omega_points", recording)
-    rows, got = _barycenter_sampler(Q, batch, 1e-12)(np.random.default_rng(6))
+    rows, got = _barycenter_sampler(Q, batch)(np.random.default_rng(6))
     bary = reference_barycenter_draw(Q, batch, np.random.default_rng(6))[0]
     uv = bary[:, 4] * bary[:, 5]
     candidates = int(np.sum((uv >= 1.0 - 1e-12) & (uv <= Q + 1e-12)))
@@ -360,7 +364,7 @@ def test_barycenter_draw_redraws_at_q_one():
     # at Q = 1 the sampler draws some rows again; what is left of the stream
     # after a batch matches the reference draw, premise and take
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    rows, got = _barycenter_sampler(1.0, 40000, 1e-12)(rng)
+    rows, got = _barycenter_sampler(1.0, 40000)(rng)
     take, want = reference_valid(reference_barycenter_draw, reference_barycenter_premise,
                                  1.0, 40000, ref_rng)
     assert rows.size == take.size == 0

@@ -15,13 +15,14 @@ from dyadlab.bellman import (
     LemmaReport,
     NodeSplit,
     _midpoint,
-    _triangle_draw,
+    _sample_strip,
+    _segment_checks,
+    _slack_points,
     barycenter_lemma_check,
     in_domain,
     node_pattern_check,
     sample_omega,
     segment_in_domain,
-    segment_max_uv,
     triangle_lemma_check,
 )
 from dyadlab.forms import (
@@ -47,6 +48,21 @@ from dyadlab.tree import (
 from dyadlab.weights import gen_cascade, gen_power
 
 # -- the lemma checks as they were ------------------------------------------
+
+
+def segment_max_uv(p: BellmanPoint, q: BellmanPoint) -> float:
+    """Max of u(t) v(t) along the segment (closed form)."""
+    return float(_segment_checks(p.as_array(), q.as_array(), 0.0)[1])
+
+
+def _triangle_strips(Q: float, batch: int, rng):
+    """The strip samples of A, B and C, as three (2, batch) (u, v) arrays."""
+    return [np.array(_sample_strip(Q, batch, rng)) for _ in range(3)]
+
+
+def _triangle_draw(Q: float, batch: int, rng):
+    """Three strip samples embedded as slack points."""
+    return [_slack_points(*S) for S in _triangle_strips(Q, batch, rng)]
 
 
 def reference_triangle_lemma_check(A: BellmanPoint, B: BellmanPoint, C: BellmanPoint,

@@ -50,10 +50,16 @@ def test_scaling_sweep_smoke(tmp_path):
     ("run_lemma_campaigns.py", ["--Q", "nan"], "domain parameter must be finite and >= 1"),
     ("run_lemma_campaigns.py", ["--seed", "-1"], "campaign seed must be >= 0"),
     ("run_scaling_sweep.py", ["--depth", "-3"], "depth -3 outside [1, 20]"),
+    # argparse's own type errors, raised by the CLI's parser
+    ("run_lemma_campaigns.py", ["--trials", "abc"], "argument --trials: invalid int value: 'abc'"),
+    ("run_scaling_sweep.py", ["--depth", "x"], "argument --depth: invalid int value: 'x'"),
+    # a bad Q late in the list is refused before any campaign runs
+    ("run_lemma_campaigns.py", ["--Q", "1.5", "--Q", "0.5"],
+     "domain parameter must be finite and >= 1"),
 ])
 def test_bad_input_is_one_error_line(name, args, message, tmp_path):
     done = run_script(name, args, tmp_path)
     assert done.returncode == 1
-    assert "Traceback" not in done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""
     assert done.stderr.startswith(f"error: {message}") and done.stderr.count("\n") == 1
     assert not list(tmp_path.glob("*.json"))

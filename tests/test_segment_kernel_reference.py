@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dyadlab.bellman import (
+    CAMPAIGN_TOL,
     _median_premise,
     _quad_max_01,
     _segment_checks,
@@ -172,15 +173,14 @@ def test_segment_checks_general_points(tol):
 # -- the strip premise -------------------------------------------------------------
 
 STRIP_Q = [1.0, 1.5, 50.0]
-# 1e3 lets uv >= 1 - tol pass where u or v is not positive: positivity decides
-STRIP_TOLS = [0.0, 1e-12, -1e-9, -1e3, 1e3]
+STRIP_TOLS = [CAMPAIGN_TOL]  # the one tol the strip premise runs at
 UV_SPECIAL = (0.0, -0.0, -1.0, -1e-3, np.nan, np.inf)
 
 
 def strip_pairs(Q, rng, n=6000):
     """(2, n) (u, v) arrays: strip samples, a fifth of them spread so wide
-    that v can be small enough for the slack caps to bind at negative tol,
-    points just off the strip, and zero, negative and nan entries."""
+    that u or v can be below 1e-15, points just off the strip, and zero,
+    negative and nan entries."""
     spread = np.where(rng.random(n) < 0.2, 40.0, np.log(10.0))
     u = np.exp(rng.uniform(-spread, spread))
     v = np.exp(rng.uniform(0.0, np.log(Q) if Q > 1 else 0.0, n)) / u
@@ -198,35 +198,12 @@ def test_strip_segments_match_slack_points(Q, tol):
     rng = np.random.default_rng(5)
     p, q = strip_pairs(Q, rng), strip_pairs(Q, rng)
     with np.errstate(all="ignore"):
-        got = _strip_segments_ok(p, q, Q, tol)
+        got = _strip_segments_ok(p, q, Q)
         want = reference_segments_in_domain_arr(reference_slack_points(*p),
                                                 reference_slack_points(*q), Q, tol)
     assert got.dtype == bool and got.tobytes() == want.tobytes()
-    if tol >= -1e-9 and Q > 1:
+    if Q > 1:
         assert 0 < want.sum() < want.size
-
-
-def test_strip_segments_caps_bind_at_negative_tol():
-    # a slack cap is -1e6 v (x) or -1e6 u (y) at each end, which exceeds
-    # tol = -1e-9 where that coordinate is below 1e-15; each row keeps
-    # 1 <= uv <= 1.5 all along, so only the caps can refuse it
-    rows = [  # u, v, qu, qv, segment inside
-        (1e16, 1.2e-16, 1.01e16, 1.2e-16, False),  # x cap at both ends
-        (1.2e15, 1.05e-15, 1.3e15, 0.95e-15, False),  # x cap at the end point
-        (1.3e15, 0.95e-15, 1.2e15, 1.05e-15, False),  # x cap at the start point
-        (1.05e-15, 1.2e15, 0.95e-15, 1.3e15, False),  # y cap at the end point
-        (0.95e-15, 1.3e15, 1.05e-15, 1.2e15, False),  # y cap at the start point
-        (1e6, 1.2e-6, 1.01e6, 1.2e-6, True),
-        (1.0, 1.2, 1.01, 1.2, True),
-    ]
-    u, v, qu, qv, inside = (np.array(c) for c in zip(*rows))
-    p, q = np.array([u, v]), np.array([qu, qv])
-    want = reference_segments_in_domain_arr(reference_slack_points(*p),
-                                            reference_slack_points(*q), 1.5, -1e-9)
-    assert want.tolist() == inside.tolist()
-    assert _strip_segments_ok(p, q, 1.5, -1e-9).tolist() == want.tolist()
-    # the same rows at tol = 0 are all inside
-    assert _strip_segments_ok(p, q, 1.5, 0.0).all()
 
 
 @pytest.mark.parametrize("Q", STRIP_Q)
@@ -236,7 +213,7 @@ def test_median_premise_on_strips(Q, tol):
     rng = np.random.default_rng(8)
     strips = [strip_pairs(Q, rng) for _ in range(3)]
     with np.errstate(all="ignore"):
-        got = _median_premise(strips, lambda p, q: _strip_segments_ok(p, q, Q, tol))
+        got = _median_premise(strips, lambda p, q: _strip_segments_ok(p, q, Q))
         want = reference_triangle_premise([reference_slack_points(*S) for S in strips], Q, tol)
     assert got.tobytes() == want.tobytes()
 
@@ -246,7 +223,7 @@ def test_median_premise_on_strips(Q, tol):
 def test_triangle_sampler_every_tol(Q, tol):
     # the campaign's draw against the reference draw, premise and take
     rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
-    draw = _triangle_sampler(Q, 4000, tol)
+    draw = _triangle_sampler(Q, 4000)
     for _ in range(2):
         rows, got = draw(rng)
         pts = [reference_slack_points(*reference_sample_strip(Q, 4000, ref_rng))
@@ -268,5 +245,5 @@ def test_slack_points_for_valid_rows_only(monkeypatch):
         return _slack_points(u, v)
 
     monkeypatch.setattr(bellman, "_slack_points", recording)
-    rows, _ = _triangle_sampler(1.5, 40000, 1e-12)(np.random.default_rng(0))
+    rows, _ = _triangle_sampler(1.5, 40000)(np.random.default_rng(0))
     assert widths == [rows.size] * 3 and 0 < rows.size < 40000 // 5
