@@ -111,8 +111,8 @@ class OmegaDomain:
     def __post_init__(self):
         _check_q(self.Q)
 
-    def contains(self, p: BellmanPoint, tol: float = 0.0) -> bool:
-        return in_domain(p, self.Q, tol)
+    def contains(self, p: BellmanPoint) -> bool:
+        return in_domain(p, self.Q)
 
 
 def _member(c, Q: float, tol: float):
@@ -402,15 +402,15 @@ def _midpoint(a: BellmanPoint, b: BellmanPoint) -> BellmanPoint:
     return BellmanPoint.from_array((a.as_array() + b.as_array()) / 2.0)
 
 
-def _lemma_report(lemma: str, premises: bool, pts, segments, Q: float, k_grid,
+def _lemma_report(lemma: str, premises: bool, pts, segments, Q: float,
                   tol: float) -> LemmaReport:
-    """The segments lie in the k-fold domain iff they keep the caps and
-    max uv <= k Q + tol, and need k = max(1, max uv / Q) unless they leave them."""
+    """The segments lie in the k-fold domain (k in DEFAULT_K_GRID) iff they keep the
+    caps and max uv <= k Q + tol, and need k = max(1, max uv / Q) unless they leave them."""
     if not premises:
         return LemmaReport(lemma=lemma, vacuous=True)
     caps_ok, max_uv = _joint_segment_checks(pts, segments, tol)
     caps_ok, max_uv = bool(caps_ok[0]), float(max_uv[0])
-    holds_at = {k: caps_ok and max_uv <= k * Q + tol for k in k_grid}
+    holds_at = {k: caps_ok and max_uv <= k * Q + tol for k in DEFAULT_K_GRID}
     return LemmaReport(
         lemma=lemma, vacuous=False, holds_at=holds_at,
         min_k_holding=next((k for k, ok in holds_at.items() if ok), None),
@@ -418,25 +418,23 @@ def _lemma_report(lemma: str, premises: bool, pts, segments, Q: float, k_grid,
 
 
 def triangle_lemma_check(A: BellmanPoint, B: BellmanPoint, C: BellmanPoint,
-                         Q: float, k_grid=DEFAULT_K_GRID,
-                         tol: float = 1e-12) -> LemmaReport:
+                         Q: float, tol: float = 1e-12) -> LemmaReport:
     """Median-repair lemma: membership of A, B, C, [A,B] and [C, mid(A,B)]
     in Omega_Q forces [C,A] and [C,B] into an enlarged domain."""
     _check_q(Q)
     pts = [p.as_array()[:, None] for p in (A, B, C)]  # (6, 1) columns, as the campaigns
     premises = bool(_member(np.hstack(pts), Q, tol).all() and _triangle_premise(pts, Q, tol)[0])
-    return _lemma_report("triangle", premises, pts, TRIANGLE_SEGMENTS, Q, k_grid, tol)
+    return _lemma_report("triangle", premises, pts, TRIANGLE_SEGMENTS, Q, tol)
 
 
-def barycenter_lemma_check(P1, P2, P3, P4, Q: float, k_grid=DEFAULT_K_GRID,
-                           tol: float = 1e-12) -> LemmaReport:
+def barycenter_lemma_check(P1, P2, P3, P4, Q: float, tol: float = 1e-12) -> LemmaReport:
     """Barycenter lemma: if the four points and their barycenter are members,
     the four connecting segments lie in the 40-fold enlarged domain."""
     _check_q(Q)
     pts = [p.as_array()[:, None] for p in (P1, P2, P3, P4)]
     pts = [np.mean(pts, axis=0)] + pts
     premises = bool(_barycenter_premise(pts, Q, tol)[0])
-    return _lemma_report("barycenter", premises, pts, BARYCENTER_SEGMENTS, Q, k_grid, tol)
+    return _lemma_report("barycenter", premises, pts, BARYCENTER_SEGMENTS, Q, tol)
 
 
 @dataclass
@@ -719,15 +717,15 @@ def node_pattern_check(split: NodeSplit, Q: float, tol: float = 1e-12) -> dict:
 
 
 def node_defect(split: NodeSplit, Q: float,
-                evaluator: Callable[[BellmanPoint], float],
-                tol: float = 1e-12) -> Tuple[float, float, Optional[float]]:
-    """Defect of the evaluator at the node against the target lower bound.
+                evaluator: Callable[[BellmanPoint], float]) -> Tuple[float, float, Optional[float]]:
+    """Defect of the evaluator at the node against the target lower bound;
+    every split point must lie in Omega_Q within 1e-12.
 
-    D = evaluator(b) - (1/4) sum evaluator(b_ij);
-    rhs = |alpha| (|delta1| + |delta2|).  Returns (D, rhs, D/rhs or None).
+    D = evaluator(b) - (1/4) sum evaluator(b_ij), rhs = |alpha| (|delta1| +
+    |delta2|).  Returns (D, rhs, D/rhs or None).
     """
     for p in split.all_points():
-        if not in_domain(p, Q, tol):
+        if not in_domain(p, Q, 1e-12):
             raise DomainError(f"split point {p} outside the domain")
     d = evaluator(split.b) - 0.25 * (
         evaluator(split.b_pp) + evaluator(split.b_pm)

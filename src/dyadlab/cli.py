@@ -9,8 +9,8 @@ subset of the experiments on the same rows and adds a few summary keys.
   embed     key_sum, four_terms   key_sum_max, termI_max (slopes)
   carleson  carleson, vavo        max_carleson_over_Q, max_vavo_ratio,
                                   carleson_norm (slope)
-  bellman   bellman_b1            bellman: [{Q, b1_ratio, dp_depth,
-                                  dp_depth_effective}]
+  bellman   bellman_b1            bellman: [{Q, b1_ratio, dp_depth}], the
+                                  DP's saturated estimate (dp_depth 3)
   sweep     --experiments         (the sweep summary only)
 
 Weights: --family power|cascade|file, --param, --depth, --seed, --file,
@@ -18,7 +18,7 @@ each repeatable; defaults power, param 0.5, depth 6, seed 0.  Every row
 searches with seed + 7919 * depth and 6 restarts, whichever subcommand
 asks.  --jobs spreads the rows over worker processes (0 = all cores).
 CSV rows have the fixed columns CSV_COLUMNS + EXTRA_COLUMNS; JSON summaries
-carry the config, fitted slopes, max ratios and `schema_version: 1`.
+carry the config, fitted slopes, max ratios and `schema_version: 2`.
 
 geom runs one lemma campaign on no weight: --lemma triangle|barycenter,
 --trials, --Q (finite, >= 1), --seed, --json.
@@ -54,7 +54,7 @@ from .weights import (
     load_weight,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CSV_COLUMNS = [
     "family", "param", "seed", "depth", "Q",
@@ -90,7 +90,6 @@ class SweepConfig:
     complexities: Tuple[int, ...] = (0, 1)  # shift_norm
     exact: bool = False  # shift_norm: exhaustive instead of search
     samples: int = 4  # bellman_b1: DP directions per split
-    dp_depth: int = 6  # bellman_b1
 
     def __post_init__(self):
         if not self.experiments:
@@ -113,6 +112,11 @@ class SweepConfig:
             raise UsageError(f"jobs must be >= 0, got {self.jobs}")
         if self.restarts < 1:
             raise UsageError(f"restarts must be >= 1, got {self.restarts}")
+        if any(e in CAMPAIGNS for e in self.experiments):  # refused before any row runs
+            if self.trials < 1:
+                raise UsageError(f"a campaign needs at least 1 trial, got {self.trials}")
+            if self.seeds and self.seeds[0] < 0:
+                raise UsageError(f"campaign seed must be >= 0, got {self.seeds[0]}")
 
 
 def fit_slope(pairs: Sequence[Tuple[float, float]]) -> Tuple[float, float, float]:
@@ -227,7 +231,8 @@ def _fill_row(cfg: SweepConfig, job: dict, row: dict) -> None:
         pts = bellman.sample_omega(q, 3, rng)
         est = bellman.DpEstimator(Q=q, samples=cfg.samples, seed=seed)
         row["bellman_b1_ratio"] = max(
-            est.b1_ratio(bellman.BellmanPoint.from_array(p), cfg.dp_depth) for p in pts
+            est.b1_ratio(bellman.BellmanPoint.from_array(p), bellman.DP_SATURATION_DEPTH)
+            for p in pts
         )
 
 
@@ -247,18 +252,14 @@ def run_sweep(cfg: SweepConfig):
     summary = {"schema_version": SCHEMA_VERSION, "config": {
         "family": cfg.family, "params": cfg.params, "depths": cfg.depths,
         "seeds": cfg.seeds, "experiments": list(cfg.experiments),
-    }, "slopes": {}, "max_ratios": {}, "dropped_zero_rows": {}}
+    }, "max_ratios": {}}
 
     # the summary is over the rows without an error
     good = [r for r in rows if not r["error"]]
-    slope_cols = ["key_sum_max", "termI_max", "carleson_norm",
-                  "shift0_norm", "shift1_norm"]
-    for col in slope_cols:
-        pairs = [(r["Q"], r[col]) for r in good if r[col] != ""]
-        entry = _slope_entry(pairs)
-        if entry:
-            summary["slopes"][col] = entry
-            summary["dropped_zero_rows"][col] = n_dropped(pairs)
+    summary["slopes"] = _slopes(good, ["key_sum_max", "termI_max", "carleson_norm",
+                                       "shift0_norm", "shift1_norm"])
+    summary["dropped_zero_rows"] = {col: n_dropped(_pairs(good, col))
+                                    for col in summary["slopes"]}
     for col in ("vavo_ratio_max", "duality_ratio_max", "bellman_b1_ratio"):
         vals = [r[col] for r in good if r[col] != ""]
         if vals:
@@ -340,10 +341,6 @@ def build_parser() -> _Parser:
             sp.add_argument("--complexity", type=int, default=1)
             sp.add_argument("--exact", action="store_true")
         if name == "bellman":
-            sp.add_argument("--dp-depth", type=int, default=6,
-                            help="DP depth; every depth >= "
-                                 f"{bellman.DP_SATURATION_DEPTH} gives one estimate "
-                                 "(dp_depth_effective in the JSON)")
             sp.add_argument("--samples", type=int, default=4)
         if name == "sweep":
             sp.add_argument("--experiments",
@@ -378,9 +375,14 @@ def _emit(rows, summary, args, campaigns=()) -> int:
     return 0
 
 
+def _pairs(rows, col) -> list:
+    """(Q, value) of the rows whose col cell is filled."""
+    return [(r["Q"], r[col]) for r in rows if r[col] != ""]
+
+
 def _slopes(rows, cols) -> dict:
     """{col: slope entry} for the columns whose (Q, value) pairs fix a slope."""
-    entries = {col: _slope_entry([(r["Q"], r[col]) for r in rows]) for col in cols}
+    entries = {col: _slope_entry(_pairs(rows, col)) for col in cols}
     return {col: entry for col, entry in entries.items() if entry}
 
 
@@ -414,9 +416,8 @@ PRESETS = {
               lambda cfg, rows: _slopes(rows, ["key_sum_max", "termI_max"])),
     "carleson": (("carleson", "vavo"), _carleson_keys),
     "bellman": (("bellman_b1",), lambda cfg, rows: {"bellman": [
-        {"Q": r["Q"], "b1_ratio": r["bellman_b1_ratio"], "dp_depth": cfg.dp_depth,
-         "dp_depth_effective": min(cfg.dp_depth, bellman.DP_SATURATION_DEPTH)}
-        for r in rows]}),
+        {"Q": r["Q"], "b1_ratio": r["bellman_b1_ratio"],
+         "dp_depth": bellman.DP_SATURATION_DEPTH} for r in rows]}),
     "sweep": (None, lambda cfg, rows: {}),
 }
 
@@ -424,8 +425,8 @@ PRESETS = {
 def cmd_sweep(args) -> int:
     """Every weight subcommand: run its preset's sweep and emit the result."""
     experiments, extra_keys = PRESETS[args.command]
-    opts = {k: getattr(args, k) for k in ("iters", "trials", "exact", "samples",
-                                          "dp_depth") if hasattr(args, k)}
+    opts = {k: getattr(args, k) for k in ("iters", "trials", "exact", "samples")
+            if hasattr(args, k)}
     if hasattr(args, "complexity"):
         opts["complexities"] = (args.complexity,)
     cfg = SweepConfig(

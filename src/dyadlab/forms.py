@@ -277,10 +277,10 @@ class AbsBilinearForm:
         g = vt[0] / np.sqrt(self.right_metric)
         return float(sig[0]), f, g
 
-    def _flip_polish(self, s, t, max_passes: int = 40):
+    def _flip_polish(self, s, t):
         """1-opt local search over the sign patterns, exact objective per
-        pattern (largest singular value); escapes the sign-space local maxima
-        that the alternating iteration can get stuck in.
+        pattern (largest singular value), at most 40 passes; escapes the
+        sign-space local maxima that the alternating iteration can get stuck in.
 
         A flip is kept when sigma_1(c) of the flipped pattern exceeds
         tau = val (1 + 1e-13).  Most flips are rejected, and a rejection is
@@ -312,7 +312,7 @@ class AbsBilinearForm:
         seen = {pattern()}
         val = float(np.linalg.svd(zl.T @ (s[:, None] * m * t[None, :]) @ zr,
                                   compute_uv=False)[0])
-        for _ in range(max_passes):
+        for _ in range(40):
             improved = False
             for arr in (s, t):
                 fixed = (m * t[None, :]) @ zr if arr is s else zl.T @ (s[:, None] * m)

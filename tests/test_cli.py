@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dyadlab
-from dyadlab import bellman, embedding
+from dyadlab import bellman, cli, embedding
 from dyadlab.cli import (
     CSV_COLUMNS,
     EXTRA_COLUMNS,
@@ -80,7 +80,7 @@ class TestRunSweep:
         assert len(rows) == 1
         assert rows[0]["Q"] == pytest.approx(1.0)
         assert rows[0]["carleson_norm"] == pytest.approx(0.0)
-        assert summary["schema_version"] == 1
+        assert summary["schema_version"] == 2
 
     def test_determinism(self):
         a = rows_to_csv(run_sweep(self.cfg())[0])
@@ -185,7 +185,7 @@ class TestMainExitCodes:
                      "--depth", "4", "--json", str(out)])
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["schema_version"] == 1
+        assert data["schema_version"] == 2
         assert data["a2"][0]["Q"] >= 1.0
 
     def test_a2_stdout_json(self, capsys):
@@ -224,23 +224,43 @@ class TestMainExitCodes:
     def test_bellman_command(self, tmp_path):
         out = tmp_path / "b.json"
         code = main(["bellman", "--family", "power", "--param", "0.5",
-                     "--depth", "3", "--dp-depth", "3", "--samples", "2",
-                     "--json", str(out)])
+                     "--depth", "3", "--samples", "2", "--json", str(out)])
         assert code == 0
         data = json.loads(out.read_text())
         assert np.isfinite(data["bellman"][0]["b1_ratio"])
 
-    def test_bellman_reports_the_effective_dp_depth(self, tmp_path):
-        entries = []
-        for dp_depth in ("8", "12"):
-            out = tmp_path / f"b{dp_depth}.json"
-            assert main(["bellman", "--family", "cascade", "--param", "0.5",
-                         "--depth", "3", "--dp-depth", dp_depth, "--samples", "2",
-                         "--json", str(out)]) == 0
-            entries.append(json.loads(out.read_text())["bellman"][0])
-        assert entries[0]["b1_ratio"] == entries[1]["b1_ratio"]
-        assert [e["dp_depth"] for e in entries] == [8, 12]
-        assert [e["dp_depth_effective"] for e in entries] == [3, 3]
+    def test_bellman_is_the_saturated_dp_estimate(self, tmp_path):
+        out = tmp_path / "b.json"
+        assert main(["bellman", "--family", "cascade", "--param", "0.5", "--seed", "2",
+                     "--depth", "3", "--depth", "4", "--samples", "2",
+                     "--json", str(out)]) == 0
+        entries = json.loads(out.read_text())["bellman"]
+        assert len(entries) == 2
+        for depth, entry in zip((3, 4), entries):
+            q = a2_characteristic(gen_cascade(depth, 0.5, 2)).characteristic
+            seed = 2 + 7919 * depth  # the row's seed, as _fill_row derives it
+            pts = bellman.sample_omega(q, 3, np.random.default_rng(seed))
+            est = bellman.DpEstimator(Q=q, samples=2, seed=seed)
+            # the saturated depth, and 6, the default of the removed --dp-depth
+            for dp_depth in (bellman.DP_SATURATION_DEPTH, 6):
+                assert entry["b1_ratio"] == max(
+                    est.b1_ratio(bellman.BellmanPoint.from_array(p), dp_depth) for p in pts)
+            assert entry == {"Q": q, "b1_ratio": entry["b1_ratio"], "dp_depth": 3}
+
+    @pytest.mark.parametrize("bad", [["--trials", "0"], ["--seed", "-1"]],
+                             ids=["zero-trials", "negative-seed"])
+    def test_bad_campaign_input_runs_no_row(self, bad, monkeypatch, capsys, tmp_path):
+        def no_row(cfg, job):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(cli, "_compute_row", no_row)
+        out_csv, out_json = tmp_path / "s.csv", tmp_path / "s.json"
+        assert main(["sweep", "--family", "power", *bad,
+                     "--experiments", "a2,key_sum,lemma_triangle", "--jobs", "1",
+                     "--out", str(out_csv), "--json", str(out_json)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out_csv.exists() and not out_json.exists()
 
     def test_sweep_end_to_end(self, tmp_path):
         out_csv = tmp_path / "s.csv"
@@ -294,6 +314,7 @@ class TestMainExitCodes:
         ["geom", "--lemma", "triangle", "--trials", "10", "--Q", "1.5", "--seed", "-1"],
         ["geom", "--lemma", "barycenter", "--trials", "10", "--Q", "1.5", "--seed", "-1"],
         ["norm", "--complexity", "64"],
+        ["bellman", "--dp-depth", "8"],  # every depth >= 3 gave one estimate
     ])
     def test_bad_input_is_one_line(self, argv, capsys, tmp_path, time_limit):
         argv = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in argv]

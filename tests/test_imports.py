@@ -4,7 +4,10 @@ imports are the package's public names.
 
 Every function, method, property and class a dyadlab module defines is
 referenced by name somewhere in the source, the tests, the benchmark or the
-scripts, so code that nothing calls does not stay."""
+scripts, so code that nothing calls does not stay.
+
+Every defaulted parameter of a dyadlab function or method is passed by some
+call in those trees, so a setting that no caller changes does not stay."""
 import ast
 from pathlib import Path
 
@@ -96,3 +99,111 @@ def test_check_sees_an_unreferenced_definition():
               "def by_string():\n    pass\ngetattr(A, 'by_string')\n")
     idle = [qual for qual, name in definitions(source) if name not in references(source)]
     assert idle == ["A.idle"]
+
+
+def defaulted_parameters(source: str) -> list:
+    """(qualified name, callee name, parameter, positional index) of every
+    defaulted parameter.  A method's index leaves out self (cls for a
+    classmethod), since its calls go through an instance or the class, and
+    __init__ is called by its class's name; other dunders are left out."""
+    found = []
+
+    def visit(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{prefix}{child.name}.", None)
+                dunder = child.name.startswith("__") and child.name.endswith("__")
+                if dunder and not (cls and child.name == "__init__"):
+                    continue
+                a = child.args
+                positional = a.posonlyargs + a.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if cls and not static else 0
+                callee = cls if child.name == "__init__" else child.name
+                for i in range(len(positional) - len(a.defaults), len(positional)):
+                    found.append((prefix + child.name, callee, positional[i].arg, i - skip))
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        found.append((prefix + child.name, callee, arg.arg, None))
+            else:
+                visit(child, prefix, cls)
+
+    visit(ast.parse(source), "", None)
+    return found
+
+
+def passed_arguments(sources) -> dict:
+    """{callee name: (most positional arguments of one call, keywords passed)}
+    over the sources.  A Name callee is read through its source's
+    `import ... as` aliases.  A call with * or **, and a name used as a value
+    (a runner in a tuple, a getattr string), pass every parameter: positional
+    count inf."""
+    passed = {}
+    for source in sources:
+        _add_passed(ast.parse(source), passed)
+    return passed
+
+
+def _add_passed(tree, passed: dict) -> None:
+    aliases = {alias.asname: alias.name for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names if alias.asname}
+
+    def add(name, n, keywords):
+        most, seen = passed.get(aliases.get(name, name), (0, set()))
+        passed[aliases.get(name, name)] = (max(most, n), seen | keywords)
+
+    not_values = set()  # callees, and the objects whose attributes are read
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            not_values.add(id(node.value))
+        if isinstance(node, ast.Call):
+            not_values.add(id(node.func))
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            star = any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords)
+            add(name, float("inf") if star else len(node.args),
+                {k.arg for k in node.keywords})
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load) \
+                and id(node) not in not_values:
+            add(getattr(node, "id", getattr(node, "attr", None)), float("inf"), set())
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            add(node.value, float("inf"), set())
+
+
+def never_passed(definitions_source: str, passed: dict) -> list:
+    """'qualified name(parameter)' of every defaulted parameter no call passes."""
+    idle = []
+    for qual, callee, param, index in defaulted_parameters(definitions_source):
+        most, keywords = passed.get(callee, (0, set()))
+        if param not in keywords and not (index is not None and index < most):
+            idle.append(f"{qual}({param})")
+    return idle
+
+
+@pytest.fixture(scope="module")
+def passed():
+    return passed_arguments(p.read_text() for root in SEARCHED for p in sorted(root.rglob("*.py")))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_default_is_passed_somewhere(path, passed):
+    # a parameter whose default every caller keeps is a setting that changes nothing
+    assert never_passed(path.read_text(), passed) == []
+
+
+def test_check_sees_a_default_no_call_passes():
+    source = ("from m import f as g\n"
+              "class A:\n    def __init__(self, a=1, b=2):\n        pass\n"
+              "    def m(self, c=3, *, d=4):\n        pass\n"
+              "def f(e=5, h=6):\n    pass\n"
+              "def run(i=7):\n    pass\n"
+              "def spread(j=8):\n    pass\n"
+              "A(0)\na.m(d=1)\ng(h=0)\nrunners = (run,)\nspread(*args)\n")
+    assert never_passed(source, passed_arguments([source])) == [
+        "A.__init__(b)", "A.m(c)", "f(e)"]
