@@ -3,7 +3,9 @@
 
 Runs the standard experiment battery (Carleson norm, key-sum and first-term
 form norms, shift form norms) across a Q range, writes one CSV per family
-plus a JSON summary with fitted log-log slopes vs Q.
+plus a JSON summary with fitted log-log slopes vs Q.  Bad options are
+refused before the first sweep; a row that carries an error is written
+like the others, and the script then exits 1 with the first row error.
 
 Example:
     python3 scripts/run_scaling_sweep.py --depth 6 --out-dir results/
@@ -39,6 +41,11 @@ def run() -> int:
     ap.add_argument("--jobs", type=int, default=0, help="0 = all cores")
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args()
+    if args.cascades < 1:
+        raise UsageError(f"need at least 1 cascade, got {args.cascades}")
+    for name, eps in (("--eps-lo", args.eps_lo), ("--eps-hi", args.eps_hi)):
+        if not 0.0 <= eps < 1.0:
+            raise UsageError(f"{name} must lie in [0, 1), got {eps}")
 
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -49,18 +56,21 @@ def run() -> int:
     cfg = SweepConfig(family="power", params=power_params,
                       depths=[args.depth], seeds=[0],
                       experiments=EXPERIMENTS, jobs=args.jobs)
-    rows, summary["power"] = run_sweep(cfg)
-    (out / "power_sweep.csv").write_text(rows_to_csv(rows))
+    power_rows, summary["power"] = run_sweep(cfg)
+    (out / "power_sweep.csv").write_text(rows_to_csv(power_rows))
 
     rng = np.random.default_rng(0)
     eps = sorted(float(rng.uniform(args.eps_lo, args.eps_hi))
                  for _ in range(args.cascades))
     cfg = SweepConfig(family="cascade", params=eps, depths=[args.depth],
                       seeds=[0], experiments=EXPERIMENTS, jobs=args.jobs)
-    rows, summary["cascade"] = run_sweep(cfg)
-    (out / "cascade_sweep.csv").write_text(rows_to_csv(rows))
+    cascade_rows, summary["cascade"] = run_sweep(cfg)
+    (out / "cascade_sweep.csv").write_text(rows_to_csv(cascade_rows))
 
     (out / "scaling_summary.json").write_text(json.dumps(summary, indent=2))
+    errors = [r["error"] for r in power_rows + cascade_rows if r["error"]]
+    if errors:
+        raise UsageError(errors[0])
     for fam in ("power", "cascade"):
         print(f"{fam}: slopes vs Q")
         for col, fit in summary[fam]["slopes"].items():

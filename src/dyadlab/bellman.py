@@ -457,8 +457,6 @@ class CampaignReport:
                              if self.trials_total else 0.0),
             "violations": self.violations,
             "max_needed_k": self.max_needed_k,
-            # the same value under its former, misleading key
-            "min_k_holding": self.max_needed_k,
             "asserted_k": self.asserted_k,
             "worst_case_point": self.worst_case_point,
         }

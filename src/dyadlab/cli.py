@@ -2,13 +2,14 @@
 
 Every weight subcommand is a preset of one sweep (`run_sweep`): it runs a
 subset of the experiments on the same rows and adds a few summary keys.
+The sweep summary alone holds the slopes (of key_sum_max, termI_max,
+carleson_norm and shift{n}_norm) and the max ratios.
 
   a2        a2                    a2: [{Q, witness}]
-  norm      shift_norm            complexity, norms: [{Q, norm, mode}], slope
+  norm      shift_norm            complexity, norms: [{Q, norm, mode}]
                                   (mode exact: --exact at depth <= 3 only)
-  embed     key_sum, four_terms   key_sum_max, termI_max (slopes)
-  carleson  carleson, vavo        max_carleson_over_Q, max_vavo_ratio,
-                                  carleson_norm (slope)
+  embed     key_sum, four_terms   (the sweep summary only)
+  carleson  carleson, vavo        max_carleson_over_Q
   bellman   bellman_b1            bellman: [{Q, b1_ratio, dp_depth}], the
                                   DP's saturated estimate (dp_depth 3)
   sweep     --experiments         (the sweep summary only)
@@ -18,17 +19,18 @@ each repeatable; defaults power, param 0.5, depth 6, seed 0.  Every row
 searches with seed + 7919 * depth and 6 restarts, whichever subcommand
 asks.  --jobs spreads the rows over worker processes (0 = all cores).
 CSV rows have the fixed columns CSV_COLUMNS + EXTRA_COLUMNS; JSON summaries
-carry the config, fitted slopes, max ratios and `schema_version: 2`.
+carry the config, fitted slopes, max ratios and `schema_version: 3`.
 
 geom runs one lemma campaign on no weight: --lemma triangle|barycenter,
---trials, --Q (finite, >= 1), --seed, --json.
+--trials, --Q (finite, >= 1), --seed, --json.  It is the one campaign
+entry point of the CLI; a campaign at a sweep's Q takes --Q from `a2`.
 
-Exit codes: 0 success, 1 usage error, 2 invariant violation (a lemma
-campaign with violations, from geom or sweep).  A row whose weight cannot
-be built (a missing file, a bad parameter) or whose experiments fail (a
-form too deep to build, a negative --samples or --complexity) carries the
-message in its `error` column and does not stop the run: every output is
-written, then the command exits 1 with the first row error.
+Exit codes: 0 success, 1 usage error, 2 invariant violation (a geom
+campaign with violations, after its JSON is written).  A row whose weight
+cannot be built (a missing file, a bad parameter) or whose experiments fail
+(a form too deep to build, a negative --samples or --complexity) carries
+the message in its `error` column and does not stop the run: every output
+is written, then the command exits 1 with the first row error.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bellman, embedding, shifts
-from .tree import DomainError, InvariantError, LeafFunction, StructureError
+from .tree import MAX_DEPTH, DomainError, InvariantError, LeafFunction, StructureError
 from .weights import (
     Weight,
     a2_characteristic,
@@ -54,7 +56,7 @@ from .weights import (
     load_weight,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 CSV_COLUMNS = [
     "family", "param", "seed", "depth", "Q",
@@ -65,10 +67,8 @@ EXTRA_COLUMNS = ["shift0_norm", "shift1_norm", "bellman_b1_ratio", "error"]
 
 ALL_EXPERIMENTS = (
     "a2", "shift_norm", "key_sum", "four_terms", "carleson", "vavo",
-    "duality", "bellman_b1", "lemma_triangle", "lemma_barycenter",
+    "duality", "bellman_b1",
 )
-
-CAMPAIGNS = ("lemma_triangle", "lemma_barycenter")
 
 
 class UsageError(ValueError):
@@ -85,7 +85,6 @@ class SweepConfig:
     files: Tuple[str, ...] = ()
     iters: int = 40
     restarts: int = 6
-    trials: int = 1000
     jobs: int = 0  # 0 -> available cores
     complexities: Tuple[int, ...] = (0, 1)  # shift_norm
     exact: bool = False  # shift_norm: exhaustive instead of search
@@ -106,17 +105,12 @@ class SweepConfig:
         if not self.depths:
             raise UsageError("depths list must be nonempty")
         for d in self.depths:
-            if not 1 <= d <= 20:
-                raise UsageError(f"depth {d} outside [1, 20]")
+            if not 1 <= d <= MAX_DEPTH:
+                raise UsageError(f"depth {d} outside [1, {MAX_DEPTH}]")
         if self.jobs < 0:
             raise UsageError(f"jobs must be >= 0, got {self.jobs}")
         if self.restarts < 1:
             raise UsageError(f"restarts must be >= 1, got {self.restarts}")
-        if any(e in CAMPAIGNS for e in self.experiments):  # refused before any row runs
-            if self.trials < 1:
-                raise UsageError(f"a campaign needs at least 1 trial, got {self.trials}")
-            if self.seeds and self.seeds[0] < 0:
-                raise UsageError(f"campaign seed must be >= 0, got {self.seeds[0]}")
 
 
 def fit_slope(pairs: Sequence[Tuple[float, float]]) -> Tuple[float, float, float]:
@@ -138,15 +132,6 @@ def fit_slope(pairs: Sequence[Tuple[float, float]]) -> Tuple[float, float, float
     ss_tot = float(np.sum((lv - lv.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(slope), float(intercept), r2
-
-
-def _slope_entry(pairs) -> Optional[dict]:
-    """The fitted slope as a JSON object, or None when the pairs fix none."""
-    try:
-        slope, intercept, r2 = fit_slope(pairs)
-    except UsageError:
-        return None
-    return {"slope": slope, "intercept": intercept, "r2": r2}
 
 
 def n_dropped(pairs: Sequence[Tuple[float, float]]) -> int:
@@ -257,22 +242,13 @@ def run_sweep(cfg: SweepConfig):
     # the summary is over the rows without an error
     good = [r for r in rows if not r["error"]]
     summary["slopes"] = _slopes(good, ["key_sum_max", "termI_max", "carleson_norm",
-                                       "shift0_norm", "shift1_norm"])
+                                       *(f"shift{n}_norm" for n in cfg.complexities)])
     summary["dropped_zero_rows"] = {col: n_dropped(_pairs(good, col))
                                     for col in summary["slopes"]}
     for col in ("vavo_ratio_max", "duality_ratio_max", "bellman_b1_ratio"):
         vals = [r[col] for r in good if r[col] != ""]
         if vals:
             summary["max_ratios"][col] = max(vals)
-
-    qs = [r["Q"] for r in good]
-    for lemma, runner in (("lemma_triangle", bellman.run_triangle_campaign),
-                          ("lemma_barycenter", bellman.run_barycenter_campaign)):
-        if lemma in cfg.experiments:
-            q = max(max(qs), 2.0) if qs else 4.0
-            rep = runner(Q=q, valid_trials=cfg.trials,
-                         seed=cfg.seeds[0] if cfg.seeds else 0)
-            summary[lemma] = rep.to_json()
     return rows, summary
 
 
@@ -345,16 +321,12 @@ def build_parser() -> _Parser:
         if name == "sweep":
             sp.add_argument("--experiments",
                             default="a2,key_sum,four_terms,carleson,vavo,duality")
-            sp.add_argument("--trials", type=int, default=1000)
     return p
 
 
-def _emit(rows, summary, args, campaigns=()) -> int:
-    """Write every output, then fail on what the outputs report.
-
-    A campaign with violations raises InvariantError (exit 2); otherwise a
-    row carrying an error raises UsageError with the first one (exit 1).
-    """
+def _emit(rows, summary, args) -> int:
+    """Write every output, then raise UsageError (exit 1) with the first
+    row error, if a row carries one."""
     out = getattr(args, "out", None)  # geom writes no CSV
     text = json.dumps(summary, indent=2, sort_keys=True)
     if out:
@@ -365,10 +337,6 @@ def _emit(rows, summary, args, campaigns=()) -> int:
             fh.write(text + "\n")
     if not out and not args.json_path:
         print(text)
-    for rep in campaigns:
-        if rep["violations"]:
-            raise InvariantError(
-                f"{rep['lemma']} lemma violated in {rep['violations']} trials")
     errors = [r["error"] for r in rows if r["error"]]
     if errors:
         raise UsageError(errors[0])
@@ -377,33 +345,26 @@ def _emit(rows, summary, args, campaigns=()) -> int:
 
 def _pairs(rows, col) -> list:
     """(Q, value) of the rows whose col cell is filled."""
-    return [(r["Q"], r[col]) for r in rows if r[col] != ""]
+    return [(r["Q"], r[col]) for r in rows if r.get(col, "") != ""]
 
 
 def _slopes(rows, cols) -> dict:
-    """{col: slope entry} for the columns whose (Q, value) pairs fix a slope."""
-    entries = {col: _slope_entry(_pairs(rows, col)) for col in cols}
-    return {col: entry for col, entry in entries.items() if entry}
+    """{col: fitted slope} for the columns whose (Q, value) pairs fix one."""
+    slopes = {}
+    for col in cols:
+        try:
+            slope, intercept, r2 = fit_slope(_pairs(rows, col))
+        except UsageError:
+            continue
+        slopes[col] = {"slope": slope, "intercept": intercept, "r2": r2}
+    return slopes
 
 
 def _norm_keys(cfg, rows) -> dict:
     n = cfg.complexities[0]
     norms = [{"Q": r["Q"], "norm": r[f"shift{n}_norm"], "mode": r["shift_norm_mode"]}
              for r in rows]
-    keys = {"complexity": n, "norms": norms}
-    entry = _slope_entry([(v["Q"], v["norm"]) for v in norms])
-    if entry:
-        keys["slope"] = entry
-    return keys
-
-
-def _carleson_keys(cfg, rows) -> dict:
-    return {
-        "max_carleson_over_Q": max((r["carleson_norm"] / r["Q"] for r in rows),
-                                   default=None),
-        "max_vavo_ratio": max((r["vavo_ratio_max"] for r in rows), default=None),
-        **_slopes(rows, ["carleson_norm"]),
-    }
+    return {"complexity": n, "norms": norms}
 
 
 # subcommand -> (experiments, None for sweep's --experiments; a function of
@@ -412,9 +373,9 @@ PRESETS = {
     "a2": (("a2",), lambda cfg, rows: {
         "a2": [{"Q": r["Q"], "witness": r["a2_witness"]} for r in rows]}),
     "norm": (("shift_norm",), _norm_keys),
-    "embed": (("key_sum", "four_terms"),
-              lambda cfg, rows: _slopes(rows, ["key_sum_max", "termI_max"])),
-    "carleson": (("carleson", "vavo"), _carleson_keys),
+    "embed": (("key_sum", "four_terms"), lambda cfg, rows: {}),
+    "carleson": (("carleson", "vavo"), lambda cfg, rows: {"max_carleson_over_Q": max(
+        (r["carleson_norm"] / r["Q"] for r in rows), default=None)}),
     "bellman": (("bellman_b1",), lambda cfg, rows: {"bellman": [
         {"Q": r["Q"], "b1_ratio": r["bellman_b1_ratio"],
          "dp_depth": bellman.DP_SATURATION_DEPTH} for r in rows]}),
@@ -425,7 +386,7 @@ PRESETS = {
 def cmd_sweep(args) -> int:
     """Every weight subcommand: run its preset's sweep and emit the result."""
     experiments, extra_keys = PRESETS[args.command]
-    opts = {k: getattr(args, k) for k in ("iters", "trials", "exact", "samples")
+    opts = {k: getattr(args, k) for k in ("iters", "exact", "samples")
             if hasattr(args, k)}
     if hasattr(args, "complexity"):
         opts["complexities"] = (args.complexity,)
@@ -441,14 +402,17 @@ def cmd_sweep(args) -> int:
     )
     rows, summary = run_sweep(cfg)
     summary.update(extra_keys(cfg, [r for r in rows if not r["error"]]))
-    return _emit(rows, summary, args, [summary[c] for c in CAMPAIGNS if c in summary])
+    return _emit(rows, summary, args)
 
 
 def cmd_geom(args) -> int:
     runner = (bellman.run_triangle_campaign if args.lemma == "triangle"
               else bellman.run_barycenter_campaign)
     rep = runner(Q=args.Q, valid_trials=args.trials, seed=args.seed).to_json()
-    return _emit([], {"schema_version": SCHEMA_VERSION, **rep}, args, [rep])
+    _emit([], {"schema_version": SCHEMA_VERSION, **rep}, args)
+    if rep["violations"]:
+        raise InvariantError(f"{rep['lemma']} lemma violated in {rep['violations']} trials")
+    return 0
 
 
 COMMANDS = {"geom": cmd_geom, **{name: cmd_sweep for name in PRESETS}}

@@ -223,9 +223,10 @@ class TestTriangleLemma:
     def test_campaign_json_schema(self):
         rep = run_triangle_campaign(Q=2.0, valid_trials=500, seed=1)
         j = rep.to_json()
-        for key in ("lemma", "trials", "vacuous", "min_k_holding",
+        for key in ("lemma", "trials", "vacuous", "max_needed_k",
                     "worst_case_point", "violations"):
             assert key in j
+        assert "min_k_holding" not in j
 
     def test_campaign_json_accept_ratio(self):
         rep = run_triangle_campaign(Q=2.0, valid_trials=500, seed=1)
@@ -237,11 +238,8 @@ class TestTriangleLemma:
         assert empty.to_json()["accept_ratio"] == 0.0
 
     def test_campaign_json_max_needed_k(self):
-        # min_k_holding is kept as an alias of max_needed_k
         rep = run_triangle_campaign(Q=2.0, valid_trials=500, seed=1)
-        j = rep.to_json()
-        assert j["max_needed_k"] == rep.max_needed_k
-        assert j["min_k_holding"] == j["max_needed_k"]
+        assert rep.to_json()["max_needed_k"] == rep.max_needed_k
 
 
 class TestBarycenterLemma:

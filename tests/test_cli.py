@@ -80,7 +80,7 @@ class TestRunSweep:
         assert len(rows) == 1
         assert rows[0]["Q"] == pytest.approx(1.0)
         assert rows[0]["carleson_norm"] == pytest.approx(0.0)
-        assert summary["schema_version"] == 2
+        assert summary["schema_version"] == 3
 
     def test_determinism(self):
         a = rows_to_csv(run_sweep(self.cfg())[0])
@@ -145,23 +145,6 @@ class TestRunSweep:
         assert len(rows) == 2
         assert all(n <= 2 for n in asked)
 
-    def test_campaign_q_is_largest_row_q(self, monkeypatch):
-        seen = []
-
-        def runner(Q, valid_trials, seed):
-            seen.append(Q)
-            return bellman.CampaignReport(
-                lemma="triangle", trials_valid=0, trials_total=0, violations=0,
-                max_needed_k=1.0, asserted_k=4.5, worst_case_point=None)
-
-        monkeypatch.setattr(bellman, "run_triangle_campaign", runner)
-        # x^-0.9 has Q ~ 5.2 at depth 4; the exponents themselves are below 2
-        rows, _ = run_sweep(self.cfg(params=[-0.9, 0.5],
-                                     experiments=("a2", "lemma_triangle")))
-        q_max = max(r["Q"] for r in rows)
-        assert q_max > 2.0
-        assert seen == [q_max]
-
 
 class TestMakeWeight:
     def test_families(self):
@@ -185,7 +168,7 @@ class TestMainExitCodes:
                      "--depth", "4", "--json", str(out)])
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["schema_version"] == 2
+        assert data["schema_version"] == 3
         assert data["a2"][0]["Q"] >= 1.0
 
     def test_a2_stdout_json(self, capsys):
@@ -247,19 +230,20 @@ class TestMainExitCodes:
                     est.b1_ratio(bellman.BellmanPoint.from_array(p), dp_depth) for p in pts)
             assert entry == {"Q": q, "b1_ratio": entry["b1_ratio"], "dp_depth": 3}
 
-    @pytest.mark.parametrize("bad", [["--trials", "0"], ["--seed", "-1"]],
-                             ids=["zero-trials", "negative-seed"])
-    def test_bad_campaign_input_runs_no_row(self, bad, monkeypatch, capsys, tmp_path):
+    @pytest.mark.parametrize("lemma", ["lemma_triangle", "lemma_barycenter"])
+    def test_lemma_experiment_in_sweep_runs_no_row(self, lemma, monkeypatch, capsys,
+                                                   tmp_path):
+        # campaigns run from geom alone; sweep refuses them before any row
         def no_row(cfg, job):
             raise AssertionError("a row was computed")
 
         monkeypatch.setattr(cli, "_compute_row", no_row)
         out_csv, out_json = tmp_path / "s.csv", tmp_path / "s.json"
-        assert main(["sweep", "--family", "power", *bad,
-                     "--experiments", "a2,key_sum,lemma_triangle", "--jobs", "1",
+        assert main(["sweep", "--family", "power",
+                     "--experiments", f"a2,key_sum,{lemma}", "--jobs", "1",
                      "--out", str(out_csv), "--json", str(out_json)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert err == f"usage error: unknown experiment {lemma!r}\n"
         assert not out_csv.exists() and not out_json.exists()
 
     def test_sweep_end_to_end(self, tmp_path):
@@ -360,7 +344,7 @@ class TestMainExitCodes:
 
 def _violating_runner(Q, valid_trials, seed):
     return bellman.CampaignReport(
-        lemma="triangle", trials_valid=10, trials_total=10, violations=3,
+        lemma="stub", trials_valid=10, trials_total=10, violations=3,
         max_needed_k=9.0, asserted_k=4.5, worst_case_point=None)
 
 
@@ -413,9 +397,24 @@ class TestPresets:
             vavo.append(embedding.two_weight_ratio_max(LeafFunction(w.values / q),
                                                        dual(w).base))
         assert data["max_carleson_over_Q"] == max(n / q for q, n in pairs)
-        assert data["max_vavo_ratio"] == max(vavo)
+        assert data["max_ratios"]["vavo_ratio_max"] == max(vavo)
         slope, intercept, r2 = fit_slope(pairs)
-        assert data["carleson_norm"] == {"slope": slope, "intercept": intercept, "r2": r2}
+        assert data["slopes"]["carleson_norm"] == {"slope": slope, "intercept": intercept,
+                                                   "r2": r2}
+
+    @pytest.mark.parametrize("command", ["a2", "norm", "embed", "carleson", "bellman"])
+    def test_each_summary_fact_is_written_once(self, command, capsys):
+        # slopes and max ratios live in the sweep summary only; a preset's
+        # own keys restate none of them
+        assert main([command, "--depth", "3", "--jobs", "1",
+                     "--param", "0.2", "--param", "0.5", "--param", "0.8"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        facts = [*summary["slopes"].values(), *summary["max_ratios"].values()]
+        sweep_keys = {"config", "schema_version", "slopes", "max_ratios",
+                      "dropped_zero_rows"}
+        for key, value in summary.items():
+            if key not in sweep_keys:
+                assert value not in facts, key
 
     def test_row_error_exits_one_after_writing(self, tmp_path, capsys):
         good = tmp_path / "good.txt"
@@ -458,12 +457,13 @@ class TestPresets:
 
     @pytest.mark.parametrize("argv", [
         ["geom", "--trials", "10"],
-        ["sweep", "--depth", "3", "--experiments", "a2,lemma_triangle", "--jobs", "1"],
+        ["geom", "--lemma", "barycenter", "--trials", "10"],
     ])
     def test_campaign_violation_exits_two(self, argv, monkeypatch, tmp_path, capsys):
+        # geom writes its JSON first, then exits 2
         monkeypatch.setattr(bellman, "run_triangle_campaign", _violating_runner)
+        monkeypatch.setattr(bellman, "run_barycenter_campaign", _violating_runner)
         out = tmp_path / "v.json"
         assert main([*argv, "--json", str(out)]) == 2
         assert capsys.readouterr().err.startswith("invariant violated: ")
-        data = json.loads(out.read_text())
-        assert data.get("lemma_triangle", data)["violations"] == 3
+        assert json.loads(out.read_text())["violations"] == 3

@@ -18,7 +18,7 @@ def test_two_distinct_q_fit():
 
 
 @pytest.mark.parametrize("command, slope_keys", [
-    ("norm", ["slope"]),
+    ("norm", ["shift1_norm"]),
     ("embed", ["key_sum_max", "termI_max"]),
     ("carleson", ["carleson_norm"]),
 ])
@@ -30,4 +30,8 @@ def test_repeated_param_leaves_slope_out(command, slope_keys, capsys):
         assert main(argv) == 0
     summary = json.loads(capsys.readouterr().out)
     for key in slope_keys:
-        assert key not in summary
+        assert key not in summary["slopes"]
+    # three distinct weights fit every one of these slopes
+    assert main([command, "--depth", "3", "--param", "0.2", "--param", "0.5",
+                 "--param", "0.8"]) == 0
+    assert set(slope_keys) <= set(json.loads(capsys.readouterr().out)["slopes"])

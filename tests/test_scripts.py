@@ -56,10 +56,27 @@ def test_scaling_sweep_smoke(tmp_path):
     # a bad Q late in the list is refused before any campaign runs
     ("run_lemma_campaigns.py", ["--Q", "1.5", "--Q", "0.5"],
      "domain parameter must be finite and >= 1"),
+    # refused before the power sweep runs, not after it
+    ("run_scaling_sweep.py", ["--cascades", "0"], "need at least 1 cascade, got 0"),
+    ("run_scaling_sweep.py", ["--depth", "2", "--cascades", "2", "--eps-lo", "1.5",
+                              "--eps-hi", "2.0", "--jobs", "1"],
+     "--eps-lo must lie in [0, 1), got 1.5"),
 ])
 def test_bad_input_is_one_error_line(name, args, message, tmp_path):
     done = run_script(name, args, tmp_path)
     assert done.returncode == 1
     assert "Traceback" not in done.stderr and done.stdout == ""
     assert done.stderr.startswith(f"error: {message}") and done.stderr.count("\n") == 1
-    assert not list(tmp_path.glob("*.json"))
+    assert not list(tmp_path.iterdir())
+
+
+def test_scaling_sweep_row_error_exits_one_after_writing(tmp_path):
+    # every form is too deep at depth 13: each row carries the error
+    done = run_script("run_scaling_sweep.py",
+                      ["--depth", "13", "--cascades", "1", "--jobs", "1"], tmp_path)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    assert done.stderr.startswith("error: depth 13 exceeds the dense-matrix cap 12")
+    assert done.stderr.count("\n") == 1
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "cascade_sweep.csv", "power_sweep.csv", "scaling_summary.json"]

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from dyadlab.embedding import key_sum_form
 from dyadlab.tree import (
     DomainError,
     DyadicIndex,
@@ -220,6 +221,21 @@ class TestNormExact:
         est = norm_exact_small(ShiftSpec.constant(complexity, 4), w)
         assert est.mode == "lower_bound"
         assert est.upper_bound is not None and est.value <= est.upper_bound * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("make", [
+        lambda d: gen_power(d, 0.5),
+        lambda d: gen_power(d, -0.7),
+        lambda d: gen_cascade(d, 0.7, seed=3),
+        lambda d: gen_cascade(d, 0.9, seed=11),
+    ], ids=["power0.5", "power-0.7", "cascade0.7s3", "cascade0.9s11"])
+    def test_key_sum_form_has_the_complexity0_supremum(self, make, depth):
+        # f1 = w phi and f2 = sigma psi map the key-sum form onto the
+        # complexity-0 shift form with its two sides swapped
+        w = make(depth)
+        key = key_sum_form(w).exact_sup().value
+        shift = norm_exact_small(ShiftSpec.constant(0, depth), w).value
+        assert key == pytest.approx(shift, rel=1e-12)
 
     def test_monotone_in_coefficients(self):
         w = gen_cascade(3, 0.6, seed=1)
