@@ -3,7 +3,8 @@
 
 Runs the triangle (median-repair, asserted k = 4.5) and barycenter
 (asserted k = 40) campaigns over a grid of domain parameters Q and writes
-one JSON report per campaign.  Each report and each printed line carries
+one JSON report per campaign.  Each report carries its Q and seed
+(--seed + 1000 i for the i-th Q); each report and each printed line carries
 the campaign's acceptance rate (premise-valid over drawn trials) and its
 elapsed wall time in seconds.
 
@@ -51,9 +52,9 @@ def run() -> int:
         reports = []
         for i, q in enumerate(qs):
             t0 = time.perf_counter()
-            rep = runner(Q=q, valid_trials=args.trials,
-                         seed=args.seed + 1000 * i)
-            js = dict(rep.to_json(), elapsed_s=time.perf_counter() - t0)
+            seed = args.seed + 1000 * i
+            rep = runner(Q=q, valid_trials=args.trials, seed=seed)
+            js = dict(rep.to_json(), Q=q, seed=seed, elapsed_s=time.perf_counter() - t0)
             reports.append(js)
             status = "OK" if rep.violations == 0 else "VIOLATED"
             failures += rep.violations

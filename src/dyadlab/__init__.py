@@ -29,12 +29,10 @@ from .weights import (
     weighted_norm,
 )
 from .shifts import (
-    NormEstimate,
     ShiftSpec,
     form_value,
     martingale_transform_apply,
-    norm_exact_small,
-    norm_lower_search,
+    shift_form,
 )
 from .embedding import (
     CarlesonMeasure,

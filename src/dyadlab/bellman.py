@@ -59,11 +59,6 @@ from .tree import (
 )
 from .weights import Weight, a2_characteristic
 
-# Gain per node is GAIN_FACTOR * |x_+ - x_-| * |y_+ - y_-| / 4.  The factor
-# is calibrated against concrete dyadic data (see calibrate_gain) and kept
-# at one named constant.
-GAIN_FACTOR = 1.0
-
 _XY_FRACS = (0.25, 0.5, 0.75, 1.0)
 _XY_STEP = 0.125  # quantization of x, y as fractions of their caps
 _LOG_STEP = 0.25  # quantization of log X, log Y, log u, log v
@@ -784,9 +779,7 @@ def _xy_game_value(arr: np.ndarray) -> float:
     strategies with |t|/|s| = sqrt(gx/gy) approach it as the splits refine,
     so it is the supremum of the depth-limited values over all depths."""
     X, Y, x, y, u, v = arr
-    return GAIN_FACTOR * float(
-        np.sqrt(max(X * v - x * x, 0.0) * max(Y * u - y * y, 0.0))
-    )
+    return float(np.sqrt(max(X * v - x * x, 0.0) * max(Y * u - y * y, 0.0)))
 
 
 def _grid_moves(arr: np.ndarray):
@@ -810,7 +803,7 @@ def _child_value(arr: np.ndarray, levels: int) -> float:
     grid move G, or max(G, _xy_game_value), which no deeper play beats."""
     if levels == 0:
         return 0.0
-    g = max([0.0] + [GAIN_FACTOR * abs(t) * abs(s) for t, s in _grid_moves(arr)])
+    g = max([0.0] + [abs(t) * abs(s) for t, s in _grid_moves(arr)])
     return g if levels == 1 else max(g, _xy_game_value(arr))
 
 
@@ -823,7 +816,7 @@ class DpEstimator:
     """Depth-limited lower estimate of the value function on Omega_Q.
 
     B^0 = 0 and B^d(p) is the best found over candidate midpoint splits of p
-    of (average of children values) + GAIN_FACTOR |dx||dy|, and over the
+    of (average of children values) + |dx||dy|, and over the
     exactly solved x/y-only split game (_xy_game_value) once d >= 2.  The
     candidates are a deterministic grid of one-step x/y-only splits and
     seeded random six-coordinate directions (a prefix sequence, making the
@@ -867,7 +860,7 @@ class DpEstimator:
         """(plus child, minus child, gain) of every candidate split at arr."""
         for t, s in _grid_moves(arr):
             step = np.array([0.0, 0.0, t, s, 0.0, 0.0])
-            gain = GAIN_FACTOR * abs(t) * abs(s)
+            gain = abs(t) * abs(s)
             yield _snap(arr + step, self.Q), _snap(arr - step, self.Q), gain
         for delta in self._directions(arr):
             split = self._try_direction(arr, delta)
@@ -895,7 +888,7 @@ class DpEstimator:
                 sm = _snap(minus, self.Q)
                 if _key(sp) == parent and _key(sm) == parent:
                     return None
-                return sp, sm, GAIN_FACTOR * abs(delta[2]) * abs(delta[3])
+                return sp, sm, abs(delta[2]) * abs(delta[3])
             delta = delta / 2.0
         return None
 

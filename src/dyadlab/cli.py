@@ -15,15 +15,19 @@ carleson_norm and shift{n}_norm) and the max ratios.
   sweep     --experiments         (the sweep summary only)
 
 Weights: --family power|cascade|file, --param, --depth, --seed, --file,
-each repeatable; defaults power, param 0.5, depth 6, seed 0.  Every row
-searches with seed + 7919 * depth and 6 restarts, whichever subcommand
-asks.  --jobs spreads the rows over worker processes (0 = all cores).
+each repeatable; defaults power, param 0.5, depth 6, seed 0.  --seed is for
+cascades only; --family file makes one row per --file, with the file's
+depth, and refuses --depth and --param.  Every row searches with
+seed + 7919 * depth and 6 restarts, whichever subcommand asks.  --jobs
+spreads the rows over worker processes (0 = all cores).
 CSV rows have the fixed columns CSV_COLUMNS + EXTRA_COLUMNS; JSON summaries
-carry the config, fitted slopes, max ratios and `schema_version: 3`.
+carry the config, fitted slopes, max ratios and `schema_version: 4`.
 
 geom runs one lemma campaign on no weight: --lemma triangle|barycenter,
---trials, --Q (finite, >= 1), --seed, --json.  It is the one campaign
-entry point of the CLI; a campaign at a sweep's Q takes --Q from `a2`.
+--trials, --Q (finite, >= 1), --seed, --json.  Its JSON is the campaign
+report with `schema_version` and `config: {lemma, Q, trials, seed}`.  It is
+the one campaign entry point of the CLI; a campaign at a sweep's Q takes
+--Q from `a2`.
 
 Exit codes: 0 success, 1 usage error, 2 invariant violation (a geom
 campaign with violations, after its JSON is written).  A row whose weight
@@ -56,7 +60,7 @@ from .weights import (
     load_weight,
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 CSV_COLUMNS = [
     "family", "param", "seed", "depth", "Q",
@@ -98,12 +102,18 @@ class SweepConfig:
                 raise UsageError(f"unknown experiment {e!r}")
         if self.family not in ("power", "cascade", "file"):
             raise UsageError(f"unknown family {self.family!r}")
-        if self.family != "file" and not self.params:
+        if self.family == "file":
+            if not self.files:
+                raise UsageError("file family needs at least one file")
+            if self.params or self.depths:
+                raise UsageError("the file family takes no params or depths: "
+                                 "each file gives its weight and depth")
+        elif not self.params:
             raise UsageError("params list must be nonempty")
-        if self.family == "file" and not self.files:
-            raise UsageError("file family needs at least one file")
-        if not self.depths:
+        elif not self.depths:
             raise UsageError("depths list must be nonempty")
+        if self.family != "cascade" and any(self.seeds):
+            raise UsageError(f"seeds apply to the cascade family only, not {self.family}")
         for d in self.depths:
             if not 1 <= d <= MAX_DEPTH:
                 raise UsageError(f"depth {d} outside [1, {MAX_DEPTH}]")
@@ -150,12 +160,13 @@ def make_weight(family: str, param: float, seed: int, depth: int,
 
 
 def _row_jobs(cfg: SweepConfig):
+    """One row per file, else per (depth, param, cascade seed); a file row's
+    depth is filled in once its weight is read."""
+    if cfg.family == "file":
+        for path in cfg.files:
+            yield {"family": "file", "param": 0.0, "seed": 0, "depth": "", "path": path}
+        return
     for depth in cfg.depths:
-        if cfg.family == "file":
-            for path in cfg.files:
-                yield {"family": "file", "param": 0.0, "seed": 0,
-                       "depth": depth, "path": path}
-            continue
         for param in cfg.params:
             for seed in (cfg.seeds or [0]) if cfg.family == "cascade" else [0]:
                 yield {"family": cfg.family, "param": param, "seed": seed,
@@ -179,12 +190,13 @@ def _compute_row(cfg: SweepConfig, job: dict) -> dict:
 def _fill_row(cfg: SweepConfig, job: dict, row: dict) -> None:
     w = make_weight(job["family"], job["param"], job["seed"], job["depth"],
                     job["path"])
+    row["depth"] = w.depth
     a2 = a2_characteristic(w)
     q = a2.characteristic
     row["Q"] = q
     row["a2_witness"] = [a2.witness.level, a2.witness.position]
     ex = set(cfg.experiments)
-    seed = int(job["seed"]) + 7919 * int(job["depth"])
+    seed = int(job["seed"]) + 7919 * w.depth
     if "key_sum" in ex or "four_terms" in ex:
         res = embedding.key_sum_form(w).search_sup(cfg.iters, seed, cfg.restarts)
         row["key_sum_max"] = res.value
@@ -206,9 +218,8 @@ def _fill_row(cfg: SweepConfig, job: dict, row: dict) -> None:
         row["duality_ratio_max"] = best
     if "shift_norm" in ex:
         for n in cfg.complexities:
-            spec = shifts.ShiftSpec.constant(n, w.depth)
-            est = (shifts.norm_exact_small(spec, w) if cfg.exact else
-                   shifts.norm_lower_search(spec, w, cfg.iters, seed, cfg.restarts))
+            form = shifts.shift_form(shifts.ShiftSpec.constant(n, w.depth), w)
+            est = form.exact_sup() if cfg.exact else form.search_sup(cfg.iters, seed, cfg.restarts)
             row[f"shift{n}_norm"] = est.value
             row["shift_norm_mode"] = est.mode
     if "bellman_b1" in ex:
@@ -390,10 +401,13 @@ def cmd_sweep(args) -> int:
             if hasattr(args, k)}
     if hasattr(args, "complexity"):
         opts["complexities"] = (args.complexity,)
+    if args.seed and args.family != "cascade":  # --seed 0 too: SweepConfig accepts [0]
+        raise UsageError(f"--seed applies to --family cascade only, not {args.family}")
+    from_file = args.family == "file"
     cfg = SweepConfig(
         family=args.family,
-        params=args.param or ([] if args.family == "file" else [0.5]),
-        depths=args.depth or [6],
+        params=args.param or ([] if from_file else [0.5]),
+        depths=args.depth or ([] if from_file else [6]),
         seeds=args.seed or [0],
         experiments=experiments or tuple(e for e in args.experiments.split(",") if e),
         files=tuple(args.file or []),
@@ -409,7 +423,8 @@ def cmd_geom(args) -> int:
     runner = (bellman.run_triangle_campaign if args.lemma == "triangle"
               else bellman.run_barycenter_campaign)
     rep = runner(Q=args.Q, valid_trials=args.trials, seed=args.seed).to_json()
-    _emit([], {"schema_version": SCHEMA_VERSION, **rep}, args)
+    config = {"lemma": args.lemma, "Q": args.Q, "trials": args.trials, "seed": args.seed}
+    _emit([], {"schema_version": SCHEMA_VERSION, "config": config, **rep}, args)
     if rep["violations"]:
         raise InvariantError(f"{rep['lemma']} lemma violated in {rep['violations']} trials")
     return 0

@@ -12,9 +12,11 @@ sets are therefore enumerated, not optimized: one chunked sweep over s,
 max_s lambda_max(root (s s' o w0) root), runs once per t, or once when, for
 larger sizes, the t-set is folded into an entrywise absolute value of the right Gram matrix; the
 fold is an upper bound which is tight whenever the extremal g can realize
-the folded signs, and it is cross-checked against full enumeration on
-small instances (see tests) and against the achieved witness value on
-every call.
+the folded signs.  The tests cross-check it against full enumeration on
+small instances and against the achieved witness value
+(tests/test_shifts.py::test_fold_bounded_by_upper_bound).  A FormResult's
+mode is "exact" only from full enumeration; the fold and search_sup return
+a "lower_bound".
 
 The alternating search forms each map product once.  An argmax step hands
 back its maximizer x together with the image A x (or B x) that its last
@@ -141,7 +143,8 @@ class FormResult:
     right: np.ndarray
     sign_left: Optional[np.ndarray]
     sign_right: Optional[np.ndarray]
-    upper_bound: Optional[float] = None  # fold bound, when the fold path ran
+    upper_bound: Optional[float] = None  # certified bound, set by both exact paths
+    mode: str = "lower_bound"  # "exact" from full enumeration only
 
 
 class AbsBilinearForm:
@@ -205,7 +208,7 @@ class AbsBilinearForm:
         _, f, g = self._sigma_max_signed(s, t)
         # make the achieved form value carry the result, not the eigenvalue
         return FormResult(value=self.value(f, g), left=f, right=g, sign_left=s, sign_right=t,
-                          upper_bound=float(np.sqrt(max(lam, 0.0))))
+                          upper_bound=float(np.sqrt(max(lam, 0.0))), mode="exact")
 
     def _exact_fold(self, zl, zr, w0, g0) -> FormResult:
         e = self.m @ np.abs(g0) @ self.m.T

@@ -9,17 +9,18 @@ sign-invariant by construction (c and -c give the same form).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .forms import FULL_ENUM_LIMIT, AbsBilinearForm, FormResult, weighted_form
+from .forms import AbsBilinearForm, weighted_form
 from .tree import (
     MAX_DEPTH,
     DomainError,
     LeafFunction,
     LinearOperator,
     StructureError,
+    _check_depth,
     _dense,
     _haar_operator,
     _read_only,
@@ -37,8 +38,7 @@ def _coeff_shape(complexity: int, depth: int) -> Tuple[int, int]:
     descendant J, left to right."""
     if not 0 <= complexity <= MAX_DEPTH:
         raise DomainError(f"complexity must lie in [0, {MAX_DEPTH}], got {complexity}")
-    if not 1 <= depth <= MAX_DEPTH:
-        raise DomainError(f"depth must lie in [1, {MAX_DEPTH}], got {depth}")
+    _check_depth(depth)
     return (1 << max(depth - complexity, 0)) - 1, 1 << complexity
 
 
@@ -125,49 +125,16 @@ def form_value(spec: ShiftSpec, f1: LeafFunction, f2: LeafFunction) -> float:
     return float(a @ (ShiftOperator(spec) @ b))
 
 
-@dataclass
-class NormEstimate:
-    value: float
-    mode: str  # "exact" | "lower_bound"
-    witness_f1: LeafFunction
-    witness_f2: LeafFunction
-    sign_pattern: Tuple[np.ndarray, np.ndarray]
-    upper_bound: Optional[float] = None
-
-
-def _weighted_form(spec: ShiftSpec, w: Weight) -> AbsBilinearForm:
+def shift_form(spec: ShiftSpec, w: Weight) -> AbsBilinearForm:
+    """The shift's form on the unit balls of L2(w) x L2(1/w).  Its exact_sup
+    is the supremum up to depth 3 (full enumeration, mode "exact"), the fold's
+    best achieved value at depth 4 (a "lower_bound" under its certified
+    upper_bound), and refused deeper.  Its search_sup is an
+    alternating-maximization "lower_bound" at any depth."""
     if w.depth != spec.depth:
         raise StructureError("weight depth must match the shift depth")
     h = _haar_operator(spec.depth)
     return weighted_form(w.values, ShiftOperator(spec), h, h)
-
-
-def _wrap(res: FormResult, mode: str) -> NormEstimate:
-    return NormEstimate(
-        value=res.value,
-        mode=mode,
-        witness_f1=LeafFunction(res.left),
-        witness_f2=LeafFunction(res.right),
-        sign_pattern=(res.sign_left, res.sign_right),
-        upper_bound=res.upper_bound,
-    )
-
-
-def norm_exact_small(spec: ShiftSpec, w: Weight) -> NormEstimate:
-    """Sup of the form over unit balls of L2(w) x L2(sigma) by
-    forms.AbsBilinearForm.exact_sup, which refuses above FOLD_LIMIT intervals:
-    "exact" up to FULL_ENUM_LIMIT (full enumeration); above, the fold's best
-    achieved value, a "lower_bound" under its certified upper_bound."""
-    mode = "exact" if n_internal(spec.depth) <= FULL_ENUM_LIMIT else "lower_bound"
-    return _wrap(_weighted_form(spec, w).exact_sup(), mode)
-
-
-def norm_lower_search(
-    spec: ShiftSpec, w: Weight, iters: int, seed: int, restarts: int = 8
-) -> NormEstimate:
-    """Alternating-maximization lower bound for the same supremum."""
-    res = _weighted_form(spec, w).search_sup(iters=iters, seed=seed, restarts=restarts)
-    return _wrap(res, "lower_bound")
 
 
 def martingale_transform_apply(signs, f: LeafFunction) -> LeafFunction:

@@ -100,6 +100,12 @@ def internal_indices(depth: int) -> Iterator[DyadicIndex]:
             yield DyadicIndex(level, position)
 
 
+def _check_depth(depth: int) -> None:
+    """Refuse a tree depth outside [1, MAX_DEPTH], before anything is allocated."""
+    if not 1 <= depth <= MAX_DEPTH:
+        raise DomainError(f"depth must lie in [1, {MAX_DEPTH}], got {depth}")
+
+
 def n_internal(depth: int) -> int:
     if depth < 0:
         raise DomainError(f"depth must be >= 0, got {depth}")

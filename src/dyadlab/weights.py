@@ -26,6 +26,7 @@ from .tree import (
     LeafFunction,
     StructureError,
     TwoValuedRowOperator,
+    _check_depth,
     _dense,
     _heap_diffs,
     _heap_levels,
@@ -249,6 +250,7 @@ def weighted_haar_matrix(w: Weight) -> np.ndarray:
 
 def gen_power(depth: int, a: float) -> Weight:
     """Leafwise exact averages of x^a over the leaves; needs a > -1."""
+    _check_depth(depth)
     if a <= -1:
         raise DomainError("exponent must exceed -1 for integrability")
     n = 1 << depth
@@ -261,6 +263,7 @@ def gen_power(depth: int, a: float) -> Weight:
 
 def gen_cascade(depth: int, eps: float, seed: int) -> Weight:
     """Multiplicative cascade: children multiply the parent by (1 +- xi_I)."""
+    _check_depth(depth)
     if not 0.0 <= eps < 1.0:
         raise DomainError("cascade amplitude must lie in [0, 1)")
     if seed < 0:

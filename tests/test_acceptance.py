@@ -31,11 +31,7 @@ from dyadlab.embedding import (
     key_sum_form,
     term1_form,
 )
-from dyadlab.shifts import (
-    ShiftSpec,
-    norm_exact_small,
-    norm_lower_search,
-)
+from dyadlab.shifts import ShiftSpec, shift_form
 from dyadlab.tree import (
     DyadicIndex,
     LeafFunction,
@@ -101,7 +97,7 @@ def test_criterion_1_exactness_floor(report):
     for depth in range(1, 5):
         w = Weight(LeafFunction.constant(depth, 1.0))
         spec = ShiftSpec.constant(0, depth, 1.0)
-        est = norm_exact_small(spec, w)
+        est = shift_form(spec, w).exact_sup()
         worst_mt = max(worst_mt, abs(est.value - 1.0))
     assert worst_mt < 1e-6
 
@@ -277,7 +273,7 @@ def test_criterion_5_shift_norm_scaling(report):
         for a in np.arange(0.1, 0.95, 0.1):
             w = gen_power(6, float(a))
             q = a2_characteristic(w).characteristic
-            est = norm_lower_search(spec, w, iters=40, seed=0, restarts=6)
+            est = shift_form(spec, w).search_sup(iters=40, seed=0, restarts=6)
             pairs.append((q, est.value))
         slope, _, r2 = fit_slope(pairs)
         slopes[cx] = (slope, r2)
@@ -291,8 +287,9 @@ def test_criterion_5_shift_norm_scaling(report):
         spec = ShiftSpec.random(cx, depth, int(rng.integers(1 << 30)))
         w = gen_cascade(depth, float(rng.uniform(0.1, 0.7)),
                         int(rng.integers(1 << 30)))
-        exact = norm_exact_small(spec, w).value
-        found = norm_lower_search(spec, w, iters=60, seed=k, restarts=8).value
+        form = shift_form(spec, w)
+        exact = form.exact_sup().value
+        found = form.search_sup(iters=60, seed=k, restarts=8).value
         worst_gap = max(worst_gap, abs(found - exact) / max(1.0, exact))
     assert worst_gap < 1e-6
 

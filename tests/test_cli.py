@@ -67,6 +67,26 @@ class TestSweepConfig:
             SweepConfig(family="power", params=[0.5], depths=[25], seeds=[0],
                         experiments=("a2",))
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(family="file", files=("w.txt",), params=[], depths=[3]), "no params or depths"),
+        (dict(family="file", files=("w.txt",), params=[0.5], depths=[]), "no params or depths"),
+        (dict(family="power", params=[0.5], depths=[]), "depths list must be nonempty"),
+        (dict(family="power", params=[0.5], depths=[3], seeds=[3, 5]), "cascade family only"),
+        (dict(family="file", files=("w.txt",), params=[], depths=[], seeds=[1]),
+         "cascade family only"),
+    ])
+    def test_options_a_family_ignores_are_refused(self, kw, message):
+        with pytest.raises(UsageError, match=message):
+            SweepConfig(**{"seeds": [0], "experiments": ("a2",), **kw})
+
+    def test_file_config_has_no_depths(self):
+        # power keeps seeds [0]: perfbench and the scripts pass it
+        assert SweepConfig(family="power", params=[0.5], depths=[3], seeds=[0],
+                           experiments=("a2",)).seeds == [0]
+        cfg = SweepConfig(family="file", files=("w.txt",), params=[], depths=[],
+                          seeds=[0], experiments=("a2",))
+        assert cfg.depths == []
+
 
 class TestRunSweep:
     def cfg(self, **kw):
@@ -80,7 +100,7 @@ class TestRunSweep:
         assert len(rows) == 1
         assert rows[0]["Q"] == pytest.approx(1.0)
         assert rows[0]["carleson_norm"] == pytest.approx(0.0)
-        assert summary["schema_version"] == 3
+        assert summary["schema_version"] == 4
 
     def test_determinism(self):
         a = rows_to_csv(run_sweep(self.cfg())[0])
@@ -99,7 +119,7 @@ class TestRunSweep:
     def test_unreadable_file_continues(self, tmp_path):
         good = tmp_path / "good.txt"
         save_weight(gen_power(3, 0.5), good)
-        cfg = SweepConfig(family="file", params=[], depths=[3], seeds=[0],
+        cfg = SweepConfig(family="file", params=[], depths=[], seeds=[0],
                           experiments=("a2",),
                           files=(str(good), str(tmp_path / "missing.txt")),
                           jobs=1)
@@ -168,7 +188,7 @@ class TestMainExitCodes:
                      "--depth", "4", "--json", str(out)])
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["schema_version"] == 3
+        assert data["schema_version"] == 4
         assert data["a2"][0]["Q"] >= 1.0
 
     def test_a2_stdout_json(self, capsys):
@@ -260,11 +280,39 @@ class TestMainExitCodes:
         rows = list(csv.DictReader(out_csv.read_text().splitlines()))
         assert len(rows) == 3
 
+    def test_file_row_takes_depth_and_seed_from_its_weight(self, tmp_path):
+        w = gen_cascade(7, 0.8, 4)
+        wpath, out = tmp_path / "c7.txt", tmp_path / "e.csv"
+        save_weight(w, wpath)
+        assert main(["embed", "--family", "file", "--file", str(wpath), "--file", str(wpath),
+                     "--jobs", "1", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [r["depth"] for r in rows] == ["7", "7"]
+        key = embedding.key_sum_form(w).search_sup(40, 7919 * 7, 6).value
+        assert [float(r["key_sum_max"]) for r in rows] == [key, key]
+
+    @pytest.mark.parametrize("argv", [
+        ["a2", "--family", "file", "--file", "W", "--depth", "2", "--depth", "9"],
+        ["norm", "--family", "file", "--file", "W", "--param", "0.9"],
+        ["norm", "--depth", "4", "--seed", "3", "--seed", "5"],
+        ["a2", "--depth", "3", "--seed", "0"],
+        ["a2", "--family", "file", "--file", "W", "--seed", "1"],
+    ])
+    def test_ignored_weight_option_is_one_line(self, argv, capsys, tmp_path, monkeypatch):
+        save_weight(gen_power(3, 0.5), tmp_path / "w.txt")
+        ran = []
+        monkeypatch.setattr(cli, "_compute_row", lambda cfg, job: ran.append(job))
+        argv = [str(tmp_path / "w.txt") if a == "W" else a for a in argv]
+        assert main([*argv, "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert ran == []
+
     def test_file_family(self, tmp_path):
         wpath = tmp_path / "w.txt"
         save_weight(gen_power(4, 0.7), wpath, provenance="family=power a=0.7")
         code = main(["a2", "--family", "file", "--file", str(wpath),
-                     "--depth", "4", "--json", str(tmp_path / "o.json")])
+                     "--json", str(tmp_path / "o.json")])
         assert code == 0
 
     @pytest.mark.parametrize("argv", [
@@ -421,7 +469,7 @@ class TestPresets:
         save_weight(gen_power(3, 0.5), good)
         out_csv, out_json = tmp_path / "s.csv", tmp_path / "s.json"
         assert main(["sweep", "--family", "file", "--file", str(good),
-                     "--file", str(tmp_path / "missing.txt"), "--depth", "3",
+                     "--file", str(tmp_path / "missing.txt"),
                      "--experiments", "a2", "--jobs", "1",
                      "--out", str(out_csv), "--json", str(out_json)]) == 1
         err = capsys.readouterr().err
@@ -447,6 +495,15 @@ class TestPresets:
         assert rows[1]["key_sum_max"] == "" and float(rows[1]["Q"]) >= 1.0
         data = json.loads(out_json.read_text())
         assert data["config"]["depths"] == [4, 13]
+
+    @pytest.mark.parametrize("lemma", ["triangle", "barycenter"])
+    def test_campaign_json_names_its_config(self, lemma, tmp_path):
+        out = tmp_path / "g.json"
+        assert main(["geom", "--lemma", lemma, "--Q", "1.5", "--trials", "10",
+                     "--seed", "3", "--json", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["config"] == {"lemma": lemma, "Q": 1.5, "trials": 10, "seed": 3}
+        assert data["schema_version"] == 4 and data["lemma"] == lemma
 
     def test_campaign_json_carries_accept_ratio(self, tmp_path):
         out = tmp_path / "g.json"

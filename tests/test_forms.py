@@ -5,7 +5,7 @@ import pytest
 from dyadlab import forms
 from dyadlab.embedding import key_sum_form, term1_form
 from dyadlab.forms import AbsBilinearForm
-from dyadlab.shifts import ShiftSpec, _weighted_form
+from dyadlab.shifts import ShiftSpec, shift_form
 from dyadlab.tree import LinearOperator
 from dyadlab.weights import gen_cascade
 
@@ -50,14 +50,14 @@ def random_signs(n, rng):
 FORMS = {
     "key_sum": lambda d, k: key_sum_form(gen_cascade(d, 0.7, 100 + k)),
     "term_i": lambda d, k: term1_form(gen_cascade(d, 0.6, 200 + k)),
-    "shift0_const": lambda d, k: _weighted_form(ShiftSpec.constant(0, d),
-                                                gen_cascade(d, 0.7, 300 + k)),
-    "shift1_const": lambda d, k: _weighted_form(ShiftSpec.constant(1, d),
-                                                gen_cascade(d, 0.7, 400 + k)),
-    "shift0_random": lambda d, k: _weighted_form(ShiftSpec.random(0, d, 500 + k),
-                                                 gen_cascade(d, 0.5, 600 + k)),
-    "shift1_random": lambda d, k: _weighted_form(ShiftSpec.random(1, d, 700 + k),
-                                                 gen_cascade(d, 0.5, 800 + k)),
+    "shift0_const": lambda d, k: shift_form(ShiftSpec.constant(0, d),
+                                            gen_cascade(d, 0.7, 300 + k)),
+    "shift1_const": lambda d, k: shift_form(ShiftSpec.constant(1, d),
+                                            gen_cascade(d, 0.7, 400 + k)),
+    "shift0_random": lambda d, k: shift_form(ShiftSpec.random(0, d, 500 + k),
+                                             gen_cascade(d, 0.5, 600 + k)),
+    "shift1_random": lambda d, k: shift_form(ShiftSpec.random(1, d, 700 + k),
+                                             gen_cascade(d, 0.5, 800 + k)),
 }
 
 
@@ -118,8 +118,8 @@ def test_search_sup_unchanged():
 @pytest.mark.parametrize("build", [
     # the depth-4 inputs of the fold-path exact_sup tests in test_shifts.py
     # and a depth-4 key-sum form; the fold runs search_sup with the polish
-    lambda: _weighted_form(ShiftSpec.random(1, 4, seed=3), gen_cascade(4, 0.6, seed=8)),
-    lambda: _weighted_form(ShiftSpec.random(1, 4, seed=6), gen_cascade(4, 0.6, seed=7)),
+    lambda: shift_form(ShiftSpec.random(1, 4, seed=3), gen_cascade(4, 0.6, seed=8)),
+    lambda: shift_form(ShiftSpec.random(1, 4, seed=6), gen_cascade(4, 0.6, seed=7)),
     lambda: key_sum_form(gen_cascade(4, 0.7, 2)),
 ])
 def test_exact_sup_unchanged(build):
@@ -132,6 +132,15 @@ def test_exact_sup_unchanged(build):
     assert np.array_equal(res.sign_left, ref.sign_left)
     assert np.array_equal(res.sign_right, ref.sign_right)
 
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["key_sum", "term_i", "shift0_const", "shift1_const"])
+def test_mode_is_set_by_the_method(kind, depth):
+    # full enumeration (depths 2 and 3) is exact; the fold (depth 4) and
+    # every search give the best achieved value, a lower bound
+    form = FORMS[kind](depth, 0)
+    assert form.exact_sup().mode == ("exact" if depth <= 3 else "lower_bound")
+    assert form.search_sup(iters=10, seed=depth, restarts=2).mode == "lower_bound"
 
 
 def record_factorizations(monkeypatch):

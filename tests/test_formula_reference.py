@@ -439,9 +439,9 @@ def test_bad_q_same_error(check, reference, n_points, Q):
 BUILDERS = {
     "key_sum": (embedding.key_sum_form, reference_key_sum_form),
     "term1": (embedding.term1_form, reference_term1_form),
-    "shift0": (lambda w: shifts._weighted_form(ShiftSpec.constant(0, w.depth), w),
+    "shift0": (lambda w: shifts.shift_form(ShiftSpec.constant(0, w.depth), w),
                lambda w: reference_shift_form(ShiftSpec.constant(0, w.depth), w)),
-    "shift1": (lambda w: shifts._weighted_form(ShiftSpec.random(1, w.depth, 7), w),
+    "shift1": (lambda w: shifts.shift_form(ShiftSpec.random(1, w.depth, 7), w),
                lambda w: reference_shift_form(ShiftSpec.random(1, w.depth, 7), w)),
 }
 

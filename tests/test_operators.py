@@ -9,7 +9,7 @@ import pytest
 
 from dyadlab.embedding import four_terms, key_sum, key_sum_form, term1_form
 from dyadlab.forms import DENSE_MAX_COLUMNS, AbsBilinearForm
-from dyadlab.shifts import ShiftOperator, ShiftSpec, _weighted_form
+from dyadlab.shifts import ShiftOperator, ShiftSpec, shift_form
 from dyadlab.tree import (
     DyadicIndex,
     IdentityOperator,
@@ -132,8 +132,8 @@ def builders(depth):
     return {
         "key_sum": lambda: key_sum_form(w),
         "term_i": lambda: term1_form(w),
-        "shift0": lambda: _weighted_form(ShiftSpec.constant(0, depth), w),
-        "shift1": lambda: _weighted_form(ShiftSpec.constant(1, depth), w),
+        "shift0": lambda: shift_form(ShiftSpec.constant(0, depth), w),
+        "shift1": lambda: shift_form(ShiftSpec.constant(1, depth), w),
     }
 
 

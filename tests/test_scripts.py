@@ -32,6 +32,15 @@ def test_lemma_campaigns_smoke(tmp_path):
         assert 0.0 < report["accept_ratio"] < 1.0 and report["elapsed_s"] > 0.0
 
 
+def test_lemma_campaign_reports_name_q_and_seed(tmp_path):
+    done = run_script("run_lemma_campaigns.py",
+                      ["--trials", "20", "--Q", "1.5", "--Q", "3", "--seed", "2"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    for lemma in ("triangle", "barycenter"):
+        reports = json.loads((tmp_path / f"{lemma}_campaign.json").read_text())
+        assert [(r["Q"], r["seed"]) for r in reports] == [(1.5, 2), (3.0, 1002)]
+
+
 def test_scaling_sweep_smoke(tmp_path):
     done = run_script("run_scaling_sweep.py",
                       ["--depth", "2", "--cascades", "2", "--jobs", "1"], tmp_path)

@@ -144,7 +144,7 @@ def sweep_form(kind: str, w) -> AbsBilinearForm:
         return embedding.key_sum_form(w)
     if kind == "term1":
         return embedding.term1_form(w)
-    return shifts._weighted_form(shifts.ShiftSpec.constant(int(kind[-1]), w.depth), w)
+    return shifts.shift_form(shifts.ShiftSpec.constant(int(kind[-1]), w.depth), w)
 
 
 def weight(family: str, depth: int):
@@ -179,10 +179,8 @@ def test_search_matches_reference(depth, kind, family, restarts):
 def test_exact_fold_witnesses_match_reference(complexity, family):
     w = weight(family, 4)
     spec = shifts.ShiftSpec.constant(complexity, 4)
-    got = shifts.norm_exact_small(spec, w)
-    ref = reference_of(shifts._weighted_form(spec, w)).exact_sup()
-    assert_same(FormResult(got.value, got.witness_f1.values, got.witness_f2.values,
-                           *got.sign_pattern, got.upper_bound), ref)
+    form = shifts.shift_form(spec, w)
+    assert_same(form.exact_sup(), reference_of(form).exact_sup())
 
 
 def test_zero_coefficients_match_reference():

@@ -19,9 +19,8 @@ from dyadlab.shifts import (
     form_value,
     load_shift_spec,
     martingale_transform_apply,
-    norm_exact_small,
-    norm_lower_search,
     save_shift_spec,
+    shift_form,
     shift_matrix,
 )
 
@@ -169,38 +168,39 @@ class TestFormValue:
 class TestNormExact:
     def test_mt_unweighted(self):
         spec = ShiftSpec.constant(0, 2)
-        est = norm_exact_small(spec, Weight.from_values([1.0] * 4))
+        est = shift_form(spec, Weight.from_values([1.0] * 4)).exact_sup()
         assert est.value == pytest.approx(1.0, abs=1e-9)
         assert est.mode == "exact"
 
     def test_complexity1_unweighted(self):
         spec = ShiftSpec.constant(1, 2)
-        est = norm_exact_small(spec, Weight.from_values([1.0] * 4))
+        est = shift_form(spec, Weight.from_values([1.0] * 4)).exact_sup()
         assert est.value == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_coefficients(self):
         spec = ShiftSpec(complexity=0, depth=2, coeffs=np.zeros((3, 1)))
-        est = norm_exact_small(spec, gen_cascade(2, 0.5, 1))
+        est = shift_form(spec, gen_cascade(2, 0.5, 1)).exact_sup()
         assert est.value == pytest.approx(0.0, abs=1e-12)
 
     def test_refuses_large(self):
         spec = ShiftSpec.constant(0, 5)
         with pytest.raises(DomainError):
-            norm_exact_small(spec, Weight.from_values([1.0] * 32))
+            shift_form(spec, Weight.from_values([1.0] * 32)).exact_sup()
 
     def test_witness_consistency(self):
         spec = ShiftSpec.random(1, 3, seed=2)
         w = gen_cascade(3, 0.7, seed=5)
-        est = norm_exact_small(spec, w)
-        achieved = form_value(spec, est.witness_f1, est.witness_f2)
-        denom = weighted_norm(est.witness_f1, w) * weighted_norm(est.witness_f2, dual(w))
+        est = shift_form(spec, w).exact_sup()
+        f1, f2 = LeafFunction(est.left), LeafFunction(est.right)
+        achieved = form_value(spec, f1, f2)
+        denom = weighted_norm(f1, w) * weighted_norm(f2, dual(w))
         assert est.value == pytest.approx(achieved / denom, abs=1e-9)
 
     def test_fold_bounded_by_upper_bound(self):
         # depth 4 exercises the folded path (15 internal intervals)
         spec = ShiftSpec.random(1, 4, seed=3)
         w = gen_cascade(4, 0.6, seed=8)
-        est = norm_exact_small(spec, w)
+        est = shift_form(spec, w).exact_sup()
         assert est.upper_bound is not None
         assert est.value <= est.upper_bound * (1.0 + 1e-9)
 
@@ -208,7 +208,7 @@ class TestNormExact:
     @pytest.mark.parametrize("w", [gen_power(3, 0.8), gen_cascade(3, 0.7, seed=2)],
                              ids=["power", "cascade"])
     def test_full_enumeration_is_exact(self, complexity, w):
-        est = norm_exact_small(ShiftSpec.constant(complexity, 3), w)
+        est = shift_form(ShiftSpec.constant(complexity, 3), w).exact_sup()
         assert est.mode == "exact"
         assert est.value == pytest.approx(est.upper_bound, rel=1e-9)
 
@@ -218,7 +218,7 @@ class TestNormExact:
     def test_fold_value_is_a_lower_bound(self, complexity, w):
         # the fold's value is the best achieved witness pair, below its
         # certified upper bound (13% below at complexity 0 here)
-        est = norm_exact_small(ShiftSpec.constant(complexity, 4), w)
+        est = shift_form(ShiftSpec.constant(complexity, 4), w).exact_sup()
         assert est.mode == "lower_bound"
         assert est.upper_bound is not None and est.value <= est.upper_bound * (1.0 + 1e-9)
 
@@ -234,7 +234,7 @@ class TestNormExact:
         # complexity-0 shift form with its two sides swapped
         w = make(depth)
         key = key_sum_form(w).exact_sup().value
-        shift = norm_exact_small(ShiftSpec.constant(0, depth), w).value
+        shift = shift_form(ShiftSpec.constant(0, depth), w).exact_sup().value
         assert key == pytest.approx(shift, rel=1e-12)
 
     def test_monotone_in_coefficients(self):
@@ -243,8 +243,8 @@ class TestNormExact:
         c = small.coeffs
         grown = ShiftSpec(complexity=0, depth=3,
                           coeffs=np.sign(c) * np.minimum(1.0, np.abs(c) * 1.5))
-        assert norm_exact_small(grown, w).value >= \
-            norm_exact_small(small, w).value - 1e-12
+        assert shift_form(grown, w).exact_sup().value >= \
+            shift_form(small, w).exact_sup().value - 1e-12
 
 
 class TestNormSearch:
@@ -256,37 +256,38 @@ class TestNormSearch:
             n = int(rng.integers(0, 2))
             spec = ShiftSpec.random(n, depth, seed=2000 + k)
             w = gen_cascade(depth, 0.7, seed=3000 + k)
-            ex = norm_exact_small(spec, w)
-            se = norm_lower_search(spec, w, iters=60, seed=k, restarts=10)
+            form = shift_form(spec, w)
+            ex = form.exact_sup()
+            se = form.search_sup(iters=60, seed=k, restarts=10)
             worst = max(worst, abs(ex.value - se.value))
         assert worst < 1e-6
 
     def test_mt_depth8_unweighted(self):
         spec = ShiftSpec.constant(0, 8)
-        est = norm_lower_search(spec, Weight.from_values([1.0] * 256),
-                                iters=60, seed=0)
+        est = shift_form(spec, Weight.from_values([1.0] * 256)).search_sup(iters=60, seed=0)
         assert est.value == pytest.approx(1.0, abs=1e-6)
         assert est.mode == "lower_bound"
 
     def test_determinism(self):
         spec = ShiftSpec.random(1, 4, seed=6)
         w = gen_cascade(4, 0.6, seed=7)
-        a = norm_lower_search(spec, w, iters=30, seed=11)
-        b = norm_lower_search(spec, w, iters=30, seed=11)
+        a = shift_form(spec, w).search_sup(iters=30, seed=11)
+        b = shift_form(spec, w).search_sup(iters=30, seed=11)
         assert a.value == b.value
 
     def test_rejects_zero_iters(self):
         spec = ShiftSpec.constant(0, 2)
         with pytest.raises(DomainError):
-            norm_lower_search(spec, Weight.from_values([1.0] * 4), iters=0, seed=0)
+            shift_form(spec, Weight.from_values([1.0] * 4)).search_sup(iters=0, seed=0)
 
     def test_homogeneity_of_witnesses(self):
         spec = ShiftSpec.random(1, 3, seed=12)
         w = gen_cascade(3, 0.6, seed=13)
-        est = norm_lower_search(spec, w, iters=40, seed=1)
-        f_scaled = LeafFunction(3.0 * est.witness_f1.values)
-        num = form_value(spec, f_scaled, est.witness_f2)
-        den = weighted_norm(f_scaled, w) * weighted_norm(est.witness_f2, dual(w))
+        est = shift_form(spec, w).search_sup(iters=40, seed=1)
+        f_scaled = LeafFunction(3.0 * est.left)
+        f2 = LeafFunction(est.right)
+        num = form_value(spec, f_scaled, f2)
+        den = weighted_norm(f_scaled, w) * weighted_norm(f2, dual(w))
         assert num / den == pytest.approx(est.value, rel=1e-9)
 
 

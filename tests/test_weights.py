@@ -1,4 +1,6 @@
 """Weights: characteristic, duals, weighted Haar system, split, generators."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,6 +237,20 @@ class TestGenerators:
     def test_cascade_rejects_negative_seed(self):
         with pytest.raises(DomainError):
             gen_cascade(3, 0.5, -1)
+
+    @pytest.mark.parametrize("depth", [-1, 0, 21])
+    @pytest.mark.parametrize("make", [lambda d: gen_power(d, 0.5),
+                                      lambda d: gen_cascade(d, 0.5, 0)],
+                             ids=["power", "cascade"])
+    def test_depth_refused_before_allocating(self, make, depth):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=rf"depth must lie in \[1, 20\], got {depth}$"):
+                make(depth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # 2^21 leaves would take 16 MiB
 
     @pytest.mark.parametrize("eps", [0.0, 0.3, 0.7, 0.95])
     @pytest.mark.parametrize("seed", [0, 1, 42, 12345])
