@@ -49,9 +49,7 @@ from .embedding import (
 from .bellman import (
     BellmanPoint,
     NodeSplit,
-    OmegaDomain,
     barycenter_lemma_check,
-    dp_estimate,
     in_domain,
     node_defect,
     point_from_data,

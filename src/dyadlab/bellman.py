@@ -99,17 +99,6 @@ def _check_q(Q: float, finite: bool = False) -> None:
             f"domain parameter must be {'finite and ' if finite else ''}>= 1, got {Q}")
 
 
-@dataclass(frozen=True)
-class OmegaDomain:
-    Q: float
-
-    def __post_init__(self):
-        _check_q(self.Q)
-
-    def contains(self, p: BellmanPoint) -> bool:
-        return in_domain(p, self.Q)
-
-
 def _member(c, Q: float, tol: float):
     """Membership of the coordinates c = (X, Y, x, y, u, v) in Omega_Q; each
     coordinate is a float or an array, and so is the result."""
@@ -893,11 +882,6 @@ class DpEstimator:
         return None
 
 
-def dp_estimate(p: BellmanPoint, Q: float, depth: int, samples: int, seed: int) -> float:
-    """One-shot convenience wrapper around DpEstimator."""
-    return DpEstimator(Q=Q, samples=samples, seed=seed).estimate(p, depth)
-
-
 # -- dyadic data ----------------------------------------------------------
 
 
@@ -916,8 +900,8 @@ def point_from_data(phi: LeafFunction, psi: LeafFunction, w: Weight,
     # whose max defines Q and u*v <= Q holds in floating point, not just in
     # exact arithmetic
     avg = w._avg
-    u = float(avg[0, (1 << J.level) - 1 + J.position])
-    v = float(avg[1, (1 << J.level) - 1 + J.position])
+    u = float(avg[0, J.heap_index])
+    v = float(avg[1, J.heap_index])
     X = float(np.mean(phi.values[sl] ** 2 * w.values[sl]))
     Y = float(np.mean(psi.values[sl] ** 2 * sig_vals[sl]))
     x = float(np.mean(phi.values[sl]))
@@ -941,13 +925,13 @@ def calibrate_gain(phi: LeafFunction, psi: LeafFunction, w: Weight,
     """Compare the localized key sum against the DP estimate at its point.
 
     The recursion's gain convention is implicit in the source material; this
-    reports local_sum / dp_estimate so the discrepancy (if any) is visible
+    reports local_sum / the DP estimate so the discrepancy (if any) is visible
     rather than hidden.  Ratios <= 1 mean the DP sup dominates the witness.
     """
     q = a2_characteristic(w).characteristic
     point, local = point_from_data(phi, psi, w, J)
     d = w.depth - J.level
-    est = dp_estimate(point, q, d, samples, seed)
+    est = DpEstimator(Q=q, samples=samples, seed=seed).estimate(point, d)
     return {
         "local_sum": local,
         "dp_estimate": est,

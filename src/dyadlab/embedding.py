@@ -201,9 +201,8 @@ def two_weight_ratio(u: LeafFunction, v: LeafFunction, L: DyadicIndex) -> TwoWei
     worst = max(float(np.max(prod[sl])) for _, sl in _subtree_slices(L, depth + 1))
 
     total = _subtree_sum(L, np.abs(d[0]) * np.abs(d[1]))
-    i = (1 << L.level) - 1 + L.position
-    mean_u = avg[0, i]
-    mean_v = avg[1, i]
+    mean_u = avg[0, L.heap_index]
+    mean_v = avg[1, L.heap_index]
     ratio = (total / L.length) / np.sqrt(mean_u * mean_v)
     return TwoWeightReport(ratio=float(ratio), hypothesis_ok=bool(worst <= 1.0 + 1e-12),
                            worst_product=float(worst))

@@ -55,6 +55,11 @@ class DyadicIndex:
             )
 
     @property
+    def heap_index(self) -> int:
+        """The entry of this interval in a heap-ordered array."""
+        return (1 << self.level) - 1 + self.position
+
+    @property
     def length(self) -> float:
         return 2.0 ** -self.level
 
@@ -234,12 +239,6 @@ def level_diffs(avgs: list) -> list:
 def haar_analysis(f: LeafFunction) -> HaarExpansion:
     return HaarExpansion(depth=f.depth, mean=f.integral(), coefficients=_read_only(
         _heap_diffs(heap_averages(f.values)) * np.sqrt(_interval_lengths(f.depth))))
-
-
-def level_haar_coeffs(values: np.ndarray) -> list:
-    """Haar coefficients (f, h_I) per internal level: read-only views of the
-    haar_analysis coefficients."""
-    return _heap_levels(haar_analysis(LeafFunction(values)).coefficients)
 
 
 def _synthesis_values(mean: float, coeffs: np.ndarray) -> np.ndarray:
@@ -445,17 +444,20 @@ def _subtree_sums(t: np.ndarray) -> np.ndarray:
 
 
 def save_leaf_function(f: LeafFunction, path, comments=()) -> None:
-    """Text format: `depth=<n>` first, optional `# ...` lines, one value per line."""
+    """Text format: `depth=<n>` first, optional `# ...` lines, one value per line.
+    Each line of a multi-line comment gets its own `# ` line."""
     with open(path, "w") as fh:
         fh.write(f"depth={f.depth}\n")
         for c in comments:
-            fh.write(f"# {c}\n")
+            for line in c.splitlines():
+                fh.write(f"# {line}\n")
         for v in f.values:
             fh.write(f"{float(v)!r}\n")
 
 
 def load_leaf_function(path) -> LeafFunction:
-    """Read save_leaf_function's format; a malformed line raises an error naming it."""
+    """Read save_leaf_function's format; a malformed or misplaced line raises an
+    error naming it.  `# ...` lines may come before the header too."""
     depth = None
     vals = []
     with open(path) as fh:
@@ -464,6 +466,10 @@ def load_leaf_function(path) -> LeafFunction:
             if not line or line.startswith("#"):
                 continue
             header = line.startswith("depth=")
+            if header and depth is not None:
+                raise StructureError(f"line {num}: a second `depth=` header")
+            if not header and depth is None:
+                raise StructureError(f"line {num}: a value before `depth=`")
             try:
                 value = int(line[len("depth="):]) if header else float(line)
             except ValueError:

@@ -29,7 +29,6 @@ from .tree import (
     _check_depth,
     _dense,
     _heap_diffs,
-    _heap_levels,
     _interval_lengths,
     _read_only,
     _subtree_sums,
@@ -192,7 +191,7 @@ def _internal_entry(w: Weight, I: DyadicIndex) -> int:
     """The heap index of I, which must be an internal interval of w's tree."""
     if I.level >= w.depth:
         raise DomainError("weighted Haar needs an internal interval")
-    return (1 << I.level) - 1 + I.position
+    return I.heap_index
 
 
 def weighted_haar(w: Weight, I: DyadicIndex) -> WeightedHaar:
@@ -201,8 +200,9 @@ def weighted_haar(w: Weight, I: DyadicIndex) -> WeightedHaar:
     return WeightedHaar(index=I, value_left=float(a), value_right=float(b))
 
 
-def _haar_splits(w: Weight) -> np.ndarray:
-    """(alpha, beta) of every internal interval, heap-ordered."""
+def haar_splits(w: Weight) -> np.ndarray:
+    """(alpha, beta) of haar_split for every internal interval: a (2, 2^d - 1)
+    array whose column i is the interval with heap index i."""
     a, b = w._haar[:, 0]
     sL = np.sqrt(_interval_lengths(w.depth))
     alpha = 2.0 / (sL * (a - b))
@@ -212,7 +212,7 @@ def _haar_splits(w: Weight) -> np.ndarray:
 def haar_split(w: Weight, I: DyadicIndex) -> HaarSplit:
     """Solve h_I = alpha * h_I^w + beta * chi_I/sqrt|I| on the two halves of I."""
     i = _internal_entry(w, I)
-    alpha, beta = (float(x) for x in _haar_splits(w)[:, i])
+    alpha, beta = (float(x) for x in haar_splits(w)[:, i])
     mean_w = float(w._avg[0, i])
     delta_w = float(w._delta[0, i])
     if delta_w == 0.0:
@@ -228,21 +228,6 @@ def haar_split(w: Weight, I: DyadicIndex) -> HaarSplit:
     )
 
 
-def weighted_haar_levels(w: Weight):
-    """Per-level (a, b) arrays of weighted Haar values for all internal intervals.
-
-    Returns a list indexed by level; entry lev is a pair of read-only arrays
-    of length 2^lev holding the left and right values of h_I^w for every I at
-    that level.
-    """
-    return [tuple(pair) for pair in _heap_levels(w._haar[:, 0])]
-
-
-def haar_split_levels(w: Weight):
-    """Per-level (alpha, beta) arrays for all internal intervals."""
-    return [tuple(pair) for pair in _heap_levels(_haar_splits(w))]
-
-
 def weighted_haar_matrix(w: Weight) -> np.ndarray:
     """Rows are leaf samplings of h_I^w, ordered like internal_indices."""
     return _dense(TwoValuedRowOperator(w.depth, *w._haar[:, 0]), w.depth)
@@ -251,8 +236,8 @@ def weighted_haar_matrix(w: Weight) -> np.ndarray:
 def gen_power(depth: int, a: float) -> Weight:
     """Leafwise exact averages of x^a over the leaves; needs a > -1."""
     _check_depth(depth)
-    if a <= -1:
-        raise DomainError("exponent must exceed -1 for integrability")
+    if not a > -1:  # nan fails too
+        raise DomainError(f"exponent must exceed -1 for integrability, got {a}")
     n = 1 << depth
     k = np.arange(n, dtype=float)
     left = k / n
@@ -286,9 +271,3 @@ def save_weight(w: Weight, path, provenance: Optional[str] = None) -> None:
 
 def load_weight(path) -> Weight:
     return Weight(load_leaf_function(path))
-
-
-def interval_stats(w: Weight):
-    """Per-level read-only arrays (<w>, <sigma>, Delta w, Delta sigma), from the
-    weight's cache."""
-    return tuple(_heap_levels(heap) for heap in (*w._avg, *w._delta))

@@ -12,7 +12,6 @@ import pytest
 from dyadlab.bellman import (
     BellmanPoint,
     DpEstimator,
-    dp_estimate,
     in_domain,
     point_from_data,
     run_barycenter_campaign,
@@ -38,7 +37,6 @@ from dyadlab.tree import (
     haar_analysis,
     haar_analysis_matrix,
     haar_synthesis,
-    level_averages,
     n_internal,
 )
 from dyadlab.weights import (
@@ -46,7 +44,7 @@ from dyadlab.weights import (
     a2_characteristic,
     gen_cascade,
     gen_power,
-    haar_split_levels,
+    haar_splits,
 )
 
 
@@ -123,12 +121,15 @@ def test_criterion_2_weighted_haar_split(report):
         depth = int(rng.integers(1, 11))
         w = gen_cascade(depth, float(rng.uniform(0.05, 0.85)),
                         int(rng.integers(1 << 30)))
-        avgs = level_averages(w.values)
-        for lev, (alpha, beta) in enumerate(haar_split_levels(w)):
+        splits = haar_splits(w)
+        avg = w._avg[0]
+        for lev in range(depth):
+            k = 1 << lev
+            alpha, beta = splits[:, k - 1 : 2 * k - 1]
             L = 2.0**-lev
             sL = np.sqrt(L)
-            wl = avgs[lev + 1][0::2]
-            wr = avgs[lev + 1][1::2]
+            wl = avg[2 * k - 1 : 4 * k - 1 : 2]
+            wr = avg[2 * k : 4 * k - 1 : 2]
             a = np.sqrt(2.0 * wr / (L * wl * (wl + wr)))
             b = -a * wl / wr
             # h_I equals alpha h_I^w + beta chi_I / sqrt|I| on both halves
@@ -151,8 +152,8 @@ def test_criterion_2_weighted_haar_split(report):
     assert alpha_violations == 0
     assert max_beta_ratio <= 1.0 + 1e-9
     # the depth-1 example w = (1, 1/2) attains the beta-ratio cap exactly
-    ex = haar_split_levels(Weight.from_values([1.0, 0.5]))[0]
-    ex_ratio = abs(ex[1][0]) * 0.75 / 0.25
+    ex = haar_splits(Weight.from_values([1.0, 0.5]))[:, 0]
+    ex_ratio = abs(ex[1]) * 0.75 / 0.25
     assert ex_ratio == pytest.approx(1.0, abs=1e-12)
 
     dt = _elapsed_ok(t0, 30.0, "criterion 2")
@@ -379,8 +380,8 @@ def test_criterion_7_bellman_dp(report):
     zero-tolerance membership checks on dyadic-data points."""
     t0 = time.monotonic()
     p0 = BellmanPoint(1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
-    assert dp_estimate(p0, 2.0, 0, 4, 0) == 0.0
-    assert dp_estimate(p0, 2.0, 1, 4, 0) == 1.0
+    assert DpEstimator(2.0, 4, 0).estimate(p0, 0) == 0.0
+    assert DpEstimator(2.0, 4, 0).estimate(p0, 1) == 1.0
 
     rng = np.random.default_rng(701)
     pts = [BellmanPoint.from_array(row) for row in sample_omega(4.0, 8, rng)]

@@ -12,10 +12,8 @@ from dyadlab.bellman import (
     CampaignReport,
     DpEstimator,
     NodeSplit,
-    OmegaDomain,
     barycenter_lemma_check,
     calibrate_gain,
-    dp_estimate,
     _sample_strip,
     _segment_checks,
     in_domain,
@@ -83,11 +81,8 @@ class TestInDomain:
     def test_bad_q(self):
         with pytest.raises(DomainError):
             in_domain(BellmanPoint(1, 1, 0, 0, 1, 1), Q=0.5)
-        with pytest.raises(DomainError):
-            OmegaDomain(Q=0.5)
 
     @pytest.mark.parametrize("build", [
-        lambda: OmegaDomain(Q=float("nan")),
         lambda: in_domain(BellmanPoint(1, 1, 0, 0, 1, 1), Q=float("nan")),
         lambda: segment_in_domain(BellmanPoint(1, 1, 0, 0, 1, 1),
                                   BellmanPoint(1, 1, 0, 0, 1, 1), Q=float("nan")),
@@ -100,7 +95,6 @@ class TestInDomain:
     def test_infinite_q_is_no_cap(self):
         far = BellmanPoint(1, 1, 0, 0, 1e6, 1e6)
         assert in_domain(far, Q=np.inf)
-        assert OmegaDomain(Q=np.inf).contains(far)
         assert segment_in_domain(BellmanPoint(1, 1, 0, 0, 1, 1), far, Q=np.inf)
 
 
@@ -372,10 +366,10 @@ class TestDpEstimator:
     def test_depth_zero(self):
         rng = np.random.default_rng(3)
         for row in sample_omega(4.0, 20, rng):
-            assert dp_estimate(BellmanPoint.from_array(row), 4.0, 0, 4, 0) == 0.0
+            assert DpEstimator(4.0, 4, 0).estimate(BellmanPoint.from_array(row), 0) == 0.0
 
     def test_analytic_depth_one(self):
-        assert dp_estimate(self.BASE, 2.0, 1, 4, 0) == pytest.approx(1.0)
+        assert DpEstimator(2.0, 4, 0).estimate(self.BASE, 1) == pytest.approx(1.0)
 
     def test_monotone_in_depth(self):
         rng = np.random.default_rng(4)
@@ -397,13 +391,13 @@ class TestDpEstimator:
         rng = np.random.default_rng(6)
         for row in sample_omega(4.0, 8, rng):
             p = BellmanPoint.from_array(row)
-            a = dp_estimate(p, 4.0, 3, 4, 0)
-            b = dp_estimate(p.swapped(), 4.0, 3, 4, 0)
+            a = DpEstimator(4.0, 4, 0).estimate(p, 3)
+            b = DpEstimator(4.0, 4, 0).estimate(p.swapped(), 3)
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_rejects_outsider(self):
         with pytest.raises(DomainError):
-            dp_estimate(BellmanPoint(1, 1, 5, 0, 1, 1), 2.0, 2, 4, 0)
+            DpEstimator(2.0, 4, 0).estimate(BellmanPoint(1, 1, 5, 0, 1, 1), 2)
 
     def test_rejects_negative_samples(self):
         with pytest.raises(DomainError):

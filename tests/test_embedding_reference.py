@@ -390,7 +390,8 @@ def test_tree_level_functions_match(depth, seed):
         assert bits(tree.level_averages(vals)) == bits(avgs)
         diffs = tree.level_diffs(tree.level_averages(vals))
         assert bits(diffs) == bits(reference_level_diffs(avgs))
-        assert bits(tree.level_haar_coeffs(vals)) == bits(reference_level_haar_coeffs(vals))
+        assert bits(tree.haar_analysis(LeafFunction(vals)).coefficients) == bits(
+            np.concatenate(reference_level_haar_coeffs(vals)))
     stack = np.array([phi.values, w.values, 1.0 / w.values])
     heap = tree.heap_averages(stack)
     assert heap.flags.c_contiguous
@@ -400,8 +401,11 @@ def test_tree_level_functions_match(depth, seed):
 @pytest.mark.parametrize("depth,seed", CASES)
 def test_weight_quantities_match(depth, seed):
     w, _, _ = _inputs(depth, seed)
-    assert bits(weights.interval_stats(w)) == bits(reference_interval_stats(w))
-    assert bits(weights.weighted_haar_levels(w)) == bits(reference_weighted_haar_levels(w))
+    aw, asig, dw, dsig = reference_interval_stats(w)
+    assert bits([w._avg, w._delta]) == bits(
+        [np.concatenate(aw + asig), np.concatenate(dw + dsig)])
+    haar = reference_weighted_haar_levels(w)
+    assert bits(w._haar[:, 0]) == bits(np.concatenate([a for a, _ in haar] + [b for _, b in haar]))
     assert weights.a2_characteristic(w) == reference_a2_characteristic(w)
     m = embedding.carleson_measure_of(w)
     ref = reference_carleson_measure_of(w)
@@ -472,8 +476,7 @@ def test_two_weight_ratio_matches_on_unrelated_pairs(depth, seed):
 def test_constant_weight_and_zero_functions():
     w = Weight(LeafFunction.constant(3, 2.5))
     zero = LeafFunction(np.zeros(8))
-    _, _, dw, dsig = weights.interval_stats(w)
-    assert all(not d.any() for d in dw + dsig)
+    assert not w._delta.any()
     assert embedding.key_sum(zero, zero, w) == 0.0
     assert embedding.duality_product(zero, zero, w) == DualityReport(product=0.0, ratio=0.0)
     assert embedding.carleson_box_check(zero, zero, w) == (0.0, 0.0)
@@ -486,18 +489,14 @@ def test_constant_weight_and_zero_functions():
 
 
 def _cached_arrays(w):
-    aw, asig, dw, dsig = weights.interval_stats(w)
-    yield from aw + asig + dw + dsig
-    for a, b in weights.weighted_haar_levels(w):
-        yield a
-        yield b
+    yield from (w._avg, w._delta, w._haar)
     yield from tree.level_averages(w.values)
 
 
 def test_cached_arrays_are_read_only():
     w = weights.gen_cascade(4, 0.6, 3)
     arrays = list(_cached_arrays(w))
-    assert len(arrays) == 2 * 5 + 2 * 4 + 2 * 4 + 5
+    assert len(arrays) == 3 + 5
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -509,21 +508,18 @@ def test_a_modified_copy_leaves_later_results_unchanged():
     w = weights.gen_cascade(5, 0.7, 11)
     phi = _leaf(5, 1, 1)
     psi = _leaf(5, 1, 2)
-    before = (bits(weights.interval_stats(w)), bits(weights.weighted_haar_levels(w)),
+    before = (bits([w._avg, w._delta, w._haar]),
               weights.a2_characteristic(w), embedding.key_sum(phi, psi, w),
               embedding.carleson_box_check(phi, psi, w))
     for arr in _cached_arrays(w):
         mine = arr.copy()
         mine *= 3.0
-    aw, _, dw, _ = weights.interval_stats(w)
-    aw_mine = [a.copy() for a in aw]
-    aw_mine[0][0] = -1.0
-    dw[0].copy().fill(9.0)
-    after = (bits(weights.interval_stats(w)), bits(weights.weighted_haar_levels(w)),
+    after = (bits([w._avg, w._delta, w._haar]),
              weights.a2_characteristic(w), embedding.key_sum(phi, psi, w),
              embedding.carleson_box_check(phi, psi, w))
     assert after == before
-    assert before[0] == bits(reference_interval_stats(w))
+    aw, asig, dw, dsig = reference_interval_stats(w)
+    assert before[0][:2] == bits([np.concatenate(aw + asig), np.concatenate(dw + dsig)])
 
 
 def test_kernels_still_validate_their_inputs():

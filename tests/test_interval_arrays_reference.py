@@ -15,7 +15,6 @@ from dyadlab.tree import (
     StructureError,
     _synthesis_values,
     internal_indices,
-    level_haar_coeffs,
     n_internal,
 )
 from dyadlab.weights import Weight, _carleson_norm, gen_cascade, gen_power
@@ -130,10 +129,9 @@ class ReferenceHaarExpansion:
 
 def reference_haar_analysis(f: LeafFunction) -> ReferenceHaarExpansion:
     coeffs = {}
-    per_level = level_haar_coeffs(f.values)
-    for level, arr in enumerate(per_level):
-        for position, c in enumerate(arr):
-            coeffs[DyadicIndex(level, position)] = float(c)
+    heap = tree.haar_analysis(f).coefficients
+    for I in internal_indices(f.depth):
+        coeffs[I] = float(heap[I.heap_index])
     return ReferenceHaarExpansion(depth=f.depth, mean=f.integral(), coefficients=coeffs)
 
 
@@ -148,7 +146,7 @@ def reference_haar_synthesis(e: ReferenceHaarExpansion) -> LeafFunction:
 
 
 def reference_coeff_vector(f: LeafFunction) -> np.ndarray:
-    return np.concatenate(level_haar_coeffs(f.values))
+    return tree.haar_analysis(f).coefficients
 
 
 def reference_martingale_transform_apply(signs, f: LeafFunction) -> LeafFunction:

@@ -19,21 +19,21 @@ from dyadlab.tree import (
     _haar_operator,
     internal_indices,
 )
-from dyadlab.weights import gen_cascade, weighted_haar_levels
+from dyadlab.weights import gen_cascade
 
 DEPTHS = range(1, 11)
 
 
-def reference_two_valued(depth, levels, mult=None):
+def reference_two_valued(depth, left, right, mult=None):
+    """Row k of the matrix is the k-th internal interval I, taking the
+    heap-ordered row values at I's heap index on its two halves."""
     n = 1 << depth
     out = np.zeros((n - 1, n))
     for k, I in enumerate(internal_indices(depth)):
         leaves = I.leaf_slice(depth)
         mid = (leaves.start + leaves.stop) // 2
-        left, right = (np.broadcast_to(v, (1 << I.level,))[I.position]
-                       for v in levels[I.level])
-        out[k, leaves.start : mid] = left
-        out[k, mid : leaves.stop] = right
+        out[k, leaves.start : mid] = left[I.heap_index]
+        out[k, mid : leaves.stop] = right[I.heap_index]
     return out if mult is None else out * mult[None, :]
 
 
@@ -67,13 +67,13 @@ def cases(depth):
     random_levels = [(rng.standard_normal(1 << lev), rng.standard_normal(1 << lev))
                      for lev in range(depth)]
     out = [
-        ("haar", _haar_operator(depth), reference_two_valued(depth, haar_levels(depth))),
+        ("haar", _haar_operator(depth), reference_two_valued(depth, *heap_rows(haar_levels(depth)))),
         ("haar_times_w", _haar_operator(depth, mult),
-         reference_two_valued(depth, haar_levels(depth), mult)),
-        ("weighted_haar", TwoValuedRowOperator(depth, *heap_rows(weighted_haar_levels(w))),
-         reference_two_valued(depth, weighted_haar_levels(w))),
+         reference_two_valued(depth, *heap_rows(haar_levels(depth)), mult)),
+        ("weighted_haar", TwoValuedRowOperator(depth, *w._haar[:, 0]),
+         reference_two_valued(depth, *w._haar[:, 0])),
         ("random_rows", TwoValuedRowOperator(depth, *heap_rows(random_levels), mult),
-         reference_two_valued(depth, random_levels, mult)),
+         reference_two_valued(depth, *heap_rows(random_levels), mult)),
         ("identity", IdentityOperator((1 << depth) - 1), np.eye((1 << depth) - 1)),
     ]
     for n in (0, 1, 2):

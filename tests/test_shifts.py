@@ -9,9 +9,9 @@ from dyadlab.tree import (
     LeafFunction,
     ROOT,
     StructureError,
+    haar_analysis,
     haar_analysis_matrix,
     internal_indices,
-    level_haar_coeffs,
 )
 from dyadlab.weights import Weight, gen_cascade, gen_power, weighted_norm, dual
 from dyadlab.shifts import (
@@ -159,8 +159,8 @@ class TestFormValue:
         with time_limit(10.0):
             diag = form_value(ShiftSpec.constant(0, 13), f, g)
             value = form_value(ShiftSpec.random(1, 13, seed=1), f, g)
-        a = np.abs(np.concatenate(level_haar_coeffs(f.values)))
-        b = np.abs(np.concatenate(level_haar_coeffs(g.values)))
+        a = np.abs(haar_analysis(f).coefficients)
+        b = np.abs(haar_analysis(g).coefficients)
         assert diag == pytest.approx(float(a @ b), rel=1e-12)
         assert np.isfinite(value) and value > 0.0
 

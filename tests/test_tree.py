@@ -256,7 +256,11 @@ class TestFileFormat:
         ("depth=0\n1.0\n", DomainError, "line 1: depth must lie in [1, 20], got 0"),
         ("depth=100000000000000000000\n", DomainError,
          "line 1: depth must lie in [1, 20], got 100000000000000000000"),
-    ], ids=["value", "depth-word", "depth-empty", "depth-negative", "depth-zero", "depth-huge"])
+        ("depth=2\n1.0\n2.0\n3.0\n4.0\ndepth=1\n", StructureError,
+         "line 6: a second `depth=` header"),
+        ("# w\n1.0\n2.0\ndepth=1\n", StructureError, "line 2: a value before `depth=`"),
+    ], ids=["value", "depth-word", "depth-empty", "depth-negative", "depth-zero", "depth-huge",
+            "depth-twice", "value-first"])
     def test_malformed_line_is_named(self, tmp_path, text, error, message):
         path = tmp_path / "bad.txt"
         path.write_text(text)

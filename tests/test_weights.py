@@ -21,11 +21,10 @@ from dyadlab.weights import (
     gen_cascade,
     gen_power,
     haar_split,
-    haar_split_levels,
+    haar_splits,
     load_weight,
     save_weight,
     weighted_haar,
-    weighted_haar_levels,
     weighted_haar_matrix,
     weighted_inner,
     weighted_norm,
@@ -190,22 +189,16 @@ class TestHaarSplit:
     def test_alpha_bound_sampled(self):
         for seed in range(30):
             w = cascade(6, 0.9, seed)
-            for alpha, _ in haar_split_levels(w):
-                pass
             for I in internal_indices(6):
                 assert haar_split(w, I).alpha_bound_ratio <= 1.0 + 1e-12
 
     def test_level_arrays_match_scalar(self):
         w = cascade(5, 0.7, seed=9)
-        splits = haar_split_levels(w)
-        haars = weighted_haar_levels(w)
+        splits = haar_splits(w)
         for I in internal_indices(5):
             s = haar_split(w, I)
-            assert splits[I.level][0][I.position] == pytest.approx(s.alpha)
-            assert splits[I.level][1][I.position] == pytest.approx(s.beta)
-            wh = weighted_haar(w, I)
-            assert haars[I.level][0][I.position] == pytest.approx(wh.value_left)
-            assert haars[I.level][1][I.position] == pytest.approx(wh.value_right)
+            assert splits[0, I.heap_index] == pytest.approx(s.alpha)
+            assert splits[1, I.heap_index] == pytest.approx(s.beta)
 
 
 class TestGenerators:
@@ -221,6 +214,11 @@ class TestGenerators:
     def test_power_rejects_nonintegrable(self):
         with pytest.raises(DomainError):
             gen_power(3, -1.0)
+
+    def test_power_names_a_nan_exponent(self):
+        with pytest.raises(DomainError,
+                           match=r"^exponent must exceed -1 for integrability, got nan$"):
+            gen_power(3, float("nan"))
 
     def test_cascade_zero_eps(self):
         assert np.allclose(gen_cascade(5, 0.0, 7).values, 1.0)
@@ -298,3 +296,10 @@ class TestWeightFiles:
         back = load_weight(path)
         assert np.array_equal(back.values, w.values)
         assert "# family=cascade eps=0.5 seed=7" in path.read_text()
+
+    def test_round_trip_with_multi_line_provenance(self, tmp_path):
+        w = gen_cascade(2, 0.5, seed=7)
+        path = tmp_path / "w.txt"
+        save_weight(w, path, provenance="a\nb")
+        assert path.read_text().splitlines()[:3] == ["depth=2", "# a", "# b"]
+        assert np.array_equal(load_weight(path).values, w.values)
