@@ -31,7 +31,6 @@ from .weights import (
 from .shifts import (
     ShiftSpec,
     form_value,
-    martingale_transform_apply,
     shift_form,
 )
 from .embedding import (
@@ -44,17 +43,12 @@ from .embedding import (
     four_terms,
     key_sum,
     maximal_weighted,
-    two_weight_ratio,
 )
 from .bellman import (
     BellmanPoint,
-    NodeSplit,
-    barycenter_lemma_check,
     in_domain,
-    node_defect,
     point_from_data,
     segment_in_domain,
-    triangle_lemma_check,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

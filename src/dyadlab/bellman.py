@@ -6,8 +6,7 @@ with x^2 <= X v, y^2 <= Y u and 1 <= u v <= Q.  This module provides:
 * exact membership and closed-form segment containment (every constraint is
   a quadratic along a segment, so no sampling is needed);
 * randomized verification campaigns for the two convexity-repair lemmas
-  (triangle/median and barycenter), and scalar checks of one draw that run
-  the campaigns' premises and segment kernel on (6, 1) columns;
+  (triangle/median and barycenter), on one vectorized segment kernel;
 * a depth-limited dynamic-programming lower estimate of the value function,
   with gain |dx||dy| per node split: the best split at the query point, its
   children valued in closed form (the best grid split and the exactly solved
@@ -42,8 +41,8 @@ triangle campaign, where the caps do bind, is still open (ROADMAP item 3).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -53,17 +52,13 @@ from .tree import (
     DyadicIndex,
     LeafFunction,
     StructureError,
-    _heap_diffs,
     _subtree_sum,
-    heap_averages,
 )
-from .weights import Weight, a2_characteristic
+from .weights import Weight
 
 _XY_FRACS = (0.25, 0.5, 0.75, 1.0)
 _XY_STEP = 0.125  # quantization of x, y as fractions of their caps
 _LOG_STEP = 0.25  # quantization of log X, log Y, log u, log v
-
-DEFAULT_K_GRID = (1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 6.0, 9.0, 20.0, 40.0)
 
 # The (i, j) segments a lemma concludes about, indexing its points as its
 # worst_case_point lists them: A, B, C; the barycenter, then the four others.
@@ -197,16 +192,18 @@ def segments_in_domain_arr(P: np.ndarray, R: np.ndarray, Q: float, tol: float = 
 _SEGMENT_CHUNK = 8192
 
 
-def _joint_segment_checks(pts, segments, tol: float):
-    """_segment_checks over the segments (pts[i], pts[j]), (i, j) in segments,
-    of (6, n) coordinate arrays: (caps_ok, max uv), each over all segments."""
+def _joint_segment_checks(pts, segments):
+    """_segment_checks at CAMPAIGN_TOL over the segments (pts[i], pts[j]),
+    (i, j) in segments, of (6, n) coordinate arrays: (caps_ok, max uv), each
+    over all segments."""
     n = pts[0].shape[1]
     caps_ok = np.ones(n, dtype=bool)
     max_uv = np.full(n, -np.inf)
     for lo in range(0, n, _SEGMENT_CHUNK):
         cols = slice(lo, lo + _SEGMENT_CHUNK)
         for i, j in segments:
-            seg_caps_ok, seg_max_uv = _segment_checks(pts[i][:, cols], pts[j][:, cols], tol)
+            seg_caps_ok, seg_max_uv = _segment_checks(pts[i][:, cols], pts[j][:, cols],
+                                                      CAMPAIGN_TOL)
             caps_ok[cols] &= seg_caps_ok
             np.maximum(max_uv[cols], seg_max_uv, out=max_uv[cols])
     return caps_ok, max_uv
@@ -370,57 +367,6 @@ def _slack_points(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- lemma checks ---------------------------------------------------------
-
-
-@dataclass
-class LemmaReport:
-    lemma: str
-    vacuous: bool
-    holds_at: Dict[float, bool] = field(default_factory=dict)
-    min_k_holding: Optional[float] = None
-    needed_k: Optional[float] = None
-
-
-def _midpoint(a: BellmanPoint, b: BellmanPoint) -> BellmanPoint:
-    return BellmanPoint.from_array((a.as_array() + b.as_array()) / 2.0)
-
-
-def _lemma_report(lemma: str, premises: bool, pts, segments, Q: float,
-                  tol: float) -> LemmaReport:
-    """The segments lie in the k-fold domain (k in DEFAULT_K_GRID) iff they keep the
-    caps and max uv <= k Q + tol, and need k = max(1, max uv / Q) unless they leave them."""
-    if not premises:
-        return LemmaReport(lemma=lemma, vacuous=True)
-    caps_ok, max_uv = _joint_segment_checks(pts, segments, tol)
-    caps_ok, max_uv = bool(caps_ok[0]), float(max_uv[0])
-    holds_at = {k: caps_ok and max_uv <= k * Q + tol for k in DEFAULT_K_GRID}
-    return LemmaReport(
-        lemma=lemma, vacuous=False, holds_at=holds_at,
-        min_k_holding=next((k for k, ok in holds_at.items() if ok), None),
-        needed_k=max(1.0, max_uv / Q) if caps_ok and not np.isnan(max_uv) else None)
-
-
-def triangle_lemma_check(A: BellmanPoint, B: BellmanPoint, C: BellmanPoint,
-                         Q: float, tol: float = 1e-12) -> LemmaReport:
-    """Median-repair lemma: membership of A, B, C, [A,B] and [C, mid(A,B)]
-    in Omega_Q forces [C,A] and [C,B] into an enlarged domain."""
-    _check_q(Q)
-    pts = [p.as_array()[:, None] for p in (A, B, C)]  # (6, 1) columns, as the campaigns
-    premises = bool(_member(np.hstack(pts), Q, tol).all() and _triangle_premise(pts, Q, tol)[0])
-    return _lemma_report("triangle", premises, pts, TRIANGLE_SEGMENTS, Q, tol)
-
-
-def barycenter_lemma_check(P1, P2, P3, P4, Q: float, tol: float = 1e-12) -> LemmaReport:
-    """Barycenter lemma: if the four points and their barycenter are members,
-    the four connecting segments lie in the 40-fold enlarged domain."""
-    _check_q(Q)
-    pts = [p.as_array()[:, None] for p in (P1, P2, P3, P4)]
-    pts = [np.mean(pts, axis=0)] + pts
-    premises = bool(_barycenter_premise(pts, Q, tol)[0])
-    return _lemma_report("barycenter", premises, pts, BARYCENTER_SEGMENTS, Q, tol)
-
-
 @dataclass
 class CampaignReport:
     lemma: str
@@ -503,7 +449,7 @@ def _run_campaign(lemma: str, sampler, segments, Q: float, valid_trials: int,
             continue
         empty = 0
         pts = [arr[:, : take.size] for arr in pts]
-        caps_ok, max_uv = _joint_segment_checks(pts, segments, CAMPAIGN_TOL)
+        caps_ok, max_uv = _joint_segment_checks(pts, segments)
         needed = np.maximum(np.divide(max_uv, Q, out=max_uv), 1.0, out=max_uv)
         needed = np.where(caps_ok, needed, np.inf)
         bad = needed > asserted_k * (1.0 + 1e-12)
@@ -527,26 +473,22 @@ def _triangle_sampler(Q: float, batch: int):
     rows only."""
     def draw(rng):
         strips = [np.array(_sample_strip(Q, batch, rng)) for _ in range(3)]
-        ok = _median_premise(strips, lambda p, q: _strip_segments_ok(p, q, Q))
+        ok = _median_premise(strips, Q)
         rows = np.nonzero(ok)[0]
         return rows, [_slack_points(*S[:, rows]) for S in strips]
     return draw
 
 
-def _median_premise(pts, segment_ok):
-    """[A, B] by segment_ok, then [C, mid(A, B)] on the rows where it holds,
-    for coordinate-major point arrays A, B, C."""
-    A, B, C = pts
-    ok = segment_ok(A, B)
+def _median_premise(strips, Q: float):
+    """The median premise on the (2, n) (u, v) arrays of A, B and C, by
+    _strip_segments_ok: [A, B], then [C, mid(A, B)] on the rows where it
+    holds."""
+    A, B, C = strips
+    ok = _strip_segments_ok(A, B, Q)
     rows = np.nonzero(ok)[0]
     A, B, C = A[:, rows], B[:, rows], C[:, rows]
-    ok[rows] = segment_ok(C, (A + B) / 2.0)
+    ok[rows] = _strip_segments_ok(C, (A + B) / 2.0, Q)
     return ok
-
-
-def _triangle_premise(pts, Q: float, tol: float):
-    """The median premise on (6, n) points."""
-    return _median_premise(pts, lambda p, q: segments_in_domain_arr(p.T, q.T, Q, tol))
 
 
 def _strip_segments_ok(p, q, Q: float):
@@ -611,7 +553,7 @@ def _barycenter_sampler(Q: float, batch: int):
                 row[:m] = row[rows]
         pts = [_omega_points(U[:, :m], Q, _BOUNDARY_PROB) for U in blocks]
         pts = [sum(pts) / 4.0] + pts
-        ok = _barycenter_premise(pts, Q, CAMPAIGN_TOL)
+        ok = _barycenter_premise(pts, Q)
         # the barycenter of members keeps every convex constraint, so ok
         # seldom drops a row and the points are copied only when it does
         if not ok.all():
@@ -620,10 +562,11 @@ def _barycenter_sampler(Q: float, batch: int):
     return draw
 
 
-def _barycenter_premise(pts, Q: float, tol: float):
-    member = in_domain_arr(pts[0].T, Q, tol)
+def _barycenter_premise(pts, Q: float):
+    """Membership at CAMPAIGN_TOL of every (6, n) point array in pts."""
+    member = in_domain_arr(pts[0].T, Q, CAMPAIGN_TOL)
     for arr in pts[1:]:
-        member &= in_domain_arr(arr.T, Q, tol)
+        member &= in_domain_arr(arr.T, Q, CAMPAIGN_TOL)
     return member
 
 
@@ -633,89 +576,6 @@ def run_barycenter_campaign(Q: float, valid_trials: int, seed: int,
     members."""
     return _run_campaign("barycenter", _barycenter_sampler, BARYCENTER_SEGMENTS,
                          Q, valid_trials, seed, 40.0, batch)
-
-
-# -- node splits ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NodeSplit:
-    """A grandparent point with its two children and four grandchildren.
-
-    Midpoint coherence (each parent is the coordinatewise midpoint of its two
-    children) holds by construction.  The named increments are the ones
-    node_defect's bound reads: alpha, the x step from the grandparent to the
-    + child, and delta1 and delta2, the y steps from the + and - children to
-    their first grandchildren.
-    """
-
-    b: BellmanPoint
-    b_plus: BellmanPoint
-    b_minus: BellmanPoint
-    b_pp: BellmanPoint
-    b_pm: BellmanPoint
-    b_mp: BellmanPoint
-    b_mm: BellmanPoint
-
-    @classmethod
-    def from_grandchildren(cls, b_pp, b_pm, b_mp, b_mm) -> "NodeSplit":
-        b_plus = _midpoint(b_pp, b_pm)
-        b_minus = _midpoint(b_mp, b_mm)
-        return cls(b=_midpoint(b_plus, b_minus), b_plus=b_plus, b_minus=b_minus,
-                   b_pp=b_pp, b_pm=b_pm, b_mp=b_mp, b_mm=b_mm)
-
-    @property
-    def alpha(self) -> float:
-        return self.b_plus.x - self.b.x
-
-    @property
-    def delta1(self) -> float:
-        return self.b_pp.y - self.b_plus.y
-
-    @property
-    def delta2(self) -> float:
-        return self.b_mp.y - self.b_minus.y
-
-    def all_points(self) -> List[BellmanPoint]:
-        return [self.b, self.b_plus, self.b_minus,
-                self.b_pp, self.b_pm, self.b_mp, self.b_mm]
-
-
-def node_pattern_check(split: NodeSplit, Q: float, tol: float = 1e-12) -> dict:
-    """The application pattern of the geometric lemmas at one node: children
-    segments sit in the doubled domain, grandchildren segments in the
-    40-fold domain."""
-    _check_q(Q)
-    pts = [p.as_array()[:, None] for p in split.all_points()]
-    member = bool(_member(np.hstack(pts), Q, tol).all())
-    out = {"members": member}
-    if not member:
-        return out
-    for key, k, segments in (("child_segments_2Q", 2.0, ((0, 1), (0, 2))),
-                             ("grandchild_segments_40Q", 40.0, ((0, 3), (0, 4), (0, 5), (0, 6)))):
-        caps_ok, max_uv = _joint_segment_checks(pts, segments, tol)
-        out[key] = bool(caps_ok[0] and max_uv[0] <= k * Q + tol)
-    return out
-
-
-def node_defect(split: NodeSplit, Q: float,
-                evaluator: Callable[[BellmanPoint], float]) -> Tuple[float, float, Optional[float]]:
-    """Defect of the evaluator at the node against the target lower bound;
-    every split point must lie in Omega_Q within 1e-12.
-
-    D = evaluator(b) - (1/4) sum evaluator(b_ij), rhs = |alpha| (|delta1| +
-    |delta2|).  Returns (D, rhs, D/rhs or None).
-    """
-    for p in split.all_points():
-        if not in_domain(p, Q, 1e-12):
-            raise DomainError(f"split point {p} outside the domain")
-    d = evaluator(split.b) - 0.25 * (
-        evaluator(split.b_pp) + evaluator(split.b_pm)
-        + evaluator(split.b_mp) + evaluator(split.b_mm)
-    )
-    rhs = abs(split.alpha) * (abs(split.delta1) + abs(split.delta2))
-    c = d / rhs if rhs > 0 else None
-    return d, rhs, c
 
 
 # -- dynamic programming estimator ----------------------------------------
@@ -919,45 +779,3 @@ def point_from_data(phi: LeafFunction, psi: LeafFunction, w: Weight,
     local_sum = _subtree_sum(J, _key_terms(phi, psi, w)) / J.length
     return point, float(local_sum)
 
-
-def calibrate_gain(phi: LeafFunction, psi: LeafFunction, w: Weight,
-                   J: DyadicIndex, samples: int = 6, seed: int = 0) -> dict:
-    """Compare the localized key sum against the DP estimate at its point.
-
-    The recursion's gain convention is implicit in the source material; this
-    reports local_sum / the DP estimate so the discrepancy (if any) is visible
-    rather than hidden.  Ratios <= 1 mean the DP sup dominates the witness.
-    """
-    q = a2_characteristic(w).characteristic
-    point, local = point_from_data(phi, psi, w, J)
-    d = w.depth - J.level
-    est = DpEstimator(Q=q, samples=samples, seed=seed).estimate(point, d)
-    return {
-        "local_sum": local,
-        "dp_estimate": est,
-        "ratio": local / est if est > 0 else (0.0 if local == 0 else np.inf),
-        "dp_depth": d,
-    }
-
-
-def tree_sum_ratio(f1: LeafFunction, f2: LeafFunction, w: Weight,
-                   I: DyadicIndex) -> Tuple[float, float, float]:
-    """Node-sum inequality over the subtree of I, dimensionally consistent
-    reading: lhs = sum_{J in I} |J| |Delta_J f1| (|Delta_{J-} f2| + |Delta_{J+} f2|),
-    rhs0 = 40 Q (<f1^2 w>_I + <f2^2 sigma>_I) |I|.  Returns (lhs, rhs0, lhs/rhs0).
-    """
-    depth = w.depth
-    if f1.depth != depth or f2.depth != depth:
-        raise StructureError("depth mismatch")
-    d = _heap_diffs(heap_averages([f1.values, f2.values]))
-    # |Delta_{J-} f2| + |Delta_{J+} f2| for J at levels 0 .. depth - 2, heap-ordered
-    kids = np.abs(d[1, 1:]).reshape(-1, 2).sum(axis=1)
-    lhs = _subtree_sum(I, np.abs(d[0, : kids.size]) * kids)
-    q = a2_characteristic(w).characteristic
-    sl = I.leaf_slice(depth)
-    sig = w.sigma
-    rhs0 = 40.0 * q * (
-        float(np.mean(f1.values[sl] ** 2 * w.values[sl]))
-        + float(np.mean(f2.values[sl] ** 2 * sig[sl]))
-    ) * I.length
-    return float(lhs), rhs0, float(lhs / rhs0) if rhs0 > 0 else 0.0

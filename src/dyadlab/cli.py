@@ -117,6 +117,9 @@ class SweepConfig:
         for d in self.depths:
             if not 1 <= d <= MAX_DEPTH:
                 raise UsageError(f"depth {d} outside [1, {MAX_DEPTH}]")
+        for a in self.params:  # no family takes a non-finite parameter
+            if not np.isfinite(a):
+                raise UsageError(f"param must be finite, got {a}")
         if self.jobs < 0:
             raise UsageError(f"jobs must be >= 0, got {self.jobs}")
         if self.restarts < 1:

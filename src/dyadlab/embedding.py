@@ -13,7 +13,6 @@ from .forms import AbsBilinearForm, weighted_form
 from .tree import (
     ROOT,
     DomainError,
-    DyadicIndex,
     IdentityOperator,
     InvariantError,
     LeafFunction,
@@ -23,7 +22,6 @@ from .tree import (
     _heap_diffs,
     _heap_levels,
     _interval_lengths,
-    _subtree_slices,
     _subtree_sum,
     _subtree_sums,
     heap_averages,
@@ -31,7 +29,7 @@ from .tree import (
     level_diffs,
     n_internal,
 )
-from .weights import Weight, _carleson_norm, _weighted_norm, weighted_norm
+from .weights import Weight, _carleson_norm, _weighted_norm
 
 
 def _check_depths(*fns):
@@ -169,48 +167,13 @@ def carleson_norm(m: CarlesonMeasure) -> float:
     return _carleson_norm(m.alpha)
 
 
-@dataclass(frozen=True)
-class TwoWeightReport:
-    ratio: float
-    hypothesis_ok: bool
-    worst_product: float
-
-
-def _positive_pair(u: LeafFunction, v: LeafFunction) -> int:
-    """The common depth of two strictly positive functions."""
+def two_weight_ratio_max(u: LeafFunction, v: LeafFunction) -> float:
+    """Max over every internal L of the difference-sum ratio of two strictly
+    positive functions, [(1/|L|) sum_{I inside L} |Delta_I u||Delta_I v||I|]
+    / sqrt(<u>_L <v>_L)."""
     depth = _check_depths(u, v)
     if np.any(u.values <= 0) or np.any(v.values <= 0):
         raise DomainError("both functions must be strictly positive")
-    return depth
-
-
-def two_weight_ratio(u: LeafFunction, v: LeafFunction, L: DyadicIndex) -> TwoWeightReport:
-    """Difference-sum ratio for two positive functions, localized to L.
-
-    ratio = [(1/|L|) sum_{I inside L} |Delta_I u||Delta_I v||I|] / sqrt(<u>_L <v>_L).
-    The hypothesis <u>_I <v>_I <= 1 is checked over every dyadic I inside L
-    (leaves included) and reported; a violation flags the report but the
-    ratio is still computed.
-    """
-    depth = _positive_pair(u, v)
-    if L.level > depth:
-        raise DomainError("interval below leaf level")
-    avg = heap_averages([u.values, v.values])
-    d = _heap_diffs(avg)
-    prod = avg[0] * avg[1]
-    worst = max(float(np.max(prod[sl])) for _, sl in _subtree_slices(L, depth + 1))
-
-    total = _subtree_sum(L, np.abs(d[0]) * np.abs(d[1]))
-    mean_u = avg[0, L.heap_index]
-    mean_v = avg[1, L.heap_index]
-    ratio = (total / L.length) / np.sqrt(mean_u * mean_v)
-    return TwoWeightReport(ratio=float(ratio), hypothesis_ok=bool(worst <= 1.0 + 1e-12),
-                           worst_product=float(worst))
-
-
-def two_weight_ratio_max(u: LeafFunction, v: LeafFunction) -> float:
-    """Max of the difference-sum ratio over every internal L (vectorized)."""
-    depth = _positive_pair(u, v)
     inner = (1 << depth) - 1
     avg = heap_averages([u.values, v.values])
     d = _heap_diffs(avg)
@@ -238,21 +201,6 @@ def carleson_box_check(phi: LeafFunction, psi: LeafFunction, w: Weight) -> Tuple
     if lhs > rhs * (1.0 + 1e-12) + 1e-15:
         raise InvariantError(f"Carleson box bound violated: {lhs} > {rhs}")
     return lhs, rhs
-
-
-def ltrick_ratios(phi: LeafFunction, psi: LeafFunction, w: Weight) -> Tuple[float, float]:
-    """The box-sum lhs normalized by Q and each of the two norm readings.
-
-    Returns (lhs / (Q ||phi||_w ||psi||_sigma), lhs / (Q ||phi||_sigma ||psi||_sigma)).
-    """
-    from .weights import a2_characteristic, dual as dual_weight
-
-    lhs, _ = carleson_box_check(phi, psi, w)
-    q = a2_characteristic(w).characteristic
-    sig = dual_weight(w)
-    r_w = lhs / (q * weighted_norm(phi, w) * weighted_norm(psi, sig))
-    r_s = lhs / (q * weighted_norm(phi, sig) * weighted_norm(psi, sig))
-    return r_w, r_s
 
 
 # -- form builders for scaling sweeps ------------------------------------

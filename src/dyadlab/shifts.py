@@ -24,9 +24,7 @@ from .tree import (
     _dense,
     _haar_operator,
     _read_only,
-    _synthesis_values,
     haar_analysis,
-    internal_indices,
     n_internal,
 )
 from .weights import Weight
@@ -136,62 +134,3 @@ def shift_form(spec: ShiftSpec, w: Weight) -> AbsBilinearForm:
     h = _haar_operator(spec.depth)
     return weighted_form(w.values, ShiftOperator(spec), h, h)
 
-
-def martingale_transform_apply(signs, f: LeafFunction) -> LeafFunction:
-    """T f = sum_I signs_I (f, h_I) h_I, with the mean set to zero; signs
-    holds one multiplier in [-1, 1] per internal I, heap-ordered."""
-    s = np.asarray(signs, dtype=float)
-    if s.shape != (n_internal(f.depth),):
-        raise StructureError(f"expected {n_internal(f.depth)} signs, got shape {s.shape}")
-    if not np.all(np.abs(s) <= 1.0):  # also false for nan
-        raise DomainError("sign multipliers must lie in [-1, 1]")
-    return LeafFunction(_synthesis_values(0.0, s * haar_analysis(f).coefficients))
-
-
-def save_shift_spec(spec: ShiftSpec, path) -> None:
-    """Header `complexity=<n> depth=<d>`, then `I_level I_pos J_level J_pos c` per pair, sorted."""
-    n = spec.complexity
-    with open(path, "w") as fh:
-        fh.write(f"complexity={n} depth={spec.depth}\n")
-        for I, row in zip(internal_indices(max(spec.depth - n, 0)), spec.coeffs):
-            for k, c in enumerate(row):
-                fh.write(f"{I.level} {I.position} {I.level + n} {(I.position << n) + k} "
-                         f"{float(c)!r}\n")
-
-
-def load_shift_spec(path) -> ShiftSpec:
-    """Read save_shift_spec's format; a pair the file leaves out gets c = 0.
-    A malformed line raises StructureError or DomainError naming it."""
-    with open(path) as fh:
-        header = fh.readline()
-        fields = dict(tok.partition("=")[::2] for tok in header.split())
-        try:
-            complexity, depth = int(fields["complexity"]), int(fields["depth"])
-        except (KeyError, ValueError):
-            raise StructureError(f"line 1: expected `complexity=<n> depth=<d>`, "
-                                 f"got {header.strip()!r}") from None
-        coeffs = np.zeros(_coeff_shape(complexity, depth))
-        seen = np.zeros(coeffs.shape, dtype=bool)
-        for num, line in enumerate(fh, start=2):
-            toks = line.split()
-            if not toks:
-                continue
-            try:
-                il, ip, jl, jp, c = toks
-                il, ip, jl, jp, c = int(il), int(ip), int(jl), int(jp), float(c)
-            except ValueError:
-                raise StructureError(f"line {num}: expected `I_level I_pos J_level J_pos c`, "
-                                     f"got {line.strip()!r}") from None
-            if not abs(c) <= 1.0:  # also true for nan
-                raise DomainError(f"line {num}: |c| must be <= 1, got {c}")
-            k = jp - (ip << complexity)  # J's offset among I's descendants
-            if not (jl == il + complexity and 0 <= il and jl < depth
-                    and 0 <= ip < 1 << il and 0 <= k < 1 << complexity):
-                raise DomainError(f"line {num}: ({il}, {ip}) and ({jl}, {jp}) are not an "
-                                  f"internal pair of complexity {complexity} at depth {depth}")
-            r = (1 << il) - 1 + ip
-            if seen[r, k]:
-                raise StructureError(f"line {num}: pair ({il}, {ip}), ({jl}, {jp}) given twice")
-            seen[r, k] = True
-            coeffs[r, k] = c
-    return ShiftSpec(complexity, depth, coeffs)

@@ -249,10 +249,10 @@ def gen_power(depth: int, a: float) -> Weight:
 def gen_cascade(depth: int, eps: float, seed: int) -> Weight:
     """Multiplicative cascade: children multiply the parent by (1 +- xi_I)."""
     _check_depth(depth)
-    if not 0.0 <= eps < 1.0:
-        raise DomainError("cascade amplitude must lie in [0, 1)")
+    if not 0.0 <= eps < 1.0:  # nan fails too
+        raise DomainError(f"cascade amplitude must lie in [0, 1), got {eps}")
     if seed < 0:
-        raise DomainError("cascade seed must be >= 0")
+        raise DomainError(f"cascade seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     vals = np.ones(1)
     for _ in range(depth):

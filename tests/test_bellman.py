@@ -11,22 +11,15 @@ from dyadlab.bellman import (
     BellmanPoint,
     CampaignReport,
     DpEstimator,
-    NodeSplit,
-    barycenter_lemma_check,
-    calibrate_gain,
     _sample_strip,
     _segment_checks,
     in_domain,
     in_domain_arr,
-    node_defect,
-    node_pattern_check,
     point_from_data,
     run_barycenter_campaign,
     run_triangle_campaign,
     sample_omega,
     segment_in_domain,
-    triangle_lemma_check,
-    tree_sum_ratio,
 )
 
 
@@ -193,21 +186,6 @@ class TestSampling:
 
 
 class TestTriangleLemma:
-    def test_degenerate(self):
-        p = BellmanPoint(1, 1, 0, 0, 1, 1)
-        rep = triangle_lemma_check(p, p, p, Q=2.0)
-        assert not rep.vacuous
-        assert rep.min_k_holding == 1.0
-
-    def test_vacuous_premises(self):
-        # C and mid(A, B) straddle the hyperbola so [C, M] leaves the domain
-        Q = 2.0
-        A = strip_point(1.0, Q)
-        B = strip_point(Q, 1.0)
-        C = strip_point(np.sqrt(Q), np.sqrt(Q))
-        rep = triangle_lemma_check(A, B, C, Q=Q)
-        assert rep.vacuous
-
     def test_campaign_small(self):
         rep = run_triangle_campaign(Q=4.0, valid_trials=2000, seed=0)
         assert rep.violations == 0
@@ -237,18 +215,6 @@ class TestTriangleLemma:
 
 
 class TestBarycenterLemma:
-    def test_all_equal(self):
-        p = BellmanPoint(2, 2, 1, 1, 1.5, 1.0)
-        rep = barycenter_lemma_check(p, p, p, p, Q=2.0)
-        assert not rep.vacuous
-        assert rep.min_k_holding == 1.0
-
-    def test_vacuous_outside(self):
-        p = BellmanPoint(1, 1, 0, 0, 1, 1)
-        bad = BellmanPoint(1, 1, 5, 0, 1, 1)
-        rep = barycenter_lemma_check(p, p, p, bad, Q=2.0)
-        assert rep.vacuous
-
     def test_campaign_small(self):
         rep = run_barycenter_campaign(Q=4.0, valid_trials=2000, seed=0)
         assert rep.violations == 0
@@ -317,47 +283,6 @@ class TestCampaignRobustness:
         assert js["trials"] == 10
         assert js["vacuous"] < 1000
         assert js["trials_total"] == js["trials"] + js["vacuous"]
-
-
-class TestNodeSplit:
-    def build_split(self, seed, Q=4.0):
-        rng = np.random.default_rng(seed)
-        pts = sample_omega(Q, 4, rng)
-        return NodeSplit.from_grandchildren(*[BellmanPoint.from_array(p) for p in pts])
-
-    def test_midpoint_coherence(self):
-        s = self.build_split(0)
-        mid = lambda a, b: (a.as_array() + b.as_array()) / 2.0
-        assert np.allclose(s.b.as_array(), mid(s.b_plus, s.b_minus))
-        assert np.allclose(s.b_plus.as_array(), mid(s.b_pp, s.b_pm))
-        assert np.allclose(s.b_minus.as_array(), mid(s.b_mp, s.b_mm))
-
-    def test_increments(self):
-        s = self.build_split(1)
-        assert s.alpha == pytest.approx(s.b_plus.x - s.b.x)
-        assert s.delta1 == pytest.approx(s.b_pp.y - s.b_plus.y)
-
-    def test_pattern_check_members(self):
-        for seed in range(50):
-            s = self.build_split(seed)
-            out = node_pattern_check(s, Q=4.0)
-            if out["members"]:
-                assert out["child_segments_2Q"]
-                assert out["grandchild_segments_40Q"]
-
-    def test_node_defect_zero_increments(self):
-        p = BellmanPoint(2, 2, 0.5, 0.5, 1.5, 1.0)
-        s = NodeSplit.from_grandchildren(p, p, p, p)
-        d, rhs, c = node_defect(s, Q=2.0, evaluator=lambda q: q.X + q.Y)
-        assert d == 0.0
-        assert rhs == 0.0
-        assert c is None
-
-    def test_node_defect_rejects_outsiders(self):
-        p = BellmanPoint(1, 1, 5.0, 0, 1, 1)
-        s = NodeSplit.from_grandchildren(p, p, p, p)
-        with pytest.raises(DomainError):
-            node_defect(s, Q=2.0, evaluator=lambda q: 0.0)
 
 
 class TestDpEstimator:
@@ -432,45 +357,9 @@ class TestPointFromData:
             point, _ = point_from_data(phi, psi, w, J)
             assert in_domain(point, q, tol=1e-9 * max(point.X, point.Y, 1.0))
 
-    def test_calibration_report(self):
-        w = gen_cascade(3, 0.6, seed=9)
-        rng = np.random.default_rng(9)
-        phi = LeafFunction(rng.standard_normal(8))
-        psi = LeafFunction(rng.standard_normal(8))
-        rep = calibrate_gain(phi, psi, w, ROOT, samples=4, seed=0)
-        assert set(rep) == {"local_sum", "dp_estimate", "ratio", "dp_depth"}
-        assert rep["dp_depth"] == 3
-        assert np.isfinite(rep["ratio"])
-
     def test_depth_mismatch_raises(self):
         phi = LeafFunction.constant(1, 1.0)
         psi = LeafFunction.constant(2, 1.0)
         with pytest.raises(StructureError):
             point_from_data(phi, psi, Weight.from_values([1.0] * 4), ROOT)
 
-
-class TestTreeSumRatio:
-    def test_depth_mismatch_raises(self):
-        f1 = LeafFunction.constant(1, 1.0)
-        f2 = LeafFunction.constant(2, 1.0)
-        with pytest.raises(StructureError):
-            tree_sum_ratio(f1, f2, Weight.from_values([1.0] * 4), ROOT)
-
-    def test_constant_inputs(self):
-        w = gen_cascade(4, 0.5, seed=10)
-        one = LeafFunction.constant(4, 1.0)
-        lhs, rhs0, ratio = tree_sum_ratio(one, one, w, ROOT)
-        assert lhs == 0.0
-        assert ratio == 0.0
-
-    def test_ratio_below_one_sampled(self):
-        rng = np.random.default_rng(11)
-        worst = 0.0
-        for _ in range(100):
-            depth = int(rng.integers(2, 7))
-            w = gen_cascade(depth, 0.8, int(rng.integers(10**6)))
-            f1 = LeafFunction(rng.standard_normal(1 << depth))
-            f2 = LeafFunction(rng.standard_normal(1 << depth))
-            _, _, ratio = tree_sum_ratio(f1, f2, w, ROOT)
-            worst = max(worst, ratio)
-        assert worst <= 1.0

@@ -17,7 +17,6 @@ from dyadlab.bellman import (
     _segment_checks,
     _strip,
     _strip_rows,
-    _triangle_premise,
     _triangle_sampler,
     in_domain_arr,
     run_barycenter_campaign,
@@ -379,18 +378,13 @@ def test_barycenter_draw_redraws_at_q_one():
 
 @pytest.mark.parametrize("Q", [1.5, 50.0])
 def test_premise_masks_bit_identical(Q):
-    # the point-level premises the lemma checks use, on coordinate-major
-    # points, against the reference premises on row-major ones
-    rng = np.random.default_rng(9)
-    for draw, premise, ref_premise in (
-        (reference_triangle_draw, _triangle_premise, reference_triangle_premise),
-        (reference_barycenter_draw, _barycenter_premise, reference_barycenter_premise),
-    ):
-        pts = draw(Q, 20000, rng)
-        got = premise([np.ascontiguousarray(p.T) for p in pts], Q, 1e-12)
-        want = ref_premise(pts, Q, 1e-12)
-        assert got.dtype == bool and np.array_equal(got, want)
-        assert 0 < got.sum() < got.size
+    # the barycenter campaign's point-level premise, on coordinate-major
+    # points, against the reference premise on row-major ones
+    pts = reference_barycenter_draw(Q, 20000, np.random.default_rng(9))
+    got = _barycenter_premise([np.ascontiguousarray(p.T) for p in pts], Q)
+    want = reference_barycenter_premise(pts, Q, 1e-12)
+    assert got.dtype == bool and np.array_equal(got, want)
+    assert 0 < got.sum() < got.size
 
 
 def test_array_checks_same_on_either_memory_order():

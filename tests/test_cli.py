@@ -133,7 +133,7 @@ class TestRunSweep:
                           experiments=("a2",), jobs=1)
         rows, _ = run_sweep(cfg)
         assert rows[0]["error"] == ""
-        assert rows[1]["error"] == "cascade seed must be >= 0"
+        assert rows[1]["error"] == "cascade seed must be >= 0, got -1"
 
     def test_negative_jobs_rejected(self):
         with pytest.raises(UsageError):
@@ -297,6 +297,8 @@ class TestMainExitCodes:
         ["norm", "--depth", "4", "--seed", "3", "--seed", "5"],
         ["a2", "--depth", "3", "--seed", "0"],
         ["a2", "--family", "file", "--file", "W", "--seed", "1"],
+        ["a2", "--param", "nan"],
+        ["a2", "--param", "inf"],
     ])
     def test_ignored_weight_option_is_one_line(self, argv, capsys, tmp_path, monkeypatch):
         save_weight(gen_power(3, 0.5), tmp_path / "w.txt")

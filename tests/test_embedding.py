@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 
 from dyadlab.tree import (
     DomainError,
-    DyadicIndex,
-    InvariantError,
     LeafFunction,
     ROOT,
     StructureError,
+    average,
     internal_indices,
+    martingale_difference,
 )
-from dyadlab.weights import Weight, a2_characteristic, dual, gen_cascade, gen_power
+from dyadlab.weights import Weight, a2_characteristic, dual, gen_cascade
 from dyadlab.embedding import (
     CarlesonMeasure,
     carleson_box_check,
@@ -23,10 +23,8 @@ from dyadlab.embedding import (
     four_terms,
     key_sum,
     key_sum_form,
-    ltrick_ratios,
     maximal_weighted,
     term1_form,
-    two_weight_ratio,
     two_weight_ratio_max,
 )
 
@@ -211,32 +209,6 @@ class TestCarlesonMeasure:
 
 
 class TestTwoWeightRatio:
-    def test_constants(self):
-        one = LeafFunction.constant(4, 1.0)
-        rep = two_weight_ratio(one, one, ROOT)
-        assert rep.ratio == 0.0
-        assert rep.hypothesis_ok
-
-    def test_weight_over_q_hypothesis(self):
-        for seed in range(10):
-            w = gen_cascade(6, 0.8, seed)
-            q = a2_characteristic(w).characteristic
-            u = LeafFunction(w.values / q)
-            rep = two_weight_ratio(u, dual(w).base, ROOT)
-            assert rep.hypothesis_ok
-            assert np.isfinite(rep.ratio)
-
-    def test_hypothesis_violation_flagged(self):
-        u = LeafFunction([4.0, 4.0, 4.0, 4.0])
-        v = LeafFunction([1.0, 1.0, 1.0, 1.0])
-        rep = two_weight_ratio(u, v, ROOT)
-        assert not rep.hypothesis_ok
-        assert rep.worst_product == pytest.approx(4.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            two_weight_ratio(LeafFunction([1.0, -1.0]), LeafFunction([1.0, 1.0]), ROOT)
-
     @pytest.mark.parametrize("bad", [-3.0, 0.0])
     def test_max_rejects_nonpositive(self, bad):
         u = LeafFunction([1.0, bad, 1.0, 1.0])
@@ -246,11 +218,20 @@ class TestTwoWeightRatio:
                 two_weight_ratio_max(*pair)
 
     def test_max_matches_scalar(self):
+        # each L's ratio from its definition, by the scalar average and
+        # martingale difference
         w = gen_cascade(5, 0.8, seed=21)
         q = a2_characteristic(w).characteristic
         u = LeafFunction(w.values / q)
         v = dual(w).base
-        best = max(two_weight_ratio(u, v, L).ratio for L in internal_indices(5))
+        nodes = list(internal_indices(5))
+
+        def ratio(L):
+            total = sum(abs(martingale_difference(u, I)) * abs(martingale_difference(v, I))
+                        * I.length for I in nodes if L.contains(I))
+            return (total / L.length) / np.sqrt(average(u, L) * average(v, L))
+
+        best = max(ratio(L) for L in nodes)
         assert two_weight_ratio_max(u, v) == pytest.approx(best, rel=1e-12)
 
 
@@ -279,12 +260,6 @@ class TestCarlesonBoxCheck:
         psi = LeafFunction(rng.standard_normal(1 << depth))
         lhs, rhs = carleson_box_check(phi, psi, w)  # raises on violation
         assert lhs <= rhs * (1.0 + 1e-12) + 1e-15
-
-    def test_ltrick_ratios_finite(self):
-        w = gen_cascade(5, 0.7, seed=13)
-        phi, psi = random_pair(5, 14)
-        r_w, r_s = ltrick_ratios(phi, psi, w)
-        assert np.isfinite(r_w) and np.isfinite(r_s)
 
 
 class TestFormBuilders:

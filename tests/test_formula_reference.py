@@ -1,30 +1,12 @@
 """Each formula with one implementation, against the duplicated code it
-replaced, kept verbatim: the scalar lemma checks and node_pattern_check
-(which made one pair of scalar segment checks per k), the exact mode (whose
-full enumeration and fold each had a sign sweep, and whose full enumeration
-had its own copy of _sigma_max_signed), and the three weighted form
-builders (each restating the metrics).  Every report, exact result and form
-operand must be byte-identical."""
+replaced, kept verbatim: the exact mode (whose full enumeration and fold
+each had a sign sweep, and whose full enumeration had its own copy of
+_sigma_max_signed) and the three weighted form builders (each restating the
+metrics).  Every exact result and form operand must be byte-identical."""
 import numpy as np
 import pytest
 
 from dyadlab import embedding, shifts
-from dyadlab.bellman import (
-    DEFAULT_K_GRID,
-    BellmanPoint,
-    LemmaReport,
-    NodeSplit,
-    _midpoint,
-    _sample_strip,
-    _segment_checks,
-    _slack_points,
-    barycenter_lemma_check,
-    in_domain,
-    node_pattern_check,
-    sample_omega,
-    segment_in_domain,
-    triangle_lemma_check,
-)
 from dyadlab.forms import (
     FOLD_LIMIT,
     FULL_ENUM_LIMIT,
@@ -46,88 +28,6 @@ from dyadlab.tree import (
     _heap_levels,
 )
 from dyadlab.weights import gen_cascade, gen_power
-
-# -- the lemma checks as they were ------------------------------------------
-
-
-def segment_max_uv(p: BellmanPoint, q: BellmanPoint) -> float:
-    """Max of u(t) v(t) along the segment (closed form)."""
-    return float(_segment_checks(p.as_array(), q.as_array(), 0.0)[1])
-
-
-def _triangle_strips(Q: float, batch: int, rng):
-    """The strip samples of A, B and C, as three (2, batch) (u, v) arrays."""
-    return [np.array(_sample_strip(Q, batch, rng)) for _ in range(3)]
-
-
-def _triangle_draw(Q: float, batch: int, rng):
-    """Three strip samples embedded as slack points."""
-    return [_slack_points(*S) for S in _triangle_strips(Q, batch, rng)]
-
-
-def reference_triangle_lemma_check(A: BellmanPoint, B: BellmanPoint, C: BellmanPoint,
-                                   Q: float, k_grid=DEFAULT_K_GRID,
-                                   tol: float = 1e-12) -> LemmaReport:
-    """Median-repair lemma: membership of A, B, C, [A,B] and [C, mid(A,B)]
-    in Omega_Q forces [C,A] and [C,B] into an enlarged domain."""
-    M = _midpoint(A, B)
-    premises = (
-        in_domain(A, Q, tol) and in_domain(B, Q, tol) and in_domain(C, Q, tol)
-        and segment_in_domain(A, B, Q, tol) and segment_in_domain(C, M, Q, tol)
-    )
-    rep = LemmaReport(lemma="triangle", vacuous=not premises)
-    if not premises:
-        return rep
-    for k in k_grid:
-        ok = segment_in_domain(C, A, k * Q, tol) and segment_in_domain(C, B, k * Q, tol)
-        rep.holds_at[k] = ok
-        if ok and rep.min_k_holding is None:
-            rep.min_k_holding = k
-    if segment_in_domain(C, A, np.inf, tol) and segment_in_domain(C, B, np.inf, tol):
-        rep.needed_k = max(
-            1.0, max(segment_max_uv(C, A), segment_max_uv(C, B)) / Q
-        )
-    return rep
-
-
-def reference_barycenter_lemma_check(P1, P2, P3, P4, Q: float, k_grid=DEFAULT_K_GRID,
-                                     tol: float = 1e-12) -> LemmaReport:
-    """Barycenter lemma: if the four points and their barycenter are members,
-    the four connecting segments lie in the 40-fold enlarged domain."""
-    pts = [P1, P2, P3, P4]
-    P = BellmanPoint.from_array(np.mean([p.as_array() for p in pts], axis=0))
-    premises = in_domain(P, Q, tol) and all(in_domain(p, Q, tol) for p in pts)
-    rep = LemmaReport(lemma="barycenter", vacuous=not premises)
-    if not premises:
-        return rep
-    for k in k_grid:
-        ok = all(segment_in_domain(P, p, k * Q, tol) for p in pts)
-        rep.holds_at[k] = ok
-        if ok and rep.min_k_holding is None:
-            rep.min_k_holding = k
-    if all(segment_in_domain(P, p, np.inf, tol) for p in pts):
-        rep.needed_k = max(1.0, max(segment_max_uv(P, p) for p in pts) / Q)
-    return rep
-
-
-def reference_node_pattern_check(split: NodeSplit, Q: float, tol: float = 1e-12) -> dict:
-    """The application pattern of the geometric lemmas at one node: children
-    segments sit in the doubled domain, grandchildren segments in the
-    40-fold domain."""
-    member = all(in_domain(p, Q, tol) for p in split.all_points())
-    out = {"members": member}
-    if not member:
-        return out
-    out["child_segments_2Q"] = (
-        segment_in_domain(split.b, split.b_plus, 2.0 * Q, tol)
-        and segment_in_domain(split.b, split.b_minus, 2.0 * Q, tol)
-    )
-    out["grandchild_segments_40Q"] = all(
-        segment_in_domain(split.b, g, 40.0 * Q, tol)
-        for g in (split.b_pp, split.b_pm, split.b_mp, split.b_mm)
-    )
-    return out
-
 
 # -- the exact mode and the form builders as they were ----------------------
 
@@ -284,154 +184,6 @@ def reference_term1_form(w) -> AbsBilinearForm:
         left_metric=w.values * scale,
         right_metric=sig_vals * scale,
     )
-
-
-# -- inputs ------------------------------------------------------------------
-
-QS = (1.0, 1.5, 3.0, 50.0, np.inf)
-TOLS = (0.0, 1e-12)
-
-
-def as_points(arr):
-    """(6, n) coordinate-major array -> list of BellmanPoint."""
-    return [BellmanPoint.from_array(col) for col in arr.T]
-
-
-def triangle_inputs(Q, seed):
-    """Slack-coordinate triples (the campaign's draws) and general members."""
-    rng = np.random.default_rng(seed)
-    q = min(Q, 50.0)  # the samplers need a finite Q
-    slack = [as_points(a) for a in _triangle_draw(q, 80, rng)]
-    general = [as_points(sample_omega(q, 40, rng).T) for _ in range(3)]
-    return list(zip(*slack)) + list(zip(*general))
-
-
-def barycenter_inputs(Q, seed):
-    rng = np.random.default_rng(seed)
-    q = min(Q, 50.0)
-    pts = [as_points(sample_omega(q, 80, rng).T) for _ in range(4)]
-    # quadruples near one member keep their barycenter inside more often
-    base = sample_omega(q, 40, rng).T
-    near = [as_points(base * (1.0 + 0.05 * rng.standard_normal(base.shape)))
-            for _ in range(4)]
-    return list(zip(*pts)) + list(zip(*near))
-
-
-def triangle_max_uv(A, B, C):
-    return max(segment_max_uv(C, A), segment_max_uv(C, B))
-
-
-def barycenter_max_uv(*pts):
-    P = BellmanPoint.from_array(np.mean([p.as_array() for p in pts], axis=0))
-    return max(segment_max_uv(P, p) for p in pts)
-
-
-def boundary_cases(cases, max_uv, ks=(1.0, 1.5, 2.0, 4.5)):
-    """(case, Q) pairs whose k Q sits within tol below the max uv of the
-    segments a lemma concludes about, or exactly on it."""
-    out = []
-    for case in cases:
-        m = max_uv(*case)
-        for k in ks:
-            for q in ((m - 0.5e-12) / k, m / k):
-                if q >= 1.0:
-                    out.append((case, q))
-    return out
-
-
-def fingerprint(rep: LemmaReport):
-    def num(x):
-        return None if x is None else (type(x), float(x).hex())
-
-    return (rep.lemma, type(rep.vacuous), rep.vacuous,
-            [(num(k), type(ok), ok) for k, ok in rep.holds_at.items()],
-            num(rep.min_k_holding), num(rep.needed_k))
-
-
-def node_fingerprint(out: dict):
-    return [(key, type(v), v) for key, v in out.items()]
-
-
-# -- lemma checks and node checks --------------------------------------------
-
-
-def min_ks(reports):
-    return {rep.min_k_holding for rep in reports if not rep.vacuous}
-
-
-@pytest.mark.parametrize("Q", QS)
-def test_triangle_check_byte_identical(Q):
-    reports = []
-    for case in triangle_inputs(Q, 1):
-        for tol in TOLS:
-            reports.append(triangle_lemma_check(*case, Q, tol=tol))
-            want = reference_triangle_lemma_check(*case, Q, tol=tol)
-            assert fingerprint(reports[-1]) == fingerprint(want)
-    # no draw meets the premises at Q = 1; at a finite Q > 1 some reports
-    # hold from k = 1 on and some only from a larger k
-    assert bool(min_ks(reports)) == (Q > 1.0)
-    if 1.0 < Q < np.inf:
-        assert 1.0 in min_ks(reports) and len(min_ks(reports)) > 1
-
-
-@pytest.mark.parametrize("Q", QS)
-def test_barycenter_check_byte_identical(Q):
-    reports = []
-    for case in barycenter_inputs(Q, 2):
-        for tol in TOLS:
-            reports.append(barycenter_lemma_check(*case, Q, tol=tol))
-            want = reference_barycenter_lemma_check(*case, Q, tol=tol)
-            assert fingerprint(reports[-1]) == fingerprint(want)
-    assert bool(min_ks(reports)) == (Q > 1.0)
-
-
-@pytest.mark.parametrize("Q", QS)
-def test_node_check_byte_identical(Q):
-    members = 0
-    for case in barycenter_inputs(Q, 3):
-        split = NodeSplit.from_grandchildren(*case)
-        for tol in TOLS:
-            got = node_fingerprint(node_pattern_check(split, Q, tol))
-            assert got == node_fingerprint(reference_node_pattern_check(split, Q, tol))
-            members += got[0][2]
-    assert (members > 0) == (Q > 1.0)
-
-
-def test_checks_on_the_k_boundary_byte_identical():
-    # Q chosen so that k Q + tol just covers the max uv: a needed-k test in
-    # place of max uv <= k Q + tol reads these differently
-    triangles = [c for c in triangle_inputs(50.0, 5)
-                 if not triangle_lemma_check(*c, 50.0).vacuous][:40]
-    bary = [c for c in barycenter_inputs(50.0, 6)
-            if not barycenter_lemma_check(*c, 50.0).vacuous][:40]
-    assert len(triangles) == len(bary) == 40
-    flipped = 0
-    for check, reference, cases, uv in (
-            (triangle_lemma_check, reference_triangle_lemma_check, triangles, triangle_max_uv),
-            (barycenter_lemma_check, reference_barycenter_lemma_check, bary,
-             barycenter_max_uv)):
-        for case, q in boundary_cases(cases, uv):
-            for tol in TOLS:
-                got = check(*case, q, tol=tol)
-                assert fingerprint(got) == fingerprint(reference(*case, q, tol=tol))
-                flipped += any(ok != (got.needed_k is not None and got.needed_k <= k)
-                               for k, ok in got.holds_at.items())
-    assert flipped > 0
-
-
-@pytest.mark.parametrize("check, reference, n_points", [
-    (triangle_lemma_check, reference_triangle_lemma_check, 3),
-    (barycenter_lemma_check, reference_barycenter_lemma_check, 4),
-])
-@pytest.mark.parametrize("Q", [0.5, float("nan")])
-def test_bad_q_same_error(check, reference, n_points, Q):
-    pts = [BellmanPoint(1.0, 1.0, 0.0, 0.0, 1.0, 1.0)] * n_points
-    messages = []
-    for run in (check, reference):
-        with pytest.raises(DomainError) as info:
-            run(*pts, Q)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
 
 
 # -- forms ---------------------------------------------------------------------

@@ -1,10 +1,15 @@
-"""Every name a dyadlab module imports is used in that module, so a deleted
-function cannot linger in an import list.  __init__.py is left out: its
-imports are the package's public names.
+"""Every name a dyadlab module or a test file imports is used in that file,
+so a deleted function cannot linger in an import list.  __init__.py is left
+out: its imports are the package's public names.
 
 Every function, method, property and class a dyadlab module defines is
 referenced by name somewhere in the source, the tests, the benchmark or the
 scripts, so code that nothing calls does not stay.
+
+Every public top-level function and class of a dyadlab module is reached by
+a run or a gate: the package itself, the scripts, the benchmark harness or
+the acceptance tests reference it, or TEST_ORACLES names it with the reason
+the tests need it.  Code that only its own tests call does not stay.
 
 Every defaulted parameter of a dyadlab function or method is passed by some
 call in those trees, so a setting that no caller changes does not stay."""
@@ -16,9 +21,34 @@ import pytest
 import dyadlab
 
 PACKAGE = Path(dyadlab.__file__).resolve().parent
+REPO = PACKAGE.parents[1]
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted((REPO / "tests").glob("*.py"))
 # the trees whose code may reference a definition
-SEARCHED = [PACKAGE.parents[1] / d for d in ("src", "tests", "perfbench", "scripts")]
+SEARCHED = [REPO / d for d in ("src", "tests", "perfbench", "scripts")]
+# the code that runs dyadlab or gates it: the package (__init__.py aside),
+# the scripts, the benchmark harness and the acceptance criteria
+REACHING = (MODULES + sorted((REPO / "scripts").glob("*.py"))
+            + sorted(p for p in (REPO / "perfbench").glob("*.py")
+                     if not p.name.startswith("test_"))
+            + [REPO / "tests" / "test_acceptance.py"])
+
+# Public definitions that no run or gate reaches, kept because the tests
+# check reached code against them.
+TEST_ORACLES = {
+    "maximal_weighted": "M_w 1 = 1, domination and monotonicity checks of _maximal, "
+                        "the kernel of duality_product and carleson_box_check",
+    "form_value": "independent value of a shift_form witness",
+    "haar_coefficient": "scalar (f, h_I) that haar_analysis is checked against",
+    "weighted_haar": "scalar h^w_I through which Weight._haar is checked orthonormal",
+    "haar_split": "scalar split of h_I that haar_splits is checked against",
+    "weighted_norm": "scalar L2(w) norm that form witnesses and Haar energies are checked with",
+    "weighted_inner": "scalar L2(w) inner product of the weighted Haar orthogonality check",
+    "shift_matrix": "dense matrix that ShiftOperator is checked against",
+    "weighted_haar_matrix": "dense matrix that the weighted Haar operator is checked against",
+    "internal_indices": "interval enumeration that the heap order is checked against",
+    "save_weight": "writes the weight files that --family file reads",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -36,7 +66,7 @@ def unused_imports(source: str) -> list:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
@@ -64,11 +94,12 @@ def definitions(source: str) -> list:
     return found
 
 
-def references(source: str) -> set:
-    """Every name the source uses: a variable, an attribute, an imported name,
-    or a string constant that is exactly an identifier (getattr dispatch)."""
+def references(source) -> set:
+    """Every name the source (a string or a parsed node) uses: a variable, an
+    attribute, an imported name, or a string constant that is exactly an
+    identifier (getattr dispatch)."""
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(source) if isinstance(source, str) else source):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -99,6 +130,42 @@ def test_check_sees_an_unreferenced_definition():
               "def by_string():\n    pass\ngetattr(A, 'by_string')\n")
     idle = [qual for qual, name in definitions(source) if name not in references(source)]
     assert idle == ["A.idle"]
+
+
+def unreached(modules: dict, reaching: dict) -> list:
+    """Sorted names of the public top-level functions and classes of the
+    modules that no top-level statement of the reaching sources references,
+    the definition itself aside.  Both dicts map a file (a path or a name)
+    to its source."""
+    statements = [(path, node, references(node))
+                  for path, source in reaching.items() for node in ast.parse(source).body]
+    idle = []
+    for path, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_") \
+                    and not any(node.name in names for where, stmt, names in statements
+                                if (where, stmt.lineno) != (path, node.lineno)):
+                idle.append(node.name)
+    return sorted(idle)
+
+
+def test_every_public_definition_is_reached():
+    # a name that a run or a gate reaches again leaves TEST_ORACLES
+    reaching = {p: p.read_text() for p in REACHING}
+    assert unreached({p: reaching[p] for p in MODULES}, reaching) == sorted(TEST_ORACLES)
+
+
+def test_check_sees_a_definition_only_tests_reach():
+    module = ("def run():\n    return helper()\n"
+              "def helper():\n    return 1\n"
+              "def idle(n):\n    return idle(n - 1)\n"
+              "class Point:\n    def moved(self) -> 'Point':\n        return Point()\n"
+              "def _private():\n    pass\n")
+    script = "from m import run\nrun()\n"
+    test = "from m import Point, idle\nidle(Point())\n"
+    assert unreached({"m.py": module}, {"m.py": module, "run.py": script}) == ["Point", "idle"]
+    assert unreached({"m.py": module}, {"m.py": module, "run.py": script, "t.py": test}) == []
 
 
 def defaulted_parameters(source: str) -> list:

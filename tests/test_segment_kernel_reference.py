@@ -213,7 +213,7 @@ def test_median_premise_on_strips(Q, tol):
     rng = np.random.default_rng(8)
     strips = [strip_pairs(Q, rng) for _ in range(3)]
     with np.errstate(all="ignore"):
-        got = _median_premise(strips, lambda p, q: _strip_segments_ok(p, q, Q))
+        got = _median_premise(strips, Q)
         want = reference_triangle_premise([reference_slack_points(*S) for S in strips], Q, tol)
     assert got.tobytes() == want.tobytes()
 

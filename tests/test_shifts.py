@@ -17,9 +17,6 @@ from dyadlab.weights import Weight, gen_cascade, gen_power, weighted_norm, dual
 from dyadlab.shifts import (
     ShiftSpec,
     form_value,
-    load_shift_spec,
-    martingale_transform_apply,
-    save_shift_spec,
     shift_form,
     shift_matrix,
 )
@@ -33,12 +30,6 @@ def haar_leaf(depth, I):
     vals[start : start + half] = amp
     vals[start + half : start + 2 * half] = -amp
     return LeafFunction(vals)
-
-
-def write_spec_file(path, header, *pairs):
-    """A shift file with the given header line and `I_level I_pos J_level J_pos c` lines."""
-    path.write_text("".join(f"{line}\n" for line in (header, *pairs)))
-    return path
 
 
 class TestShiftSpec:
@@ -68,21 +59,6 @@ class TestShiftSpec:
         spec = ShiftSpec.constant(1, 3)
         with pytest.raises(ValueError):
             spec.coeffs[0, 0] = 0.5
-
-    def test_rejects_wrong_pattern(self, tmp_path):
-        # grandchild under complexity 0
-        path = write_spec_file(tmp_path / "s.txt", "complexity=0 depth=3", "0 0 2 0 0.5")
-        with pytest.raises(DomainError, match="line 2"):
-            load_shift_spec(path)
-        # disjoint child under complexity 1
-        path = write_spec_file(tmp_path / "s.txt", "complexity=1 depth=3", "1 0 2 2 0.5")
-        with pytest.raises(DomainError, match="line 2"):
-            load_shift_spec(path)
-
-    def test_rejects_leaf_pairs(self, tmp_path):
-        path = write_spec_file(tmp_path / "s.txt", "complexity=1 depth=2", "1 0 2 0 0.5")
-        with pytest.raises(DomainError, match="line 2"):
-            load_shift_spec(path)
 
     @pytest.mark.parametrize("build", [
         lambda: ShiftSpec.constant(-1, 3),
@@ -290,85 +266,3 @@ class TestNormSearch:
         den = weighted_norm(f_scaled, w) * weighted_norm(f2, dual(w))
         assert num / den == pytest.approx(est.value, rel=1e-9)
 
-
-class TestMartingaleTransform:
-    def test_all_plus_one(self):
-        f = LeafFunction(np.random.default_rng(1).standard_normal(16))
-        signs = np.ones(15)
-        out = martingale_transform_apply(signs, f)
-        assert np.allclose(out.values, f.values - f.integral(), atol=1e-12)
-
-    def test_all_minus_one(self):
-        f = LeafFunction(np.random.default_rng(2).standard_normal(16))
-        signs = -np.ones(15)
-        out = martingale_transform_apply(signs, f)
-        assert np.allclose(out.values, f.integral() - f.values, atol=1e-12)
-
-    def test_contraction(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            f = LeafFunction(rng.standard_normal(32))
-            signs = rng.uniform(-1, 1, 31)
-            assert martingale_transform_apply(signs, f).norm2() <= f.norm2() + 1e-12
-
-    def test_missing_sign(self):
-        f = LeafFunction([1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(StructureError):
-            martingale_transform_apply([1.0], f)
-
-    def test_rejects_large_sign(self):
-        f = LeafFunction([1.0, 2.0])
-        with pytest.raises(DomainError):
-            martingale_transform_apply([2.0], f)
-
-    def test_rejects_nan_sign(self):
-        f = LeafFunction([1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(DomainError):
-            martingale_transform_apply([1.0, np.nan, -1.0], f)
-
-
-class TestShiftFiles:
-    def test_round_trip(self, tmp_path):
-        spec = ShiftSpec.random(1, 3, seed=77)
-        path = tmp_path / "spec.txt"
-        save_shift_spec(spec, path)
-        back = load_shift_spec(path)
-        assert back.complexity == spec.complexity
-        assert back.depth == spec.depth
-        assert np.array_equal(back.coeffs, spec.coeffs)
-
-    @pytest.mark.parametrize("build", [
-        lambda: ShiftSpec.constant(0, 4, value=-0.5),
-        lambda: ShiftSpec.random(1, 5, seed=3),
-        lambda: ShiftSpec.random(4, 3, seed=3),
-    ])
-    def test_save_load_save_is_byte_identical(self, build, tmp_path):
-        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
-        save_shift_spec(build(), first)
-        save_shift_spec(load_shift_spec(first), second)
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_missing_pairs_load_as_zero(self, tmp_path):
-        path = write_spec_file(tmp_path / "s.txt", "complexity=1 depth=3", "1 1 2 3 -0.25")
-        spec = load_shift_spec(path)
-        expected = np.zeros((3, 2))
-        expected[2, 1] = -0.25
-        assert np.array_equal(spec.coeffs, expected)
-
-    @pytest.mark.parametrize("lines,error,where", [
-        (["depth=3", "0 0 0 0 0.5"], StructureError, "line 1"),
-        (["complexity=0 depth=x"], StructureError, "line 1"),
-        (["complexity=0 depth=30"], DomainError, "depth must lie"),
-        (["complexity=0 depth=2", "0 0 0 0"], StructureError, "line 2"),
-        (["complexity=0 depth=2", "0 0 0 0 0.5 7"], StructureError, "line 2"),
-        (["complexity=0 depth=2", "0 0 0 0 half"], StructureError, "line 2"),
-        (["complexity=0 depth=2", "0 0 0 0 0.5", "", "0 0 0 0 0.5"], StructureError, "line 4"),
-        (["complexity=0 depth=2", "0 0 0 0 nan"], DomainError, "line 2"),
-        (["complexity=0 depth=2", "0 0 0 0 1.5"], DomainError, "line 2"),
-        (["complexity=0 depth=2", "1 2 1 2 0.5"], DomainError, "line 2"),
-        (["complexity=0 depth=2", "-1 0 -1 0 0.5"], DomainError, "line 2"),
-    ])
-    def test_rejects_bad_files(self, lines, error, where, tmp_path):
-        path = write_spec_file(tmp_path / "s.txt", *lines)
-        with pytest.raises(error, match=where):
-            load_shift_spec(path)

@@ -220,6 +220,16 @@ class TestGenerators:
                            match=r"^exponent must exceed -1 for integrability, got nan$"):
             gen_power(3, float("nan"))
 
+    @pytest.mark.parametrize("eps", [float("nan"), 1.5, -0.5])
+    def test_cascade_names_a_bad_amplitude(self, eps):
+        with pytest.raises(DomainError,
+                           match=rf"^cascade amplitude must lie in \[0, 1\), got {eps}$"):
+            gen_cascade(3, eps, 0)
+
+    def test_cascade_names_a_negative_seed(self):
+        with pytest.raises(DomainError, match=r"^cascade seed must be >= 0, got -1$"):
+            gen_cascade(3, 0.5, -1)
+
     def test_cascade_zero_eps(self):
         assert np.allclose(gen_cascade(5, 0.0, 7).values, 1.0)
 
