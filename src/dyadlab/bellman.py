@@ -10,14 +10,16 @@ with x^2 <= X v, y^2 <= Y u and 1 <= u v <= Q.  This module provides:
 * a depth-limited dynamic-programming lower estimate of the value function,
   with gain |dx||dy| per node split: the best split at the query point, its
   children valued in closed form (the best grid split and the exactly solved
-  x/y-only split game), so every depth >= 3 gives the same estimate;
+  x/y-only split game), so every depth >= 3 gives the same estimate; one
+  estimate is one array pass over the children of every candidate split;
 * extraction of domain points from concrete dyadic data, together with the
   localized key sum they witness.
 
-Point arrays at the API are (n, 6), one point per row.  The campaigns keep
-their points coordinate-major, as (6, n) C-contiguous arrays whose rows
-are the six coordinates: every formula here works one coordinate at a
-time, and contiguous rows make those elementwise passes cheaper.
+Point arrays at the API are (n, 6), one point per row.  The campaigns and
+the DP estimator keep their points coordinate-major, as (6, n) arrays whose
+rows are the six coordinates (C-contiguous in the campaigns): every formula
+here works one coordinate at a time, and contiguous rows make those
+elementwise passes cheaper.
 sample_omega fills one (6, n) buffer and returns its (n, 6) `.T` view; the
 campaigns pass `.T` views of their (6, n) arrays to the (n, 6) functions,
 which take `.T` again, so no copy is made either way.
@@ -581,31 +583,30 @@ def run_barycenter_campaign(Q: float, valid_trials: int, seed: int,
 # -- dynamic programming estimator ----------------------------------------
 
 
-def _snap(arr: np.ndarray, Q: float) -> np.ndarray:
-    """Quantize a member point onto the grid of child points, staying inside."""
-    X, Y, x, y, u, v = arr
-    X = np.exp(round(np.log(X) / _LOG_STEP) * _LOG_STEP)
-    Y = np.exp(round(np.log(Y) / _LOG_STEP) * _LOG_STEP)
-    u = np.exp(round(np.log(u) / _LOG_STEP) * _LOG_STEP)
-    v = np.exp(round(np.log(v) / _LOG_STEP) * _LOG_STEP)
-    P = u * v
-    if P > Q:
-        f = np.sqrt(Q / P) * (1.0 - 1e-14)
-        u *= f
-        v *= f
-    elif P < 1.0:
-        f = np.sqrt(1.0 / P) * (1.0 + 1e-14)
-        u *= f
-        v *= f
-    cx = np.sqrt(X * v)
-    cy = np.sqrt(Y * u)
-    x = np.clip(round((x / cx) / _XY_STEP) * _XY_STEP, -1.0, 1.0) * cx
-    y = np.clip(round((y / cy) / _XY_STEP) * _XY_STEP, -1.0, 1.0) * cy
-    return np.array([X, Y, x, y, u, v])
+def _snap(c: np.ndarray, Q: float) -> np.ndarray:
+    """Quantize member points onto the grid of child points, staying inside."""
+    out = np.empty(c.shape)
+    logs = np.log(c[[0, 1, 4, 5]])
+    out[[0, 1, 4, 5]] = np.exp(np.rint(logs / _LOG_STEP) * _LOG_STEP)
+    P = out[4] * out[5]
+    out[4:6] *= np.where(P > Q, np.sqrt(Q / P) * (1.0 - 1e-14),
+                         np.where(P < 1.0, np.sqrt(1.0 / P) * (1.0 + 1e-14), 1.0))
+    caps = np.sqrt(out[[0, 1]] * out[[5, 4]])  # sqrt(X v), sqrt(Y u)
+    # + 0.0 turns the -0.0 that rint gives small negative ratios into 0.0
+    steps = np.rint(c[2:4] / caps / _XY_STEP) + 0.0
+    out[2:4] = np.clip(steps * _XY_STEP, -1.0, 1.0) * caps
+    return out
+
+
+def _rounded(c: np.ndarray) -> np.ndarray:
+    """Points rounded to 10 decimals, as they are keyed.  A coordinate past
+    about 1.8e298 overflows there and keys as inf."""
+    with np.errstate(over="ignore"):
+        return np.round(c, 10)
 
 
 def _key(arr: np.ndarray) -> tuple:
-    return tuple(np.round(arr, 10))
+    return tuple(_rounded(arr))
 
 
 def _node_rng(arr: np.ndarray, seed: int):
@@ -618,7 +619,7 @@ def _node_rng(arr: np.ndarray, seed: int):
     return rng, canonical != k
 
 
-def _xy_game_value(arr: np.ndarray) -> float:
+def _xy_game_value(c: np.ndarray) -> np.ndarray:
     """Exact value of the x,y-only split game at fixed (X, Y, u, v).
 
     With gx = Xv - x^2 and gy = Yu - y^2, the value is sqrt(gx * gy):
@@ -626,34 +627,50 @@ def _xy_game_value(arr: np.ndarray) -> float:
     sqrt(gx gy) >= |t||s| + sqrt((gx - t^2)(gy - s^2)) (square both sides
     and apply AM-GM to s^2 (gx - t^2) + t^2 (gy - s^2)), and increment
     strategies with |t|/|s| = sqrt(gx/gy) approach it as the splits refine,
-    so it is the supremum of the depth-limited values over all depths."""
-    X, Y, x, y, u, v = arr
-    return float(np.sqrt(max(X * v - x * x, 0.0) * max(Y * u - y * y, 0.0)))
+    so it is the supremum of the depth-limited values over all depths.
+    Where gx * gy overflows, sqrt(gx) * sqrt(gy) is the value."""
+    X, Y, x, y, u, v = c
+    gx = np.maximum(X * v - x * x, 0.0)
+    gy = np.maximum(Y * u - y * y, 0.0)
+    with np.errstate(over="ignore"):
+        g = gx * gy
+        return np.where(np.isinf(g), np.sqrt(gx) * np.sqrt(gy), np.sqrt(g))
 
 
-def _grid_moves(arr: np.ndarray):
-    """The deterministic one-step x/y-only increments (t, s) at a point:
-    proportional moves plus equal-increment moves in both sign patterns
-    (|dx||dy| = (dx^2 + dy^2)/2 when |dx| = |dy|), at each of _XY_FRACS."""
+def _grid_steps(arr: np.ndarray) -> np.ndarray:
+    """(6, k) steps of the deterministic one-step x/y-only moves (t, s) at
+    arr, k <= 12, those with t = 0 or s = 0 left out: proportional moves plus
+    equal-increment moves in both sign patterns (|dx||dy| = (dx^2 + dy^2)/2
+    when |dx| = |dy|), at each of _XY_FRACS."""
     X, Y, x, y, u, v = arr
     tmax = np.sqrt(X * v) - abs(x)
     smax = np.sqrt(Y * u) - abs(y)
-    eq = min(tmax, smax)
-    for fr in _XY_FRACS:
-        for t, s in ((fr * tmax, fr * smax),
-                     (fr * eq, fr * eq),
-                     (fr * eq, -fr * eq)):
-            if t != 0.0 and s != 0.0:
-                yield t, s
+    fr = np.array(_XY_FRACS)
+    fe = fr * min(tmax, smax)
+    steps = np.zeros((6, 3 * len(fr)))
+    steps[2] = np.concatenate([fr * tmax, fe, fe])
+    steps[3] = np.concatenate([fr * smax, fe, -fe])
+    return steps[:, (steps[2] != 0.0) & (steps[3] != 0.0)]
 
 
-def _child_value(arr: np.ndarray, levels: int) -> float:
-    """Value of a child with 0, 1 or >= 2 levels left below it: 0, the best
-    grid move G, or max(G, _xy_game_value), which no deeper play beats."""
+def _child_values(c: np.ndarray, levels: int) -> np.ndarray:
+    """Values of snapped children with 0, 1 or >= 2 levels left below them:
+    0, the best grid move G, or max(G, _xy_game_value), which no deeper play
+    beats.
+
+    G = tmax * smax, the gain of the proportional move at fraction 1.
+    _snap leaves |x| <= sqrt(Xv) and |y| <= sqrt(Yu) exactly, so tmax and
+    smax are >= 0; then min(tmax, smax)^2 <= tmax smax, and as float
+    rounding is monotone, no smaller fraction gives a larger gain.  Where a
+    cap passes the float range, tmax or smax is nan, and G skips that nan
+    gain."""
     if levels == 0:
-        return 0.0
-    g = max([0.0] + [abs(t) * abs(s) for t, s in _grid_moves(arr)])
-    return g if levels == 1 else max(g, _xy_game_value(arr))
+        return np.zeros(c.shape[1])
+    X, Y, x, y, u, v = c
+    tmax = np.sqrt(X * v) - np.abs(x)
+    smax = np.sqrt(Y * u) - np.abs(y)
+    g = np.fmax(tmax * smax, 0.0)
+    return g if levels == 1 else np.fmax(g, _xy_game_value(c))
 
 
 # DpEstimator values every depth >= DP_SATURATION_DEPTH alike (its closed
@@ -669,11 +686,17 @@ class DpEstimator:
     exactly solved x/y-only split game (_xy_game_value) once d >= 2.  The
     candidates are a deterministic grid of one-step x/y-only splits and
     seeded random six-coordinate directions (a prefix sequence, making the
-    estimate monotone in the sample count), halved until both children are
-    members.  Children are snapped to a grid and valued in closed form with
-    d - 1 levels left (_child_value).  Child values grow with d up to d = 3
-    and then stay put, so the estimate is monotone in depth and the same at
-    every depth >= 3.  memo holds finished estimates by (point, min(d, 3))."""
+    estimate monotone in the sample count), each at the first of 8 halvings
+    that keeps both children members.  Children are snapped to a grid and
+    valued in closed form with d - 1 levels left (_child_values).  Child
+    values grow with d up to d = 3 and then stay put, so the estimate is
+    monotone in depth and the same at every depth >= 3.  memo holds
+    finished estimates by (point, min(d, 3)).
+
+    One estimate is one array pass: the children of every candidate split
+    sit in one (6, n) array, all 8 halvings of every direction are tested
+    at once, and the snapping, child values and split values are computed
+    on the whole array."""
 
     def __init__(self, Q: float, samples: int = 6, seed: int = 0):
         _check_q(Q)
@@ -695,26 +718,28 @@ class DpEstimator:
         d = min(depth, DP_SATURATION_DEPTH)
         key = (_key(arr), d)
         if key not in self.memo:
-            best = _xy_game_value(arr) if d >= 2 else 0.0
-            for sp, sm, gain in self._splits(arr):
-                val = 0.5 * (_child_value(sp, d - 1) + _child_value(sm, d - 1)) + gain
-                best = max(best, val)
-            self.memo[key] = best
+            self.memo[key] = self._best_split(arr, d)
         return self.memo[key]
 
     def b1_ratio(self, p: BellmanPoint, depth: int) -> float:
         return self.estimate(p, depth) / (self.Q * (p.X + p.Y))
 
-    def _splits(self, arr: np.ndarray):
-        """(plus child, minus child, gain) of every candidate split at arr."""
-        for t, s in _grid_moves(arr):
-            step = np.array([0.0, 0.0, t, s, 0.0, 0.0])
-            gain = abs(t) * abs(s)
-            yield _snap(arr + step, self.Q), _snap(arr - step, self.Q), gain
-        for delta in self._directions(arr):
-            split = self._try_direction(arr, delta)
-            if split is not None:
-                yield split
+    def _best_split(self, arr: np.ndarray, d: int) -> float:
+        grid = _grid_steps(arr)
+        steps = np.concatenate([grid, self._direction_steps(arr)], axis=1)
+        m = steps.shape[1]
+        c = arr[:, None]
+        kids = _snap(np.concatenate([c + steps, c - steps], axis=1), self.Q)
+        kv = _child_values(kids, d - 1)
+        vals = 0.5 * (kv[:m] + kv[m:]) + np.abs(steps[2]) * np.abs(steps[3])
+        # a direction whose children both snap back onto arr gives no split
+        home = (_rounded(kids) == _rounded(c)).all(axis=0)
+        keep = ~(home[:m] & home[m:])
+        keep[:grid.shape[1]] = True
+        best = float(_xy_game_value(arr)) if d >= 2 else 0.0
+        if keep.any():
+            best = max(best, float(vals[keep].max()))
+        return best
 
     def _directions(self, arr: np.ndarray) -> np.ndarray:
         rng, swapped = _node_rng(arr, self.seed)
@@ -725,21 +750,17 @@ class DpEstimator:
         dirs = rng.standard_normal((self.samples, 6)) * scales[None, :]
         return dirs[:, [1, 0, 3, 2, 5, 4]] if swapped else dirs
 
-    def _try_direction(self, arr: np.ndarray, delta: np.ndarray):
-        """The split along the first of 8 halvings of delta that keeps both
-        children members; None if none does or both snap back onto arr."""
-        parent = _key(arr)
-        for _ in range(8):
-            plus = arr + delta
-            minus = arr - delta
-            if _member(plus, self.Q, 0.0) and _member(minus, self.Q, 0.0):
-                sp = _snap(plus, self.Q)
-                sm = _snap(minus, self.Q)
-                if _key(sp) == parent and _key(sm) == parent:
-                    return None
-                return sp, sm, abs(delta[2]) * abs(delta[3])
-            delta = delta / 2.0
-        return None
+    def _direction_steps(self, arr: np.ndarray) -> np.ndarray:
+        """(6, j) steps of the seeded directions, each halved to the first of
+        its 8 halvings that keeps both children members; a direction with
+        none is left out.  Halving is multiplying by 0.5, as exact as /2."""
+        halvings = np.full((6, 8, self.samples), 0.5)
+        halvings[:, 0] = self._directions(arr).T
+        halvings = np.multiply.accumulate(halvings, axis=1)
+        c = arr[:, None, None]
+        ok = _member(c + halvings, self.Q, 0.0) & _member(c - halvings, self.Q, 0.0)
+        cols = np.flatnonzero(ok.any(axis=0))
+        return halvings[:, ok.argmax(axis=0)[cols], cols]
 
 
 # -- dyadic data ----------------------------------------------------------

@@ -1,4 +1,6 @@
 """Domain geometry, lemma campaigns, DP estimator, and dyadic-data points."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -334,6 +336,22 @@ class TestDpEstimator:
         for row in sample_omega(4.0, 5, rng):
             r = est.b1_ratio(BellmanPoint.from_array(row), 4)
             assert np.isfinite(r) and r >= 0.0
+
+    def test_huge_member_has_finite_estimate(self):
+        # gx * gy overflows here; the game value is sqrt(gx) * sqrt(gy) = 1e300
+        p = BellmanPoint(1e300, 1e300, 0.0, 0.0, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = DpEstimator(Q=4.0, samples=4).estimate(p, 3)
+        assert 0.99e300 <= value < np.inf
+
+    def test_node_rng_stream_is_pinned(self):
+        # the node seed hashes repr of numpy scalars, which numpy >= 2 writes
+        # as np.float64(1.0) and numpy 1.x as 1.0; this pins the numpy 2 stream
+        for arr, swapped in (([1.0, 2.0, 0.5, -0.25, 1.5, 1.0], False),
+                             ([2.0, 1.0, -0.25, 0.5, 1.0, 1.5], True)):
+            rng, flag = bellman._node_rng(np.array(arr), 7)
+            assert (flag, rng.standard_normal()) == (swapped, 1.637885524959176)
 
 
 class TestPointFromData:
