@@ -42,19 +42,22 @@ triangle campaign, where the caps do bind, is still open (ROADMAP item 3).
 """
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .embedding import _key_terms
 from .tree import (
     DomainError,
     DyadicIndex,
     LeafFunction,
     StructureError,
+    _heap_diffs,
+    _mean,
     _subtree_sum,
+    heap_averages,
 )
 from .weights import Weight
 
@@ -111,8 +114,11 @@ def _member(c, Q: float, tol: float):
 
 
 def in_domain(p: BellmanPoint, Q: float, tol: float = 0.0) -> bool:
+    """Membership of p in Omega_Q; a non-finite coordinate is never a member
+    (an infinite one would pass every constraint)."""
     _check_q(Q)
-    return bool(_member((p.X, p.Y, p.x, p.y, p.u, p.v), Q, tol))
+    c = (p.X, p.Y, p.x, p.y, p.u, p.v)
+    return all(map(math.isfinite, c)) and bool(_member(c, Q, tol))
 
 
 def in_domain_arr(P: np.ndarray, Q: float, tol: float = 0.0):
@@ -599,8 +605,8 @@ def _snap(c: np.ndarray, Q: float) -> np.ndarray:
 
 
 def _rounded(c: np.ndarray) -> np.ndarray:
-    """Points rounded to 10 decimals, as they are keyed.  A coordinate past
-    about 1.8e298 overflows there and keys as inf."""
+    """Points rounded to 10 decimals, as _node_rng keys them.  A coordinate
+    past about 1.8e298 overflows there and keys as inf."""
     with np.errstate(over="ignore"):
         return np.round(c, 10)
 
@@ -691,7 +697,9 @@ class DpEstimator:
     valued in closed form with d - 1 levels left (_child_values).  Child
     values grow with d up to d = 3 and then stay put, so the estimate is
     monotone in depth and the same at every depth >= 3.  memo holds
-    finished estimates by (point, min(d, 3)).
+    finished estimates by (the point's exact bytes, min(d, 3)), so distinct
+    points never share an entry; _node_rng still seeds from the rounded
+    key, so points that round alike draw the same normals.
 
     One estimate is one array pass: the children of every candidate split
     sit in one (6, n) array, all 8 halvings of every direction are tested
@@ -705,7 +713,7 @@ class DpEstimator:
         self.Q = Q
         self.samples = samples
         self.seed = seed
-        self.memo: Dict[tuple, float] = {}
+        self.memo: Dict[Tuple[bytes, int], float] = {}
 
     def estimate(self, p: BellmanPoint, depth: int) -> float:
         if not in_domain(p, self.Q):
@@ -716,7 +724,7 @@ class DpEstimator:
             return 0.0
         arr = p.as_array()
         d = min(depth, DP_SATURATION_DEPTH)
-        key = (_key(arr), d)
+        key = (arr.tobytes(), d)
         if key not in self.memo:
             self.memo[key] = self._best_split(arr, d)
         return self.memo[key]
@@ -774,8 +782,8 @@ def point_from_data(phi: LeafFunction, psi: LeafFunction, w: Weight,
         raise StructureError("depth mismatch")
     if J.level > depth:
         raise DomainError("interval below leaf level")
-    sig_vals = w.sigma
     sl = J.leaf_slice(depth)
+    phi_j, psi_j, w_j = phi.values[sl], psi.values[sl], w.values[sl]
     # <w>_J and <sigma>_J come from the weight's cached averages, the ones
     # a2_characteristic reads, so u*v here is bitwise one of the products
     # whose max defines Q and u*v <= Q holds in floating point, not just in
@@ -783,10 +791,10 @@ def point_from_data(phi: LeafFunction, psi: LeafFunction, w: Weight,
     avg = w._avg
     u = float(avg[0, J.heap_index])
     v = float(avg[1, J.heap_index])
-    X = float(np.mean(phi.values[sl] ** 2 * w.values[sl]))
-    Y = float(np.mean(psi.values[sl] ** 2 * sig_vals[sl]))
-    x = float(np.mean(phi.values[sl]))
-    y = float(np.mean(psi.values[sl]))
+    X = float(_mean(phi_j**2 * w_j))
+    Y = float(_mean(psi_j**2 * w.sigma[sl]))
+    x = float(_mean(phi_j))
+    y = float(_mean(psi_j))
     # the remaining constraints (Cauchy-Schwarz, u*v >= 1) are theorem-true
     # but can overshoot by an ulp in floating point; pull back minimally
     for _ in range(4):
@@ -797,6 +805,9 @@ def point_from_data(phi: LeafFunction, psi: LeafFunction, w: Weight,
         if u * v < 1.0:
             u *= 1.0 + 4e-16
     point = BellmanPoint(X=X, Y=Y, x=x, y=y, u=u, v=v)
-    local_sum = _subtree_sum(J, _key_terms(phi, psi, w)) / J.length
+    # the key terms of J's subtree from J's leaves alone: heap averages are
+    # built bottom up, so a subtree's are bitwise those of the whole tree
+    da, db = _heap_diffs(heap_averages([phi_j * w_j, psi_j * (1.0 / w_j)]))
+    local_sum = _subtree_sum(np.abs(da) * np.abs(db), J.level) / J.length
     return point, float(local_sum)
 

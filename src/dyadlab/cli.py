@@ -50,7 +50,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bellman, embedding, shifts
-from .tree import MAX_DEPTH, DomainError, InvariantError, LeafFunction, StructureError
+from .tree import MAX_DEPTH, DomainError, InvariantError, LeafFunction, StructureError, _mean
 from .weights import (
     Weight,
     a2_characteristic,
@@ -142,7 +142,7 @@ def fit_slope(pairs: Sequence[Tuple[float, float]]) -> Tuple[float, float, float
     slope, intercept = np.polyfit(lq, lv, 1)
     pred = slope * lq + intercept
     ss_res = float(np.sum((lv - pred) ** 2))
-    ss_tot = float(np.sum((lv - lv.mean()) ** 2))
+    ss_tot = float(np.sum((lv - _mean(lv)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(slope), float(intercept), r2
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from .forms import AbsBilinearForm, weighted_form
 from .tree import (
-    ROOT,
     DomainError,
     IdentityOperator,
     InvariantError,
@@ -22,6 +21,7 @@ from .tree import (
     _heap_diffs,
     _heap_levels,
     _interval_lengths,
+    _mean,
     _subtree_sum,
     _subtree_sums,
     heap_averages,
@@ -72,24 +72,19 @@ class CarlesonMeasure:
         n = n_internal(self.depth)
         if alpha.shape != (n,):
             raise StructureError(f"expected {n} masses, got {alpha.shape}")
-        if not np.all(alpha >= 0.0):  # also false for nan
+        if not (alpha >= 0.0).all():  # also false for nan
             raise DomainError("masses must be >= 0")
         object.__setattr__(self, "alpha", alpha)
 
 
-def _key_terms(phi: LeafFunction, psi: LeafFunction, w: Weight) -> np.ndarray:
-    """|Delta_I (phi w)| |Delta_I (psi sigma)| for every internal I, heap-ordered.
+def key_sum(phi: LeafFunction, psi: LeafFunction, w: Weight) -> float:
+    """Sum over internal I of |(phi*w, h_I)| * |(psi*sigma, h_I)|.
 
     sigma is taken from the leaf values, so the key sum builds no weight cache."""
+    _check_depths(phi, psi, w.base)
     da = level_diffs(level_averages(phi.values * w.values))
     db = level_diffs(level_averages(psi.values * (1.0 / w.values)))
-    return np.abs(np.concatenate(da)) * np.abs(np.concatenate(db))
-
-
-def key_sum(phi: LeafFunction, psi: LeafFunction, w: Weight) -> float:
-    """Sum over internal I of |(phi*w, h_I)| * |(psi*sigma, h_I)|."""
-    _check_depths(phi, psi, w.base)
-    return float(_subtree_sum(ROOT, _key_terms(phi, psi, w)))
+    return float(_subtree_sum(np.abs(np.concatenate(da)) * np.abs(np.concatenate(db)), 0))
 
 
 def four_terms(phi: LeafFunction, psi: LeafFunction, w: Weight) -> FourTerms:
@@ -126,7 +121,7 @@ def _maximal(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     levels = _heap_levels(num / den)
     running = levels[0]
     for ratio in levels[1:]:
-        running = np.maximum(np.repeat(running, 2, axis=-1), ratio)
+        running = np.maximum(running.repeat(2, axis=-1), ratio)
     return running
 
 
@@ -142,19 +137,20 @@ class DualityReport:
     ratio: float
 
 
-def _duality(num: np.ndarray, phi: LeafFunction, psi: LeafFunction, w: Weight) -> DualityReport:
-    """The duality report, from num: the heap averages of |phi| w and |psi| sigma."""
+def _maximal_product(num: np.ndarray, w: Weight) -> float:
+    """Integral of M_w phi * M_sigma psi, from num: the heap averages of
+    |phi| w and |psi| sigma."""
     m = _maximal(num, w._avg)
-    product = float(np.mean(m[0] * m[1]))
-    denom = _weighted_norm(phi.values, w.values) * _weighted_norm(psi.values, w.sigma)
-    return DualityReport(product=product, ratio=product / denom if denom > 0 else 0.0)
+    return float(_mean(m[0] * m[1]))
 
 
 def duality_product(phi: LeafFunction, psi: LeafFunction, w: Weight) -> DualityReport:
     """Integral of M_w phi * M_sigma psi, and its ratio to ||phi||_w ||psi||_sigma."""
     _check_depths(phi, psi, w.base)
-    num = heap_averages([np.abs(phi.values) * w.values, np.abs(psi.values) * w.sigma])
-    return _duality(num, phi, psi, w)
+    product = _maximal_product(
+        heap_averages([np.abs(phi.values) * w.values, np.abs(psi.values) * w.sigma]), w)
+    denom = _weighted_norm(phi.values, w.values) * _weighted_norm(psi.values, w.sigma)
+    return DualityReport(product=product, ratio=product / denom if denom > 0 else 0.0)
 
 
 def carleson_measure_of(w: Weight) -> CarlesonMeasure:
@@ -172,14 +168,14 @@ def two_weight_ratio_max(u: LeafFunction, v: LeafFunction) -> float:
     positive functions, [(1/|L|) sum_{I inside L} |Delta_I u||Delta_I v||I|]
     / sqrt(<u>_L <v>_L)."""
     depth = _check_depths(u, v)
-    if np.any(u.values <= 0) or np.any(v.values <= 0):
+    if (u.values <= 0).any() or (v.values <= 0).any():
         raise DomainError("both functions must be strictly positive")
     inner = (1 << depth) - 1
     avg = heap_averages([u.values, v.values])
     d = _heap_diffs(avg)
     L = _interval_lengths(depth)
     sums = _subtree_sums(L * np.abs(d[0]) * np.abs(d[1]))
-    return float(np.max((sums * (1.0 / L)) / np.sqrt(avg[0, :inner] * avg[1, :inner])))
+    return float(((sums * (1.0 / L)) / np.sqrt(avg[0, :inner] * avg[1, :inner])).max())
 
 
 def carleson_box_check(phi: LeafFunction, psi: LeafFunction, w: Weight) -> Tuple[float, float]:
@@ -197,7 +193,7 @@ def carleson_box_check(phi: LeafFunction, psi: LeafFunction, w: Weight) -> Tuple
                          np.abs(phi.values) * w.values, np.abs(psi.values) * w.sigma])
     r = np.abs(avg[:2, :inner]) / w._avg[:, :inner]
     lhs = float(_level_total(r[0] * r[1] * w._alpha))
-    rhs = w._carleson * _duality(avg[2:], phi, psi, w).product
+    rhs = w._carleson * _maximal_product(avg[2:], w)
     if lhs > rhs * (1.0 + 1e-12) + 1e-15:
         raise InvariantError(f"Carleson box bound violated: {lhs} > {rhs}")
     return lhs, rhs

@@ -117,6 +117,12 @@ def n_internal(depth: int) -> int:
     return (1 << depth) - 1
 
 
+def _mean(a: np.ndarray):
+    """Mean of a 1-d float array: the sum and division numpy's mean makes
+    there, without its Python-level dispatch."""
+    return np.add.reduce(a) / a.size
+
+
 class LeafFunction:
     """Real-valued function on the 2^depth leaves, ordered left to right."""
 
@@ -132,7 +138,7 @@ class LeafFunction:
             raise StructureError(f"number of leaves must be a power of two >= 2, got {n}")
         if depth > MAX_DEPTH:
             raise DomainError(f"depth {depth} exceeds cap {MAX_DEPTH}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DomainError("leaf values must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "depth", depth)
@@ -146,10 +152,10 @@ class LeafFunction:
         return cls(np.full(1 << depth, float(c)))
 
     def integral(self) -> float:
-        return float(self.values.mean())
+        return float(_mean(self.values))
 
     def norm2(self) -> float:
-        return float(np.sqrt(np.mean(self.values**2)))
+        return float(np.sqrt(_mean(self.values**2)))
 
     def __repr__(self):
         return f"LeafFunction(depth={self.depth}, values={self.values!r})"
@@ -168,7 +174,7 @@ def average(f: LeafFunction, I: DyadicIndex) -> float:
     """Average of f over I."""
     if I.level > f.depth:
         raise DomainError(f"interval level {I.level} below leaf level {f.depth}")
-    return float(f.values[I.leaf_slice(f.depth)].mean())
+    return float(_mean(f.values[I.leaf_slice(f.depth)]))
 
 
 def martingale_difference(f: LeafFunction, I: DyadicIndex) -> float:
@@ -183,15 +189,37 @@ def haar_coefficient(f: LeafFunction, I: DyadicIndex) -> float:
     return np.sqrt(I.length) * martingale_difference(f, I)
 
 
+# Up to this many leaves per row, heap_averages builds the levels of a stack
+# as flat arrays (its docstring says why); above it, in place.
+_FLAT_STACK_LEAVES = 1 << 12
+
+
 def heap_averages(values) -> np.ndarray:
     """Averages over every dyadic interval, heap-ordered along the last axis:
     a 2^d vector gives 2^(d+1) - 1 entries, a (k, 2^d) stack (or a list of
     k vectors) k such rows.  Each average is (left + right) / 2 of its
-    children's."""
+    children's.
+
+    A vector's levels are built in place, each from the one below, and so
+    are a stack's above _FLAT_STACK_LEAVES leaves per row.  Up to it, each
+    level of all rows is built as one new flat array from the flat level
+    below (a row's part of that has even length, so no pair spans two rows)
+    and then copied into place.  The operations, and so the values, are the
+    same either way.  1-d ufunc calls have about half the fixed cost of 2-d
+    calls on strided views, which is most of a stack's time at small depths;
+    at depth 16 and beyond the extra copy per level costs more than that
+    saves."""
     x = np.asarray(values, dtype=float)
     n = x.shape[-1]
     out = np.empty(x.shape[:-1] + (2 * n - 1,))
     out[..., n - 1 :] = x
+    if x.ndim > 1 and n <= _FLAT_STACK_LEAVES:
+        level = x.reshape(-1)
+        for lev in range(n.bit_length() - 2, -1, -1):
+            level = np.add(level[0::2], level[1::2])
+            level /= 2.0
+            out[..., (1 << lev) - 1 : (2 << lev) - 1] = level.reshape(x.shape[:-1] + (-1,))
+        return out
     for lev in range(n.bit_length() - 2, -1, -1):
         k = 1 << lev
         parents = out[..., k - 1 : 2 * k - 1]
@@ -413,22 +441,14 @@ def haar_analysis_matrix(depth: int) -> np.ndarray:
     return _dense(_haar_operator(depth), depth)
 
 
-def _subtree_slices(J: DyadicIndex, levels: int):
-    """(level, heap slice) of the intervals inside or equal to J at each level
-    from J's down to levels - 1; in heap order each level's part is contiguous."""
-    for lev in range(J.level, levels):
-        span = 1 << (lev - J.level)
-        start = (1 << lev) - 1 + J.position * span
-        yield lev, slice(start, start + span)
-
-
-def _subtree_sum(J: DyadicIndex, t: np.ndarray) -> float:
-    """Sum over I inside or equal to J of |I| t_I, where t holds t_I heap-ordered
-    (the sum stops at the last level t covers): each level is summed on its
-    contiguous slice, then the levels are added in order."""
+def _subtree_sum(t: np.ndarray, top: int) -> float:
+    """Sum of |I| t_I over a subtree whose root lies at level top, where t
+    holds t_I heap-ordered from that root: each level is summed on its
+    contiguous slice, times its length 2^-(top + k) in the whole tree, then
+    the levels are added in order."""
     total = 0.0
-    for lev, sl in _subtree_slices(J, (t.size + 1).bit_length() - 1):
-        total += 2.0**-lev * np.add.reduce(t[sl])
+    for k, level in enumerate(_heap_levels(t)):
+        total += 2.0 ** -(top + k) * np.add.reduce(level)
     return total
 
 

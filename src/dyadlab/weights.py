@@ -30,6 +30,7 @@ from .tree import (
     _dense,
     _heap_diffs,
     _interval_lengths,
+    _mean,
     _read_only,
     _subtree_sums,
     heap_averages,
@@ -57,7 +58,7 @@ def _carleson_norm(alpha: np.ndarray) -> float:
     if alpha.size == 0:
         return 0.0
     depth = (alpha.size + 1).bit_length() - 1
-    return float(np.max(_subtree_sums(alpha) / _interval_lengths(depth)))
+    return float((_subtree_sums(alpha) / _interval_lengths(depth)).max())
 
 
 class Weight:
@@ -73,7 +74,7 @@ class Weight:
 
     def __init__(self, base: LeafFunction):
         v = base.values
-        if np.any(v < VALUE_FLOOR) or np.any(v > VALUE_CEIL):
+        if (v < VALUE_FLOOR).any() or (v > VALUE_CEIL).any():
             raise DomainError(
                 f"weight values must lie in [{VALUE_FLOOR}, {VALUE_CEIL}]"
             )
@@ -164,7 +165,7 @@ def a2_characteristic(w: Weight) -> A2Report:
     reaches the maximum, at its leftmost position there."""
     avg = w._avg
     prod = avg[0] * avg[1]
-    k = int(np.argmax(prod))
+    k = int(prod.argmax())
     level = (k + 1).bit_length() - 1
     return A2Report(characteristic=float(prod[k]),
                     witness=DyadicIndex(level, k + 1 - (1 << level)))
@@ -172,7 +173,7 @@ def a2_characteristic(w: Weight) -> A2Report:
 
 def _weighted_norm(f: np.ndarray, w: np.ndarray) -> float:
     """||f||_w from leaf values."""
-    return float(np.sqrt(np.mean(f**2 * w)))
+    return float(np.sqrt(_mean(f**2 * w)))
 
 
 def weighted_norm(f: LeafFunction, w: Weight) -> float:
@@ -184,7 +185,7 @@ def weighted_norm(f: LeafFunction, w: Weight) -> float:
 def weighted_inner(f: LeafFunction, g: LeafFunction, w: Weight) -> float:
     if f.depth != g.depth or f.depth != w.depth:
         raise StructureError("depth mismatch")
-    return float(np.mean(f.values * g.values * w.values))
+    return float(_mean(f.values * g.values * w.values))
 
 
 def _internal_entry(w: Weight, I: DyadicIndex) -> int:

@@ -92,6 +92,14 @@ class TestInDomain:
         assert in_domain(far, Q=np.inf)
         assert segment_in_domain(BellmanPoint(1, 1, 0, 0, 1, 1), far, Q=np.inf)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("coord", range(6))
+    def test_non_finite_coordinate_is_outside(self, coord, value):
+        # an infinite X passes every constraint of the membership formula
+        arr = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+        arr[coord] = value
+        assert not in_domain(BellmanPoint.from_array(arr), Q=np.inf)
+
 
 class TestSegmentInDomain:
     def test_degenerate(self):
@@ -344,6 +352,23 @@ class TestDpEstimator:
             warnings.simplefilter("error")
             value = DpEstimator(Q=4.0, samples=4).estimate(p, 3)
         assert 0.99e300 <= value < np.inf
+
+    def test_reused_estimator_gives_the_fresh_value(self):
+        # both X round to inf under the rng's 10-decimal key, yet each point
+        # keeps its own memo entry
+        est = DpEstimator(Q=4.0, samples=4, seed=0)
+        est.estimate(BellmanPoint(1e300, 1e300, 0.0, 0.0, 1.0, 1.0), 3)
+        p = BellmanPoint(4e300, 1e300, 0.0, 0.0, 1.0, 1.0)
+        fresh = DpEstimator(Q=4.0, samples=4, seed=0).estimate(p, 3)
+        assert fresh > 2e300
+        assert est.estimate(p, 3) == fresh
+        assert len(est.memo) == 2
+
+    def test_rejects_infinite_point(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="point outside the domain"):
+                DpEstimator(Q=4.0, samples=4).estimate(BellmanPoint(np.inf, 1, 0, 0, 1, 1), 3)
 
     def test_node_rng_stream_is_pinned(self):
         # the node seed hashes repr of numpy scalars, which numpy >= 2 writes

@@ -12,7 +12,11 @@ the acceptance tests reference it, or TEST_ORACLES names it with the reason
 the tests need it.  Code that only its own tests call does not stay.
 
 Every defaulted parameter of a dyadlab function or method is passed by some
-call in those trees, so a setting that no caller changes does not stay."""
+call in those trees, so a setting that no caller changes does not stay.
+
+No dyadlab module calls a function or method named mean: every mean goes
+through tree._mean, the sum and division numpy's mean makes on a 1-d array
+without its microseconds of Python-level dispatch per call."""
 import ast
 from pathlib import Path
 
@@ -274,3 +278,21 @@ def test_check_sees_a_default_no_call_passes():
               "A(0)\na.m(d=1)\ng(h=0)\nrunners = (run,)\nspread(*args)\n")
     assert never_passed(source, passed_arguments([source])) == [
         "A.__init__(b)", "A.m(c)", "f(e)"]
+
+
+def mean_calls(source: str) -> list:
+    """Line numbers of the calls of a function or method named mean."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) == "mean")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_means_go_through_the_helper(path):
+    assert mean_calls(path.read_text()) == []
+
+
+def test_check_sees_a_mean_call():
+    source = ("import numpy as np\nfrom numpy import mean\n"
+              "a = np.mean(x)\nb = x[1:].mean()\nc = mean(x)\nd = _mean(x) + x.mean\n")
+    assert mean_calls(source) == [3, 4, 5]

@@ -15,6 +15,7 @@ from dyadlab.tree import (
     haar_analysis_matrix,
     haar_coefficient,
     haar_synthesis,
+    heap_averages,
     internal_indices,
     load_leaf_function,
     martingale_difference,
@@ -267,3 +268,15 @@ class TestFileFormat:
         with pytest.raises(error) as info:
             load_leaf_function(path)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4])
+@pytest.mark.parametrize("depth", range(14))
+def test_heap_averages_of_a_stack_are_those_of_its_rows(depth, rows):
+    # stacks of up to 2^12 leaves per row are built as flat levels, longer
+    # stacks and 1-d vectors in place; depth 13 crosses that line
+    x = np.random.default_rng(depth).standard_normal((rows, 1 << depth)) * 3.0
+    heap = heap_averages(x)
+    assert heap.shape == (rows, (2 << depth) - 1)
+    assert heap.tobytes() == heap_averages(list(x)).tobytes()
+    assert [row.tobytes() for row in heap] == [heap_averages(v).tobytes() for v in x]
