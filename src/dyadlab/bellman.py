@@ -122,7 +122,9 @@ def in_domain(p: BellmanPoint, Q: float, tol: float = 0.0) -> bool:
 
 
 def in_domain_arr(P: np.ndarray, Q: float, tol: float = 0.0):
-    return _member(P.T, Q, tol)
+    """in_domain for each row of the (n, 6) array P, without its check of Q."""
+    c = P.T
+    return _member(c, Q, tol) & np.isfinite(c).all(axis=0)
 
 
 def _quad_max_01(g0, g1, g2, g_end):
@@ -184,14 +186,18 @@ def _segment_checks(p: np.ndarray, q: np.ndarray, tol: float):
 def segment_in_domain(p: BellmanPoint, q: BellmanPoint, Q: float, tol: float = 0.0) -> bool:
     """Closed-form check that the whole segment [p, q] lies in Omega_Q."""
     _check_q(Q)
-    caps_ok, max_uv = _segment_checks(p.as_array(), q.as_array(), tol)
-    return bool(caps_ok & (max_uv <= Q + tol))
+    return bool(segments_in_domain_arr(p.as_array()[None], q.as_array()[None], Q, tol)[0])
 
 
 def segments_in_domain_arr(P: np.ndarray, R: np.ndarray, Q: float, tol: float = 0.0):
-    """Vectorized segment containment for (n, 6) endpoint arrays."""
-    caps_ok, max_uv = _segment_checks(P.T, R.T, tol)
-    return caps_ok & (max_uv <= Q + tol)
+    """Vectorized segment containment for (n, 6) endpoint arrays; a segment
+    with a non-finite end coordinate is outside, and is not put through the
+    quadratics, where inf - inf would warn."""
+    ok = np.isfinite(P).all(axis=1) & np.isfinite(R).all(axis=1)
+    rows = slice(None) if ok.all() else ok
+    caps_ok, max_uv = _segment_checks(P[rows].T, R[rows].T, tol)
+    ok[rows] &= caps_ok & (max_uv <= Q + tol)
+    return ok
 
 
 # _joint_segment_checks works through its columns in chunks of this many,

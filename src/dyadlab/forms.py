@@ -25,17 +25,15 @@ the same side's next step takes its starting signs from it, and the step
 value |A f| m |B g| and the final signs s, t are read from the two images.
 
 Below FLIP_LIMIT coefficients the alternating search is finished by a 1-opt
-sign-flip polish.  It rejects a flip by a Cholesky factorization of
-tau^2 I - c c' instead of a singular value decomposition; the rounding of
-c c' (about N eps sigma_1^2) is far inside the polish's 1e-13 acceptance
-margin, so the decisions are those of a full SVD per flip.  The candidate
-c depends on the signs only through s_i t_j on the nonzeros of m, so the
-polish factorizes each such pattern at most once: one met before was the
-start, an accepted flip or a rejected one, its sigma_1 is at most the
-current value, and the test would reject it again.  For a diagonal m
-(key-sum, term-I and complexity-0 shift forms) every t flip repeats an s
-flip.  With the other side's signs fixed during each loop, a candidate
-costs one matrix product.
+sign-flip polish.  A flip changes the polish's matrix c by a rank-one term,
+so one eigendecomposition of the current Gram matrix screens every
+remaining flip of a loop at once, by the matrix determinant lemma (Golub
+1973, "Some modified matrix eigenvalue problems"; Bunch, Nielsen & Sorensen
+1978, "Rank-one modification of the symmetric eigenproblem").  Only a flip
+that the screen cannot reject by SCREEN_MARGIN gets the exact test, its
+sigma_1 against the polish's 1e-13 acceptance margin, so the decisions are
+those of a full SVD per flip.  With the other side's signs fixed during
+each loop, a candidate costs one matrix product.
 
 The coefficient matrix m and the two maps are ndarrays or matrix-free
 operators (tree.LinearOperator).  The search uses only `op @ x`, `x @ op`,
@@ -50,6 +48,7 @@ _form_operands), and the metrics w 2^-d and 2^-d / w of L2(w) x L2(1/w).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -61,6 +60,10 @@ from .tree import DomainError, LinearOperator, _check_dense_depth
 FULL_ENUM_LIMIT = 7  # 4^N sign pairs
 FOLD_LIMIT = 15  # 2^N sign patterns with the t-fold
 FLIP_LIMIT = 64  # n1 + n2 above which the sign-flip polish is skipped
+# The relative margin by which the polish's screen must clear a flip to skip
+# it (see _flip_polish): 32 eps, the N eps rounding bound of an inner product
+# of N = 32 terms, as in the Gram matrices of the depth-5 forms.
+SCREEN_MARGIN = 2.0**-47
 # The widest map (2^depth columns) that the form builders pass dense.  One
 # product of the (2^d - 1) x 2^d Haar map (times a leafwise multiplier) with
 # a vector, best of 5 x 2000, Intel Xeon core, numpy 2.4, OpenBLAS 1 thread:
@@ -120,20 +123,48 @@ def _sign_sweep(root: np.ndarray, w0: np.ndarray):
     return lam, s_tab[si]
 
 
-def _sigma_max_above(c: np.ndarray, tau: float) -> Optional[float]:
-    """The largest singular value of c when it exceeds tau, else None.
+def _gram_eigh(c: np.ndarray):
+    """eigh of the Gram matrix of c on its smaller side (c c' or c' c)."""
+    return np.linalg.eigh(c @ c.T if c.shape[0] <= c.shape[1] else c.T @ c)
 
-    A successful Cholesky factorization of tau^2 I - (Gram of c, on the
-    smaller side) proves sigma_1(c) <= tau without any singular value.
+
+def _flip_screen(c, eig, a, b, val: float) -> np.ndarray:
+    """Which of the flips c + a_k b_k' (rows a_k of a, b_k of b) certainly
+    have sigma_1 <= tau = val (1 + 1e-13), where eig is _gram_eigh(c) and
+    val = sigma_1(c), the square root of its top eigenvalue.  See
+    _flip_polish for the test.
     """
-    shifted = -(c @ c.T if c.shape[0] <= c.shape[1] else c.T @ c)
-    shifted.flat[:: len(shifted) + 1] += tau * tau
-    try:
-        np.linalg.cholesky(shifted)
-        return None
-    except np.linalg.LinAlgError:
-        sigma = float(np.linalg.svd(c, compute_uv=False)[0])
-        return sigma if sigma > tau else None
+    if val == 0.0:
+        # then c = 0, and the flip a_k b_k' is zero iff one of its factors is
+        return ~((a != 0.0).any(axis=1) & (b != 0.0).any(axis=1))
+    if c.shape[0] > c.shape[1]:
+        c, a, b = c.T, b, a
+    lam, u = eig
+    nb2 = np.einsum("ij,ij->i", b, b)
+    tau = val * (1.0 + 1e-13)
+    t2 = tau * tau - SCREEN_MARGIN * (val + np.sqrt(np.einsum("ij,ij->i", a, a) * nb2)) ** 2
+    delta = t2 - lam[-1]
+    ok = delta > 0.0
+    if not ok.all():
+        t2 = np.where(ok, t2, 2.0 * lam[-1])  # any t2 > lam[-1] where not ok
+        delta = t2 - lam[-1]
+    p = a @ u
+    q = b @ (c.T @ u)
+    p1, q1, pr, qr = p[:, -1], q[:, -1], p[:, :-1], q[:, :-1]
+    inv = 1.0 / (t2[:, None] - lam[:-1])
+    pi = pr * inv
+    ra = np.einsum("ij,ij->i", pi, pr)
+    rb = np.einsum("ij,ij->i", pi, qr)
+    rc = nb2 + np.einsum("ij,ij->i", qr * inv, qr)
+    # d delta with its 1 / delta^2 terms cancelled, and the sum of the
+    # magnitudes of its terms
+    one_b = 1.0 - rb
+    cross = 2.0 * p1 * q1
+    rest = ra * q1 * q1 + p1 * p1 * rc
+    det = delta * (one_b * one_b - ra * rc) - (cross * one_b + rest)
+    bound = 1.0 + np.abs(rb)
+    size = delta * (bound * bound + ra * rc) + np.abs(cross) * bound + rest
+    return ok & (det > SCREEN_MARGIN * size)
 
 
 @dataclass
@@ -244,9 +275,10 @@ class AbsBilinearForm:
             return x, amap @ x
         s = _sign(prev_image) if prev is not None else np.ones(amap.shape[0])
         x, ax = prev, prev_image
+        adjoint = amap.T
         for _ in range(30):
-            ell = amap.T @ (u * s)
-            nrm = np.sqrt((ell**2 / metric).sum())
+            ell = adjoint @ (u * s)
+            nrm = math.sqrt(np.add.reduce(ell * ell / metric))
             if nrm == 0.0:
                 break
             x = ell / metric / nrm
@@ -285,21 +317,34 @@ class AbsBilinearForm:
         pattern (largest singular value), at most 40 passes; escapes the
         sign-space local maxima that the alternating iteration can get stuck in.
 
-        A flip is kept when sigma_1(c) of the flipped pattern exceeds
-        tau = val (1 + 1e-13).  Most flips are rejected, and a rejection is
-        certified by a Cholesky factorization of tau^2 I - c c' (the Gram
-        matrix on the smaller side of c), which succeeds only if
-        sigma_1(c) <= tau up to the rounding of the Gram matrix, about
-        N eps sigma_1^2 (7e-15 relative at N = 32, far inside the 1e-13
-        margin).  Only a failed factorization pays for singular values, and
-        the witnesses come from one full SVD of the final pattern.
+        A flip is kept when sigma_1 of the flipped pattern's matrix exceeds
+        tau = val (1 + 1e-13), val = sigma_1(c) of the current matrix c, both
+        read as the square root of the top eigenvalue of the Gram matrix on
+        the smaller side of c.  A flip of s_i or t_j adds a rank-one a b' to
+        c.  By interlacing sigma_2(c + a b') <= val < tau, so
+        tau^2 I - (c + a b')(c + a b')' has at most one negative eigenvalue
+        and the sign of its determinant decides the flip.  By the matrix
+        determinant lemma, that determinant over the positive
+        det(tau^2 I - c c') is d = (1 - B)^2 - A (|b|^2 + C), where A, B and
+        C are a' M^-1 a, a' M^-1 c b and (c b)' M^-1 c b for
+        M = tau^2 I - c c', read from the eigendecomposition of c c'.  The
+        top eigenvalue puts 1 / delta, delta = tau^2 - val^2 (about
+        2e-13 val^2), into each of A, B and C; _flip_screen cancels the
+        1 / delta^2 terms of d by hand and evaluates d delta, whose sign
+        rounding would otherwise decide.
 
-        c depends on the signs only through s_i t_j on the nonzeros of m, so
-        that pattern is the memo key of each candidate.  A pattern met before
-        is rejected without a factorization, which is the test's own verdict:
-        it was the start, an accepted flip (sigma_1 at most val, since val
-        never decreases) or a rejected one (sigma_1 at most an earlier tau).
-        For a diagonal m, flipping t_i gives the candidate of flipping s_i.
+        _flip_screen takes every remaining flip of a loop at once and skips
+        a flip only when it clears it by SCREEN_MARGIN twice over: with tau^2
+        lowered by SCREEN_MARGIN (val + |a| |b|)^2, for the rounding of the
+        Gram matrix, its eigendecomposition and the rank-one terms, d delta
+        must exceed SCREEN_MARGIN times the sum of its terms' magnitudes.
+        Every other flip gets the exact test, the eigendecomposition of its
+        own Gram matrix, which the next screen reads when the flip is kept.
+        So a polish decomposes the start, each accepted flip and each flip
+        the screen was unsure of but the exact test rejected, and the
+        witnesses come from one full SVD of the final pattern.  At val = 0,
+        c = 0 and a flip is kept iff its rank-one term is nonzero.
+
         While the s loop runs, m t zr is fixed and each candidate costs one
         product; while the t loop runs, zl' (s m) is.
         """
@@ -307,31 +352,33 @@ class AbsBilinearForm:
         t = t.copy()
         m = self.m
         zl, zr = self._normalized
-        rows, cols = np.nonzero(m)
-
-        def pattern():
-            return (s[rows] * t[cols] > 0).tobytes()
-
-        seen = {pattern()}
-        val = float(np.linalg.svd(zl.T @ (s[:, None] * m * t[None, :]) @ zr,
-                                  compute_uv=False)[0])
+        c = zl.T @ (s[:, None] * m * t[None, :]) @ zr
+        eig = _gram_eigh(c)
+        val = math.sqrt(max(eig[0][-1], 0.0))
         for _ in range(40):
             improved = False
             for arr in (s, t):
-                fixed = (m * t[None, :]) @ zr if arr is s else zl.T @ (s[:, None] * m)
-                for i in range(arr.size):
-                    arr[i] = -arr[i]
-                    key = pattern()
-                    if key not in seen:
-                        seen.add(key)
-                        c = (zl.T @ (s[:, None] * fixed) if arr is s
-                             else (fixed * t[None, :]) @ zr)
-                        cand = _sigma_max_above(c, val * (1.0 + 1e-13))
-                        if cand is not None:
-                            val = cand
+                if arr is s:
+                    fixed = (m * t[None, :]) @ zr
+                    a_all, b_all = -2.0 * s[:, None] * zl, fixed
+                else:
+                    fixed = zl.T @ (s[:, None] * m)
+                    a_all, b_all = fixed.T, -2.0 * t[:, None] * zr
+                i = 0
+                while i < arr.size:
+                    start, i = i, arr.size
+                    skip = _flip_screen(c, eig, a_all[start:], b_all[start:], val)
+                    for j in start + np.flatnonzero(~skip):
+                        arr[j] = -arr[j]
+                        cand = (zl.T @ (s[:, None] * fixed) if arr is s
+                                else (fixed * t[None, :]) @ zr)
+                        cand_eig = _gram_eigh(cand)
+                        sigma = math.sqrt(max(cand_eig[0][-1], 0.0))
+                        if sigma > val * (1.0 + 1e-13):
+                            val, c, eig, i = sigma, cand, cand_eig, j + 1
                             improved = True
-                            continue
-                    arr[i] = -arr[i]
+                            break
+                        arr[j] = -arr[j]
             if not improved:
                 break
         val, f, g = self._sigma_max_signed(s, t)

@@ -22,6 +22,7 @@ from dyadlab.bellman import (
     run_triangle_campaign,
     sample_omega,
     segment_in_domain,
+    segments_in_domain_arr,
 )
 
 
@@ -99,6 +100,25 @@ class TestInDomain:
         arr = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
         arr[coord] = value
         assert not in_domain(BellmanPoint.from_array(arr), Q=np.inf)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("coord", range(6))
+    def test_non_finite_coordinate_is_outside_every_reader(self, coord, value):
+        # the array and segment readers agree with in_domain, without a
+        # warning from inf - inf in the segment quadratics
+        member = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+        bad = member.copy()
+        bad[coord] = value
+        p, q = BellmanPoint.from_array(member), BellmanPoint.from_array(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for Q in (4.0, np.inf):
+                assert in_domain_arr(np.array([member, bad]), Q).tolist() == [True, False]
+                assert not segment_in_domain(p, q, Q)
+                assert not segment_in_domain(q, p, Q)
+                P = np.array([member, member, bad])
+                R = np.array([member, bad, member])
+                assert segments_in_domain_arr(P, R, Q).tolist() == [True, False, False]
 
 
 class TestSegmentInDomain:

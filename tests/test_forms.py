@@ -1,6 +1,11 @@
 """Sign-flip polish: parity with a full SVD per flip, and its edge cases."""
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadlab import forms
 from dyadlab.embedding import key_sum_form, term1_form
@@ -143,62 +148,113 @@ def test_mode_is_set_by_the_method(kind, depth):
     assert form.search_sup(iters=10, seed=depth, restarts=2).mode == "lower_bound"
 
 
-def record_factorizations(monkeypatch):
-    """Count np.linalg.cholesky calls and keep each candidate matrix that the
-    polish puts to the rejection test."""
-    calls = {"cholesky": 0}
-    mats = []
-    cholesky = np.linalg.cholesky
-    above = forms._sigma_max_above
+def record_decompositions(monkeypatch):
+    """Log, in order, each eigendecomposition and SVD that numpy makes and each
+    mask the polish's screen returns; the polish makes no Cholesky test."""
+    log = []
+    eigh, svd, screen = np.linalg.eigh, np.linalg.svd, forms._flip_screen
 
-    def counting(a):
-        calls["cholesky"] += 1
-        return cholesky(a)
+    def recording_eigh(a):
+        out = eigh(a)
+        log.append(("eigh", a.copy(), float(out[0][-1])))
+        return out
 
-    def recording(c, tau):
-        mats.append(c.copy())
-        return above(c, tau)
+    def recording_svd(a, *args, **kwargs):
+        log.append(("svd", a.copy(), None))
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
-    monkeypatch.setattr(forms, "_sigma_max_above", recording)
-    return calls, mats
+    def recording_screen(c, eig, a, b, val):
+        skip = screen(c, eig, a, b, val)
+        log.append(("screen", skip.copy(), val))
+        return skip
+
+    def no_cholesky(a):
+        raise AssertionError("the polish makes no Cholesky test")
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+    monkeypatch.setattr(forms, "_flip_screen", recording_screen)
+    return log
+
+
+def read_polish_log(log):
+    """(accepted flips, flips the screen was unsure of and the exact test
+    rejected, Gram matrices decomposed) of one polish's log.
+
+    The log must read: the start's Gram eigendecomposition; then screens,
+    each followed by exact tests of its unsure flips only, in order, until
+    one accepts (and a new screen follows) or they run out; then the one SVD
+    of the witnesses.
+    """
+    kind, gram, lam = log[0]
+    assert kind == "eigh"
+    assert [kind for kind, _, _ in log].count("svd") == 1 and log[-1][0] == "svd"
+    val = np.sqrt(max(lam, 0.0))
+    accepted = rejected = pending = 0
+    grams = [gram]
+    for kind, obj, lam in log[1:-1]:
+        if kind == "screen":
+            pending = int(np.count_nonzero(~obj))
+            continue
+        assert kind == "eigh" and pending > 0, "an exact test the screen did not ask for"
+        pending -= 1
+        grams.append(obj)
+        sigma = np.sqrt(max(lam, 0.0))
+        if sigma > val * (1.0 + 1e-13):
+            val, pending = sigma, 0
+            accepted += 1
+        else:
+            rejected += 1
+    return accepted, rejected, grams
 
 
 @pytest.mark.parametrize("depth", [3, 4])
 @pytest.mark.parametrize("kind", sorted(FORMS))
 def test_no_pattern_factorized_twice(kind, depth, monkeypatch):
-    calls, mats = record_factorizations(monkeypatch)
+    log = record_decompositions(monkeypatch)
     for k in range(2):
         form = FORMS[kind](depth, k)
         rng = np.random.default_rng(50 * depth + k)
         n1, n2 = form.m.shape
         s, t = random_signs(n1, rng), random_signs(n2, rng)
-        calls["cholesky"] = 0
-        mats.clear()
+        log.clear()
         got = form._flip_polish(s, t)
-        assert calls["cholesky"] == len(mats) > 0
-        # a repeated pattern gives the same matrix up to the rounding of its
-        # products; distinct patterns differ by a whole signed term
-        for i in range(len(mats)):
+        accepted, rejected, grams = read_polish_log(log)
+        # exact decompositions = accepted flips + unsure rejections + the start
+        assert len(grams) == accepted + rejected + 1
+        assert [kind for kind, _, _ in log].count("screen") >= 2  # one per loop at least
+        # a repeated pattern gives the same Gram matrix up to the rounding of
+        # its products; distinct accepted patterns have distinct sigma_1
+        for i in range(len(grams)):
             for j in range(i):
-                assert not np.allclose(mats[i], mats[j], rtol=0.0,
-                                       atol=1e-9 * np.max(np.abs(mats[j])))
+                assert not np.allclose(grams[i], grams[j], rtol=0.0,
+                                       atol=1e-9 * np.max(np.abs(grams[j])))
         assert_same_polish(got, reference_polish(form, s, t))
+
+
+def assert_repolish_decomposes_no_candidate(form, rng, monkeypatch):
+    # a polished pattern: no single flip improves it, so the screen settles
+    # every flip of either loop and only the start is decomposed
+    n1, n2 = form.m.shape
+    _, _, _, s, t = form._flip_polish(random_signs(n1, rng), random_signs(n2, rng))
+    log = record_decompositions(monkeypatch)
+    got = form._flip_polish(s, t)
+    assert np.array_equal(got[3], s) and np.array_equal(got[4], t)
+    assert read_polish_log(log)[:2] == (0, 0)
 
 
 def test_diagonal_form_t_loop_factorizes_nothing(monkeypatch):
     form = key_sum_form(gen_cascade(5, 0.7, 3))
-    diag = np.diag(form.m)
-    assert np.array_equal(form.m, np.diag(diag))
-    n1, n2 = form.m.shape
-    rng = np.random.default_rng(0)
-    # a polished pattern: no single flip improves it, so the s loop accepts
-    # nothing and each t flip repeats the pattern of the s flip at its index
-    _, _, _, s, t = form._flip_polish(random_signs(n1, rng), random_signs(n2, rng))
-    calls, _ = record_factorizations(monkeypatch)
-    got = form._flip_polish(s, t)
-    assert np.array_equal(got[3], s) and np.array_equal(got[4], t)
-    assert calls["cholesky"] == np.count_nonzero(diag)
+    assert np.array_equal(form.m, np.diag(np.diag(form.m)))
+    assert_repolish_decomposes_no_candidate(form, np.random.default_rng(0), monkeypatch)
+
+
+@pytest.mark.parametrize("depth", [3, 5])
+@pytest.mark.parametrize("kind", sorted(FORMS))
+def test_polished_pattern_decomposes_no_candidate(kind, depth, monkeypatch):
+    assert_repolish_decomposes_no_candidate(FORMS[kind](depth, 1),
+                                            np.random.default_rng(depth), monkeypatch)
 
 
 @pytest.mark.parametrize("kind", sorted(FORMS))
@@ -212,19 +268,68 @@ def test_search_sup_matches_reference_polish(kind):
         assert getattr(res, name).tobytes() == getattr(ref, name).tobytes()
 
 
+def polish_with_checked_screen(form, s, t):
+    """Run the polish, checking that every flip its screen skips has
+    sigma_1 <= tau, the reference's test, and compare with the reference."""
+    screen = forms._flip_screen
+
+    def checking(c, eig, a, b, val):
+        skip = screen(c, eig, a, b, val)
+        tau = val * (1.0 + 1e-13)
+        for k in np.flatnonzero(skip):
+            assert np.linalg.svd(c + np.outer(a[k], b[k]), compute_uv=False)[0] <= tau
+        return skip
+
+    with mock.patch.object(forms, "_flip_screen", checking):
+        got = form._flip_polish(s, t)
+    assert_same_polish(got, reference_polish(form, s, t))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n1=st.integers(1, 6), n2=st.integers(1, 6),
+       cols_left=st.integers(1, 8), cols_right=st.integers(1, 8),
+       row_scales=st.lists(st.sampled_from([1.0, 1e-3, 1e-6, 0.0]), min_size=6, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_screen_skips_only_rejected_flips(seed, n1, n2, cols_left, cols_right, row_scales):
+    # square and rectangular c (cols_left x cols_right); rows of m scaled
+    # down give flips that move sigma_1 by little, zero rows by nothing
+    form = direct_form(n1, n2, cols_left, cols_right, seed)
+    form.m *= np.array(row_scales[:n1])[:, None]
+    rng = np.random.default_rng(seed)
+    polish_with_checked_screen(form, random_signs(n1, rng), random_signs(n2, rng))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), cols=st.integers(2, 8))
+@settings(max_examples=60, deadline=None)
+def test_screen_with_repeated_top_singular_value(seed, n, cols):
+    # at s = t = 1, c = m (m^-1 x) is x, whose two top singular values are 1
+    rng = np.random.default_rng(seed)
+    r = min(n, cols)
+    u = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, r)))[0]
+    x = (u * np.r_[1.0, 1.0, rng.uniform(0.0, 0.9, r - 2)]) @ v.T
+    m = np.eye(n) + rng.uniform(0.0, 0.5, (n, n))
+    form = AbsBilinearForm(m, np.eye(n), np.linalg.solve(m, x), np.ones(n), np.ones(cols))
+    sv = np.linalg.svd(m @ form.right_map, compute_uv=False)
+    assert sv[1] == pytest.approx(sv[0], rel=1e-14)
+    polish_with_checked_screen(form, np.ones(n), np.ones(n))
+
+
 def test_all_zero_m(monkeypatch):
     form = direct_form(5, 6, 7, 7, seed=2)
     form.m[:] = 0.0
-    calls, _ = record_factorizations(monkeypatch)
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        s, t = random_signs(5, rng), random_signs(6, rng)
-        got = form._flip_polish(s, t)
-        assert got[0] == 0.0
-        assert_same_polish(got, reference_polish(form, s, t))
-    # every flip leaves the (empty) pattern of the nonzeros as it was
-    assert calls["cholesky"] == 0
-    assert form.search_sup(iters=5, seed=0, restarts=2).value == 0.0
+    log = record_decompositions(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            s, t = random_signs(5, rng), random_signs(6, rng)
+            log.clear()
+            got = form._flip_polish(s, t)
+            # c = 0 and every flip leaves it 0: only the start is decomposed
+            assert read_polish_log(log)[:2] == (0, 0)
+            assert got[0] == 0.0
+            assert_same_polish(got, reference_polish(form, s, t))
+        assert form.search_sup(iters=5, seed=0, restarts=2).value == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
