@@ -688,6 +688,11 @@ def _child_values(c: np.ndarray, levels: int) -> np.ndarray:
 # DpEstimator values every depth >= DP_SATURATION_DEPTH alike (its closed
 # form stops growing there), so deeper requests repeat this depth's estimate.
 DP_SATURATION_DEPTH = 3
+# A DpEstimator's (6, 8, samples) block of candidate steps takes 384 bytes
+# per sample, 25 MB at this cap (a `dyadlab bellman` run then peaks near
+# 100 MB resident), so larger sample counts are refused before anything is
+# allocated.
+MAX_SAMPLES = 1 << 16
 
 
 class DpEstimator:
@@ -716,6 +721,10 @@ class DpEstimator:
         _check_q(Q)
         if samples < 0:
             raise DomainError("samples must be >= 0")
+        if samples > MAX_SAMPLES:
+            raise DomainError(
+                f"samples {samples} exceeds the cap {MAX_SAMPLES}: the (6, 8, samples) "
+                f"candidate block would take {6 * 8 * 8 * samples} bytes")
         self.Q = Q
         self.samples = samples
         self.seed = seed

@@ -18,8 +18,10 @@ Weights: --family power|cascade|file, --param, --depth, --seed, --file,
 each repeatable; defaults power, param 0.5, depth 6, seed 0.  --seed is for
 cascades only; --family file makes one row per --file, with the file's
 depth, and refuses --depth and --param.  Every row searches with
-seed + 7919 * depth and 6 restarts, whichever subcommand asks.  --jobs
-spreads the rows over worker processes (0 = all cores).
+seed + 7919 * depth and 6 restarts, whichever subcommand asks.  termI_max
+is no search value: it is the exact supremum sqrt(Q) of the term-I form
+(embedding.term1_form).  --jobs spreads the rows over worker processes
+(0 = all cores).
 CSV rows have the fixed columns CSV_COLUMNS + EXTRA_COLUMNS; JSON summaries
 carry the config, fitted slopes, max ratios and `schema_version: 4`.
 
@@ -32,9 +34,10 @@ the one campaign entry point of the CLI; a campaign at a sweep's Q takes
 Exit codes: 0 success, 1 usage error, 2 invariant violation (a geom
 campaign with violations, after its JSON is written).  A row whose weight
 cannot be built (a missing file, a bad parameter) or whose experiments fail
-(a form too deep to build, a negative --samples or --complexity) carries
-the message in its `error` column and does not stop the run: every output
-is written, then the command exits 1 with the first row error.
+(a form too deep to build, a negative --samples or --complexity, a
+--samples above bellman.MAX_SAMPLES) carries the message in its `error`
+column and does not stop the run: every output is written, then the
+command exits 1 with the first row error.
 """
 from __future__ import annotations
 
@@ -42,6 +45,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -204,8 +208,7 @@ def _fill_row(cfg: SweepConfig, job: dict, row: dict) -> None:
         res = embedding.key_sum_form(w).search_sup(cfg.iters, seed, cfg.restarts)
         row["key_sum_max"] = res.value
     if "four_terms" in ex:
-        res = embedding.term1_form(w).search_sup(cfg.iters, seed, cfg.restarts)
-        row["termI_max"] = res.value
+        row["termI_max"] = math.sqrt(q)  # the exact supremum: see embedding.term1_form
     if "carleson" in ex:
         row["carleson_norm"] = embedding.carleson_norm(embedding.carleson_measure_of(w))
     if "vavo" in ex:

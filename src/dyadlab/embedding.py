@@ -211,7 +211,27 @@ def key_sum_form(w: Weight) -> AbsBilinearForm:
 
 
 def term1_form(w: Weight) -> AbsBilinearForm:
-    """sup of the first decomposition term over the same unit balls."""
+    """sup of the first decomposition term over the same unit balls.
+
+    The supremum is exactly sqrt(Q), Q = a2_characteristic(w).characteristic,
+    which is what a sweep row reports as termI_max.  The form is
+
+        sum_I |(phi w, h^w_I)| sqrt(<w>_I) |(psi sigma, h^sigma_I)| sqrt(<sigma>_I)
+
+    over internal I, with ||phi||_w = ||psi||_sigma = 1.  The h^w_I are
+    orthonormal in L2(w), so (phi w, h^w_I) is the inner product of phi and
+    h^w_I in L2(w), and Bessel gives sum_I (phi w, h^w_I)^2 <= ||phi||_w^2;
+    likewise for psi in L2(sigma).  So, by Cauchy-Schwarz, the form is at
+    most max_I sqrt(<w>_I <sigma>_I) ||phi||_w ||psi||_sigma.  Put
+    differently: the metric-normalized maps have orthogonal rows, of norms
+    sqrt(<w>_I) and sqrt(<sigma>_I), and m is the identity.  That max is
+    sqrt(Q): a leaf has <w><sigma> = w (1/w) = 1, and every interval has
+    <w>_I <sigma>_I >= 1 by Cauchy-Schwarz.  The A2 witness J attains it
+    with phi = h^w_J and psi = h^sigma_J, both unit vectors in the form's
+    metrics, for which only the term of J is nonzero; J is internal unless
+    every product is 1 (a constant weight), where the supremum is 1 up to
+    rounding.
+    """
     depth = w.depth
     scale = 2.0**-depth
 

@@ -349,6 +349,7 @@ class TestMainExitCodes:
         ["geom", "--lemma", "barycenter", "--trials", "10", "--Q", "1.5", "--seed", "-1"],
         ["norm", "--complexity", "64"],
         ["bellman", "--dp-depth", "8"],  # every depth >= 3 gave one estimate
+        ["bellman", "--samples", "100000000", "--depth", "2"],  # refused before allocating
     ])
     def test_bad_input_is_one_line(self, argv, capsys, tmp_path, time_limit):
         argv = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in argv]
