@@ -7,7 +7,8 @@ carleson_norm and shift{n}_norm) and the max ratios.
 
   a2        a2                    a2: [{Q, witness}]
   norm      shift_norm            complexity, norms: [{Q, norm, mode}]
-                                  (mode exact: --exact at depth <= 3 only)
+                                  (mode exact: --exact, up to 15 nonzero
+                                  coefficients: every complexity at depth <= 4)
   embed     key_sum, four_terms   (the sweep summary only)
   carleson  carleson, vavo        max_carleson_over_Q
   bellman   bellman_b1            bellman: [{Q, b1_ratio, dp_depth}], the
@@ -54,6 +55,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bellman, embedding, shifts
+from .forms import ENUM_LIMIT
 from .tree import MAX_DEPTH, DomainError, InvariantError, LeafFunction, StructureError, _mean
 from .weights import (
     Weight,
@@ -332,7 +334,10 @@ def build_parser() -> _Parser:
             sp.add_argument("--iters", type=int, default=40)
         if name == "norm":
             sp.add_argument("--complexity", type=int, default=1)
-            sp.add_argument("--exact", action="store_true")
+            sp.add_argument("--exact", action="store_true",
+                            help="the exact supremum, by one sign per nonzero "
+                                 f"coefficient; refused above {ENUM_LIMIT} of them "
+                                 "(every complexity up to depth 4)")
         if name == "bellman":
             sp.add_argument("--samples", type=int, default=4)
         if name == "sweep":

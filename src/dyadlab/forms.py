@@ -5,18 +5,20 @@ The common object is
     sup { sum_ij m_ij |(A f)_i| |(B g)_j| :  f' D_l f = 1,  g' D_r g = 1 }
 
 with m >= 0 and diagonal positive metrics.  The load-bearing trick for the
-exact mode: since m >= 0, the absolute values equal the max over sign
-patterns (s, t) of the ordinary bilinear form with coefficients
-s_i m_ij t_j, and each of those is a largest singular value.  The two sign
-sets are therefore enumerated, not optimized: one chunked sweep over s,
-max_s lambda_max(root (s s' o w0) root), runs once per t, or once when, for
-larger sizes, the t-set is folded into an entrywise absolute value of the right Gram matrix; the
-fold is an upper bound which is tight whenever the extremal g can realize
-the folded signs.  The tests cross-check it against full enumeration on
-small instances and against the achieved witness value
-(tests/test_shifts.py::test_fold_bounded_by_upper_bound).  A FormResult's
-mode is "exact" only from full enumeration; the fold and search_sup return
-a "lower_bound".
+exact mode: since m >= 0, with one term per nonzero m_k = m_{i_k j_k},
+
+    sum_k m_k |x_{i_k}| |y_{j_k}|
+        = max over eps in {+-1}^K of sum_k eps_k m_k x_{i_k} y_{j_k},
+
+and for each eps the supremum of the right side over the two unit balls is
+sigma_1(sum_k eps_k m_k z_{i_k} r_{j_k}'), with z_i and r_j the rows of the
+metric-normalized maps A D_l^{-1/2} and B D_r^{-1/2}.  So the K signs are
+enumerated, not optimized: eps and -eps give the same value, which leaves
+2^(K-1) patterns, 4096 per batched eigvalsh of the Gram matrices, and the
+witnesses come from one SVD of the best pattern.  exact_sup takes up to
+ENUM_LIMIT = 15 nonzeros, which covers every shipped form (key sum, term I
+and shifts of any complexity) at depth <= 4.  A FormResult's mode is
+"exact" from exact_sup; search_sup returns a "lower_bound".
 
 The alternating search forms each map product once.  An argmax step hands
 back its maximizer x together with the image A x (or B x) that its last
@@ -42,8 +44,8 @@ operators (tree.LinearOperator).  The search uses only `op @ x`, `x @ op`,
 return NotImplemented and defer to `op.__rmatmul__`.  An operator m must
 have nonnegative entries; an array m is replaced by its absolute values.
 The exact mode and the sign-flip polish take ndarrays only (at most 15
-and 64 coefficients).  The form builders go through weighted_form: each
-operator dense (`op @ np.eye(n)`) up to DENSE_MAX_COLUMNS columns (see
+nonzero and 64 coefficients).  The form builders go through weighted_form:
+each operator dense (`op @ np.eye(n)`) up to DENSE_MAX_COLUMNS columns (see
 _form_operands), and the metrics w 2^-d and 2^-d / w of L2(w) x L2(1/w).
 """
 from __future__ import annotations
@@ -57,8 +59,7 @@ import numpy as np
 
 from .tree import DomainError, LinearOperator, _check_dense_depth
 
-FULL_ENUM_LIMIT = 7  # 4^N sign pairs
-FOLD_LIMIT = 15  # 2^N sign patterns with the t-fold
+ENUM_LIMIT = 15  # nonzeros K of m above which exact_sup refuses; 2^(K-1) patterns
 FLIP_LIMIT = 64  # n1 + n2 above which the sign-flip polish is skipped
 # The relative margin by which the polish's screen must clear a flip to skip
 # it (see _flip_polish): 32 eps, the N eps rounding bound of an inner product
@@ -99,28 +100,6 @@ def _sign_table(n: int) -> np.ndarray:
     """All 2^n sign vectors, as a (2^n, n) array of +-1."""
     bits = (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1
     return bits * 2.0 - 1.0
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
-
-
-def _sign_sweep(root: np.ndarray, w0: np.ndarray):
-    """max over the sign vectors s of lambda_max(root (s s' o w0) root), and
-    the first s attaining it, 4096 sign vectors per batch of eigvalsh."""
-    s_tab = _sign_table(len(w0))
-    best = (-1.0, 0)
-    for lo in range(0, s_tab.shape[0], 4096):
-        s_chunk = s_tab[lo : lo + 4096]
-        mats = (s_chunk[:, :, None] * s_chunk[:, None, :]) * w0[None, :, :]
-        lam = np.linalg.eigvalsh(root[None, :, :] @ mats @ root[None, :, :])[:, -1]
-        si = int(np.argmax(lam))
-        if lam[si] > best[0]:
-            best = (float(lam[si]), lo + si)
-    lam, si = best
-    return lam, s_tab[si]
 
 
 def _gram_eigh(c: np.ndarray):
@@ -174,8 +153,8 @@ class FormResult:
     right: np.ndarray
     sign_left: Optional[np.ndarray]
     sign_right: Optional[np.ndarray]
-    upper_bound: Optional[float] = None  # certified bound, set by both exact paths
-    mode: str = "lower_bound"  # "exact" from full enumeration only
+    upper_bound: Optional[float] = None  # sigma_1 of exact_sup's best pattern
+    mode: str = "lower_bound"  # "exact" from exact_sup only
 
 
 class AbsBilinearForm:
@@ -214,54 +193,37 @@ class AbsBilinearForm:
     # -- exact mode -------------------------------------------------------
 
     def exact_sup(self) -> FormResult:
-        n1, n2 = self.m.shape
-        if max(n1, n2) > FOLD_LIMIT:
-            raise DomainError(
-                f"exact mode limited to {FOLD_LIMIT} coefficients per side; "
-                "use the alternating search instead"
-            )
+        """The supremum by enumeration of one sign per nonzero of m (see the
+        module docstring).  value is the achieved value of the best
+        pattern's witnesses and upper_bound that pattern's sigma_1."""
+        if any(isinstance(a, LinearOperator) for a in (self.m, self.left_map, self.right_map)):
+            raise DomainError("exact mode needs dense maps; use the alternating search instead")
+        rows, cols = np.nonzero(self.m)
+        k = rows.size
+        if k > ENUM_LIMIT:
+            raise DomainError(f"exact mode limited to {ENUM_LIMIT} nonzero coefficients, "
+                              f"this form has {k}; use the alternating search instead")
         zl, zr = self._normalized
-        w0 = zl @ zl.T
-        g0 = zr @ zr.T
-        if max(n1, n2) <= FULL_ENUM_LIMIT:
-            return self._exact_full(w0, g0)
-        return self._exact_fold(zl, zr, w0, g0)
-
-    def _exact_full(self, w0, g0) -> FormResult:
-        n1, n2 = self.m.shape
-        best = (-1.0, -np.ones(n1), -np.ones(n2))
-        for t in _sign_table(n2):
-            kt = self.m @ ((t[:, None] * t[None, :]) * g0) @ self.m.T
-            lam, s = _sign_sweep(_psd_sqrt(kt), w0)
-            if lam > best[0]:
-                best = (lam, s, t)
-        lam, s, t = best
-        _, f, g = self._sigma_max_signed(s, t)
+        a = zl[rows].T * self.m[rows, cols]  # column k: m_k z_{i_k}
+        h = zr[cols] @ zr[cols].T  # r_{j_k}' r_{j_l}
+        # eps and -eps give the same value: the first half of the table has eps_K = -1
+        eps = _sign_table(k)[: 1 << max(k - 1, 0)]
+        best = (-1.0, 0)
+        for lo in range(0, eps.shape[0], 4096):
+            ae = a[None, :, :] * eps[lo : lo + 4096, None, :]
+            lam = np.linalg.eigvalsh(ae @ h @ ae.transpose(0, 2, 1))[:, -1]
+            i = int(np.argmax(lam))
+            if lam[i] > best[0]:
+                best = (float(lam[i]), lo + i)
+        lam, i = best
+        signed = np.zeros_like(self.m)
+        signed[rows, cols] = eps[i] * self.m[rows, cols]
+        _, f, g = self._sigma_max_signed(signed)
+        af, bg = self.left_map @ f, self.right_map @ g
         # make the achieved form value carry the result, not the eigenvalue
-        return FormResult(value=self.value(f, g), left=f, right=g, sign_left=s, sign_right=t,
-                          upper_bound=float(np.sqrt(max(lam, 0.0))), mode="exact")
-
-    def _exact_fold(self, zl, zr, w0, g0) -> FormResult:
-        e = self.m @ np.abs(g0) @ self.m.T
-        lam, s = _sign_sweep(_psd_sqrt(e), w0)
-        msym = zl.T @ ((s[:, None] * s[None, :]) * e) @ zl
-        vals, vecs = np.linalg.eigh(msym)
-        f = vecs[:, -1] / np.sqrt(self.left_metric)
-        af = self.left_map @ f
-        # polish the witnesses: alternating steps seeded from the fold's f,
-        # plus a full multi-start search; keep the best achieved pair
-        g, bg = self._argmax_right(af, None, None)
-        for _ in range(4):
-            f, af = self._argmax_left(bg, f, af)
-            g, bg = self._argmax_right(af, g, bg)
-        cand = self.search_sup(iters=60, seed=0, restarts=8)
-        val = self._image_value(af, bg)
-        if cand.value > val:
-            f, g = cand.left, cand.right
-            af, bg = self.left_map @ f, self.right_map @ g
-            val = self._image_value(af, bg)
-        return FormResult(value=val, left=f, right=g, sign_left=_sign(af), sign_right=_sign(bg),
-                          upper_bound=float(np.sqrt(max(lam, 0.0))))
+        return FormResult(value=self._image_value(af, bg), left=f, right=g,
+                          sign_left=_sign(af), sign_right=_sign(bg),
+                          upper_bound=math.sqrt(max(lam, 0.0)), mode="exact")
 
     # -- alternating lower-bound search ----------------------------------
 
@@ -302,12 +264,11 @@ class AbsBilinearForm:
         u = self.m.T @ np.abs(af)
         return self._argmax_generic(u, self.right_map, self.right_metric, prev, prev_image)
 
-    def _sigma_max_signed(self, s, t):
-        """sup of the ordinary bilinear form with coefficients s_i m_ij t_j,
-        with the metric-normalized extremizers."""
+    def _sigma_max_signed(self, signed):
+        """sup of the ordinary bilinear form with the signed coefficients
+        signed_ij = +-m_ij, with the metric-normalized extremizers."""
         zl, zr = self._normalized
-        c = zl.T @ (s[:, None] * self.m * t[None, :]) @ zr
-        u, sig, vt = np.linalg.svd(c)
+        u, sig, vt = np.linalg.svd(zl.T @ signed @ zr)
         f = u[:, 0] / np.sqrt(self.left_metric)
         g = vt[0] / np.sqrt(self.right_metric)
         return float(sig[0]), f, g
@@ -381,7 +342,7 @@ class AbsBilinearForm:
                         arr[j] = -arr[j]
             if not improved:
                 break
-        val, f, g = self._sigma_max_signed(s, t)
+        val, f, g = self._sigma_max_signed(s[:, None] * m * t[None, :])
         return val, f, g, s, t
 
     def search_sup(self, iters: int, seed: int, restarts: int = 8) -> FormResult:

@@ -335,6 +335,7 @@ class TestMainExitCodes:
         ["a2", "--depth", "0"],
         ["a2", "--family", "file", "--file", "MISSING"],
         ["norm", "--depth", "5", "--exact"],
+        ["norm", "--depth", "9", "--complexity", "9", "--exact"],
         ["geom", "--Q", "1.0", "--trials", "10"],
         ["bellman", "--samples", "-1"],
         ["norm", "--complexity", "-1"],

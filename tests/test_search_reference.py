@@ -2,13 +2,12 @@
 map product again in the next argmax step, the step value and the final
 signs: every FormResult of the four sweep forms (key sum, term I, shifts of
 complexity 0 and 1) must be byte-identical, through the dense maps
-(depth <= 8) and the matrix-free operators (depths 9 and 10), and so must
-the exact fold's witnesses at depth 4."""
+(depth <= 8) and the matrix-free operators (depths 9 and 10)."""
 import numpy as np
 import pytest
 
 from dyadlab import embedding, shifts
-from dyadlab.forms import FLIP_LIMIT, AbsBilinearForm, FormResult, _psd_sqrt, _sign_table
+from dyadlab.forms import FLIP_LIMIT, AbsBilinearForm, FormResult
 from dyadlab.tree import DomainError
 from dyadlab.weights import gen_cascade, gen_power
 
@@ -20,43 +19,6 @@ class ReferenceForm(AbsBilinearForm):
         a = np.abs(self.left_map @ f)
         b = np.abs(self.right_map @ g)
         return float(a @ self.m @ b)
-
-    def _exact_fold(self, zl, zr, w0, g0) -> FormResult:
-        n1, n2 = self.m.shape
-        e = self.m @ np.abs(g0) @ self.m.T
-        eh = _psd_sqrt(e)
-        s_tab = _sign_table(n1)
-        best = (-1.0, 0)
-        chunk = 4096
-        for lo in range(0, s_tab.shape[0], chunk):
-            s_chunk = s_tab[lo : lo + chunk]
-            mats = (s_chunk[:, :, None] * s_chunk[:, None, :]) * w0[None, :, :]
-            x = eh[None, :, :] @ mats @ eh[None, :, :]
-            lam = np.linalg.eigvalsh(x)[:, -1]
-            si = int(np.argmax(lam))
-            if lam[si] > best[0]:
-                best = (float(lam[si]), lo + si)
-        lam, si = best
-        s = s_tab[si]
-        msym = zl.T @ ((s[:, None] * s[None, :]) * e) @ zl
-        vals, vecs = np.linalg.eigh(msym)
-        f = vecs[:, -1] / np.sqrt(self.left_metric)
-        # polish the witnesses: alternating steps seeded from the fold's f,
-        # plus a full multi-start search; keep the best achieved pair
-        g = self._argmax_right(f, None)
-        for _ in range(4):
-            f = self._argmax_left(g, f)
-            g = self._argmax_right(f, g)
-        cand = self.search_sup(iters=60, seed=0, restarts=8)
-        if cand.value > self.value(f, g):
-            f, g = cand.left, cand.right
-        val = self.value(f, g)
-        s_out = np.sign(self.left_map @ f)
-        s_out[s_out == 0] = 1.0
-        t = np.sign(self.right_map @ g)
-        t[t == 0] = 1.0
-        return FormResult(value=val, left=f, right=g, sign_left=s_out, sign_right=t,
-                          upper_bound=float(np.sqrt(max(lam, 0.0))))
 
     def _argmax_generic(self, u, amap, metric, prev):
         """Maximize sum_i u_i |(amap x)_i| over the metric unit sphere, u >= 0."""
@@ -172,15 +134,6 @@ def test_search_matches_reference(depth, kind, family, restarts):
     seed = 1 + 7919 * depth
     assert_same(form.search_sup(40, seed, restarts),
                 reference_of(form).search_sup(40, seed, restarts))
-
-
-@pytest.mark.parametrize("family", ("power", "cascade"))
-@pytest.mark.parametrize("complexity", (0, 1))
-def test_exact_fold_witnesses_match_reference(complexity, family):
-    w = weight(family, 4)
-    spec = shifts.ShiftSpec.constant(complexity, 4)
-    form = shifts.shift_form(spec, w)
-    assert_same(form.exact_sup(), reference_of(form).exact_sup())
 
 
 def test_zero_coefficients_match_reference():

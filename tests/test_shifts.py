@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from dyadlab.embedding import key_sum_form
+from dyadlab.embedding import key_sum_form, term1_form
+from dyadlab.forms import ENUM_LIMIT
 from dyadlab.tree import (
     DomainError,
     DyadicIndex,
@@ -30,6 +31,14 @@ def haar_leaf(depth, I):
     vals[start : start + half] = amp
     vals[start + half : start + 2 * half] = -amp
     return LeafFunction(vals)
+
+
+def sweep_form(kind, w):
+    if kind == "key_sum":
+        return key_sum_form(w)
+    if kind == "term1":
+        return term1_form(w)
+    return shift_form(ShiftSpec.constant(int(kind[-1]), w.depth), w)
 
 
 class TestShiftSpec:
@@ -172,14 +181,6 @@ class TestNormExact:
         denom = weighted_norm(f1, w) * weighted_norm(f2, dual(w))
         assert est.value == pytest.approx(achieved / denom, abs=1e-9)
 
-    def test_fold_bounded_by_upper_bound(self):
-        # depth 4 exercises the folded path (15 internal intervals)
-        spec = ShiftSpec.random(1, 4, seed=3)
-        w = gen_cascade(4, 0.6, seed=8)
-        est = shift_form(spec, w).exact_sup()
-        assert est.upper_bound is not None
-        assert est.value <= est.upper_bound * (1.0 + 1e-9)
-
     @pytest.mark.parametrize("complexity", [0, 1])
     @pytest.mark.parametrize("w", [gen_power(3, 0.8), gen_cascade(3, 0.7, seed=2)],
                              ids=["power", "cascade"])
@@ -188,23 +189,36 @@ class TestNormExact:
         assert est.mode == "exact"
         assert est.value == pytest.approx(est.upper_bound, rel=1e-9)
 
-    @pytest.mark.parametrize("complexity", [0, 1])
+    @pytest.mark.parametrize("kind", ["key_sum", "term1", "shift0", "shift1"])
     @pytest.mark.parametrize("w", [gen_power(4, 0.8), gen_cascade(4, 0.7, seed=2)],
                              ids=["power", "cascade"])
-    def test_fold_value_is_a_lower_bound(self, complexity, w):
-        # the fold's value is the best achieved witness pair, below its
-        # certified upper bound (13% below at complexity 0 here)
-        est = shift_form(ShiftSpec.constant(complexity, 4), w).exact_sup()
-        assert est.mode == "lower_bound"
-        assert est.upper_bound is not None and est.value <= est.upper_bound * (1.0 + 1e-9)
+    def test_depth4_is_exact(self, kind, w):
+        # every sweep form has at most 15 nonzero coefficients at depth 4
+        form = sweep_form(kind, w)
+        est = form.exact_sup()
+        assert est.mode == "exact"
+        assert est.value == pytest.approx(est.upper_bound, rel=1e-9)
+        found = form.search_sup(iters=40, seed=0, restarts=6).value
+        assert est.value >= found * (1.0 - 1e-12)
 
-    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_refuses_operators_and_more_than_enum_limit(self):
+        # depth 9 passes its maps as operators, though K = 0 there; the
+        # depth-5 complexity-4 shift has K = 16 nonzeros
+        for spec, w in ((ShiftSpec.constant(9, 9), gen_power(9, 0.5)),
+                        (ShiftSpec.constant(4, 5), gen_power(5, 0.5))):
+            with pytest.raises(DomainError) as info:
+                shift_form(spec, w).exact_sup()
+            assert "\n" not in str(info.value)
+        assert np.count_nonzero(ShiftSpec.constant(4, 5).coeffs) == ENUM_LIMIT + 1
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     @pytest.mark.parametrize("make", [
         lambda d: gen_power(d, 0.5),
         lambda d: gen_power(d, -0.7),
         lambda d: gen_cascade(d, 0.7, seed=3),
         lambda d: gen_cascade(d, 0.9, seed=11),
-    ], ids=["power0.5", "power-0.7", "cascade0.7s3", "cascade0.9s11"])
+        lambda d: gen_cascade(d, 0.7, seed=2),
+    ], ids=["power0.5", "power-0.7", "cascade0.7s3", "cascade0.9s11", "cascade0.7s2"])
     def test_key_sum_form_has_the_complexity0_supremum(self, make, depth):
         # f1 = w phi and f2 = sigma psi map the key-sum form onto the
         # complexity-0 shift form with its two sides swapped
@@ -212,6 +226,20 @@ class TestNormExact:
         key = key_sum_form(w).exact_sup().value
         shift = shift_form(ShiftSpec.constant(0, depth), w).exact_sup().value
         assert key == pytest.approx(shift, rel=1e-12)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_key_sum_supremum_is_scale_invariant(self, depth):
+        w = gen_cascade(depth, 0.7, seed=3)
+        key = key_sum_form(w).exact_sup().value
+        scaled = key_sum_form(Weight.from_values(3.5 * w.values)).exact_sup().value
+        assert scaled == pytest.approx(key, rel=1e-12)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_key_sum_supremum_is_symmetric_in_w_and_sigma(self, depth):
+        # swapping w with sigma = 1/w swaps the form's two sides
+        w = gen_power(depth, -0.7)
+        key = key_sum_form(w).exact_sup().value
+        assert key_sum_form(dual(w)).exact_sup().value == pytest.approx(key, rel=1e-12)
 
     def test_monotone_in_coefficients(self):
         w = gen_cascade(3, 0.6, seed=1)
