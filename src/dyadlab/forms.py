@@ -57,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tree import DomainError, LinearOperator, _check_dense_depth
+from .tree import MAX_DENSE_DEPTH, DomainError, LinearOperator
 
 ENUM_LIMIT = 15  # nonzeros K of m above which exact_sup refuses; 2^(K-1) patterns
 FLIP_LIMIT = 64  # n1 + n2 above which the sign-flip polish is skipped
@@ -78,9 +78,11 @@ DENSE_MAX_COLUMNS = 256
 def _form_operands(depth: int, *ops) -> list:
     """The operators of a depth-d form as AbsBilinearForm gets them: each
     one dense up to DENSE_MAX_COLUMNS columns, else the operator itself.
-    Forms keep the dense builders' depth cap, tree.MAX_DENSE_DEPTH."""
-    n = 1 << depth
-    _check_dense_depth(depth, n - 1, n)
+    Forms keep the dense builders' depth cap, tree.MAX_DENSE_DEPTH, though
+    above depth 8 they build no dense matrix."""
+    if depth > MAX_DENSE_DEPTH:
+        raise DomainError(f"depth {depth} exceeds the form depth cap {MAX_DENSE_DEPTH} "
+                          f"(tree.MAX_DENSE_DEPTH)")
     return [op @ np.eye(op.shape[1]) if op.shape[1] <= DENSE_MAX_COLUMNS else op
             for op in ops]
 

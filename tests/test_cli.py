@@ -377,7 +377,7 @@ class TestMainExitCodes:
             assert main([command, "--depth", "13"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: depth 13 ") and err.count("\n") == 1
-        assert "bytes" in err
+        assert "exceeds the form depth cap 12" in err
 
     def test_python_m_dyadlab(self, tmp_path):
         src = os.path.dirname(os.path.dirname(dyadlab.__file__))

@@ -181,6 +181,15 @@ class TestCarlesonMeasure:
         b = carleson_measure_of(dual(w)).alpha
         assert a.shape == b.shape == (63,)
         assert a == pytest.approx(b, rel=1e-12)
+        # the measure is |Delta w| |Delta sigma| |I|, so w -> c w leaves its
+        # norm unchanged, bitwise for a power of two
+        norm = carleson_norm(carleson_measure_of(w))
+        assert carleson_norm(carleson_measure_of(Weight.from_values(3.0 * w.values))) \
+            == pytest.approx(norm, rel=1e-13)
+        assert carleson_norm(carleson_measure_of(Weight.from_values(4.0 * w.values))) == norm
+        # the ratio reads its two functions alike
+        sig = LeafFunction(w.sigma)
+        assert two_weight_ratio_max(w.base, sig) == two_weight_ratio_max(sig, w.base)
 
     def test_rejects_negative_mass(self):
         with pytest.raises(DomainError):

@@ -1,27 +1,33 @@
-"""Each formula with one implementation, against the duplicated code it
-replaced, kept verbatim: the three weighted form builders (each restating
-the metrics), whose form operands must be byte-identical.  And the exact
-mode against an independent oracle, the enumeration of every sign pair
-(s, t) that it replaced, up to depth 3: their values and upper bounds must
-agree to 1e-12."""
+"""Each formula with one implementation.  The operands of the weighted form
+builders (key sum, term I, shifts of complexity 0 and 1, to depth 10) are
+pinned by digest in tests/corpus.json, under the entries
+test_corpus.form_outputs names; the pins were taken while the three
+duplicated builders these replaced, each restating the metrics, still
+agreed bit for bit, and the cases keep the ids they had when they compared
+with them.
+
+The exact mode is checked against an independent oracle, the enumeration of
+every sign pair (s, t) that it replaced, up to depth 3: their values and
+upper bounds must agree to 1e-12.  That oracle stays live: it is another
+algorithm, and its eigensolves run on BLAS."""
 import itertools
 
 import numpy as np
 import pytest
 
-from dyadlab import embedding, shifts
-from dyadlab.forms import AbsBilinearForm, _form_operands
-from dyadlab.shifts import ShiftOperator, ShiftSpec
-from dyadlab.tree import (
-    IdentityOperator,
-    StructureError,
-    TwoValuedRowOperator,
-    _haar_operator,
-    _heap_levels,
-)
-from dyadlab.weights import gen_cascade, gen_power
+from dyadlab.forms import AbsBilinearForm
+from test_corpus import BUILDERS, assert_pinned, form_outputs, form_weight
 
-# -- the sign-pair enumeration and the form builders as they were -----------
+
+@pytest.mark.parametrize("family", ("power", "cascade"))
+@pytest.mark.parametrize("kind", BUILDERS)
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_form_operands_byte_identical(depth, kind, family):
+    # m, both maps and both metrics; an operator past depth 8 by its products
+    assert_pinned(form_outputs, f"forms.operands/{kind},{family},d={depth}")
+
+
+# -- the sign-pair enumeration ---------------------------------------------------
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -67,108 +73,13 @@ def sign_pair_enumeration(form: AbsBilinearForm):
     return form.value(f, g), float(np.sqrt(max(lam, 0.0)))
 
 
-def reference_shift_form(spec, w) -> AbsBilinearForm:
-    if w.depth != spec.depth:
-        raise StructureError("weight depth must match the shift depth")
-    m, h = _form_operands(spec.depth, ShiftOperator(spec), _haar_operator(spec.depth))
-    scale = 2.0**-spec.depth
-    return AbsBilinearForm(
-        m=m,
-        left_map=h,
-        right_map=h,
-        left_metric=w.values * scale,
-        right_metric=(1.0 / w.values) * scale,
-    )
-
-
-def reference_key_sum_form(w) -> AbsBilinearForm:
-    """sup over ||phi||_w = ||psi||_sigma = 1 of key_sum, as an AbsBilinearForm."""
-    depth = w.depth
-    scale = 2.0**-depth
-    # Haar coefficients of phi w and psi sigma as linear maps of the leaf values
-    m, left, right = _form_operands(
-        depth, IdentityOperator((1 << depth) - 1),
-        _haar_operator(depth, w.values), _haar_operator(depth, 1.0 / w.values))
-    return AbsBilinearForm(
-        m=m,
-        left_map=left,
-        right_map=right,
-        left_metric=w.values * scale,
-        right_metric=(1.0 / w.values) * scale,
-    )
-
-
-def reference_term1_form(w) -> AbsBilinearForm:
-    """sup of the first decomposition term over the same unit balls."""
-    depth = w.depth
-    scale = 2.0**-depth
-    sig_vals = w.sigma
-    st = w
-
-    def rows(k, mult):
-        # (phi mult, h^mult_I) sqrt(<mult>_I) as a linear map of phi's leaf values
-        root = np.sqrt(st._avg[k, : (1 << depth) - 1])
-        levels = zip(_heap_levels(root * st._haar[0, k]), _heap_levels(root * st._haar[1, k]))
-        return TwoValuedRowOperator(depth, *np.concatenate(list(levels), axis=-1), mult * scale)
-
-    m, left, right = _form_operands(
-        depth, IdentityOperator((1 << depth) - 1), rows(0, w.values), rows(1, sig_vals))
-    return AbsBilinearForm(
-        m=m,
-        left_map=left,
-        right_map=right,
-        left_metric=w.values * scale,
-        right_metric=sig_vals * scale,
-    )
-
-
-# -- forms ---------------------------------------------------------------------
-
-BUILDERS = {
-    "key_sum": (embedding.key_sum_form, reference_key_sum_form),
-    "term1": (embedding.term1_form, reference_term1_form),
-    "shift0": (lambda w: shifts.shift_form(ShiftSpec.constant(0, w.depth), w),
-               lambda w: reference_shift_form(ShiftSpec.constant(0, w.depth), w)),
-    "shift1": (lambda w: shifts.shift_form(ShiftSpec.random(1, w.depth, 7), w),
-               lambda w: reference_shift_form(ShiftSpec.random(1, w.depth, 7), w)),
-}
-
-
-def weight(family: str, depth: int):
-    return gen_power(depth, 0.8) if family == "power" else gen_cascade(depth, 0.7, 2)
-
-
-def assert_same_operand(a, b, rng):
-    assert type(a) is type(b)
-    if isinstance(a, np.ndarray):
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-        return
-    assert a.shape == b.shape
-    x = rng.standard_normal(a.shape[1])
-    y = rng.standard_normal(a.shape[0])
-    assert (a @ x).tobytes() == (b @ x).tobytes()
-    assert (y @ a).tobytes() == (y @ b).tobytes()
-
-
-@pytest.mark.parametrize("family", ("power", "cascade"))
-@pytest.mark.parametrize("kind", BUILDERS)
-@pytest.mark.parametrize("depth", range(1, 11))
-def test_form_operands_byte_identical(depth, kind, family):
-    build, reference = BUILDERS[kind]
-    w = weight(family, depth)
-    got, want = build(w), reference(w)
-    rng = np.random.default_rng(depth)
-    for name in ("m", "left_map", "right_map", "left_metric", "right_metric"):
-        assert_same_operand(getattr(got, name), getattr(want, name), rng)
-
-
 # the test keeps its name, and with it the ids of its cases; since the exact
 # mode enumerates other signs, it compares to 1e-12
 @pytest.mark.parametrize("family", ("power", "cascade"))
 @pytest.mark.parametrize("kind", BUILDERS)
 @pytest.mark.parametrize("depth", range(1, 4))
 def test_exact_sup_byte_identical(depth, kind, family):
-    form = BUILDERS[kind][0](weight(family, depth))
+    form = BUILDERS[kind](form_weight(family, depth))
     got = form.exact_sup()
     value, upper_bound = sign_pair_enumeration(form)
     assert got.mode == "exact"

@@ -85,7 +85,7 @@ def test_scaling_sweep_row_error_exits_one_after_writing(tmp_path):
                       ["--depth", "13", "--cascades", "1", "--jobs", "1"], tmp_path)
     assert done.returncode == 1
     assert "Traceback" not in done.stderr and done.stdout == ""
-    assert done.stderr.startswith("error: depth 13 exceeds the dense-matrix cap 12")
+    assert done.stderr.startswith("error: depth 13 exceeds the form depth cap 12")
     assert done.stderr.count("\n") == 1
     assert sorted(f.name for f in tmp_path.iterdir()) == [
         "cascade_sweep.csv", "power_sweep.csv", "scaling_summary.json"]

@@ -2,7 +2,12 @@
 map product again in the next argmax step, the step value and the final
 signs: every FormResult of the four sweep forms (key sum, term I, shifts of
 complexity 0 and 1) must be byte-identical, through the dense maps
-(depth <= 8) and the matrix-free operators (depths 9 and 10)."""
+(depth <= 8) and the matrix-free operators (depths 9 and 10).
+
+This copy stays live, not pinned in tests/corpus.json: the search runs on
+BLAS products and SVDs, whose last bits depend on the BLAS kernel
+(OPENBLAS_CORETYPE=Haswell moves a depth-6 search's value by an ulp), so
+only a comparison run on the same BLAS in the same process is portable."""
 import numpy as np
 import pytest
 

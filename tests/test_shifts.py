@@ -3,19 +3,21 @@ import numpy as np
 import pytest
 
 from dyadlab.embedding import key_sum_form, term1_form
-from dyadlab.forms import ENUM_LIMIT
+from dyadlab.forms import ENUM_LIMIT, weighted_form
 from dyadlab.tree import (
     DomainError,
     DyadicIndex,
     LeafFunction,
     ROOT,
     StructureError,
+    _haar_operator,
     haar_analysis,
     haar_analysis_matrix,
     internal_indices,
 )
 from dyadlab.weights import Weight, gen_cascade, gen_power, weighted_norm, dual
 from dyadlab.shifts import (
+    ShiftOperator,
     ShiftSpec,
     form_value,
     shift_form,
@@ -233,6 +235,11 @@ class TestNormExact:
         key = key_sum_form(w).exact_sup().value
         scaled = key_sum_form(Weight.from_values(3.5 * w.values)).exact_sup().value
         assert scaled == pytest.approx(key, rel=1e-12)
+        # and the shift forms of complexity 1 ... depth - 1
+        for spec in (ShiftSpec.random(n, depth, seed=n) for n in range(1, depth)):
+            value = shift_form(spec, w).exact_sup().value
+            scaled = shift_form(spec, Weight.from_values(3.0 * w.values)).exact_sup().value
+            assert scaled == pytest.approx(value, rel=1e-12)
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_key_sum_supremum_is_symmetric_in_w_and_sigma(self, depth):
@@ -240,6 +247,12 @@ class TestNormExact:
         w = gen_power(depth, -0.7)
         key = key_sum_form(w).exact_sup().value
         assert key_sum_form(dual(w)).exact_sup().value == pytest.approx(key, rel=1e-12)
+        # a shift form's sides swap with w <-> sigma and m <-> m'
+        h = _haar_operator(depth)
+        for spec in (ShiftSpec.random(n, depth, seed=n) for n in range(1, depth)):
+            value = shift_form(spec, w).exact_sup().value
+            swapped = weighted_form(w.sigma, ShiftOperator(spec).T, h, h).exact_sup().value
+            assert swapped == pytest.approx(value, rel=1e-12)
 
     def test_monotone_in_coefficients(self):
         w = gen_cascade(3, 0.6, seed=1)

@@ -91,9 +91,12 @@ class TestA2Characteristic:
     def test_duality_symmetry(self):
         for seed in range(10):
             w = cascade(6, 0.7, seed)
-            assert a2_characteristic(w).characteristic == pytest.approx(
-                a2_characteristic(dual(w)).characteristic, rel=1e-13
-            )
+            q = a2_characteristic(w).characteristic
+            assert q == pytest.approx(a2_characteristic(dual(w)).characteristic, rel=1e-13)
+            # <c w>_I <1/(c w)>_I = <w>_I <1/w>_I, bitwise for a power of two
+            assert a2_characteristic(Weight.from_values(3.0 * w.values)).characteristic \
+                == pytest.approx(q, rel=1e-13)
+            assert a2_characteristic(Weight.from_values(4.0 * w.values)).characteristic == q
 
 
 class TestWeightedNorm:
