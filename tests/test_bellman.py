@@ -13,7 +13,6 @@ from dyadlab.bellman import (
     BellmanPoint,
     CampaignReport,
     DpEstimator,
-    _sample_strip,
     _segment_checks,
     in_domain,
     in_domain_arr,
@@ -24,35 +23,12 @@ from dyadlab.bellman import (
     segment_in_domain,
     segments_in_domain_arr,
 )
+from test_corpus import assert_pinned, campaign_outputs, entry
 
 
 def segment_max_uv(p: BellmanPoint, q: BellmanPoint) -> float:
     """Max of u(t) v(t) along the segment (closed form)."""
     return float(_segment_checks(p.as_array(), q.as_array(), 0.0)[1])
-
-
-def reference_sample_omega(Q, n, rng, boundary_prob=0.1):
-    """sample_omega before rows left outside at Q = 1 were drawn again."""
-    u, v = _sample_strip(Q, n, rng)
-    X = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=n))
-    Y = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=n))
-    fx = rng.uniform(0.0, 1.0, size=n)
-    fy = rng.uniform(0.0, 1.0, size=n)
-    fx = np.where(rng.uniform(size=n) < boundary_prob, 1.0, fx)
-    fy = np.where(rng.uniform(size=n) < boundary_prob, 1.0, fy)
-    sx = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
-    sy = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
-    x = sx * fx * np.sqrt(X * v)
-    y = sy * fy * np.sqrt(Y * u)
-    # exact-cap draws can land an ulp outside under exact comparisons; nudge in
-    for _ in range(4):
-        x = np.where(x * x > X * v, x * (1.0 - 4e-16), x)
-        y = np.where(y * y > Y * u, y * (1.0 - 4e-16), y)
-        uv = u * v
-        f = np.where(uv > Q, 1.0 - 4e-16, np.where(uv < 1.0, 1.0 + 4e-16, 1.0))
-        u = u * f
-        v = v * f
-    return np.column_stack([X, Y, x, y, u, v])
 
 
 def strip_point(u, v, big=1e6):
@@ -195,12 +171,9 @@ class TestSampling:
 
     @pytest.mark.parametrize("Q", [1.5, 4.0, 50.0])
     def test_unchanged_above_q_one(self, Q):
-        # rows that need no mending are drawn as before, from the same stream
-        for seed in range(20):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert np.array_equal(sample_omega(Q, 1000, rng),
-                                  reference_sample_omega(Q, 1000, ref_rng))
-            assert rng.uniform() == ref_rng.uniform()
+        # rows that need no mending are drawn as before, from the same
+        # stream: 20 seeds' draws and the stream position after, as pinned
+        assert_pinned(campaign_outputs, entry("bellman.sample_omega", "above Q = 1", Q=Q, n=1000))
 
     @pytest.mark.parametrize("Q", [0.5, float("nan")])
     def test_rejects_no_domain(self, Q):

@@ -11,6 +11,7 @@ import pytest
 from dyadlab import bellman
 from dyadlab.bellman import (
     _LOG_SPREAD,
+    _barycenter_premise,
     _barycenter_sampler,
     _member,
     _omega_points,
@@ -25,7 +26,7 @@ from dyadlab.bellman import (
     segments_in_domain_arr,
 )
 from dyadlab.tree import DomainError
-from test_corpus import SAMPLE_Q, assert_pinned, campaign_outputs
+from test_corpus import SAMPLE_Q, assert_pinned, barycenter_points, campaign_outputs, entry
 
 # -- sampling --------------------------------------------------------------------
 
@@ -59,13 +60,13 @@ def test_uniform_and_random_share_one_stream():
 @pytest.mark.parametrize("Q", SAMPLE_Q + [1e300, float(np.finfo(float).max)])
 @pytest.mark.parametrize("n", [1, 7, 40000])
 def test_sample_omega_bit_identical(Q, n):
-    assert_pinned(campaign_outputs, f"bellman.sample_omega/Q={Q!r},n={n}")
+    assert_pinned(campaign_outputs, entry("bellman.sample_omega", Q=Q, n=n))
 
 
 @pytest.mark.parametrize("Q", SAMPLE_Q)
 @pytest.mark.parametrize("n", [1, 7, 40000])
 def test_sample_strip_bit_identical(Q, n):
-    assert_pinned(campaign_outputs, f"bellman._sample_strip/Q={Q!r},n={n}")
+    assert_pinned(campaign_outputs, entry("bellman._sample_strip", Q=Q, n=n))
 
 
 def test_sample_omega_is_a_view_of_coordinate_rows():
@@ -109,7 +110,7 @@ def test_redraw_rows_only_from_strip_outside(Q, boundary_prob, log_spread):
 def test_draws_bit_identical(Q):
     # valid indices, points and stream position after two draws from one
     # sampler, whose buffer the second reuses
-    assert_pinned(campaign_outputs, *(f"bellman.{sampler.__name__}/Q={Q!r},batch=5000"
+    assert_pinned(campaign_outputs, *(entry(f"bellman.{sampler.__name__}", Q=Q, batch=5000)
                                       for sampler in (_triangle_sampler, _barycenter_sampler)))
     for sampler in (_triangle_sampler, _barycenter_sampler):
         rows, _ = sampler(Q, 5000)(np.random.default_rng(0))
@@ -155,8 +156,15 @@ RUNNERS = [pytest.param(runner, id=f"{runner.__name__}-reference_{runner.__name_
     (3, 1, 4000),  # stops at the first valid draw
 ])
 def test_campaign_bit_identical(runner, Q, seed, trials, batch):
-    assert_pinned(campaign_outputs, f"bellman.{runner.__name__}/Q={Q!r},seed={seed},"
-                                    f"trials={trials},batch={batch}")
+    assert_pinned(campaign_outputs, entry(f"bellman.{runner.__name__}", Q=Q, seed=seed,
+                                          trials=trials, batch=batch))
+
+
+@pytest.mark.parametrize("lemma", ["triangle", "barycenter"])
+def test_campaign_keeps_the_first_of_tied_worst_cases(lemma):
+    # each draw followed by its mirror image, which needs the same k, so
+    # every new worst case is a tie
+    assert_pinned(campaign_outputs, entry("bellman._run_campaign", lemma, "mirrored draws"))
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
@@ -172,7 +180,8 @@ def test_no_valid_draw_at_q_one_same_error(runner, time_limit):
             messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert "no premise-valid draw in 20000 consecutive draws" in messages[0]
-    assert_pinned(campaign_outputs, f"bellman.{runner.__name__}/Q=1.0,seed=4,batch=2000")
+    assert_pinned(campaign_outputs, entry(f"bellman.{runner.__name__}", Q=1.0, seed=4,
+                                          batch=2000))
 
 
 def test_barycenter_draw_redraws_at_q_one():
@@ -185,7 +194,7 @@ def test_barycenter_draw_redraws_at_q_one():
     consumed = np.random.default_rng(5)
     consumed.random((4 * 9, 40000))  # the draws without any redraw
     assert rng.random() != consumed.random()
-    assert_pinned(campaign_outputs, "bellman._barycenter_sampler/Q=1.0,batch=40000")
+    assert_pinned(campaign_outputs, entry("bellman._barycenter_sampler", Q=1.0, batch=40000))
 
 
 # -- premises on either memory order -------------------------------------------------
@@ -195,7 +204,9 @@ def test_barycenter_draw_redraws_at_q_one():
 def test_premise_masks_bit_identical(Q):
     # the barycenter campaign's point-level premise on coordinate-major
     # points, and membership on the row-major ones
-    assert_pinned(campaign_outputs, f"bellman._barycenter_premise/Q={Q!r}")
+    assert_pinned(campaign_outputs, entry("bellman._barycenter_premise", Q=Q))
+    got = _barycenter_premise([np.ascontiguousarray(p.T) for p in barycenter_points(Q)], Q)
+    assert got.dtype == bool and 0 < got.sum() < got.size
 
 
 def test_array_checks_same_on_either_memory_order():

@@ -22,52 +22,55 @@ from dyadlab.embedding import (
 )
 from dyadlab.tree import DomainError, DyadicIndex, LeafFunction, StructureError
 from dyadlab.weights import A2Report, Weight, a2_characteristic, gen_cascade
-from test_corpus import _weight, assert_pinned, embedding_outputs
-
-CASES = [(d, s) for d in range(1, 11) for s in range(20)]
+from test_corpus import EMBEDDING_CASES, assert_pinned, embedding_inputs, embedding_outputs, entry
 
 
-@pytest.mark.parametrize("depth,seed", CASES)
+@pytest.mark.parametrize("depth,seed", EMBEDDING_CASES)
 def test_tree_level_functions_match(depth, seed):
     # level averages, differences and Haar coefficients of a function, a
     # weight and its dual, and the heap averages of the three stacked
-    assert_pinned(embedding_outputs, f"tree.level_functions/d={depth},seed={seed}",
-                  f"tree.heap_averages/stack,d={depth},seed={seed}")
+    assert_pinned(embedding_outputs, entry("tree.level_functions", d=depth, seed=seed),
+                  entry("tree.heap_averages", "stack", d=depth, seed=seed))
+    w, phi, _ = embedding_inputs(depth, seed)
+    stack = np.array([phi.values, w.values, 1.0 / w.values])
+    heap = tree.heap_averages(stack)
+    assert heap.flags.c_contiguous
+    assert [row.tobytes() for row in heap] == [tree.heap_averages(v).tobytes() for v in stack]
 
 
-@pytest.mark.parametrize("depth,seed", CASES)
+@pytest.mark.parametrize("depth,seed", EMBEDDING_CASES)
 def test_weight_quantities_match(depth, seed):
     # the cached averages, differences and weighted Haar values, [w]_A2 and
     # the Carleson measure, which shares the cache's array
-    w = _weight(depth, seed)
+    w, _, _ = embedding_inputs(depth, seed)
     assert embedding.carleson_measure_of(w).alpha is w._alpha
-    assert_pinned(embedding_outputs, f"weights.cache/d={depth},seed={seed}")
+    assert_pinned(embedding_outputs, entry("weights.cache", d=depth, seed=seed))
 
 
-@pytest.mark.parametrize("depth,seed", CASES[::3])
+@pytest.mark.parametrize("depth,seed", EMBEDDING_CASES[::3])
 def test_term1_form_matches(depth, seed):
-    assert_pinned(embedding_outputs, f"embedding.term1_form/d={depth},seed={seed}")
+    assert_pinned(embedding_outputs, entry("embedding.term1_form", d=depth, seed=seed))
 
 
-@pytest.mark.parametrize("depth,seed", CASES)
+@pytest.mark.parametrize("depth,seed", EMBEDDING_CASES)
 def test_embedding_kernels_match(depth, seed):
     # the key sum, the four terms, the maximal function, the duality
     # product and the Carleson box check
-    assert_pinned(embedding_outputs, f"embedding.kernels/d={depth},seed={seed}")
+    assert_pinned(embedding_outputs, entry("embedding.kernels", d=depth, seed=seed))
 
 
-@pytest.mark.parametrize("depth,seed", CASES)
+@pytest.mark.parametrize("depth,seed", EMBEDDING_CASES)
 def test_localized_quantities_match_at_every_level(depth, seed):
     # the Bellman point of one interval at every level, and the ratio of w
     # and sigma
-    assert_pinned(embedding_outputs, f"bellman.point_from_data/d={depth},seed={seed}",
-                  f"embedding.two_weight_ratio_max/w-sigma,d={depth},seed={seed}")
+    assert_pinned(embedding_outputs, entry("bellman.point_from_data", d=depth, seed=seed),
+                  entry("embedding.two_weight_ratio_max", "w-sigma", d=depth, seed=seed))
 
 
-@pytest.mark.parametrize("depth,seed", CASES[::7])
+@pytest.mark.parametrize("depth,seed", EMBEDDING_CASES[::7])
 def test_two_weight_ratio_matches_on_unrelated_pairs(depth, seed):
     assert_pinned(embedding_outputs,
-                  f"embedding.two_weight_ratio_max/unrelated,d={depth},seed={seed}")
+                  entry("embedding.two_weight_ratio_max", "unrelated", d=depth, seed=seed))
 
 
 # -- the weight cache and the kernels' edges -----------------------------------

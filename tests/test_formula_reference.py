@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dyadlab.forms import AbsBilinearForm
-from test_corpus import BUILDERS, assert_pinned, form_outputs, form_weight
+from test_corpus import BUILDERS, assert_pinned, entry, form_outputs, form_weight
 
 
 @pytest.mark.parametrize("family", ("power", "cascade"))
@@ -24,7 +24,7 @@ from test_corpus import BUILDERS, assert_pinned, form_outputs, form_weight
 @pytest.mark.parametrize("depth", range(1, 11))
 def test_form_operands_byte_identical(depth, kind, family):
     # m, both maps and both metrics; an operator past depth 8 by its products
-    assert_pinned(form_outputs, f"forms.operands/{kind},{family},d={depth}")
+    assert_pinned(form_outputs, entry("forms.operands", kind, family, d=depth))
 
 
 # -- the sign-pair enumeration ---------------------------------------------------

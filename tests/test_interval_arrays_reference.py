@@ -8,7 +8,7 @@ import pytest
 
 from dyadlab import shifts
 from dyadlab.tree import n_internal
-from test_corpus import SEEDS, assert_pinned, interval_outputs
+from test_corpus import SEEDS, assert_pinned, entry, interval_outputs
 
 DEPTHS = range(1, 13)
 COMPLEXITIES = range(4)
@@ -22,15 +22,15 @@ def test_shift_specs_match(depth, n):
     for seed in SEEDS:
         spec = shifts.ShiftSpec.random(n, depth, seed=seed)
         assert spec.coeffs.shape == (n_internal(max(depth - n, 0)), 1 << n)
-    assert_pinned(interval_outputs, f"shifts.ShiftSpec/n={n},d={depth}")
+    assert_pinned(interval_outputs, entry("shifts.ShiftSpec", n=n, d=depth))
 
 
 @pytest.mark.parametrize("depth", DEPTHS)
 def test_carleson_measures_match(depth):
-    assert_pinned(interval_outputs, f"embedding.carleson_measure_of/d={depth}")
+    assert_pinned(interval_outputs, entry("embedding.carleson_measure_of", d=depth))
 
 
 @pytest.mark.parametrize("depth", DEPTHS)
 def test_haar_expansions_match(depth):
     # analysis of random and zero leaves, and synthesis back
-    assert_pinned(interval_outputs, f"tree.haar_synthesis/d={depth}")
+    assert_pinned(interval_outputs, entry("tree.haar_synthesis", d=depth))
