@@ -415,10 +415,22 @@ MAX_EMPTY_BATCHES = 10
 CAMPAIGN_TOL = 1e-12
 
 
+# The largest Q a campaign takes.  Strip draws have u, v <= 10 sqrt(Q) (uv
+# <= Q, split by a factor in [1/10, 10]), so the largest product a campaign
+# forms, u dv + v du in _uv_checks, reaches about 200 Q, and the barycenter's
+# (bu / 4) (bv / 4) about 100 Q.  Both stay finite below 1e306; 1e300 leaves
+# room for the vertex terms of _quad_max_01.
+MAX_CAMPAIGN_Q = 1e300
+
+
 def _check_campaign(Q: float, valid_trials: int, seed: int) -> None:
-    """Refuse a campaign that could not run: Q not finite or below 1, no
-    trial, or a negative seed."""
+    """Refuse a campaign that could not run: Q not finite or below 1, Q
+    above MAX_CAMPAIGN_Q (its products would overflow), no trial, or a
+    negative seed."""
     _check_q(Q, finite=True)
+    if Q > MAX_CAMPAIGN_Q:
+        raise DomainError(f"campaign Q {Q} exceeds the cap {MAX_CAMPAIGN_Q}: "
+                          f"its segment products would overflow")
     if valid_trials < 1:
         raise DomainError("a campaign needs at least 1 trial")
     if seed < 0:

@@ -19,18 +19,21 @@ Weights: --family power|cascade|file, --param, --depth, --seed, --file,
 each repeatable; defaults power, param 0.5, depth 6, seed 0.  --seed is for
 cascades only; --family file makes one row per --file, with the file's
 depth, and refuses --depth and --param.  Every row searches with
-seed + 7919 * depth and 6 restarts, whichever subcommand asks.  termI_max
-is no search value: it is the exact supremum sqrt(Q) of the term-I form
-(embedding.term1_form).  --jobs spreads the rows over worker processes
-(0 = all cores).
+seed + 7919 * depth and 6 restarts, whichever subcommand asks.  The
+shift0_norm column reuses the key-sum search: the key-sum form and the
+complexity-0 shift form have one supremum, so a row that computes
+key_sum_max writes it into shift0_norm too and runs no shift-0 search of
+its own.  termI_max is no search value: it is the exact supremum sqrt(Q)
+of the term-I form (embedding.term1_form).  --jobs spreads the rows over
+worker processes (0 = all cores).
 CSV rows have the fixed columns CSV_COLUMNS + EXTRA_COLUMNS; JSON summaries
 carry the config, fitted slopes, max ratios and `schema_version: 4`.
 
 geom runs one lemma campaign on no weight: --lemma triangle|barycenter,
---trials, --Q (finite, >= 1), --seed, --json.  Its JSON is the campaign
-report with `schema_version` and `config: {lemma, Q, trials, seed}`.  It is
-the one campaign entry point of the CLI; a campaign at a sweep's Q takes
---Q from `a2`.
+--trials, --Q (>= 1, at most bellman.MAX_CAMPAIGN_Q = 1e300), --seed,
+--json.  Its JSON is the campaign report with `schema_version` and
+`config: {lemma, Q, trials, seed}`.  It is the one campaign entry point of
+the CLI; a campaign at a sweep's Q takes --Q from `a2`.
 
 Exit codes: 0 success, 1 usage error, 2 invariant violation (a geom
 campaign with violations, after its JSON is written).  A row whose weight
@@ -206,9 +209,16 @@ def _fill_row(cfg: SweepConfig, job: dict, row: dict) -> None:
     row["a2_witness"] = [a2.witness.level, a2.witness.position]
     ex = set(cfg.experiments)
     seed = int(job["seed"]) + 7919 * w.depth
+    # The key-sum form and the complexity-0 shift form have one supremum
+    # (README "Conventions"), so a row that has one estimate of it writes
+    # that into both key_sum_max and shift0_norm.
+    key = None
     if "key_sum" in ex or "four_terms" in ex:
-        res = embedding.key_sum_form(w).search_sup(cfg.iters, seed, cfg.restarts)
-        row["key_sum_max"] = res.value
+        if cfg.exact and "shift_norm" in ex and 0 in cfg.complexities:
+            key = _shift_estimate(cfg, w, 0, seed)
+        else:
+            key = embedding.key_sum_form(w).search_sup(cfg.iters, seed, cfg.restarts)
+        row["key_sum_max"] = key.value
     if "four_terms" in ex:
         row["termI_max"] = math.sqrt(q)  # the exact supremum: see embedding.term1_form
     if "carleson" in ex:
@@ -226,8 +236,7 @@ def _fill_row(cfg: SweepConfig, job: dict, row: dict) -> None:
         row["duality_ratio_max"] = best
     if "shift_norm" in ex:
         for n in cfg.complexities:
-            form = shifts.shift_form(shifts.ShiftSpec.constant(n, w.depth), w)
-            est = form.exact_sup() if cfg.exact else form.search_sup(cfg.iters, seed, cfg.restarts)
+            est = key if n == 0 and key is not None else _shift_estimate(cfg, w, n, seed)
             row[f"shift{n}_norm"] = est.value
             row["shift_norm_mode"] = est.mode
     if "bellman_b1" in ex:
@@ -238,6 +247,13 @@ def _fill_row(cfg: SweepConfig, job: dict, row: dict) -> None:
             est.b1_ratio(bellman.BellmanPoint.from_array(p), bellman.DP_SATURATION_DEPTH)
             for p in pts
         )
+
+
+def _shift_estimate(cfg: SweepConfig, w: Weight, n: int, seed: int):
+    """The supremum of the complexity-n shift form with every |c| = 1: exact
+    with cfg.exact, else searched."""
+    form = shifts.shift_form(shifts.ShiftSpec.constant(n, w.depth), w)
+    return form.exact_sup() if cfg.exact else form.search_sup(cfg.iters, seed, cfg.restarts)
 
 
 def run_sweep(cfg: SweepConfig):

@@ -257,6 +257,20 @@ class TestCampaignRobustness:
             runner(Q=1.5, valid_trials=10, seed=-1)
 
     @pytest.mark.parametrize("runner", [run_triangle_campaign, run_barycenter_campaign])
+    def test_q_above_the_cap_raises(self, runner, monkeypatch):
+        # at Q = 1e308 the segment products overflow; the campaign is
+        # refused before it sets anything up
+        self.refuse_set_up(monkeypatch)
+        with pytest.raises(DomainError, match="exceeds the cap 1e\\+300"):
+            runner(Q=1e308, valid_trials=10, seed=0)
+
+    @pytest.mark.parametrize("runner", [run_triangle_campaign, run_barycenter_campaign])
+    def test_q_at_the_cap_runs_without_overflow(self, runner):
+        # a RuntimeWarning from a dyadlab module fails the test
+        rep = runner(Q=bellman.MAX_CAMPAIGN_Q, valid_trials=200, seed=0)
+        assert rep.trials_valid == 200 and np.isfinite(rep.max_needed_k)
+
+    @pytest.mark.parametrize("runner", [run_triangle_campaign, run_barycenter_campaign])
     @pytest.mark.parametrize("trials", [0, -5])
     def test_needs_a_trial(self, runner, trials):
         with pytest.raises(DomainError):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dyadlab
-from dyadlab import bellman, cli, embedding
+from dyadlab import bellman, cli, embedding, shifts
 from dyadlab.cli import (
     CSV_COLUMNS,
     EXTRA_COLUMNS,
@@ -22,6 +22,7 @@ from dyadlab.cli import (
     rows_to_csv,
     run_sweep,
 )
+from dyadlab.forms import AbsBilinearForm
 from dyadlab.tree import LeafFunction
 from dyadlab.weights import a2_characteristic, dual, gen_cascade, gen_power, save_weight
 
@@ -164,6 +165,54 @@ class TestRunSweep:
         rows, _ = run_sweep(self.cfg(params=[0.2, 0.5], jobs=10**6))
         assert len(rows) == 2
         assert all(n <= 2 for n in asked)
+
+
+class TestShiftZeroColumn:
+    """A row with a key-sum value writes it into shift0_norm: the key-sum and
+    complexity-0 shift forms have one supremum (tests/test_shifts.py checks
+    that their normalized maps agree with the two sides swapped)."""
+
+    BATTERY = ("a2", "key_sum", "four_terms", "shift_norm")
+
+    @pytest.mark.parametrize("depth", [3, 5, 9])
+    @pytest.mark.parametrize("family, param, seed", [("power", 0.5, 0), ("cascade", 0.7, 2)])
+    def test_battery_row_reuses_the_key_sum_search(self, family, param, seed, depth,
+                                                   monkeypatch):
+        calls = []
+        search = AbsBilinearForm.search_sup
+
+        def counted(form, *args, **kw):
+            calls.append(args)
+            return search(form, *args, **kw)
+
+        monkeypatch.setattr(AbsBilinearForm, "search_sup", counted)
+        iters, restarts = 12, 3
+        cfg = SweepConfig(family=family, params=[param], depths=[depth], seeds=[seed],
+                          experiments=self.BATTERY, iters=iters, restarts=restarts, jobs=1)
+        (row,), _ = run_sweep(cfg)
+        assert not row["error"]
+        # the key-sum search and the shift-1 search, not a shift-0 one too
+        assert len(calls) == 2
+        assert row["shift0_norm"] == row["key_sum_max"]
+        w = make_weight(family, param, seed, depth)
+        want = search(embedding.key_sum_form(w), iters, seed + 7919 * depth, restarts)
+        assert row["key_sum_max"] == want.value
+        assert row["shift_norm_mode"] == "lower_bound"
+
+    def test_exact_row_writes_the_exact_value_into_both(self):
+        cfg = SweepConfig(family="power", params=[0.5], depths=[3], seeds=[0],
+                          experiments=("key_sum", "shift_norm"), exact=True, jobs=1)
+        (row,), _ = run_sweep(cfg)
+        exact = shifts.shift_form(shifts.ShiftSpec.constant(0, 3), gen_power(3, 0.5)).exact_sup()
+        assert row["key_sum_max"] == row["shift0_norm"] == exact.value
+        assert row["shift_norm_mode"] == "exact"
+
+    def test_norm_row_keeps_its_own_shift0_search(self, tmp_path):
+        out = tmp_path / "norm.json"
+        assert main(["norm", "--depth", "5", "--complexity", "0", "--json", str(out)]) == 0
+        form = shifts.shift_form(shifts.ShiftSpec.constant(0, 5), gen_power(5, 0.5))
+        want = form.search_sup(40, 7919 * 5, 6).value
+        assert json.loads(out.read_text())["norms"][0]["norm"] == want
 
 
 class TestMakeWeight:
@@ -351,6 +400,9 @@ class TestMainExitCodes:
         ["norm", "--complexity", "64"],
         ["bellman", "--dp-depth", "8"],  # every depth >= 3 gave one estimate
         ["bellman", "--samples", "100000000", "--depth", "2"],  # refused before allocating
+        # above bellman.MAX_CAMPAIGN_Q the segment products overflow
+        ["geom", "--lemma", "triangle", "--Q", "1e308", "--trials", "20"],
+        ["geom", "--lemma", "barycenter", "--Q", "1e308", "--trials", "20"],
     ])
     def test_bad_input_is_one_line(self, argv, capsys, tmp_path, time_limit):
         argv = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in argv]

@@ -70,6 +70,8 @@ def test_scaling_sweep_smoke(tmp_path):
     ("run_scaling_sweep.py", ["--depth", "2", "--cascades", "2", "--eps-lo", "1.5",
                               "--eps-hi", "2.0", "--jobs", "1"],
      "--eps-lo must lie in [0, 1), got 1.5"),
+    # above bellman.MAX_CAMPAIGN_Q the segment products overflow
+    ("run_lemma_campaigns.py", ["--Q", "1e308"], "campaign Q 1e+308 exceeds the cap 1e+300"),
 ])
 def test_bad_input_is_one_error_line(name, args, message, tmp_path):
     done = run_script(name, args, tmp_path)

@@ -229,6 +229,46 @@ class TestNormExact:
         shift = shift_form(ShiftSpec.constant(0, depth), w).exact_sup().value
         assert key == pytest.approx(shift, rel=1e-12)
 
+    @pytest.mark.parametrize("depth", range(1, 13))
+    @pytest.mark.parametrize("make", [
+        lambda d: gen_power(d, 0.5),
+        lambda d: gen_cascade(d, 0.7, seed=3),
+    ], ids=["power0.5", "cascade0.7s3"])
+    def test_complexity0_form_is_the_key_sum_form_swapped(self, make, depth):
+        # the identity behind a sweep row writing key_sum_max into
+        # shift0_norm: both m are the identity, and the metric-normalized
+        # maps are H diag(sqrt w) 2^(d/2) and H diag(1 / sqrt w) 2^(d/2) on
+        # one side each
+        w = make(depth)
+        key = key_sum_form(w)
+        shift = shift_form(ShiftSpec.constant(0, depth), w)
+        n = (1 << depth) - 1  # internal intervals
+        if depth <= 8:  # dense maps
+            for form in (key, shift):
+                assert np.array_equal(form.m, np.eye(n))
+            (key_l, key_r), (shift_l, shift_r) = key._normalized, shift._normalized
+            np.testing.assert_allclose(shift_l, key_r, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(shift_r, key_l, rtol=1e-15, atol=0.0)
+            return
+        # operator maps: the normalized maps A D^(-1/2) applied to vectors
+        rng = np.random.default_rng(depth)
+        y = rng.standard_normal((n, 3))
+        for form in (key, shift):
+            assert np.array_equal(form.m @ y, y)
+        x = rng.standard_normal((1 << depth, 3))
+
+        def normalized(amap, metric):
+            return amap @ (x / np.sqrt(metric)[:, None])
+
+        for got, want in [
+            (normalized(shift.left_map, shift.left_metric),
+             normalized(key.right_map, key.right_metric)),
+            (normalized(shift.right_map, shift.right_metric),
+             normalized(key.left_map, key.left_metric)),
+        ]:
+            err = np.linalg.norm(got - want, axis=0)
+            assert np.all(err <= 1e-15 * np.linalg.norm(want, axis=0))
+
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_key_sum_supremum_is_scale_invariant(self, depth):
         w = gen_cascade(depth, 0.7, seed=3)
