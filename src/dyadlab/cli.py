@@ -7,8 +7,7 @@ carleson_norm and shift{n}_norm) and the max ratios.
 
   a2        a2                    a2: [{Q, witness}]
   norm      shift_norm            complexity, norms: [{Q, norm, mode}]
-                                  (mode exact: --exact, up to 15 nonzero
-                                  coefficients: every complexity at depth <= 4)
+                                  (mode exact at every complexity to depth 4)
   embed     key_sum, four_terms   (the sweep summary only)
   carleson  carleson, vavo        max_carleson_over_Q
   bellman   bellman_b1            bellman: [{Q, b1_ratio, dp_depth}], the
@@ -18,14 +17,13 @@ carleson_norm and shift{n}_norm) and the max ratios.
 Weights: --family power|cascade|file, --param, --depth, --seed, --file,
 each repeatable; defaults power, param 0.5, depth 6, seed 0.  --seed is for
 cascades only; --family file makes one row per --file, with the file's
-depth, and refuses --depth and --param.  Every row searches with
-seed + 7919 * depth and 6 restarts, whichever subcommand asks.  The
-shift0_norm column reuses the key-sum search: the key-sum form and the
-complexity-0 shift form have one supremum, so a row that computes
-key_sum_max writes it into shift0_norm too and runs no shift-0 search of
-its own.  termI_max is no search value: it is the exact supremum sqrt(Q)
-of the term-I form (embedding.term1_form).  --jobs spreads the rows over
-worker processes (0 = all cores).
+depth, and refuses --depth and --param.  Every form cell is its form's sup:
+exact wherever the sign enumeration runs (every form up to depth 4), else a
+search with seed + 7919 * depth and 6 restarts, whichever subcommand asks.
+The key-sum and complexity-0 shift forms have one supremum, so a row that
+computes key_sum_max writes it into shift0_norm too.  termI_max is the
+exact supremum sqrt(Q) of the term-I form (embedding.term1_form).  --jobs
+spreads the rows over worker processes (0 = all cores).
 CSV rows have the fixed columns CSV_COLUMNS + EXTRA_COLUMNS; JSON summaries
 carry the config, fitted slopes, max ratios and `schema_version: 4`.
 
@@ -58,7 +56,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bellman, embedding, shifts
-from .forms import ENUM_LIMIT
 from .tree import MAX_DEPTH, DomainError, InvariantError, LeafFunction, StructureError, _mean
 from .weights import (
     Weight,
@@ -100,7 +97,6 @@ class SweepConfig:
     restarts: int = 6
     jobs: int = 0  # 0 -> available cores
     complexities: Tuple[int, ...] = (0, 1)  # shift_norm
-    exact: bool = False  # shift_norm: exhaustive instead of search
     samples: int = 4  # bellman_b1: DP directions per split
 
     def __post_init__(self):
@@ -131,6 +127,8 @@ class SweepConfig:
                 raise UsageError(f"param must be finite, got {a}")
         if self.jobs < 0:
             raise UsageError(f"jobs must be >= 0, got {self.jobs}")
+        if self.iters < 1:
+            raise UsageError(f"iters must be >= 1, got {self.iters}")
         if self.restarts < 1:
             raise UsageError(f"restarts must be >= 1, got {self.restarts}")
 
@@ -213,11 +211,8 @@ def _fill_row(cfg: SweepConfig, job: dict, row: dict) -> None:
     # (README "Conventions"), so a row that has one estimate of it writes
     # that into both key_sum_max and shift0_norm.
     key = None
-    if "key_sum" in ex or "four_terms" in ex:
-        if cfg.exact and "shift_norm" in ex and 0 in cfg.complexities:
-            key = _shift_estimate(cfg, w, 0, seed)
-        else:
-            key = embedding.key_sum_form(w).search_sup(cfg.iters, seed, cfg.restarts)
+    if "key_sum" in ex:
+        key = embedding.key_sum_form(w).sup(cfg.iters, seed, cfg.restarts)
         row["key_sum_max"] = key.value
     if "four_terms" in ex:
         row["termI_max"] = math.sqrt(q)  # the exact supremum: see embedding.term1_form
@@ -236,9 +231,12 @@ def _fill_row(cfg: SweepConfig, job: dict, row: dict) -> None:
         row["duality_ratio_max"] = best
     if "shift_norm" in ex:
         for n in cfg.complexities:
-            est = key if n == 0 and key is not None else _shift_estimate(cfg, w, n, seed)
+            est = key if n == 0 and key is not None else shifts.shift_form(
+                shifts.ShiftSpec.constant(n, w.depth), w).sup(cfg.iters, seed, cfg.restarts)
             row[f"shift{n}_norm"] = est.value
-            row["shift_norm_mode"] = est.mode
+            # "exact" only when every shift cell of the row is
+            if row.get("shift_norm_mode") != "lower_bound":
+                row["shift_norm_mode"] = est.mode
     if "bellman_b1" in ex:
         rng = np.random.default_rng(seed)
         pts = bellman.sample_omega(q, 3, rng)
@@ -247,13 +245,6 @@ def _fill_row(cfg: SweepConfig, job: dict, row: dict) -> None:
             est.b1_ratio(bellman.BellmanPoint.from_array(p), bellman.DP_SATURATION_DEPTH)
             for p in pts
         )
-
-
-def _shift_estimate(cfg: SweepConfig, w: Weight, n: int, seed: int):
-    """The supremum of the complexity-n shift form with every |c| = 1: exact
-    with cfg.exact, else searched."""
-    form = shifts.shift_form(shifts.ShiftSpec.constant(n, w.depth), w)
-    return form.exact_sup() if cfg.exact else form.search_sup(cfg.iters, seed, cfg.restarts)
 
 
 def run_sweep(cfg: SweepConfig):
@@ -350,10 +341,6 @@ def build_parser() -> _Parser:
             sp.add_argument("--iters", type=int, default=40)
         if name == "norm":
             sp.add_argument("--complexity", type=int, default=1)
-            sp.add_argument("--exact", action="store_true",
-                            help="the exact supremum, by one sign per nonzero "
-                                 f"coefficient; refused above {ENUM_LIMIT} of them "
-                                 "(every complexity up to depth 4)")
         if name == "bellman":
             sp.add_argument("--samples", type=int, default=4)
         if name == "sweep":
@@ -424,8 +411,7 @@ PRESETS = {
 def cmd_sweep(args) -> int:
     """Every weight subcommand: run its preset's sweep and emit the result."""
     experiments, extra_keys = PRESETS[args.command]
-    opts = {k: getattr(args, k) for k in ("iters", "exact", "samples")
-            if hasattr(args, k)}
+    opts = {k: getattr(args, k) for k in ("iters", "samples") if hasattr(args, k)}
     if hasattr(args, "complexity"):
         opts["complexities"] = (args.complexity,)
     if args.seed and args.family != "cascade":  # --seed 0 too: SweepConfig accepts [0]

@@ -17,8 +17,8 @@ enumerated, not optimized: eps and -eps give the same value, which leaves
 2^(K-1) patterns, 4096 per batched eigvalsh of the Gram matrices, and the
 witnesses come from one SVD of the best pattern.  exact_sup takes up to
 ENUM_LIMIT = 15 nonzeros, which covers every shipped form (key sum, term I
-and shifts of any complexity) at depth <= 4.  A FormResult's mode is
-"exact" from exact_sup; search_sup returns a "lower_bound".
+and shifts of any complexity) at depth <= 4.  sup runs exact_sup there and
+search_sup elsewhere; its FormResult's mode is "exact" or "lower_bound".
 
 The alternating search forms each map product once.  An argmax step hands
 back its maximizer x together with the image A x (or B x) that its last
@@ -194,17 +194,30 @@ class AbsBilinearForm:
 
     # -- exact mode -------------------------------------------------------
 
+    def _exact_refusal(self) -> Optional[str]:
+        """Why exact_sup cannot run on this form (None when it can)."""
+        if any(isinstance(a, LinearOperator) for a in (self.m, self.left_map, self.right_map)):
+            return "exact mode needs dense maps"
+        k = np.count_nonzero(self.m)
+        if k > ENUM_LIMIT:
+            return f"exact mode limited to {ENUM_LIMIT} nonzero coefficients, this form has {k}"
+        return None
+
+    def sup(self, iters: int, seed: int, restarts: int) -> FormResult:
+        """exact_sup() wherever it runs, else search_sup(iters, seed, restarts)."""
+        if self._exact_refusal() is None:
+            return self.exact_sup()
+        return self.search_sup(iters, seed, restarts)
+
     def exact_sup(self) -> FormResult:
         """The supremum by enumeration of one sign per nonzero of m (see the
         module docstring).  value is the achieved value of the best
         pattern's witnesses and upper_bound that pattern's sigma_1."""
-        if any(isinstance(a, LinearOperator) for a in (self.m, self.left_map, self.right_map)):
-            raise DomainError("exact mode needs dense maps; use the alternating search instead")
+        refusal = self._exact_refusal()
+        if refusal is not None:
+            raise DomainError(f"{refusal}; use the alternating search instead")
         rows, cols = np.nonzero(self.m)
         k = rows.size
-        if k > ENUM_LIMIT:
-            raise DomainError(f"exact mode limited to {ENUM_LIMIT} nonzero coefficients, "
-                              f"this form has {k}; use the alternating search instead")
         zl, zr = self._normalized
         a = zl[rows].T * self.m[rows, cols]  # column k: m_k z_{i_k}
         h = zr[cols] @ zr[cols].T  # r_{j_k}' r_{j_l}

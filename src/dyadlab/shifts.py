@@ -124,11 +124,10 @@ def form_value(spec: ShiftSpec, f1: LeafFunction, f2: LeafFunction) -> float:
 
 
 def shift_form(spec: ShiftSpec, w: Weight) -> AbsBilinearForm:
-    """The shift's form on the unit balls of L2(w) x L2(1/w).  Its exact_sup
-    is the supremum (mode "exact") up to forms.ENUM_LIMIT = 15 nonzero
-    coefficients, so at every complexity up to depth 4, and refused above.
-    Its search_sup is an alternating-maximization "lower_bound" at any
-    depth."""
+    """The shift's form on the unit balls of L2(w) x L2(1/w).  Its sup is
+    exact_sup (mode "exact") up to forms.ENUM_LIMIT = 15 nonzero
+    coefficients, so at every complexity up to depth 4, and above it
+    search_sup, an alternating-maximization "lower_bound"."""
     if w.depth != spec.depth:
         raise StructureError("weight depth must match the shift depth")
     h = _haar_operator(spec.depth)

@@ -144,6 +144,10 @@ class TestRunSweep:
         with pytest.raises(UsageError, match="restarts must be >= 1"):
             self.cfg(restarts=0)
 
+    def test_zero_iters_rejected(self):
+        with pytest.raises(UsageError, match="iters must be >= 1"):
+            self.cfg(iters=0)
+
     def test_workers_capped_by_rows(self, monkeypatch):
         # a recorder in place of the pool: no worker process is started
         asked = []
@@ -191,21 +195,60 @@ class TestShiftZeroColumn:
                           experiments=self.BATTERY, iters=iters, restarts=restarts, jobs=1)
         (row,), _ = run_sweep(cfg)
         assert not row["error"]
-        # the key-sum search and the shift-1 search, not a shift-0 one too
-        assert len(calls) == 2
-        assert row["shift0_norm"] == row["key_sum_max"]
         w = make_weight(family, param, seed, depth)
-        want = search(embedding.key_sum_form(w), iters, seed + 7919 * depth, restarts)
-        assert row["key_sum_max"] == want.value
-        assert row["shift_norm_mode"] == "lower_bound"
+        form = embedding.key_sum_form(w)
+        if depth <= 4:  # the sign enumeration fits: no search runs
+            assert calls == []
+            want, mode = form.exact_sup(), "exact"
+        else:  # the key-sum search and the shift-1 search, not a shift-0 one too
+            assert len(calls) == 2
+            want, mode = search(form, iters, seed + 7919 * depth, restarts), "lower_bound"
+        assert row["shift0_norm"] == row["key_sum_max"] == want.value
+        assert row["shift_norm_mode"] == mode
 
     def test_exact_row_writes_the_exact_value_into_both(self):
         cfg = SweepConfig(family="power", params=[0.5], depths=[3], seeds=[0],
-                          experiments=("key_sum", "shift_norm"), exact=True, jobs=1)
+                          experiments=("key_sum", "shift_norm"), jobs=1)
         (row,), _ = run_sweep(cfg)
-        exact = shifts.shift_form(shifts.ShiftSpec.constant(0, 3), gen_power(3, 0.5)).exact_sup()
-        assert row["key_sum_max"] == row["shift0_norm"] == exact.value
+        w = gen_power(3, 0.5)
+        key = embedding.key_sum_form(w).exact_sup().value
+        assert row["key_sum_max"] == row["shift0_norm"] == key
         assert row["shift_norm_mode"] == "exact"
+        # the shift-0 form's own exact value is the same supremum to rounding
+        shift0 = shifts.shift_form(shifts.ShiftSpec.constant(0, 3), w).exact_sup().value
+        assert key == pytest.approx(shift0, rel=1e-15)
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    @pytest.mark.parametrize("family, param, seed", [("power", 0.8, 0), ("cascade", 0.7, 2)])
+    def test_battery_row_is_exact_up_to_depth_4(self, family, param, seed, depth,
+                                                 monkeypatch):
+        # the benchmark's battery: every form cell is its form's exact_sup value
+        def no_search(form, *args, **kw):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(AbsBilinearForm, "search_sup", no_search)
+        cfg = SweepConfig(family=family, params=[param], depths=[depth], seeds=[seed],
+                          experiments=("a2", "carleson", "key_sum", "four_terms",
+                                       "shift_norm"), jobs=1)
+        (row,), _ = run_sweep(cfg)
+        assert not row["error"]
+        assert row["shift_norm_mode"] == "exact"
+        w = make_weight(family, param, seed, depth)
+        key = embedding.key_sum_form(w).exact_sup().value
+        assert row["key_sum_max"] == row["shift0_norm"] == key
+        shift1 = shifts.shift_form(shifts.ShiftSpec.constant(1, depth), w).exact_sup()
+        assert row["shift1_norm"] == shift1.value
+
+    @pytest.mark.parametrize("complexities", [(0, 5), (5, 0)])
+    def test_row_with_a_searched_cell_is_no_exact_row(self, complexities):
+        # at depth 5 the complexity-5 form has no coefficient and is exact,
+        # the complexity-0 form is searched
+        cfg = SweepConfig(family="power", params=[0.5], depths=[5], seeds=[0],
+                          experiments=("shift_norm",), complexities=complexities,
+                          iters=5, restarts=1, jobs=1)
+        (row,), _ = run_sweep(cfg)
+        assert row["shift5_norm"] == 0.0 and row["shift0_norm"] > 0.0
+        assert row["shift_norm_mode"] == "lower_bound"
 
     def test_norm_row_keeps_its_own_shift0_search(self, tmp_path):
         out = tmp_path / "norm.json"
@@ -247,9 +290,10 @@ class TestMainExitCodes:
         assert "a2" in data
 
     def test_norm_exact(self, capsys, tmp_path):
+        # no flag: the mode follows from the form
         out = tmp_path / "norm.json"
         code = main(["norm", "--family", "power", "--param", "0.5",
-                     "--depth", "3", "--complexity", "0", "--exact",
+                     "--depth", "3", "--complexity", "0",
                      "--json", str(out)])
         assert code == 0
         data = json.loads(out.read_text())
@@ -383,6 +427,7 @@ class TestMainExitCodes:
         ["a2", "--param", "-2"],
         ["a2", "--depth", "0"],
         ["a2", "--family", "file", "--file", "MISSING"],
+        # unknown flags: the mode follows from the form, not from --exact
         ["norm", "--depth", "5", "--exact"],
         ["norm", "--depth", "9", "--complexity", "9", "--exact"],
         ["geom", "--Q", "1.0", "--trials", "10"],
@@ -403,6 +448,8 @@ class TestMainExitCodes:
         # above bellman.MAX_CAMPAIGN_Q the segment products overflow
         ["geom", "--lemma", "triangle", "--Q", "1e308", "--trials", "20"],
         ["geom", "--lemma", "barycenter", "--Q", "1e308", "--trials", "20"],
+        # refused by SweepConfig: an exact row reads no iters
+        ["embed", "--depth", "3", "--iters", "0"],
     ])
     def test_bad_input_is_one_line(self, argv, capsys, tmp_path, time_limit):
         argv = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in argv]

@@ -304,6 +304,40 @@ class TestNormExact:
             shift_form(small, w).exact_sup().value - 1e-12
 
 
+def assert_same_result(got, want):
+    assert got.value == want.value and got.mode == want.mode
+    for field in ("left", "right", "sign_left", "sign_right"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+class TestSup:
+    """sup is exact_sup wherever the sign enumeration runs, else search_sup."""
+
+    @pytest.mark.parametrize("kind", ["key_sum", "shift1"])
+    def test_exact_at_depth4(self, kind):
+        form = sweep_form(kind, gen_cascade(4, 0.7, seed=2))
+        got = form.sup(iters=40, seed=3, restarts=6)
+        assert got.mode == "exact"
+        assert_same_result(got, form.exact_sup())
+
+    @pytest.mark.parametrize("kind", ["key_sum", "shift1"])
+    def test_search_at_depth5(self, kind):
+        form = sweep_form(kind, gen_cascade(5, 0.7, seed=2))
+        got = form.sup(iters=40, seed=3, restarts=2)
+        assert got.mode == "lower_bound"
+        assert_same_result(got, form.search_sup(iters=40, seed=3, restarts=2))
+
+    def test_no_coefficient_with_dense_maps_is_exact(self):
+        # complexity 5 at depth 5 pairs no interval: K = 0
+        est = shift_form(ShiftSpec.constant(5, 5), gen_power(5, 0.5)).sup(40, 0, 2)
+        assert est.mode == "exact" and est.value == 0.0
+
+    def test_operator_maps_are_searched(self):
+        # depth 9 passes its maps as operators, so K = 0 does not make it exact
+        est = shift_form(ShiftSpec.constant(9, 9), gen_power(9, 0.5)).sup(5, 0, 1)
+        assert est.mode == "lower_bound" and est.value == 0.0
+
+
 class TestNormSearch:
     def test_agrees_with_exact(self):
         worst = 0.0

@@ -11,6 +11,7 @@ import pytest
 
 from dyadlab.cli import SweepConfig, main, run_sweep
 from dyadlab.embedding import term1_form
+from dyadlab.forms import AbsBilinearForm
 from dyadlab.weights import a2_characteristic, dual, gen_cascade, gen_power, weighted_haar
 
 WEIGHTS = {
@@ -76,6 +77,22 @@ def test_sweep_row_reads_root_q():
     for row in rows:
         assert not row["error"]
         assert row["termI_max"] == math.sqrt(row["Q"])
+
+
+@pytest.mark.parametrize("depth", [2, 5])
+def test_four_terms_row_runs_no_form_supremum(depth, monkeypatch):
+    # termI_max needs no form value, and key_sum_max is not asked for
+    def no_form(form, *args, **kw):
+        raise AssertionError("a form supremum ran")
+
+    for method in ("sup", "exact_sup", "search_sup"):
+        monkeypatch.setattr(AbsBilinearForm, method, no_form)
+    cfg = SweepConfig(family="cascade", params=[0.7], depths=[depth], seeds=[1],
+                      experiments=("four_terms",), jobs=1)
+    (row,), _ = run_sweep(cfg)
+    assert not row["error"]
+    assert row["key_sum_max"] == ""
+    assert row["termI_max"] == math.sqrt(row["Q"])
 
 
 def test_termI_slope_is_one_half(capsys):
