@@ -24,18 +24,19 @@ The alternating search forms each map product once.  An argmax step hands
 back its maximizer x together with the image A x (or B x) that its last
 sign test formed; the other side's step takes its weights from that image,
 the same side's next step takes its starting signs from it, and the step
-value |A f| m |B g| and the final signs s, t are read from the two images.
+value |A f| m |B g| and the polish's start are read from the two images.
 
-Below FLIP_LIMIT coefficients the alternating search is finished by a 1-opt
-sign-flip polish.  A flip changes the polish's matrix c by a rank-one term,
-so one eigendecomposition of the current Gram matrix screens every
-remaining flip of a loop at once, by the matrix determinant lemma (Golub
-1973, "Some modified matrix eigenvalue problems"; Bunch, Nielsen & Sorensen
-1978, "Rank-one modification of the symmetric eigenproblem").  Only a flip
-that the screen cannot reject by SCREEN_MARGIN gets the exact test, its
-sigma_1 against the polish's 1e-13 acceptance margin, so the decisions are
-those of a full SVD per flip.  With the other side's signs fixed during
-each loop, a candidate costs one matrix product.
+Below FLIP_LIMIT coefficients, on dense forms, the alternating search is
+finished by a 1-opt sign-flip polish.  Like the exact mode it works on one
+signed coefficient matrix (entries +-m_ij), here sign(A f) m sign(B g), and
+it flips rows of it, then columns.  A flip changes the polish's matrix c by
+a rank-one term, so one eigendecomposition of the current Gram matrix
+screens every remaining flip of a loop at once, by the matrix determinant
+lemma (Golub 1973, "Some modified matrix eigenvalue problems"; Bunch,
+Nielsen & Sorensen 1978, "Rank-one modification of the symmetric
+eigenproblem").  Only a flip that the screen cannot reject by SCREEN_MARGIN
+gets the exact test, its sigma_1 against the polish's 1e-13 acceptance
+margin, so the decisions are those of a full SVD per flip.
 
 The coefficient matrix m and the two maps are ndarrays or matrix-free
 operators (tree.LinearOperator).  The search uses only `op @ x`, `x @ op`,
@@ -43,10 +44,11 @@ operators (tree.LinearOperator).  The search uses only `op @ x`, `x @ op`,
 (what it stores) and `__array_ufunc__ = None`, which makes `ndarray @ op`
 return NotImplemented and defer to `op.__rmatmul__`.  An operator m must
 have nonnegative entries; an array m is replaced by its absolute values.
-The exact mode and the sign-flip polish take ndarrays only (at most 15
-nonzero and 64 coefficients).  The form builders go through weighted_form:
-each operator dense (`op @ np.eye(n)`) up to DENSE_MAX_COLUMNS columns (see
-_form_operands), and the metrics w 2^-d and 2^-d / w of L2(w) x L2(1/w).
+The exact mode and the sign-flip polish run only where m and both maps are
+ndarrays (_dense), with at most 15 nonzero and 64 coefficients.  The form
+builders go through weighted_form: each operator dense (`op @ np.eye(n)`)
+up to DENSE_MAX_COLUMNS columns (see _form_operands), and the metrics
+w 2^-d and 2^-d / w of L2(w) x L2(1/w).
 """
 from __future__ import annotations
 
@@ -89,6 +91,13 @@ def _form_operands(depth: int, *ops) -> list:
 
 def _as_map(a):
     return a if isinstance(a, LinearOperator) else np.asarray(a, dtype=float)
+
+
+def _check_search(iters: int, restarts: int) -> None:
+    if iters < 1:
+        raise DomainError("iters must be >= 1")
+    if restarts < 1:
+        raise DomainError("restarts must be >= 1")
 
 
 def _sign(v: np.ndarray) -> np.ndarray:
@@ -153,8 +162,6 @@ class FormResult:
     value: float
     left: np.ndarray
     right: np.ndarray
-    sign_left: Optional[np.ndarray]
-    sign_right: Optional[np.ndarray]
     upper_bound: Optional[float] = None  # sigma_1 of exact_sup's best pattern
     mode: str = "lower_bound"  # "exact" from exact_sup only
 
@@ -192,11 +199,16 @@ class AbsBilinearForm:
         return (self.left_map / np.sqrt(self.left_metric)[None, :],
                 self.right_map / np.sqrt(self.right_metric)[None, :])
 
+    @property
+    def _dense(self) -> bool:
+        """m and both maps are ndarrays, as the exact mode and the polish need."""
+        return all(isinstance(a, np.ndarray) for a in (self.m, self.left_map, self.right_map))
+
     # -- exact mode -------------------------------------------------------
 
     def _exact_refusal(self) -> Optional[str]:
         """Why exact_sup cannot run on this form (None when it can)."""
-        if any(isinstance(a, LinearOperator) for a in (self.m, self.left_map, self.right_map)):
+        if not self._dense:
             return "exact mode needs dense maps"
         k = np.count_nonzero(self.m)
         if k > ENUM_LIMIT:
@@ -204,7 +216,8 @@ class AbsBilinearForm:
         return None
 
     def sup(self, iters: int, seed: int, restarts: int) -> FormResult:
-        """exact_sup() wherever it runs, else search_sup(iters, seed, restarts)."""
+        """exact_sup() where it runs, else search_sup(); checks iters, restarts."""
+        _check_search(iters, restarts)
         if self._exact_refusal() is None:
             return self.exact_sup()
         return self.search_sup(iters, seed, restarts)
@@ -234,10 +247,8 @@ class AbsBilinearForm:
         signed = np.zeros_like(self.m)
         signed[rows, cols] = eps[i] * self.m[rows, cols]
         _, f, g = self._sigma_max_signed(signed)
-        af, bg = self.left_map @ f, self.right_map @ g
         # make the achieved form value carry the result, not the eigenvalue
-        return FormResult(value=self._image_value(af, bg), left=f, right=g,
-                          sign_left=_sign(af), sign_right=_sign(bg),
+        return FormResult(value=self.value(f, g), left=f, right=g,
                           upper_bound=math.sqrt(max(lam, 0.0)), mode="exact")
 
     # -- alternating lower-bound search ----------------------------------
@@ -288,19 +299,22 @@ class AbsBilinearForm:
         g = vt[0] / np.sqrt(self.right_metric)
         return float(sig[0]), f, g
 
-    def _flip_polish(self, s, t):
-        """1-opt local search over the sign patterns, exact objective per
-        pattern (largest singular value), at most 40 passes; escapes the
-        sign-space local maxima that the alternating iteration can get stuck in.
+    def _flip_polish(self, signed):
+        """1-opt local search over the sign patterns of the signed coefficient
+        matrix (entries +-m_ij), exact objective per pattern (largest
+        singular value), at most 40 passes; escapes the sign-space local
+        maxima that the alternating iteration can get stuck in.  Each pass
+        flips rows, then columns; returns (sigma_1, f, g, signed) of the end.
 
         A flip is kept when sigma_1 of the flipped pattern's matrix exceeds
-        tau = val (1 + 1e-13), val = sigma_1(c) of the current matrix c, both
-        read as the square root of the top eigenvalue of the Gram matrix on
-        the smaller side of c.  A flip of s_i or t_j adds a rank-one a b' to
-        c.  By interlacing sigma_2(c + a b') <= val < tau, so
-        tau^2 I - (c + a b')(c + a b')' has at most one negative eigenvalue
-        and the sign of its determinant decides the flip.  By the matrix
-        determinant lemma, that determinant over the positive
+        tau = val (1 + 1e-13), val = sigma_1(c) of the current matrix
+        c = zl' signed zr, both read as the square root of the top eigenvalue
+        of the Gram matrix on the smaller side of c.  A flip adds a rank-one
+        a b' to c: a flip of row j adds zl_j (-2 signed_j zr)', of column j
+        (-2 zl' signed[:, j]) zr_j'.  By interlacing sigma_2(c + a b') <= val
+        < tau, so tau^2 I - (c + a b')(c + a b')' has at most one negative
+        eigenvalue and the sign of its determinant decides the flip.  By the
+        matrix determinant lemma, that determinant over the positive
         det(tau^2 I - c c') is d = (1 - B)^2 - A (|b|^2 + C), where A, B and
         C are a' M^-1 a, a' M^-1 c b and (c b)' M^-1 c b for
         M = tau^2 I - c c', read from the eigendecomposition of c c'.  The
@@ -320,59 +334,43 @@ class AbsBilinearForm:
         the screen was unsure of but the exact test rejected, and the
         witnesses come from one full SVD of the final pattern.  At val = 0,
         c = 0 and a flip is kept iff its rank-one term is nonzero.
-
-        While the s loop runs, m t zr is fixed and each candidate costs one
-        product; while the t loop runs, zl' (s m) is.
         """
-        s = s.copy()
-        t = t.copy()
-        m = self.m
+        signed = signed.copy()
         zl, zr = self._normalized
-        c = zl.T @ (s[:, None] * m * t[None, :]) @ zr
+        c = zl.T @ signed @ zr
         eig = _gram_eigh(c)
         val = math.sqrt(max(eig[0][-1], 0.0))
         for _ in range(40):
-            improved = False
-            for arr in (s, t):
-                if arr is s:
-                    fixed = (m * t[None, :]) @ zr
-                    a_all, b_all = -2.0 * s[:, None] * zl, fixed
-                else:
-                    fixed = zl.T @ (s[:, None] * m)
-                    a_all, b_all = fixed.T, -2.0 * t[:, None] * zr
+            before = val
+            for rows in (True, False):
+                lines = signed if rows else signed.T
+                a, b = (zl, -2.0 * signed @ zr) if rows else (-2.0 * signed.T @ zl, zr)
                 i = 0
-                while i < arr.size:
-                    start, i = i, arr.size
-                    skip = _flip_screen(c, eig, a_all[start:], b_all[start:], val)
+                while i < len(lines):
+                    start, i = i, len(lines)
+                    skip = _flip_screen(c, eig, a[start:], b[start:], val)
                     for j in start + np.flatnonzero(~skip):
-                        arr[j] = -arr[j]
-                        cand = (zl.T @ (s[:, None] * fixed) if arr is s
-                                else (fixed * t[None, :]) @ zr)
+                        cand = c + np.outer(a[j], b[j])
                         cand_eig = _gram_eigh(cand)
                         sigma = math.sqrt(max(cand_eig[0][-1], 0.0))
                         if sigma > val * (1.0 + 1e-13):
+                            lines[j] = -lines[j]
                             val, c, eig, i = sigma, cand, cand_eig, j + 1
-                            improved = True
                             break
-                        arr[j] = -arr[j]
-            if not improved:
+            if val == before:
                 break
-        val, f, g = self._sigma_max_signed(s[:, None] * m * t[None, :])
-        return val, f, g, s, t
+        return (*self._sigma_max_signed(signed), signed)
 
     def search_sup(self, iters: int, seed: int, restarts: int = 8) -> FormResult:
         """Multi-start alternating maximization; monotone per iteration.
 
-        On small instances each run is finished by an exact sign-flip local
+        On small dense forms each run is finished by an exact sign-flip local
         search (1-opt in sign space with the true singular-value objective).
         """
-        if iters < 1:
-            raise DomainError("iters must be >= 1")
-        if restarts < 1:
-            raise DomainError("restarts must be >= 1")
+        _check_search(iters, restarts)
         rng = np.random.default_rng(seed)
         n1, n2 = self.m.shape
-        flips = n1 + n2 <= FLIP_LIMIT
+        polish = n1 + n2 <= FLIP_LIMIT and self._dense
         best = None
         for _ in range(restarts):
             g = rng.standard_normal(self.right_map.shape[1])
@@ -388,15 +386,14 @@ class AbsBilinearForm:
                     val = new
                     break
                 val = new
-            s, t = _sign(af), _sign(bg)
-            if flips:
-                fval, ff, fg, s, t = self._flip_polish(s, t)
+            if polish:
+                fval, ff, fg, _ = self._flip_polish(_sign(af)[:, None] * self.m * _sign(bg))
                 if fval > val:
                     # the achieved form value can only be at least the signed one
                     val = max(fval, self.value(ff, fg))
                     f, g = ff, fg
             if best is None or val > best.value:
-                best = FormResult(value=val, left=f, right=g, sign_left=s, sign_right=t)
+                best = FormResult(value=val, left=f, right=g)
         return best
 
 

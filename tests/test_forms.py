@@ -11,45 +11,44 @@ from dyadlab import forms
 from dyadlab.embedding import key_sum_form, term1_form
 from dyadlab.forms import AbsBilinearForm
 from dyadlab.shifts import ShiftSpec, shift_form
-from dyadlab.tree import LinearOperator
+from dyadlab.tree import IdentityOperator, LinearOperator, _haar_operator
 from dyadlab.weights import gen_cascade
 
 
-def reference_polish(form, s, t, max_passes=40):
-    """The polish with a full SVD per flip, kept verbatim as the reference."""
-    s = s.copy()
-    t = t.copy()
-    val, f, g = form._sigma_max_signed(s[:, None] * form.m * t[None, :])
-    n1, n2 = form.m.shape
+def reference_polish(form, signed, max_passes=40):
+    """The polish with a full SVD per flip: flips rows, then columns, of a
+    copy of the signed coefficient matrix."""
+    signed = signed.copy()
+    val, f, g = form._sigma_max_signed(signed)
     for _ in range(max_passes):
         improved = False
-        for side, n in ((0, n1), (1, n2)):
-            arr = s if side == 0 else t
-            for i in range(n):
-                arr[i] = -arr[i]
-                cand, cf, cg = form._sigma_max_signed(s[:, None] * form.m * t[None, :])
+        for lines in (signed, signed.T):
+            for i in range(len(lines)):
+                lines[i] = -lines[i]
+                cand, cf, cg = form._sigma_max_signed(signed)
                 if cand > val * (1.0 + 1e-13):
                     val, f, g = cand, cf, cg
                     improved = True
                 else:
-                    arr[i] = -arr[i]
+                    lines[i] = -lines[i]
         if not improved:
             break
-    return val, f, g, s, t
+    return val, f, g, signed
 
 
 def assert_same_polish(got, want):
-    val, f, g, s, t = got
-    rval, rf, rg, rs, rt = want
+    val, f, g, signed = got
+    rval, rf, rg, rsigned = want
     assert val == pytest.approx(rval, rel=1e-12)
-    assert np.array_equal(s, rs)
-    assert np.array_equal(t, rt)
+    assert np.array_equal(signed, rsigned)
     np.testing.assert_allclose(f, rf, rtol=1e-12, atol=1e-12 * np.max(np.abs(rf)))
     np.testing.assert_allclose(g, rg, rtol=1e-12, atol=1e-12 * np.max(np.abs(rg)))
 
 
-def random_signs(n, rng):
-    return rng.choice([-1.0, 1.0], size=n)
+def random_signed(form, rng):
+    """m with random row signs, then random column signs: a polish's start."""
+    s, t = (rng.choice([-1.0, 1.0], size=n) for n in form.m.shape)
+    return s[:, None] * form.m * t[None, :]
 
 
 FORMS = {
@@ -71,10 +70,10 @@ FORMS = {
 def test_polish_matches_full_svd_per_flip(kind, depth):
     for k in range(2 if depth == 5 else 3):
         form = FORMS[kind](depth, k)
-        rng = np.random.default_rng(1000 * depth + k)
-        n1, n2 = form.m.shape
-        s, t = random_signs(n1, rng), random_signs(n2, rng)
-        assert_same_polish(form._flip_polish(s, t), reference_polish(form, s, t))
+        signed = random_signed(form, np.random.default_rng(1000 * depth + k))
+        got = form._flip_polish(signed)
+        assert np.array_equal(np.abs(got[3]), form.m)  # every entry stays +-m_ij
+        assert_same_polish(got, reference_polish(form, signed))
 
 
 def direct_form(n1, n2, cols_left, cols_right, seed):
@@ -91,12 +90,22 @@ def direct_form(n1, n2, cols_left, cols_right, seed):
 def test_zero_row_flip_rejected():
     form = direct_form(5, 6, 7, 7, seed=1)
     form.m[2] = 0.0
+    screen = forms._flip_screen
+    settled = []
+
+    def recording(c, eig, a, b, val):
+        skip = screen(c, eig, a, b, val)
+        settled.append(skip[~(b != 0.0).any(axis=1)])  # the zero row's flip adds 0 to c
+        return skip
+
     for seed in range(10):
-        rng = np.random.default_rng(seed)
-        s, t = random_signs(5, rng), random_signs(6, rng)
-        got = form._flip_polish(s, t)
-        assert got[3][2] == s[2]
-        assert_same_polish(got, reference_polish(form, s, t))
+        signed = random_signed(form, np.random.default_rng(seed))
+        with mock.patch.object(forms, "_flip_screen", recording):
+            got = form._flip_polish(signed)
+        assert_same_polish(got, reference_polish(form, signed))
+    # the zero row's flip never reaches the exact test, let alone is kept;
+    # its signed zeros change only with the column flips
+    assert sum(z.size for z in settled) >= 10 and all(z.all() for z in settled)
 
 
 @pytest.mark.parametrize("cols_left, cols_right", [(9, 4), (4, 9)])
@@ -105,19 +114,18 @@ def test_unequal_column_counts(cols_left, cols_right):
     # the rejection test is formed on each side in turn
     for seed in range(10):
         form = direct_form(6, 5, cols_left, cols_right, seed=10 + seed)
-        rng = np.random.default_rng(seed)
-        s, t = random_signs(6, rng), random_signs(5, rng)
-        assert_same_polish(form._flip_polish(s, t), reference_polish(form, s, t))
+        signed = random_signed(form, np.random.default_rng(seed))
+        assert_same_polish(form._flip_polish(signed), reference_polish(form, signed))
 
 
 def test_search_sup_unchanged():
     form = key_sum_form(gen_cascade(5, 0.7, 3))
     res = form.search_sup(iters=40, seed=4, restarts=2)
-    form._flip_polish = lambda s, t: reference_polish(form, s, t)
+    form._flip_polish = lambda signed: reference_polish(form, signed)
     ref = form.search_sup(iters=40, seed=4, restarts=2)
     assert res.value == pytest.approx(ref.value, rel=1e-12)
-    assert np.array_equal(res.sign_left, ref.sign_left)
-    assert np.array_equal(res.sign_right, ref.sign_right)
+    assert res.left.tobytes() == ref.left.tobytes()
+    assert res.right.tobytes() == ref.right.tobytes()
 
 
 @pytest.mark.parametrize("depth", [2, 3, 4])
@@ -197,11 +205,9 @@ def test_no_pattern_factorized_twice(kind, depth, monkeypatch):
     log = record_decompositions(monkeypatch)
     for k in range(2):
         form = FORMS[kind](depth, k)
-        rng = np.random.default_rng(50 * depth + k)
-        n1, n2 = form.m.shape
-        s, t = random_signs(n1, rng), random_signs(n2, rng)
+        signed = random_signed(form, np.random.default_rng(50 * depth + k))
         log.clear()
-        got = form._flip_polish(s, t)
+        got = form._flip_polish(signed)
         accepted, rejected, grams = read_polish_log(log)
         # exact decompositions = accepted flips + unsure rejections + the start
         assert len(grams) == accepted + rejected + 1
@@ -212,17 +218,16 @@ def test_no_pattern_factorized_twice(kind, depth, monkeypatch):
             for j in range(i):
                 assert not np.allclose(grams[i], grams[j], rtol=0.0,
                                        atol=1e-9 * np.max(np.abs(grams[j])))
-        assert_same_polish(got, reference_polish(form, s, t))
+        assert_same_polish(got, reference_polish(form, signed))
 
 
 def assert_repolish_decomposes_no_candidate(form, rng, monkeypatch):
     # a polished pattern: no single flip improves it, so the screen settles
     # every flip of either loop and only the start is decomposed
-    n1, n2 = form.m.shape
-    _, _, _, s, t = form._flip_polish(random_signs(n1, rng), random_signs(n2, rng))
+    signed = form._flip_polish(random_signed(form, rng))[3]
     log = record_decompositions(monkeypatch)
-    got = form._flip_polish(s, t)
-    assert np.array_equal(got[3], s) and np.array_equal(got[4], t)
+    got = form._flip_polish(signed)
+    assert np.array_equal(got[3], signed)
     assert read_polish_log(log)[:2] == (0, 0)
 
 
@@ -243,14 +248,14 @@ def test_polished_pattern_decomposes_no_candidate(kind, depth, monkeypatch):
 def test_search_sup_matches_reference_polish(kind):
     form = FORMS[kind](5, 0)
     res = form.search_sup(iters=40, seed=9, restarts=2)
-    form._flip_polish = lambda s, t: reference_polish(form, s, t)
+    form._flip_polish = lambda signed: reference_polish(form, signed)
     ref = form.search_sup(iters=40, seed=9, restarts=2)
     assert res.value == ref.value
-    for name in ("left", "right", "sign_left", "sign_right"):
+    for name in ("left", "right"):
         assert getattr(res, name).tobytes() == getattr(ref, name).tobytes()
 
 
-def polish_with_checked_screen(form, s, t):
+def polish_with_checked_screen(form, signed):
     """Run the polish, checking that every flip its screen skips has
     sigma_1 <= tau, the reference's test, and compare with the reference."""
     screen = forms._flip_screen
@@ -263,8 +268,8 @@ def polish_with_checked_screen(form, s, t):
         return skip
 
     with mock.patch.object(forms, "_flip_screen", checking):
-        got = form._flip_polish(s, t)
-    assert_same_polish(got, reference_polish(form, s, t))
+        got = form._flip_polish(signed)
+    assert_same_polish(got, reference_polish(form, signed))
 
 
 @given(seed=st.integers(0, 2**32 - 1), n1=st.integers(1, 6), n2=st.integers(1, 6),
@@ -276,14 +281,13 @@ def test_screen_skips_only_rejected_flips(seed, n1, n2, cols_left, cols_right, r
     # down give flips that move sigma_1 by little, zero rows by nothing
     form = direct_form(n1, n2, cols_left, cols_right, seed)
     form.m *= np.array(row_scales[:n1])[:, None]
-    rng = np.random.default_rng(seed)
-    polish_with_checked_screen(form, random_signs(n1, rng), random_signs(n2, rng))
+    polish_with_checked_screen(form, random_signed(form, np.random.default_rng(seed)))
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), cols=st.integers(2, 8))
 @settings(max_examples=60, deadline=None)
 def test_screen_with_repeated_top_singular_value(seed, n, cols):
-    # at s = t = 1, c = m (m^-1 x) is x, whose two top singular values are 1
+    # at signed = m, c = m (m^-1 x) is x, whose two top singular values are 1
     rng = np.random.default_rng(seed)
     r = min(n, cols)
     u = np.linalg.qr(rng.standard_normal((n, r)))[0]
@@ -293,7 +297,7 @@ def test_screen_with_repeated_top_singular_value(seed, n, cols):
     form = AbsBilinearForm(m, np.eye(n), np.linalg.solve(m, x), np.ones(n), np.ones(cols))
     sv = np.linalg.svd(m @ form.right_map, compute_uv=False)
     assert sv[1] == pytest.approx(sv[0], rel=1e-14)
-    polish_with_checked_screen(form, np.ones(n), np.ones(n))
+    polish_with_checked_screen(form, form.m)
 
 
 def test_all_zero_m(monkeypatch):
@@ -303,14 +307,13 @@ def test_all_zero_m(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for seed in range(5):
-            rng = np.random.default_rng(seed)
-            s, t = random_signs(5, rng), random_signs(6, rng)
+            signed = random_signed(form, np.random.default_rng(seed))
             log.clear()
-            got = form._flip_polish(s, t)
+            got = form._flip_polish(signed)
             # c = 0 and every flip leaves it 0: only the start is decomposed
             assert read_polish_log(log)[:2] == (0, 0)
             assert got[0] == 0.0
-            assert_same_polish(got, reference_polish(form, s, t))
+            assert_same_polish(got, reference_polish(form, signed))
         assert form.search_sup(iters=5, seed=0, restarts=2).value == 0.0
 
 
@@ -361,3 +364,21 @@ def test_search_forms_each_map_product_once(restarts):
     ref = form.search_sup(iters=40, seed=5, restarts=restarts)
     assert res.value == ref.value
     assert res.left.tobytes() == ref.left.tobytes()
+
+
+def test_small_matrix_free_form_is_searched_without_the_polish():
+    # n1 + n2 = 14 <= FLIP_LIMIT, but the polish, like the exact mode, needs
+    # dense maps: the search runs without it
+    h = _haar_operator(3)
+    form = AbsBilinearForm(IdentityOperator(7), h, h, np.ones(8), np.ones(8))
+    dense = h @ np.eye(8)
+    twin = AbsBilinearForm(np.eye(7), dense, dense, np.ones(8), np.ones(8))
+    res = form.search_sup(10, 0, 2)
+    assert res.mode == "lower_bound"
+    assert res.value == form.value(res.left, res.right)
+    assert res.value <= twin.exact_sup().value * (1.0 + 1e-12)
+    with pytest.raises(forms.DomainError, match="exact mode needs dense maps"):
+        form.exact_sup()
+    got = form.sup(10, 0, 2)
+    assert got.mode == "lower_bound" and got.value == res.value
+    assert got.left.tobytes() == res.left.tobytes()

@@ -86,7 +86,7 @@ class ReferenceForm(AbsBilinearForm):
             t = np.sign(self.right_map @ g)
             t[t == 0] = 1.0
             if flips:
-                fval, ff, fg, s, t = self._flip_polish(s, t)
+                fval, ff, fg, _ = self._flip_polish(s[:, None] * self.m * t[None, :])
                 if fval > val:
                     val, f, g = fval, ff, fg
                 # the achieved form value can only be at least the signed one
@@ -94,7 +94,7 @@ class ReferenceForm(AbsBilinearForm):
                 if achieved > val:
                     val = achieved
             if best is None or val > best.value:
-                best = FormResult(value=val, left=f, right=g, sign_left=s, sign_right=t)
+                best = FormResult(value=val, left=f, right=g)
         return best
 
 
@@ -120,7 +120,7 @@ def weight(family: str, depth: int):
 
 def assert_same(got: FormResult, ref: FormResult) -> None:
     assert np.float64(got.value).tobytes() == np.float64(ref.value).tobytes()
-    for name in ("left", "right", "sign_left", "sign_right"):
+    for name in ("left", "right"):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name

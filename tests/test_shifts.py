@@ -306,7 +306,7 @@ class TestNormExact:
 
 def assert_same_result(got, want):
     assert got.value == want.value and got.mode == want.mode
-    for field in ("left", "right", "sign_left", "sign_right"):
+    for field in ("left", "right"):
         assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
@@ -336,6 +336,13 @@ class TestSup:
         # depth 9 passes its maps as operators, so K = 0 does not make it exact
         est = shift_form(ShiftSpec.constant(9, 9), gen_power(9, 0.5)).sup(5, 0, 1)
         assert est.mode == "lower_bound" and est.value == 0.0
+
+    @pytest.mark.parametrize("iters, restarts, message", [
+        (0, 2, "iters must be >= 1"), (40, 0, "restarts must be >= 1")])
+    def test_counts_checked_on_the_exact_path(self, iters, restarts, message):
+        # depth 3 is exact, which reads neither count; sup refuses them anyway
+        with pytest.raises(DomainError, match=message):
+            key_sum_form(gen_power(3, 0.5)).sup(iters, 0, restarts)
 
 
 class TestNormSearch:
