@@ -6,7 +6,8 @@ Runs the triangle (median-repair, asserted k = 4.5) and barycenter
 one JSON report per campaign.  Each report carries its Q and seed
 (--seed + 1000 i for the i-th Q); each report and each printed line carries
 the campaign's acceptance rate (premise-valid over drawn trials) and its
-elapsed wall time in seconds.
+elapsed wall time in seconds.  Each report also carries the CLI's
+`provenance` object (versions, numpy's SIMD targets, argv).
 
 Example:
     python3 scripts/run_lemma_campaigns.py --trials 100000 --out-dir results/
@@ -17,7 +18,7 @@ import sys
 import time
 
 from dyadlab.bellman import _check_campaign, run_barycenter_campaign, run_triangle_campaign
-from dyadlab.cli import UsageError, _Parser
+from dyadlab.cli import UsageError, _Parser, provenance
 from dyadlab.tree import DomainError
 
 
@@ -47,6 +48,7 @@ def run() -> int:
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     failures = 0
+    prov = provenance(sys.argv[1:])
     for name, runner in (("triangle", run_triangle_campaign),
                          ("barycenter", run_barycenter_campaign)):
         reports = []
@@ -54,7 +56,8 @@ def run() -> int:
             t0 = time.perf_counter()
             seed = args.seed + 1000 * i
             rep = runner(Q=q, valid_trials=args.trials, seed=seed)
-            js = dict(rep.to_json(), Q=q, seed=seed, elapsed_s=time.perf_counter() - t0)
+            js = dict(rep.to_json(), Q=q, seed=seed, elapsed_s=time.perf_counter() - t0,
+                      provenance=prov)
             reports.append(js)
             status = "OK" if rep.violations == 0 else "VIOLATED"
             failures += rep.violations

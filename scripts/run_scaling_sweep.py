@@ -3,7 +3,8 @@
 
 Runs the standard experiment battery (Carleson norm, key-sum and first-term
 form norms, shift form norms) across a Q range, writes one CSV per family
-plus a JSON summary with fitted log-log slopes vs Q.  Bad options are
+plus a JSON summary with fitted log-log slopes vs Q (each family's summary
+carries the CLI's `provenance` object).  Bad options are
 refused before the first sweep; a row that carries an error is written
 like the others, and the script then exits 1 with the first row error.
 
@@ -16,7 +17,7 @@ import sys
 
 import numpy as np
 
-from dyadlab.cli import SweepConfig, UsageError, _Parser, rows_to_csv, run_sweep
+from dyadlab.cli import SweepConfig, UsageError, _Parser, provenance, rows_to_csv, run_sweep
 from dyadlab.tree import DomainError, StructureError
 
 EXPERIMENTS = ("a2", "carleson", "key_sum", "four_terms", "shift_norm")
@@ -67,7 +68,9 @@ def run() -> int:
     cascade_rows, summary["cascade"] = run_sweep(cfg)
     (out / "cascade_sweep.csv").write_text(rows_to_csv(cascade_rows))
 
-    (out / "scaling_summary.json").write_text(json.dumps(summary, indent=2))
+    prov = provenance(sys.argv[1:])
+    (out / "scaling_summary.json").write_text(json.dumps(
+        {fam: dict(s, provenance=prov) for fam, s in summary.items()}, indent=2))
     errors = [r["error"] for r in power_rows + cascade_rows if r["error"]]
     if errors:
         raise UsageError(errors[0])

@@ -25,7 +25,8 @@ computes key_sum_max writes it into shift0_norm too.  termI_max is the
 exact supremum sqrt(Q) of the term-I form (embedding.term1_form).  --jobs
 spreads the rows over worker processes (0 = all cores).
 CSV rows have the fixed columns CSV_COLUMNS + EXTRA_COLUMNS; JSON summaries
-carry the config, fitted slopes, max ratios and `schema_version: 4`.
+carry the config, fitted slopes, max ratios, `schema_version: 4` and a
+`provenance` object (see `provenance`).
 
 geom runs one lemma campaign on no weight: --lemma triangle|barycenter,
 --trials, --Q (>= 1, at most bellman.MAX_CAMPAIGN_Q = 1e300), --seed,
@@ -55,7 +56,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import bellman, embedding, shifts
+from . import __version__, bellman, embedding, shifts
 from .tree import MAX_DEPTH, DomainError, InvariantError, LeafFunction, StructureError, _mean
 from .weights import (
     Weight,
@@ -278,6 +279,18 @@ def run_sweep(cfg: SweepConfig):
     return rows, summary
 
 
+def provenance(argv) -> dict:
+    """Where a JSON report came from: the dyadlab and numpy versions, the
+    SIMD baseline numpy was built for and the extensions it found on this
+    CPU (numpy's AVX512 loops round exp, log and power differently, so a
+    seed reproduces a campaign only where these match), and argv, the
+    arguments after the program name."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    return {"dyadlab": __version__, "numpy": np.__version__,
+            "numpy_simd": {"baseline": simd["baseline"], "found": simd["found"]},
+            "argv": list(argv)}
+
+
 def rows_to_csv(rows) -> str:
     """The fixed columns of the rows; other row keys (a2_witness,
     shift_norm_mode, shift{n}_norm for n >= 2) stay out of the CSV."""
@@ -353,7 +366,8 @@ def _emit(rows, summary, args) -> int:
     """Write every output, then raise UsageError (exit 1) with the first
     row error, if a row carries one."""
     out = getattr(args, "out", None)  # geom writes no CSV
-    text = json.dumps(summary, indent=2, sort_keys=True)
+    text = json.dumps(dict(summary, provenance=provenance(args.argv)), indent=2,
+                      sort_keys=True)
     if out:
         with open(out, "w") as fh:
             fh.write(rows_to_csv(rows))
@@ -450,6 +464,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.argv = sys.argv[1:] if argv is None else argv
         return COMMANDS[args.command](args)
     except (UsageError, DomainError, StructureError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

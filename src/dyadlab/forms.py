@@ -20,23 +20,31 @@ ENUM_LIMIT = 15 nonzeros, which covers every shipped form (key sum, term I
 and shifts of any complexity) at depth <= 4.  sup runs exact_sup there and
 search_sup elsewhere; its FormResult's mode is "exact" or "lower_bound".
 
-The alternating search forms each map product once.  An argmax step hands
-back its maximizer x together with the image A x (or B x) that its last
-sign test formed; the other side's step takes its weights from that image,
-the same side's next step takes its starting signs from it, and the step
-value |A f| m |B g| and the polish's start are read from the two images.
+The alternating search forms each map product and each sign vector once.
+An argmax step hands back its maximizer x together with the image A x (or
+B x) that its last sign test formed and that image's signs; the other
+side's step takes its weights from the image, the same side's next step
+its starting signs and the polish its start from the signs, and the step
+value |A f| m |B g| is read from the two images.
 
 Below FLIP_LIMIT coefficients, on dense forms, the alternating search is
 finished by a 1-opt sign-flip polish.  Like the exact mode it works on one
 signed coefficient matrix (entries +-m_ij), here sign(A f) m sign(B g), and
-it flips rows of it, then columns.  A flip changes the polish's matrix c by
-a rank-one term, so one eigendecomposition of the current Gram matrix
-screens every remaining flip of a loop at once, by the matrix determinant
-lemma (Golub 1973, "Some modified matrix eigenvalue problems"; Bunch,
-Nielsen & Sorensen 1978, "Rank-one modification of the symmetric
-eigenproblem").  Only a flip that the screen cannot reject by SCREEN_MARGIN
-gets the exact test, its sigma_1 against the polish's 1e-13 acceptance
-margin, so the decisions are those of a full SVD per flip.
+it flips rows of it, then columns.  It works in the form's core (_core):
+the rows and the columns of m that hold a nonzero, with factors fl, fr of
+the Gram matrices of the normalized maps' rows there, from one QR per side
+per form.  A pattern S is zero off the core, so sigma_1(fl' S fr) over the
+core is sigma_1 of S between the normalized maps; the depth-5
+complexity-1 shift's polish decomposes 15 x 15 Gram matrices, not the
+32 x 32 of leaf space, and no flip of a zero row or column is tried.  A
+flip changes the polish's matrix c by a rank-one term, so one
+eigendecomposition of the current Gram matrix screens every remaining flip
+of a loop at once, by the matrix determinant lemma (Golub 1973, "Some
+modified matrix eigenvalue problems"; Bunch, Nielsen & Sorensen 1978,
+"Rank-one modification of the symmetric eigenproblem").  Only a flip that
+the screen cannot reject by SCREEN_MARGIN gets the exact test, its sigma_1
+against the polish's 1e-13 acceptance margin, so the decisions are those of
+a full SVD per flip.
 
 The coefficient matrix m and the two maps are ndarrays or matrix-free
 operators (tree.LinearOperator).  The search uses only `op @ x`, `x @ op`,
@@ -64,8 +72,13 @@ from .tree import MAX_DENSE_DEPTH, DomainError, LinearOperator
 ENUM_LIMIT = 15  # nonzeros K of m above which exact_sup refuses; 2^(K-1) patterns
 FLIP_LIMIT = 64  # n1 + n2 above which the sign-flip polish is skipped
 # The relative margin by which the polish's screen must clear a flip to skip
-# it (see _flip_polish): 32 eps, the N eps rounding bound of an inner product
-# of N = 32 terms, as in the Gram matrices of the depth-5 forms.
+# it (see _flip_polish): 32 eps.  The polish's Gram matrices are inner
+# products of at most 31 terms (the core of a depth-5 form is at most
+# 31 x 31), whose rounding bound is 31 u < 16 eps.  The core factors' QR
+# moves their Gram matrices by at most 6 eps of the largest entry (3 eps in
+# the Frobenius norm) on key-sum and shift-0/1 forms of depths 2-5 (400
+# cascade and 16 power weights), and it moves the screened matrix and the
+# exact test's alike.  The two together stay under 32 eps.
 SCREEN_MARGIN = 2.0**-47
 # The widest map (2^depth columns) that the form builders pass dense.  One
 # product of the (2^d - 1) x 2^d Haar map (times a leafwise multiplier) with
@@ -199,6 +212,19 @@ class AbsBilinearForm:
         return (self.left_map / np.sqrt(self.left_metric)[None, :],
                 self.right_map / np.sqrt(self.right_metric)[None, :])
 
+    @cached_property
+    def _core(self):
+        """(rows, cols, fl, fr) for the sign-flip polish: the rows and the
+        columns of m that hold a nonzero, and factors with
+        fl fl' = zl[rows] zl[rows]' and fr fr' = zr[cols] zr[cols]', for
+        (zl, zr) = _normalized, from one QR per side (fl is square unless
+        rows outnumber the map's columns)."""
+        zl, zr = self._normalized
+        rows = np.flatnonzero(self.m.any(axis=1))
+        cols = np.flatnonzero(self.m.any(axis=0))
+        return (rows, cols, np.linalg.qr(zl[rows].T, mode="r").T,
+                np.linalg.qr(zr[cols].T, mode="r").T)
+
     @property
     def _dense(self) -> bool:
         """m and both maps are ndarrays, as the exact mode and the polish need."""
@@ -253,16 +279,17 @@ class AbsBilinearForm:
 
     # -- alternating lower-bound search ----------------------------------
 
-    def _argmax_generic(self, u, amap, metric, prev, prev_image):
+    def _argmax_generic(self, u, amap, metric, prev):
         """Maximize sum_i u_i |(amap x)_i| over the metric unit sphere, u >= 0.
 
-        prev_image is amap @ prev; returns the maximizer x and amap @ x."""
+        prev is None or the previous step's (x, amap @ x, _sign(amap @ x)) on
+        this side; returns that triple for the maximizer."""
         if not (u > 0).any():
             x = np.ones(amap.shape[1])
             x = x / np.sqrt((metric * x**2).sum())
-            return x, amap @ x
-        s = _sign(prev_image) if prev is not None else np.ones(amap.shape[0])
-        x, ax = prev, prev_image
+            ax = amap @ x
+            return x, ax, _sign(ax)
+        x, ax, s = prev if prev is not None else (None, None, np.ones(amap.shape[0]))
         adjoint = amap.T
         for _ in range(30):
             ell = adjoint @ (u * s)
@@ -278,17 +305,18 @@ class AbsBilinearForm:
         if x is None:
             x = np.ones(amap.shape[1]) / np.sqrt(metric.sum())
             ax = amap @ x
-        return x, ax
+            s = _sign(ax)
+        return x, ax, s
 
-    def _argmax_left(self, bg, prev, prev_image):
-        """The left step for the image bg = B g: returns (f, A f)."""
+    def _argmax_left(self, bg, prev):
+        """The left step for the image bg = B g: returns (f, A f, _sign(A f))."""
         u = self.m @ np.abs(bg)
-        return self._argmax_generic(u, self.left_map, self.left_metric, prev, prev_image)
+        return self._argmax_generic(u, self.left_map, self.left_metric, prev)
 
-    def _argmax_right(self, af, prev, prev_image):
-        """The right step for the image af = A f: returns (g, B g)."""
+    def _argmax_right(self, af, prev):
+        """The right step for the image af = A f: returns (g, B g, _sign(B g))."""
         u = self.m.T @ np.abs(af)
-        return self._argmax_generic(u, self.right_map, self.right_metric, prev, prev_image)
+        return self._argmax_generic(u, self.right_map, self.right_metric, prev)
 
     def _sigma_max_signed(self, signed):
         """sup of the ordinary bilinear form with the signed coefficients
@@ -308,12 +336,16 @@ class AbsBilinearForm:
 
         A flip is kept when sigma_1 of the flipped pattern's matrix exceeds
         tau = val (1 + 1e-13), val = sigma_1(c) of the current matrix
-        c = zl' signed zr, both read as the square root of the top eigenvalue
-        of the Gram matrix on the smaller side of c.  A flip adds a rank-one
-        a b' to c: a flip of row j adds zl_j (-2 signed_j zr)', of column j
-        (-2 zl' signed[:, j]) zr_j'.  By interlacing sigma_2(c + a b') <= val
-        < tau, so tau^2 I - (c + a b')(c + a b')' has at most one negative
-        eigenvalue and the sign of its determinant decides the flip.  By the
+        c = fl' core fr, both read as the square root of the top eigenvalue
+        of the Gram matrix on the smaller side of c.  Here core is signed on
+        _core's rows and columns, and fl, fr are _core's factors, so
+        sigma_1(c) = sigma_1(zl' signed zr), for (zl, zr) = _normalized; c is
+        at most (rows x cols) in size, not the maps' columns x columns.  A
+        flip adds a rank-one a b' to c: a flip of core row j adds
+        fl_j (-2 core_j fr)', of core column j (-2 fl' core[:, j]) fr_j'.
+        By interlacing sigma_2(c + a b') <= val < tau, so
+        tau^2 I - (c + a b')(c + a b')' has at most one negative eigenvalue
+        and the sign of its determinant decides the flip.  By the
         matrix determinant lemma, that determinant over the positive
         det(tau^2 I - c c') is d = (1 - B)^2 - A (|b|^2 + C), where A, B and
         C are a' M^-1 a, a' M^-1 c b and (c b)' M^-1 c b for
@@ -332,19 +364,24 @@ class AbsBilinearForm:
         own Gram matrix, which the next screen reads when the flip is kept.
         So a polish decomposes the start, each accepted flip and each flip
         the screen was unsure of but the exact test rejected, and the
-        witnesses come from one full SVD of the final pattern.  At val = 0,
-        c = 0 and a flip is kept iff its rank-one term is nonzero.
+        witnesses come from one full SVD of the final pattern, with the
+        core written back.  At val = 0, c = 0 and a flip is kept iff its
+        rank-one term is nonzero; an empty core (m = 0) returns the start
+        pattern without any decomposition before that SVD.
         """
         signed = signed.copy()
-        zl, zr = self._normalized
-        c = zl.T @ signed @ zr
+        rows, cols, fl, fr = self._core
+        if rows.size == 0:  # m = 0: every pattern has sigma_1 = 0
+            return (*self._sigma_max_signed(signed), signed)
+        core = signed[np.ix_(rows, cols)]
+        c = fl.T @ core @ fr
         eig = _gram_eigh(c)
         val = math.sqrt(max(eig[0][-1], 0.0))
         for _ in range(40):
             before = val
-            for rows in (True, False):
-                lines = signed if rows else signed.T
-                a, b = (zl, -2.0 * signed @ zr) if rows else (-2.0 * signed.T @ zl, zr)
+            for by_row in (True, False):
+                lines = core if by_row else core.T
+                a, b = (fl, -2.0 * core @ fr) if by_row else (-2.0 * core.T @ fl, fr)
                 i = 0
                 while i < len(lines):
                     start, i = i, len(lines)
@@ -359,6 +396,7 @@ class AbsBilinearForm:
                             break
             if val == before:
                 break
+        signed[np.ix_(rows, cols)] = core
         return (*self._sigma_max_signed(signed), signed)
 
     def search_sup(self, iters: int, seed: int, restarts: int = 8) -> FormResult:
@@ -376,18 +414,19 @@ class AbsBilinearForm:
             g = rng.standard_normal(self.right_map.shape[1])
             g = g / self.right_norm(g)
             bg = self.right_map @ g
-            f = af = None
+            left, right = None, (g, bg, _sign(bg))
             val = -1.0
             for _ in range(iters):
-                f, af = self._argmax_left(bg, f, af)
-                g, bg = self._argmax_right(af, g, bg)
-                new = self._image_value(af, bg)
+                left = self._argmax_left(right[1], left)
+                right = self._argmax_right(left[1], right)
+                new = self._image_value(left[1], right[1])
                 if new <= val * (1.0 + 1e-13):
                     val = new
                     break
                 val = new
+            (f, _, sf), (g, _, sg) = left, right
             if polish:
-                fval, ff, fg, _ = self._flip_polish(_sign(af)[:, None] * self.m * _sign(bg))
+                fval, ff, fg, _ = self._flip_polish(sf[:, None] * self.m * sg)
                 if fval > val:
                     # the achieved form value can only be at least the signed one
                     val = max(fval, self.value(ff, fg))

@@ -599,6 +599,19 @@ class TestPresets:
         data = json.loads(out_json.read_text())
         assert data["config"]["depths"] == [4, 13]
 
+    @pytest.mark.parametrize("argv", [
+        ["a2", "--depth", "3", "--jobs", "1"],
+        ["geom", "--Q", "1.5", "--trials", "10"],
+    ])
+    def test_json_carries_provenance(self, argv, tmp_path):
+        out = tmp_path / "p.json"
+        assert main([*argv, "--json", str(out)]) == 0
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
+        assert json.loads(out.read_text())["provenance"] == {
+            "dyadlab": dyadlab.__version__, "numpy": np.__version__,
+            "numpy_simd": {"baseline": simd["baseline"], "found": simd["found"]},
+            "argv": [*argv, "--json", str(out)]}
+
     @pytest.mark.parametrize("lemma", ["triangle", "barycenter"])
     def test_campaign_json_names_its_config(self, lemma, tmp_path):
         out = tmp_path / "g.json"

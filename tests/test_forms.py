@@ -88,24 +88,63 @@ def direct_form(n1, n2, cols_left, cols_right, seed):
 
 
 def test_zero_row_flip_rejected():
+    # the zero row's flip adds 0 to c: the row lies outside the polish's
+    # core, so its signed zeros keep the start's signs
     form = direct_form(5, 6, 7, 7, seed=1)
     form.m[2] = 0.0
-    screen = forms._flip_screen
-    settled = []
-
-    def recording(c, eig, a, b, val):
-        skip = screen(c, eig, a, b, val)
-        settled.append(skip[~(b != 0.0).any(axis=1)])  # the zero row's flip adds 0 to c
-        return skip
-
+    rows, cols, _, _ = form._core
+    assert rows.tolist() == [0, 1, 3, 4] and cols.tolist() == list(range(6))
     for seed in range(10):
         signed = random_signed(form, np.random.default_rng(seed))
-        with mock.patch.object(forms, "_flip_screen", recording):
-            got = form._flip_polish(signed)
+        got = form._flip_polish(signed)
+        assert np.array_equal(np.signbit(got[3][2]), np.signbit(signed[2]))
         assert_same_polish(got, reference_polish(form, signed))
-    # the zero row's flip never reaches the exact test, let alone is kept;
-    # its signed zeros change only with the column flips
-    assert sum(z.size for z in settled) >= 10 and all(z.all() for z in settled)
+
+
+def test_zero_column_lies_outside_the_core():
+    form = direct_form(5, 6, 7, 7, seed=3)
+    form.m[:, 4] = 0.0
+    rows, cols, _, _ = form._core
+    assert rows.tolist() == list(range(5)) and cols.tolist() == [0, 1, 2, 3, 5]
+    for seed in range(10):
+        signed = random_signed(form, np.random.default_rng(seed))
+        got = form._flip_polish(signed)
+        assert np.array_equal(np.signbit(got[3][:, 4]), np.signbit(signed[:, 4]))
+        assert_same_polish(got, reference_polish(form, signed))
+
+
+def test_more_core_rows_than_map_columns():
+    # 7 nonzero rows of m against 3 left map columns: fl is 7 x 3, not square
+    for seed in range(10):
+        form = direct_form(7, 5, 3, 6, seed=20 + seed)
+        _, _, fl, fr = form._core
+        assert fl.shape == (7, 3) and fr.shape == (5, 5)
+        signed = random_signed(form, np.random.default_rng(seed))
+        assert_same_polish(form._flip_polish(signed), reference_polish(form, signed))
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["key_sum", "shift0_const", "shift1_const"])
+def test_core_factors_give_the_gram_matrices(kind, depth):
+    form = FORMS[kind](depth, 0)
+    rows, cols, fl, fr = form._core
+    assert np.array_equal(rows, np.flatnonzero(form.m.any(axis=1)))
+    assert np.array_equal(cols, np.flatnonzero(form.m.any(axis=0)))
+    zl, zr = form._normalized
+    for factor, z in ((fl, zl[rows]), (fr, zr[cols])):
+        # fewer nonzero rows than leaves: each factor is square
+        assert factor.shape == (z.shape[0], z.shape[0])
+        gram = z @ z.T
+        assert np.linalg.norm(factor @ factor.T - gram) <= 1e-12 * np.linalg.norm(gram)
+
+
+def test_depth5_shift1_core():
+    # the complexity-1 shift pairs 15 intervals on the left with 30 on the
+    # right: its polish decomposes 15 x 15 Gram matrices, not 32 x 32
+    form = FORMS["shift1_const"](5, 0)
+    rows, cols, fl, fr = form._core
+    assert form.m.shape == (31, 31) and (rows.size, cols.size) == (15, 30)
+    assert fl.shape == (15, 15) and fr.shape == (30, 30)
 
 
 @pytest.mark.parametrize("cols_left, cols_right", [(9, 4), (4, 9)])
@@ -310,8 +349,8 @@ def test_all_zero_m(monkeypatch):
             signed = random_signed(form, np.random.default_rng(seed))
             log.clear()
             got = form._flip_polish(signed)
-            # c = 0 and every flip leaves it 0: only the start is decomposed
-            assert read_polish_log(log)[:2] == (0, 0)
+            # the core is empty: nothing is decomposed before the final SVD
+            assert [kind for kind, _, _ in log] == ["svd"]
             assert got[0] == 0.0
             assert_same_polish(got, reference_polish(form, signed))
         assert form.search_sup(iters=5, seed=0, restarts=2).value == 0.0

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import dyadlab
@@ -32,6 +33,21 @@ def test_lemma_campaigns_smoke(tmp_path):
         assert 0.0 < report["accept_ratio"] < 1.0 and report["elapsed_s"] > 0.0
 
 
+def assert_provenance(prov, args):
+    assert prov["dyadlab"] == dyadlab.__version__ and prov["numpy"] == np.__version__
+    assert set(prov["numpy_simd"]) == {"baseline", "found"}
+    assert prov["argv"] == args
+
+
+def test_lemma_campaign_reports_carry_provenance(tmp_path):
+    args = ["--trials", "20", "--Q", "1.5", "--Q", "3"]
+    done = run_script("run_lemma_campaigns.py", args, tmp_path)
+    assert done.returncode == 0, done.stderr
+    for lemma in ("triangle", "barycenter"):
+        for report in json.loads((tmp_path / f"{lemma}_campaign.json").read_text()):
+            assert_provenance(report["provenance"], [*args, "--out-dir", str(tmp_path)])
+
+
 def test_lemma_campaign_reports_name_q_and_seed(tmp_path):
     done = run_script("run_lemma_campaigns.py",
                       ["--trials", "20", "--Q", "1.5", "--Q", "3", "--seed", "2"], tmp_path)
@@ -48,6 +64,10 @@ def test_scaling_sweep_smoke(tmp_path):
     summary = json.loads((tmp_path / "scaling_summary.json").read_text())
     assert set(summary) == {"power", "cascade"}
     assert summary["power"]["slopes"]
+    for family in ("power", "cascade"):
+        assert_provenance(summary[family]["provenance"],
+                          ["--depth", "2", "--cascades", "2", "--jobs", "1",
+                           "--out-dir", str(tmp_path)])
     for family in ("power", "cascade"):
         assert (tmp_path / f"{family}_sweep.csv").read_text().startswith("family,")
 
