@@ -6,7 +6,8 @@ with x^2 <= X v, y^2 <= Y u and 1 <= u v <= Q.  This module provides:
 * exact membership and closed-form segment containment (every constraint is
   a quadratic along a segment, so no sampling is needed);
 * randomized verification campaigns for the two convexity-repair lemmas
-  (triangle/median and barycenter), on one vectorized segment kernel;
+  (triangle/median and barycenter): one vectorized strip kernel checks uv
+  along every segment, and the six-coordinate kernel adds the caps;
 * a depth-limited dynamic-programming lower estimate of the value function,
   with gain |dx||dy| per node split: the best split at the query point, its
   children valued in closed form (the best grid split and the exactly solved
@@ -17,7 +18,8 @@ with x^2 <= X v, y^2 <= Y u and 1 <= u v <= Q.  This module provides:
 
 Point arrays at the API are (n, 6), one point per row.  The campaigns and
 the DP estimator keep their points coordinate-major, as (6, n) arrays whose
-rows are the six coordinates (C-contiguous in the campaigns): every formula
+rows are the six coordinates, or (2, n) (u, v) arrays in the triangle
+campaign (C-contiguous in the campaigns): every formula
 here works one coordinate at a time, and contiguous rows make those
 elementwise passes cheaper.
 sample_omega fills one (6, n) buffer and returns its (n, 6) `.T` view; the
@@ -31,14 +33,16 @@ depends on its own column alone, and its final (u, v) on the strip rows
 alone, so the first step builds only the points whose strip (u, v) start
 outside 1 <= uv <= Q.  The barycenter campaign decides on the
 barycenter's uv <= Q first, from those (u, v), and builds the other
-coordinates only for the rows that pass; its four blocks per batch live in
-one buffer allocated once per campaign and refilled in place.
+coordinates only for the rows that pass; each draw fills its four blocks
+in one buffer and moves the candidate columns within it.
 
-The triangle campaign draws slack points (X = Y = 1e6, x = y = 0), whose
-caps x^2 <= X v and y^2 <= Y u cannot bind for positive u, v.  Its premise
-reads the (u, v) rows alone, with the uv half of the segment kernel, and
-slack points are built for the premise-valid rows only.  A six-coordinate
-triangle campaign, where the caps do bind, is still open (ROADMAP item 3).
+The campaigns' draws are plain functions draw(rng, Q, batch), each run
+with its lemma's segment kernel.  The triangle campaign never leaves the
+strip: its draws, premise and segment checks read (u, v) alone, and only
+its report writes the worst case as a slack point (X = Y = 1e6,
+x = y = 0), whose caps x^2 <= X v and y^2 <= Y u cannot bind for positive
+u, v.  A six-coordinate triangle campaign, where the caps do bind, is
+still open (ROADMAP item 3).
 """
 from __future__ import annotations
 
@@ -148,12 +152,19 @@ def _quad_max_01(g0, g1, g2, g_end):
     return best
 
 
-def _uv_checks(u, v, qu, qv, tol: float):
-    """(uv >= 1 - tol all along, max uv) along the segments from (u, v) to
-    (qu, qv): the two quadratics of u(t) v(t) in _segment_checks."""
+def _strip_checks(p, q, tol: float):
+    """Closed-form uv checks along the segments p + t(q - p), t in [0, 1],
+    for (u, v) coordinate arrays of shape (2,) or (2, n).
+
+    Returns (uv_ok, max_uv): whether u and v are positive at both ends and
+    u(t) v(t) >= 1 - tol all along, and the max of u(t) v(t).  Positivity
+    is linear, so the endpoints decide it; u(t) v(t) is a quadratic, whose
+    g(0) and g(1) come from the end points' own coordinates."""
+    (u, v), (qu, qv) = p, q
     du, dv = qu - u, qv - v
     g0, g1, g2, g_end = u * v, u * dv + v * du, du * dv, qu * qv
-    return (_quad_max_01(1.0 - g0, -g1, -g2, 1.0 - g_end) <= tol,
+    pos = (u > 0.0) & (v > 0.0) & (qu > 0.0) & (qv > 0.0)
+    return (pos & (_quad_max_01(1.0 - g0, -g1, -g2, 1.0 - g_end) <= tol),
             _quad_max_01(g0, g1, g2, g_end))
 
 
@@ -162,42 +173,37 @@ def _segment_checks(p: np.ndarray, q: np.ndarray, tol: float):
     coordinate arrays of shape (6,) or (6, n).
 
     Returns (caps_ok, max_uv): whether every constraint but uv <= Q holds
-    within tol all along, and the max of u(t) v(t).  Each constraint is a
-    quadratic g(t) (violation iff g > 0); positivity of X, Y, u, v is linear,
-    so the endpoints decide it.  g(0) and g(1) come from the end points' own
-    coordinates, as in membership: the sum g0 + g1 + g2 can miss g(1) by more
-    than tol where the terms are large.
+    within tol all along, and the max of u(t) v(t).  The uv half is
+    _strip_checks on the (u, v) rows; each cap is a quadratic g(t)
+    (violation iff g > 0), and positivity of X and Y is linear, so the
+    endpoints decide it.  g(0) and g(1) come from the end points' own
+    coordinates, as in membership: the sum g0 + g1 + g2 can miss g(1) by
+    more than tol where the terms are large.
     """
     X, Y, x, y, u, v = p
     qX, qY, qx, qy, qu, qv = q
     dX, dY, dx, dy = qX - X, qY - Y, qx - x, qy - y
     du, dv = qu - u, qv - v
-    pos = ((X > 0.0) & (Y > 0.0) & (u > 0.0) & (v > 0.0)
-           & (qX > 0.0) & (qY > 0.0) & (qu > 0.0) & (qv > 0.0))
     # x(t)^2 - X(t) v(t) and y(t)^2 - Y(t) u(t)
     cap_x = _quad_max_01(x * x - X * v, 2 * x * dx - (X * dv + v * dX), dx * dx - dX * dv,
                          qx * qx - qX * qv)
     cap_y = _quad_max_01(y * y - Y * u, 2 * y * dy - (Y * du + u * dY), dy * dy - dY * du,
                          qy * qy - qY * qu)
-    uv_low_ok, max_uv = _uv_checks(u, v, qu, qv, tol)
-    return pos & (cap_x <= tol) & (cap_y <= tol) & uv_low_ok, max_uv
+    uv_ok, max_uv = _strip_checks(p[4:], q[4:], tol)
+    return ((X > 0.0) & (Y > 0.0) & (qX > 0.0) & (qY > 0.0)
+            & (cap_x <= tol) & (cap_y <= tol) & uv_ok), max_uv
 
 
 def segment_in_domain(p: BellmanPoint, q: BellmanPoint, Q: float, tol: float = 0.0) -> bool:
-    """Closed-form check that the whole segment [p, q] lies in Omega_Q."""
+    """Closed-form check that the whole segment [p, q] lies in Omega_Q.  A
+    segment with a non-finite end coordinate is outside, and is not put
+    through the quadratics, where inf - inf would warn."""
     _check_q(Q)
-    return bool(segments_in_domain_arr(p.as_array()[None], q.as_array()[None], Q, tol)[0])
-
-
-def segments_in_domain_arr(P: np.ndarray, R: np.ndarray, Q: float, tol: float = 0.0):
-    """Vectorized segment containment for (n, 6) endpoint arrays; a segment
-    with a non-finite end coordinate is outside, and is not put through the
-    quadratics, where inf - inf would warn."""
-    ok = np.isfinite(P).all(axis=1) & np.isfinite(R).all(axis=1)
-    rows = slice(None) if ok.all() else ok
-    caps_ok, max_uv = _segment_checks(P[rows].T, R[rows].T, tol)
-    ok[rows] &= caps_ok & (max_uv <= Q + tol)
-    return ok
+    a, b = p.as_array(), q.as_array()
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return False
+    caps_ok, max_uv = _segment_checks(a, b, tol)
+    return bool(caps_ok & (max_uv <= Q + tol))
 
 
 # _joint_segment_checks works through its columns in chunks of this many,
@@ -206,21 +212,21 @@ def segments_in_domain_arr(P: np.ndarray, R: np.ndarray, Q: float, tol: float = 
 _SEGMENT_CHUNK = 8192
 
 
-def _joint_segment_checks(pts, segments):
-    """_segment_checks at CAMPAIGN_TOL over the segments (pts[i], pts[j]),
-    (i, j) in segments, of (6, n) coordinate arrays: (caps_ok, max uv), each
-    over all segments."""
+def _joint_segment_checks(kernel, pts, segments):
+    """kernel (_strip_checks or _segment_checks) at CAMPAIGN_TOL over the
+    segments (pts[i], pts[j]), (i, j) in segments, of coordinate-major point
+    arrays with one column per point: (ok, max uv), each over all
+    segments."""
     n = pts[0].shape[1]
-    caps_ok = np.ones(n, dtype=bool)
+    ok = np.ones(n, dtype=bool)
     max_uv = np.full(n, -np.inf)
     for lo in range(0, n, _SEGMENT_CHUNK):
         cols = slice(lo, lo + _SEGMENT_CHUNK)
         for i, j in segments:
-            seg_caps_ok, seg_max_uv = _segment_checks(pts[i][:, cols], pts[j][:, cols],
-                                                      CAMPAIGN_TOL)
-            caps_ok[cols] &= seg_caps_ok
+            seg_ok, seg_max_uv = kernel(pts[i][:, cols], pts[j][:, cols], CAMPAIGN_TOL)
+            ok[cols] &= seg_ok
             np.maximum(max_uv[cols], seg_max_uv, out=max_uv[cols])
-    return caps_ok, max_uv
+    return ok, max_uv
 
 
 # -- sampling -------------------------------------------------------------
@@ -364,23 +370,6 @@ def sample_omega(Q: float, n: int, rng, boundary_prob: float = _BOUNDARY_PROB) -
     return _omega_points(U, Q, boundary_prob).T
 
 
-# X = Y of the triangle campaign's slack points (whose x = y = 0)
-_SLACK = 1e6
-
-
-def _slack_points(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Embed strip points into 6-tuples with slack remaining coordinates,
-    as a (6, n) coordinate-major array."""
-    out = np.empty((6, u.size))
-    out[0] = _SLACK
-    out[1] = _SLACK
-    out[2] = 0.0
-    out[3] = 0.0
-    out[4] = u
-    out[5] = v
-    return out
-
-
 @dataclass
 class CampaignReport:
     lemma: str
@@ -417,9 +406,9 @@ CAMPAIGN_TOL = 1e-12
 
 # The largest Q a campaign takes.  Strip draws have u, v <= 10 sqrt(Q) (uv
 # <= Q, split by a factor in [1/10, 10]), so the largest product a campaign
-# forms, u dv + v du in _uv_checks, reaches about 200 Q, and the barycenter's
-# (bu / 4) (bv / 4) about 100 Q.  Both stay finite below 1e306; 1e300 leaves
-# room for the vertex terms of _quad_max_01.
+# forms, u dv + v du in _strip_checks, reaches about 200 Q, and the
+# barycenter's (bu / 4) (bv / 4) about 100 Q.  Both stay finite below
+# 1e306; 1e300 leaves room for the vertex terms of _quad_max_01.
 MAX_CAMPAIGN_Q = 1e300
 
 
@@ -437,32 +426,31 @@ def _check_campaign(Q: float, valid_trials: int, seed: int) -> None:
         raise DomainError("campaign seed must be >= 0")
 
 
-def _run_campaign(lemma: str, sampler, segments, Q: float, valid_trials: int,
+def _run_campaign(lemma: str, draw, segments, kernel, Q: float, valid_trials: int,
                   seed: int, asserted_k: float, batch: int) -> CampaignReport:
     """Rejection sampling shared by the lemma campaigns, at CAMPAIGN_TOL.
 
-    sampler(Q, batch) sets up the campaign's draws and returns draw:
-    draw(rng) draws one batch and returns its premise-valid indices, in
-    increasing order, and a list of (6, k) coordinate-major point arrays,
-    one column per valid index.  A valid draw needs k = max(1, max uv / Q)
-    over its segments (points[i], points[j]), (i, j) in segments, or
-    k = inf when a segment leaves the caps.  The inputs are checked before
-    the sampler is set up, so a refused campaign draws and allocates
-    nothing.  A sampler may decide its premise before building the points
-    (the triangle one entirely from (u, v), the barycenter one in part, from
-    the barycenter's uv), but it returns exactly the draws the full premise
-    accepts.
+    draw(rng, Q, batch) draws one batch and returns its premise-valid
+    indices, in increasing order, and a list of coordinate-major point
+    arrays, one column per valid index.  A valid draw needs k = max(1,
+    max uv / Q) over its segments (points[i], points[j]), (i, j) in
+    segments, or k = inf where a segment fails kernel's other checks;
+    kernel is _strip_checks for (2, k) (u, v) arrays and _segment_checks
+    for (6, k) points.  The inputs are checked before the first draw, so a
+    refused campaign draws nothing.  A draw may decide its premise before
+    building the points (the triangle one entirely from (u, v), the
+    barycenter one in part, from the barycenter's uv), but it returns
+    exactly the draws the full premise accepts.
     """
     _check_campaign(Q, valid_trials, seed)
     if not batch >= 1:
         raise DomainError(f"campaign batch must be >= 1, got {batch}")
     rng = np.random.default_rng(seed)
-    draw = sampler(Q, batch)
     valid = total = violations = empty = 0
     max_needed = 1.0
     worst = None
     while valid < valid_trials:
-        rows, pts = draw(rng)
+        rows, pts = draw(rng, Q, batch)
         need = valid_trials - valid
         take = rows[:need]
         # the campaign stops at the draw that completes it
@@ -475,9 +463,9 @@ def _run_campaign(lemma: str, sampler, segments, Q: float, valid_trials: int,
             continue
         empty = 0
         pts = [arr[:, : take.size] for arr in pts]
-        caps_ok, max_uv = _joint_segment_checks(pts, segments)
+        ok, max_uv = _joint_segment_checks(kernel, pts, segments)
         needed = np.maximum(np.divide(max_uv, Q, out=max_uv), 1.0, out=max_uv)
-        needed = np.where(caps_ok, needed, np.inf)
+        needed = np.where(ok, needed, np.inf)
         bad = needed > asserted_k * (1.0 + 1e-12)
         violations += int(np.sum(bad))
         k = int(np.argmax(needed))
@@ -493,16 +481,13 @@ def _run_campaign(lemma: str, sampler, segments, Q: float, valid_trials: int,
     )
 
 
-def _triangle_sampler(Q: float, batch: int):
-    """The triangle campaign's draw: the premise on the strip samples of A,
-    B and C, three (2, batch) (u, v) arrays, then slack points for the valid
-    rows only."""
-    def draw(rng):
-        strips = [np.array(_sample_strip(Q, batch, rng)) for _ in range(3)]
-        ok = _median_premise(strips, Q)
-        rows = np.nonzero(ok)[0]
-        return rows, [_slack_points(*S[:, rows]) for S in strips]
-    return draw
+def _triangle_sampler(rng, Q: float, batch: int):
+    """The triangle campaign's draw: the median premise on the strip samples
+    of A, B and C, three (2, batch) (u, v) arrays, and the valid columns of
+    each."""
+    strips = [np.array(_sample_strip(Q, batch, rng)) for _ in range(3)]
+    rows = np.nonzero(_median_premise(strips, Q))[0]
+    return rows, [S[:, rows] for S in strips]
 
 
 def _median_premise(strips, Q: float):
@@ -518,74 +503,86 @@ def _median_premise(strips, Q: float):
 
 
 def _strip_segments_ok(p, q, Q: float):
-    """segments_in_domain_arr at CAMPAIGN_TOL on the slack points of the
-    (2, n) (u, v) arrays p and q, read from (u, v) alone: the slack caps,
-    max(-_SLACK v, -_SLACK qv) and alike in u, are negative where u and v
-    are positive at both ends, so they hold."""
-    (u, v), (qu, qv) = p, q
-    uv_low_ok, max_uv = _uv_checks(u, v, qu, qv, CAMPAIGN_TOL)
-    return ((u > 0.0) & (v > 0.0) & (qu > 0.0) & (qv > 0.0) & uv_low_ok
-            & (max_uv <= Q + CAMPAIGN_TOL))
+    """Segment containment in the strip 1 <= uv <= Q at CAMPAIGN_TOL for the
+    (2, n) (u, v) arrays p and q: _strip_checks and max uv <= Q + tol.  It
+    is the full segment check on the slack points (1e6, 1e6, 0, 0, u, v):
+    their caps, max(-1e6 v, -1e6 qv) and alike in u, are negative where u
+    and v are positive at both ends, so they hold."""
+    ok, max_uv = _strip_checks(p, q, CAMPAIGN_TOL)
+    return ok & (max_uv <= Q + CAMPAIGN_TOL)
 
 
 def run_triangle_campaign(Q: float, valid_trials: int, seed: int,
                           batch: int = 40000) -> CampaignReport:
-    """Randomized verification of the median-repair lemma, k = 4.5, on
-    slack-coordinate triples (rejection sampling in the hyperbolic strip).
+    """Randomized verification of the median-repair lemma, k = 4.5, in the
+    hyperbolic strip (rejection sampling of (u, v) triples).
 
-    The draws are slack points, X = Y = 1e6 and x = y = 0, whose caps cannot
-    bind for positive u, v, so the lemma is checked on the uv constraints
-    only; a six-coordinate campaign is still open (ROADMAP item 3).  The
-    premise reads the strip samples' (u, v) rows, and slack points are built
-    for the premise-valid rows only.
+    The lemma constrains u and v alone, so the draws, the premise and the
+    segment checks (_strip_checks) never leave (u, v).  The report writes
+    its worst case as slack points, X = Y = 1e6 and x = y = 0, whose caps
+    x^2 <= X v and y^2 <= Y u cannot bind for positive u, v; a
+    six-coordinate campaign, where the caps do bind, is still open
+    (ROADMAP item 3).
     """
-    return _run_campaign("triangle", _triangle_sampler, TRIANGLE_SEGMENTS,
-                         Q, valid_trials, seed, 4.5, batch)
+    report = _run_campaign("triangle", _triangle_sampler, TRIANGLE_SEGMENTS, _strip_checks,
+                           Q, valid_trials, seed, 4.5, batch)
+    if report.worst_case_point is not None:
+        report.worst_case_point = [[1e6, 1e6, 0.0, 0.0, u, v]
+                                   for u, v in report.worst_case_point]
+    return report
 
 
-def _barycenter_sampler(Q: float, batch: int):
+def _barycenter_candidates(blocks: np.ndarray, Q: float, rng):
+    """Fill the four uniform blocks of a barycenter draw, settle each with
+    _redraw, and return the columns whose barycenter has 1 <= uv <= Q
+    within CAMPAIGN_TOL.  The barycenter's (u, v) are the four final (u, v)
+    that _redraw hands back, summed from 0 in point order and divided by
+    4.0, as sum(points) / 4.0 does."""
+    bu = bv = 0
+    for U in blocks:
+        rng.random(out=U)
+        u, v = _redraw(U, Q, rng, _BOUNDARY_PROB)
+        bu, bv = bu + u, bv + v
+    uv = (bu / 4.0) * (bv / 4.0)
+    return np.nonzero((uv >= 1.0 - CAMPAIGN_TOL) & (uv <= Q + CAMPAIGN_TOL))[0]
+
+
+def _barycenter_sampler(rng, Q: float, batch: int):
     """The barycenter campaign's draw: four batches of sample_omega points
     and their barycenter, deciding on the barycenter's uv first.
 
-    Each batch draws four uniform blocks into one buffer allocated for the
-    whole campaign, refilled by rng.random(out=...), which consumes the
-    stream as rng.random((k, batch)) does, and settles each block with
-    _redraw.  The barycenter's uv <= Q fails on most draws; it reads only
-    the four final (u, v) that _redraw hands back, summed from 0 in point
-    order and divided by 4.0 as sum(points) / 4.0 does, so the rows it
-    keeps contain every premise-valid row.  Only those rows are mapped to
-    points, and the full premise decides them.  The buffer is most of the
-    memory a batch holds: the candidate columns are moved within it, and
-    the batch-wide sums die with candidates() before any point is built.
+    A draw allocates one (4, k, batch) buffer for its four uniform blocks,
+    fills each by rng.random(out=...), which consumes the stream as
+    rng.random((k, batch)) does, and keeps only the candidate columns of
+    _barycenter_candidates, a superset of the premise-valid ones.  Only
+    those are mapped to points, and the full premise decides them.  The
+    buffer is most of the memory a draw holds: the candidate columns are
+    moved to its front one row at a time, and the batch-wide sums die with
+    _barycenter_candidates before any point is built.
+
+    Both the buffer and the in-place moves were measured (medians of 6
+    rotated 8 s `perfbench/run.py --workload campaigns --seed 1` runs on a
+    shared 2-core Xeon box).  A per-draw buffer reads as one kept for the
+    whole campaign: 0.786 against 0.821 s wall, 71.2 against 71.4 MB peak
+    RSS.  Fancy-index copies U[:, rows] in place of the moves read 73.1 MB
+    and 83.3 ms median item time, against 71.2 MB and 80.1 ms.  Four
+    rng.random((k, batch)) blocks with copied candidates read 1.170 s and
+    74.2 MB.
     """
     blocks = np.empty((4, _strip_rows(Q) + 8, batch))
-
-    def candidates(rng):
-        bu = bv = 0
-        for U in blocks:
-            rng.random(out=U)
-            u, v = _redraw(U, Q, rng, _BOUNDARY_PROB)
-            bu, bv = bu + u, bv + v
-        uv = (bu / 4.0) * (bv / 4.0)
-        return np.nonzero((uv >= 1.0 - CAMPAIGN_TOL) & (uv <= Q + CAMPAIGN_TOL))[0]
-
-    def draw(rng):
-        rows = candidates(rng)
-        m = rows.size
-        # move the candidate columns to the front of each block one row at a
-        # time, so no block-sized copy is made
-        for U in blocks:
-            for row in U:
-                row[:m] = row[rows]
-        pts = [_omega_points(U[:, :m], Q, _BOUNDARY_PROB) for U in blocks]
-        pts = [sum(pts) / 4.0] + pts
-        ok = _barycenter_premise(pts, Q)
-        # the barycenter of members keeps every convex constraint, so ok
-        # seldom drops a row and the points are copied only when it does
-        if not ok.all():
-            rows, pts = rows[ok], [arr[:, ok] for arr in pts]
-        return rows, pts
-    return draw
+    rows = _barycenter_candidates(blocks, Q, rng)
+    m = rows.size
+    for U in blocks:
+        for row in U:
+            row[:m] = row[rows]
+    pts = [_omega_points(U[:, :m], Q, _BOUNDARY_PROB) for U in blocks]
+    pts = [sum(pts) / 4.0] + pts
+    ok = _barycenter_premise(pts, Q)
+    # the barycenter of members keeps every convex constraint, so ok seldom
+    # drops a row and the points are copied only when it does
+    if not ok.all():
+        rows, pts = rows[ok], [arr[:, ok] for arr in pts]
+    return rows, pts
 
 
 def _barycenter_premise(pts, Q: float):
@@ -601,7 +598,7 @@ def run_barycenter_campaign(Q: float, valid_trials: int, seed: int,
     """Randomized verification of the barycenter lemma, k = 40, on general
     members."""
     return _run_campaign("barycenter", _barycenter_sampler, BARYCENTER_SEGMENTS,
-                         Q, valid_trials, seed, 40.0, batch)
+                         _segment_checks, Q, valid_trials, seed, 40.0, batch)
 
 
 # -- dynamic programming estimator ----------------------------------------

@@ -63,14 +63,6 @@ class DyadicIndex:
     def length(self) -> float:
         return 2.0 ** -self.level
 
-    @property
-    def left_endpoint(self) -> float:
-        return self.position * self.length
-
-    @property
-    def right_endpoint(self) -> float:
-        return (self.position + 1) * self.length
-
     def child_left(self) -> "DyadicIndex":
         return DyadicIndex(self.level + 1, 2 * self.position)
 

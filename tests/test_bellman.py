@@ -21,7 +21,6 @@ from dyadlab.bellman import (
     run_triangle_campaign,
     sample_omega,
     segment_in_domain,
-    segments_in_domain_arr,
 )
 from test_corpus import assert_pinned, campaign_outputs, entry
 
@@ -81,20 +80,25 @@ class TestInDomain:
     @pytest.mark.parametrize("coord", range(6))
     def test_non_finite_coordinate_is_outside_every_reader(self, coord, value):
         # the array and segment readers agree with in_domain, without a
-        # warning from inf - inf in the segment quadratics
+        # warning from inf - inf in the segment quadratics; in a batch the
+        # finite row keeps its verdict next to the others
         member = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
         bad = member.copy()
         bad[coord] = value
-        p, q = BellmanPoint.from_array(member), BellmanPoint.from_array(bad)
+        P = np.array([member, member, bad])
+        R = np.array([member, bad, member])
+        pairs = [(BellmanPoint.from_array(a), BellmanPoint.from_array(b)) for a, b in zip(P, R)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for Q in (4.0, np.inf):
                 assert in_domain_arr(np.array([member, bad]), Q).tolist() == [True, False]
-                assert not segment_in_domain(p, q, Q)
-                assert not segment_in_domain(q, p, Q)
-                P = np.array([member, member, bad])
-                R = np.array([member, bad, member])
-                assert segments_in_domain_arr(P, R, Q).tolist() == [True, False, False]
+                assert [segment_in_domain(p, q, Q) for p, q in pairs] == [True, False, False]
+        # the kernel over .T views, which the campaigns run on finite draws
+        # only: the finiteness check that rejects the other rows is
+        # segment_in_domain's
+        with np.errstate(all="ignore"):
+            caps_ok, max_uv = _segment_checks(P.T, R.T, 0.0)
+        assert caps_ok[0] and max_uv[0] == 1.0
 
 
 class TestSegmentInDomain:
@@ -278,12 +282,12 @@ class TestCampaignRobustness:
 
     @staticmethod
     def refuse_set_up(monkeypatch):
-        # a refused campaign must not set up its draws (the barycenter
-        # sampler allocates its buffer there) nor draw anything
-        def set_up(*args):
-            raise AssertionError("sampler set up for a refused campaign")
+        # a refused campaign must not draw anything (a barycenter draw
+        # allocates its buffer first)
+        def draw(*args):
+            raise AssertionError("a refused campaign drew")
         for name in ("_triangle_sampler", "_barycenter_sampler"):
-            monkeypatch.setattr(bellman, name, set_up)
+            monkeypatch.setattr(bellman, name, draw)
 
     @pytest.mark.parametrize("runner", [run_triangle_campaign, run_barycenter_campaign])
     @pytest.mark.parametrize("batch", [0, -5])

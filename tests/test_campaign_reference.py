@@ -16,6 +16,7 @@ from dyadlab.bellman import (
     _member,
     _omega_points,
     _outside_rows,
+    _segment_checks,
     _strip,
     _strip_rows,
     _triangle_sampler,
@@ -23,7 +24,6 @@ from dyadlab.bellman import (
     run_barycenter_campaign,
     run_triangle_campaign,
     sample_omega,
-    segments_in_domain_arr,
 )
 from dyadlab.tree import DomainError
 from test_corpus import SAMPLE_Q, assert_pinned, barycenter_points, campaign_outputs, entry
@@ -46,7 +46,7 @@ def test_uniform_and_random_share_one_stream():
         for row in block:
             assert rng.uniform(size=n).tobytes() == row.tobytes()
         assert rng.random() == block_rng.random()
-        # the barycenter campaign refills one buffer of blocks in place
+        # a barycenter draw fills one buffer of blocks in place
         for Q in (1.0, 1.5):
             r = _strip_rows(Q)
             rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -108,12 +108,11 @@ def test_redraw_rows_only_from_strip_outside(Q, boundary_prob, log_spread):
 
 @pytest.mark.parametrize("Q", [1.0, 1.5, 50.0])
 def test_draws_bit_identical(Q):
-    # valid indices, points and stream position after two draws from one
-    # sampler, whose buffer the second reuses
+    # valid indices, points and stream position after two consecutive draws
     assert_pinned(campaign_outputs, *(entry(f"bellman.{sampler.__name__}", Q=Q, batch=5000)
                                       for sampler in (_triangle_sampler, _barycenter_sampler)))
     for sampler in (_triangle_sampler, _barycenter_sampler):
-        rows, _ = sampler(Q, 5000)(np.random.default_rng(0))
+        rows, _ = sampler(np.random.default_rng(0), Q, 5000)
         assert rows.size == 0 if Q == 1.0 else 0 < rows.size < 5000
 
 
@@ -128,7 +127,7 @@ def test_barycenter_points_built_only_for_candidates(monkeypatch):
         return _omega_points(U, *args)
 
     monkeypatch.setattr(bellman, "_omega_points", recording)
-    rows, got = _barycenter_sampler(Q, batch)(np.random.default_rng(6))
+    rows, got = _barycenter_sampler(np.random.default_rng(6), Q, batch)
     # a batch's four blocks are four sample_omega draws from the same stream
     monkeypatch.undo()
     rng = np.random.default_rng(6)
@@ -188,7 +187,7 @@ def test_barycenter_draw_redraws_at_q_one():
     # at Q = 1 the sampler draws some rows again: no row is valid, and the
     # stream has moved past the draws without any redraw
     rng = np.random.default_rng(5)
-    rows, got = _barycenter_sampler(1.0, 40000)(rng)
+    rows, got = _barycenter_sampler(rng, 1.0, 40000)
     assert rows.size == 0
     assert [g.shape for g in got] == [(6, 0)] * 5
     consumed = np.random.default_rng(5)
@@ -211,21 +210,22 @@ def test_premise_masks_bit_identical(Q):
 
 def test_array_checks_same_on_either_memory_order():
     # sample_omega returns a transposed view; C-ordered copies and
-    # F-ordered arrays must give the same masks and values
+    # F-ordered arrays must give the same masks and values, and the
+    # segment kernel the same on the .T views of either
     rng = np.random.default_rng(11)
     P = sample_omega(3.0, 5000, rng)
     R = sample_omega(3.0, 5000, rng)
     orders = (np.ascontiguousarray, np.asfortranarray)
+    want = _segment_checks(P.T, R.T, 1e-12)
     for to_p in orders:
         p = to_p(P)
         for Q in (1.5, 3.0, 6.0):
             assert np.array_equal(in_domain_arr(p, Q, 1e-12), in_domain_arr(P, Q, 1e-12))
         for to_r in orders:
-            r = to_r(R)
-            assert np.array_equal(segments_in_domain_arr(p, r, 3.0, 1e-12),
-                                  segments_in_domain_arr(P, R, 3.0, 1e-12))
+            got = _segment_checks(p.T, to_r(R).T, 1e-12)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
     assert np.ascontiguousarray(P).flags.c_contiguous and P.flags.f_contiguous
-    mask = segments_in_domain_arr(P, R, 3.0, 1e-12)
+    mask = want[0] & (want[1] <= 3.0 + 1e-12)
     assert 0 < mask.sum() < mask.size
 
 

@@ -102,25 +102,22 @@ def _streamed(seed, call):
     return call(rng), rng.random()
 
 
-def _draws(sampler, Q, batch, seed, times):
-    """times consecutive draws of sampler(Q, batch), and the next draw."""
-    draw = sampler(Q, batch)
-    return _streamed(seed, lambda rng: [draw(rng) for _ in range(times)])
+def _draws(draw, Q, batch, seed, times):
+    """times consecutive draw(rng, Q, batch) calls, and the next draw."""
+    return _streamed(seed, lambda rng: [draw(rng, Q, batch) for _ in range(times)])
 
 
-def _mirrored(sampler):
-    """sampler's draws, each followed by its (X, x, v) <-> (Y, y, u) mirror
-    image, which needs the same k: a campaign over them has ties at every
-    new worst case, and keeps the first of the two."""
-    def setup(Q, batch):
-        draw = sampler(Q, batch)
-
-        def mirrored(rng):
-            rows, pts = draw(rng)
-            pts = [np.stack([a, a[[1, 0, 3, 2, 5, 4]]], axis=-1).reshape(6, -1) for a in pts]
-            return np.stack([2 * rows, 2 * rows + 1], axis=-1).reshape(-1), pts
-        return mirrored
-    return setup
+def _mirrored(draw):
+    """draw's draws, each followed by its (X, x, v) <-> (Y, y, u) mirror
+    image, (v, u) for a (u, v) strip, which needs the same k: a campaign
+    over them has ties at every new worst case, and keeps the first of the
+    two."""
+    def mirrored(rng, Q, batch):
+        rows, pts = draw(rng, Q, batch)
+        pts = [np.stack([a, a[::-1] if len(a) == 2 else a[[1, 0, 3, 2, 5, 4]]],
+                        axis=-1).reshape(len(a), -1) for a in pts]
+        return np.stack([2 * rows, 2 * rows + 1], axis=-1).reshape(-1), pts
+    return mirrored
 
 
 def campaign_outputs():
@@ -151,11 +148,11 @@ def campaign_outputs():
                              batch=batch), report.to_json())
         yield (entry(f"bellman.{runner.__name__}", Q=1.0, seed=4, batch=2000),
                _outcome(runner, 1.0, 5, 4, 2000))
-    for lemma, sampler, segments in (
-            ("triangle", _triangle_sampler, bellman.TRIANGLE_SEGMENTS),
-            ("barycenter", _barycenter_sampler, bellman.BARYCENTER_SEGMENTS)):
-        report = bellman._run_campaign(lemma, _mirrored(sampler), segments, 1.5, 3000, 1, 40.0,
-                                       4000)
+    for lemma, draw, segments, kernel in (
+            ("triangle", _triangle_sampler, bellman.TRIANGLE_SEGMENTS, bellman._strip_checks),
+            ("barycenter", _barycenter_sampler, bellman.BARYCENTER_SEGMENTS, _segment_checks)):
+        report = bellman._run_campaign(lemma, _mirrored(draw), segments, kernel, 1.5, 3000, 1,
+                                       40.0, 4000)
         yield entry("bellman._run_campaign", lemma, "mirrored draws"), report.to_json()
     for Q in (1.5, 50.0):
         # the premise on coordinate-major points and membership on the

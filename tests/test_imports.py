@@ -6,10 +6,11 @@ Every function, method, property and class a dyadlab module defines is
 referenced by name somewhere in the source, the tests, the benchmark or the
 scripts, so code that nothing calls does not stay.
 
-Every public top-level function and class of a dyadlab module is reached by
-a run or a gate: the package itself, the scripts, the benchmark harness or
-the acceptance tests reference it, or TEST_ORACLES names it with the reason
-the tests need it.  Code that only its own tests call does not stay.
+Every public top-level function and class of a dyadlab module, and every
+public method and property of such a class, is reached by a run or a gate:
+the package itself, the scripts, the benchmark harness or the acceptance
+tests reference it, or TEST_ORACLES names it with the reason the tests need
+it.  Code that only its own tests call does not stay.
 
 Every defaulted parameter of a dyadlab function or method is passed by some
 call in those trees, so a setting that no caller changes does not stay.
@@ -52,6 +53,9 @@ TEST_ORACLES = {
     "weighted_haar_matrix": "dense matrix that the weighted Haar operator is checked against",
     "internal_indices": "interval enumeration that the heap order is checked against",
     "save_weight": "writes the weight files that --family file reads",
+    "BellmanPoint.swapped": "the X <-> Y mirror through which DpEstimator is checked symmetric",
+    "DyadicIndex.contains": "interval inclusion through which Carleson box sums are checked",
+    "LeafFunction.norm2": "L2 norm through which Haar energies are checked (Parseval)",
 }
 
 
@@ -136,21 +140,43 @@ def test_check_sees_an_unreferenced_definition():
     assert idle == ["A.idle"]
 
 
+def attribute_references(node) -> set:
+    """The names a parsed node uses as an attribute or as a string constant
+    that is exactly an identifier: the ways code reaches a method."""
+    return {n.attr if isinstance(n, ast.Attribute) else n.value for n in ast.walk(node)
+            if isinstance(n, ast.Attribute)
+            or (isinstance(n, ast.Constant) and isinstance(n.value, str)
+                and n.value.isidentifier())}
+
+
 def unreached(modules: dict, reaching: dict) -> list:
     """Sorted names of the public top-level functions and classes of the
-    modules that no top-level statement of the reaching sources references,
-    the definition itself aside.  Both dicts map a file (a path or a name)
-    to its source."""
-    statements = [(path, node, references(node))
+    modules, and Class.name of the public methods and properties of their
+    public classes, that no top-level statement of the reaching sources
+    references, the definition itself aside; a method counts as referenced
+    only as an attribute or a string, and is also reached from the other
+    members of its class.  Both dicts map a file (a path or a name) to its
+    source."""
+    statements = [(path, node, references(node), attribute_references(node))
                   for path, source in reaching.items() for node in ast.parse(source).body]
     idle = []
     for path, source in modules.items():
         for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_") \
-                    and not any(node.name in names for where, stmt, names in statements
-                                if (where, stmt.lineno) != (path, node.lineno)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            others = [st for st in statements if (st[0], st[1].lineno) != (path, node.lineno)]
+            if not any(node.name in names for _, _, names, _ in others):
                 idle.append(node.name)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not member.name.startswith("_") \
+                        and not any(member.name in attrs for _, _, _, attrs in others) \
+                        and not any(member.name in attribute_references(other)
+                                    for other in node.body if other is not member):
+                    idle.append(f"{node.name}.{member.name}")
     return sorted(idle)
 
 
@@ -167,8 +193,20 @@ def test_check_sees_a_definition_only_tests_reach():
               "class Point:\n    def moved(self) -> 'Point':\n        return Point()\n"
               "def _private():\n    pass\n")
     script = "from m import run\nrun()\n"
-    test = "from m import Point, idle\nidle(Point())\n"
-    assert unreached({"m.py": module}, {"m.py": module, "run.py": script}) == ["Point", "idle"]
+    test = "from m import Point, idle\nidle(Point().moved())\n"
+    assert unreached({"m.py": module}, {"m.py": module, "run.py": script}) \
+        == ["Point", "Point.moved", "idle"]
+    assert unreached({"m.py": module}, {"m.py": module, "run.py": script, "t.py": test}) == []
+    # a method or property of a reached class: reached as an attribute from
+    # outside the class or from another member, or only by a test; a plain
+    # name that spells it reaches nothing
+    module = ("class Box:\n    def size(self):\n        return self.area\n"
+              "    @property\n    def area(self):\n        return 1\n"
+              "    def grown(self):\n        return self.grown()\n"
+              "    def _private(self):\n        pass\n")
+    script = "from m import Box\ngrown = Box().size()\n"
+    test = "from m import Box\nBox().grown()\n"
+    assert unreached({"m.py": module}, {"m.py": module, "run.py": script}) == ["Box.grown"]
     assert unreached({"m.py": module}, {"m.py": module, "run.py": script, "t.py": test}) == []
 
 

@@ -9,11 +9,11 @@ for bit, and the cases keep the ids they had when they compared with it."""
 import numpy as np
 import pytest
 
-from dyadlab import bellman
-from dyadlab.bellman import (CAMPAIGN_TOL, _quad_max_01, _segment_checks, _slack_points,
-                             _strip_segments_ok, _triangle_sampler)
+from dyadlab.bellman import (CAMPAIGN_TOL, _median_premise, _quad_max_01, _sample_strip,
+                             _segment_checks, _strip_checks, _strip_segments_ok,
+                             _triangle_sampler)
 from test_corpus import (SPECIAL, assert_pinned, entry, segment_outputs, segment_points,
-                         strip_segments, strided_rows)
+                         strip_pairs, strip_segments, strided_rows)
 
 # -- _quad_max_01 ------------------------------------------------------------------
 
@@ -100,14 +100,32 @@ def test_triangle_sampler_every_tol(Q, tol):
     assert_pinned(segment_outputs, entry("bellman._triangle_sampler", Q=Q, batch=4000))
 
 
-def test_slack_points_for_valid_rows_only(monkeypatch):
-    # the sampler embeds just the premise-valid rows as slack points
-    widths = []
+def test_slack_points_for_valid_rows_only():
+    # the draw returns the (u, v) columns of its three strips at the
+    # premise-valid rows, and no other
+    Q, batch = 1.5, 40000
+    rows, got = _triangle_sampler(np.random.default_rng(0), Q, batch)
+    rng = np.random.default_rng(0)
+    strips = [np.array(_sample_strip(Q, batch, rng)) for _ in range(3)]
+    assert np.array_equal(rows, np.nonzero(_median_premise(strips, Q))[0])
+    assert [g.tobytes() for g in got] == [S[:, rows].tobytes() for S in strips]
+    assert [g.shape for g in got] == [(2, rows.size)] * 3 and 0 < rows.size < batch // 5
 
-    def recording(u, v):
-        widths.append(u.size)
-        return _slack_points(u, v)
 
-    monkeypatch.setattr(bellman, "_slack_points", recording)
-    rows, _ = _triangle_sampler(1.5, 40000)(np.random.default_rng(0))
-    assert widths == [rows.size] * 3 and 0 < rows.size < 40000 // 5
+# tol = -1e-9 is left out: there a slack cap, -1e6 v <= tol, binds for
+# v < 1e-15, which strip_pairs draws.  Campaigns run at CAMPAIGN_TOL only.
+@pytest.mark.parametrize("Q", STRIP_Q)
+@pytest.mark.parametrize("tol", [0.0, CAMPAIGN_TOL, 1e3])
+def test_segment_checks_on_slack_points_are_strip_checks(Q, tol):
+    # the six-coordinate kernel on the slack points (1e6, 1e6, 0, 0, u, v)
+    # of strip pairs, zero, negative and nan entries among them, gives the
+    # strip kernel's masks and max uv bit for bit
+    rng = np.random.default_rng(17)
+    for _ in range(8):
+        p, q = strip_pairs(Q, rng), strip_pairs(Q, rng)
+        slack = [np.concatenate([np.full((2, s.shape[1]), 1e6), np.zeros((2, s.shape[1])), s])
+                 for s in (p, q)]
+        with np.errstate(all="ignore"):
+            want, got = _strip_checks(p, q, tol), _segment_checks(*slack, tol)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert want[0].any() and not want[0].all()

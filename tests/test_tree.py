@@ -47,8 +47,6 @@ class TestDyadicIndex:
         assert I.child_right() == DyadicIndex(3, 7)
         assert I.child_left().parent() == I
         assert I.length == 0.25
-        assert I.left_endpoint == 0.75
-        assert I.right_endpoint == 1.0
 
     def test_root_has_no_parent(self):
         with pytest.raises(DomainError):
