@@ -78,12 +78,10 @@ class CarlesonMeasure:
 
 
 def key_sum(phi: LeafFunction, psi: LeafFunction, w: Weight) -> float:
-    """Sum over internal I of |(phi*w, h_I)| * |(psi*sigma, h_I)|.
-
-    sigma is taken from the leaf values, so the key sum builds no weight cache."""
+    """Sum over internal I of |(phi*w, h_I)| * |(psi*sigma, h_I)|."""
     _check_depths(phi, psi, w.base)
     da = level_diffs(level_averages(phi.values * w.values))
-    db = level_diffs(level_averages(psi.values * (1.0 / w.values)))
+    db = level_diffs(level_averages(psi.values * w.sigma))
     return float(_subtree_sum(np.abs(np.concatenate(da)) * np.abs(np.concatenate(db)), 0))
 
 
@@ -205,9 +203,8 @@ def carleson_box_check(phi: LeafFunction, psi: LeafFunction, w: Weight) -> Tuple
 def key_sum_form(w: Weight) -> AbsBilinearForm:
     """sup over ||phi||_w = ||psi||_sigma = 1 of key_sum, as an AbsBilinearForm."""
     # Haar coefficients of phi w and psi sigma as linear maps of the leaf values
-    return weighted_form(w.values, IdentityOperator(n_internal(w.depth)),
-                         _haar_operator(w.depth, w.values),
-                         _haar_operator(w.depth, 1.0 / w.values))
+    return weighted_form(w, IdentityOperator(n_internal(w.depth)),
+                         _haar_operator(w.depth, w.values), _haar_operator(w.depth, w.sigma))
 
 
 def term1_form(w: Weight) -> AbsBilinearForm:
@@ -225,9 +222,9 @@ def term1_form(w: Weight) -> AbsBilinearForm:
     most max_I sqrt(<w>_I <sigma>_I) ||phi||_w ||psi||_sigma.  Put
     differently: the metric-normalized maps have orthogonal rows, of norms
     sqrt(<w>_I) and sqrt(<sigma>_I), and m is the identity.  That max is
-    sqrt(Q): a leaf has <w><sigma> = w (1/w) = 1, and every interval has
-    <w>_I <sigma>_I >= 1 by Cauchy-Schwarz.  The A2 witness J attains it
-    with phi = h^w_J and psi = h^sigma_J, both unit vectors in the form's
+    sqrt(Q): <w>_I <sigma>_I >= 1 by Cauchy-Schwarz, with equality on a leaf
+    up to the rounding of fl(1/w).  The A2 witness J attains it with
+    phi = h^w_J and psi = h^sigma_J, both unit vectors in the form's
     metrics, for which only the term of J is nonzero; J is internal unless
     every product is 1 (a constant weight), where the supremum is 1 up to
     rounding.
@@ -240,5 +237,5 @@ def term1_form(w: Weight) -> AbsBilinearForm:
         root = np.sqrt(w._avg[k, : (1 << depth) - 1])
         return TwoValuedRowOperator(depth, root * w._haar[0, k], root * w._haar[1, k], mult * scale)
 
-    return weighted_form(w.values, IdentityOperator(n_internal(depth)),
+    return weighted_form(w, IdentityOperator(n_internal(depth)),
                          rows(0, w.values), rows(1, w.sigma))

@@ -56,7 +56,7 @@ The exact mode and the sign-flip polish run only where m and both maps are
 ndarrays (_dense), with at most 15 nonzero and 64 coefficients.  The form
 builders go through weighted_form: each operator dense (`op @ np.eye(n)`)
 up to DENSE_MAX_COLUMNS columns (see _form_operands), and the metrics
-w 2^-d and 2^-d / w of L2(w) x L2(1/w).
+w 2^-d and sigma 2^-d of L2(w) x L2(sigma), sigma read from the Weight.
 """
 from __future__ import annotations
 
@@ -284,14 +284,10 @@ class AbsBilinearForm:
 
         prev is None or the previous step's (x, amap @ x, _sign(amap @ x)) on
         this side; returns that triple for the maximizer."""
-        if not (u > 0).any():
-            x = np.ones(amap.shape[1])
-            x = x / np.sqrt((metric * x**2).sum())
-            ax = amap @ x
-            return x, ax, _sign(ax)
-        x, ax, s = prev if prev is not None else (None, None, np.ones(amap.shape[0]))
+        live = (u > 0).any()  # else every x is a maximizer: take the start below
+        x, ax, s = prev if prev is not None and live else (None, None, np.ones(amap.shape[0]))
         adjoint = amap.T
-        for _ in range(30):
+        for _ in range(30 if live else 0):
             ell = adjoint @ (u * s)
             nrm = math.sqrt(np.add.reduce(ell * ell / metric))
             if nrm == 0.0:
@@ -436,10 +432,10 @@ class AbsBilinearForm:
         return best
 
 
-def weighted_form(w_values: np.ndarray, m, left, right) -> AbsBilinearForm:
+def weighted_form(w, m, left, right) -> AbsBilinearForm:
     """The form of the operators m, left, right (through _form_operands) on the
-    unit balls of L2(w) x L2(1/w), from w's 2^d leaf values: metrics w 2^-d, 2^-d / w."""
-    depth = w_values.size.bit_length() - 1
-    scale = 2.0**-depth
-    m, left, right = _form_operands(depth, m, left, right)
-    return AbsBilinearForm(m, left, right, w_values * scale, (1.0 / w_values) * scale)
+    unit balls of L2(w) x L2(sigma) of the weights.Weight w: metrics w 2^-d
+    and sigma 2^-d."""
+    scale = 2.0**-w.depth
+    m, left, right = _form_operands(w.depth, m, left, right)
+    return AbsBilinearForm(m, left, right, w.values * scale, w.sigma * scale)

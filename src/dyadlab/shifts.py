@@ -131,5 +131,5 @@ def shift_form(spec: ShiftSpec, w: Weight) -> AbsBilinearForm:
     if w.depth != spec.depth:
         raise StructureError("weight depth must match the shift depth")
     h = _haar_operator(spec.depth)
-    return weighted_form(w.values, ShiftOperator(spec), h, h)
+    return weighted_form(w, ShiftOperator(spec), h, h)
 

@@ -69,11 +69,6 @@ class DyadicIndex:
     def child_right(self) -> "DyadicIndex":
         return DyadicIndex(self.level + 1, 2 * self.position + 1)
 
-    def parent(self) -> "DyadicIndex":
-        if self.level == 0:
-            raise DomainError("root has no parent")
-        return DyadicIndex(self.level - 1, self.position // 2)
-
     def contains(self, other: "DyadicIndex") -> bool:
         if other.level < self.level:
             return False
@@ -181,55 +176,23 @@ def haar_coefficient(f: LeafFunction, I: DyadicIndex) -> float:
     return np.sqrt(I.length) * martingale_difference(f, I)
 
 
-# Up to this many leaves per row, heap_averages builds the levels of a stack
-# as flat arrays (its docstring says why); above it, in place, row by row.
-_FLAT_STACK_LEAVES = 1 << 12
-
-
 def heap_averages(values) -> np.ndarray:
     """Averages over every dyadic interval, heap-ordered along the last axis:
     a 2^d vector gives 2^(d+1) - 1 entries, a (k, 2^d) stack (or a list of
     k vectors) k such rows.  Each average is (left + right) / 2 of its
-    children's.
-
-    A vector's levels are built in place, each from the one below, and so
-    are a stack's rows above _FLAT_STACK_LEAVES leaves per row, one row at a
-    time.  Up to it, each level of all rows is built as one new flat array
-    from the flat level below (a row's part of that has even length, so no
-    pair spans two rows) and then copied into place.  The operations, and
-    so the values, are the same either way.  1-d ufunc calls have about half
-    the fixed cost of 2-d calls on strided views, which is most of a stack's
-    time at small depths; at depth 16 and beyond the extra copy per level
-    costs more than that saves.  Row by row, a k-row stack costs what k
-    single rows do (Xeon core, numpy 2.4, 1 thread: 0.34 ms for 2 rows at
-    depth 16, as alone; one 2-d loop over the strided stack took 0.35 ms
-    there, and up to 12% less at depths 13-14 with 4 rows)."""
+    children's.  Each level of all rows is built as one flat array from the
+    flat level below (a row's part of that has even length, so no pair spans
+    two rows) and copied into place."""
     x = np.asarray(values, dtype=float)
     n = x.shape[-1]
     out = np.empty(x.shape[:-1] + (2 * n - 1,))
     out[..., n - 1 :] = x
-    if x.ndim == 1:
-        _fill_levels(out)
-    elif n > _FLAT_STACK_LEAVES:
-        for row in out.reshape(-1, 2 * n - 1):
-            _fill_levels(row)
-    else:
-        level = x.reshape(-1)
-        for lev in range(n.bit_length() - 2, -1, -1):
-            level = np.add(level[0::2], level[1::2])
-            level /= 2.0
-            out[..., (1 << lev) - 1 : (2 << lev) - 1] = level.reshape(x.shape[:-1] + (-1,))
+    level = x.reshape(-1)
+    for lev in range(n.bit_length() - 2, -1, -1):
+        level = np.add(level[0::2], level[1::2])
+        level /= 2.0
+        out[..., (1 << lev) - 1 : (2 << lev) - 1] = level.reshape(x.shape[:-1] + (-1,))
     return out
-
-
-def _fill_levels(heap: np.ndarray) -> None:
-    """Fill the internal entries of a 1-d heap-ordered array from its leaves,
-    in place, each level from the one below."""
-    for lev in range((heap.size + 1).bit_length() - 3, -1, -1):
-        k = 1 << lev
-        parents = heap[k - 1 : 2 * k - 1]
-        np.add(heap[2 * k - 1 : 4 * k - 1 : 2], heap[2 * k : 4 * k - 1 : 2], out=parents)
-        parents /= 2.0
 
 
 def _heap_levels(heap: np.ndarray) -> list:

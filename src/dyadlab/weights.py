@@ -1,7 +1,7 @@
 """A2 weights on the dyadic tree.
 
-Holds the weight w, its dual sigma = 1/w (leafwise reciprocal, so that
-w*sigma == 1 exactly at leaf level), the A2 characteristic, weighted norms,
+Holds the weight w, its dual sigma = fl(1/w) leafwise (w*sigma can miss 1
+by an ulp, as for w = 49), the A2 characteristic, weighted norms,
 the weighted Haar basis with its split against the ordinary Haar function,
 and two controlled weight generators (power profile, multiplicative cascade).
 
@@ -62,7 +62,8 @@ def _carleson_norm(alpha: np.ndarray) -> float:
 
 
 class Weight:
-    """Strictly positive leaf function with values in [1e-8, 1e8].
+    """Strictly positive leaf function with values in [1e-8, 1e8]; sigma, the
+    dual's leaf values 1.0 / w, is formed with it.
 
     Its weight-only quantities are heap-ordered, read-only and each computed
     on first use: _avg[0] and _avg[1], the averages of w and sigma over every
@@ -79,13 +80,14 @@ class Weight:
                 f"weight values must lie in [{VALUE_FLOOR}, {VALUE_CEIL}]"
             )
         object.__setattr__(self, "base", base)
+        object.__setattr__(self, "sigma", _read_only(1.0 / v))
 
     def __setattr__(self, name, value):
         raise AttributeError("Weight is immutable")
 
     @cached_property
     def _avg(self) -> np.ndarray:
-        return _read_only(heap_averages([self.values, 1.0 / self.values]))
+        return _read_only(heap_averages([self.values, self.sigma]))
 
     @cached_property
     def _delta(self) -> np.ndarray:
@@ -103,11 +105,6 @@ class Weight:
     @cached_property
     def _carleson(self) -> float:
         return _carleson_norm(self._alpha)
-
-    @property
-    def sigma(self) -> np.ndarray:
-        """The dual weight's leaf values 1/w (read-only)."""
-        return self._avg[1, self.values.size - 1 :]
 
     @property
     def depth(self) -> int:
@@ -155,11 +152,12 @@ class HaarSplit:
 
 
 def dual(w: Weight) -> Weight:
-    return Weight(LeafFunction(1.0 / w.values))
+    return Weight(LeafFunction(w.sigma))
 
 
 def a2_characteristic(w: Weight) -> A2Report:
-    """Exact max of <w>_I <1/w>_I over all dyadic I (leaves included).
+    """Exact max of <w>_I <1/w>_I over all dyadic I (leaves included), and at
+    least 1, as Cauchy-Schwarz gives, where rounding falls short (49 fl(1/49) < 1).
 
     The witness is the first maximum in heap order: the coarsest level that
     reaches the maximum, at its leftmost position there."""
@@ -167,7 +165,7 @@ def a2_characteristic(w: Weight) -> A2Report:
     prod = avg[0] * avg[1]
     k = int(prod.argmax())
     level = (k + 1).bit_length() - 1
-    return A2Report(characteristic=float(prod[k]),
+    return A2Report(characteristic=max(float(prod[k]), 1.0),
                     witness=DyadicIndex(level, k + 1 - (1 << level)))
 
 

@@ -13,6 +13,7 @@ from dyadlab.bellman import (
     BellmanPoint,
     CampaignReport,
     DpEstimator,
+    _quad_max_01,
     _segment_checks,
     in_domain,
     in_domain_arr,
@@ -99,6 +100,48 @@ class TestInDomain:
         with np.errstate(all="ignore"):
             caps_ok, max_uv = _segment_checks(P.T, R.T, 0.0)
         assert caps_ok[0] and max_uv[0] == 1.0
+
+
+# (g0, g1, g2, g_end) rows on which the vertex divides by zero, overflows or
+# is NaN: none of that may warn, and none of it may reach the result
+QUAD_EDGES = np.array([
+    (1.0, 2.0, 0.0, 3.0),          # g2 = 0: t = -inf
+    (1.0, 0.0, 0.0, 1.0),          # g1 = g2 = 0: t = NaN
+    (0.0, 1.0, -1e-300, 1.0),      # t = 5e299, far outside
+    (0.0, 1e300, -1e-300, 0.0),    # t overflows to inf
+    (0.0, 1e160, -0.1, 0.0),       # g2 t t overflows
+    (0.0, np.inf, -np.inf, 0.0),   # t = inf / inf
+    (np.nan, 1.0, -1.0, 0.0),
+    (0.0, np.nan, -1.0, 0.0),
+    (0.0, 1.0, np.nan, 0.0),
+    (0.0, 1.0, -1.0, np.nan),
+    (0.0, 1.0, -1.0, 0.0),         # vertex 1/4 at t = 1/2
+    (-1.0, 3.0, -1.0, 1.0),        # vertex at t = 3/2 > 1
+    (1e308, 1e308, -1e308, 1e308),
+])
+
+
+def brute_quad_max(g0, g1, g2, g_end):
+    """max(g0, g_end), and the vertex value where g2 < 0 < g1 puts it inside
+    (0, 1), one entry at a time with numpy's NaN-propagating maximum."""
+    best = np.maximum(g0, g_end)
+    if g2 < 0.0 < g1:
+        with np.errstate(all="ignore"):
+            t = -g1 / (2.0 * g2)
+            if 0.0 < t < 1.0:
+                best = np.maximum(best, g0 + g1 * t + g2 * t * t)
+    return best
+
+
+def test_quad_max_edge_inputs_are_silent_and_exact():
+    want = np.array([brute_quad_max(*row) for row in QUAD_EDGES])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _quad_max_01(*QUAD_EDGES.T.copy())
+        scalars = [_quad_max_01(*row) for row in QUAD_EDGES]
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(scalars, want, equal_nan=True)
+    assert want[10] == 0.25 and want[11] == 1.0 and np.isnan(want[6:10]).sum() == 2
 
 
 class TestSegmentInDomain:

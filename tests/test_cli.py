@@ -24,7 +24,7 @@ from dyadlab.cli import (
 )
 from dyadlab.forms import AbsBilinearForm
 from dyadlab.tree import LeafFunction
-from dyadlab.weights import a2_characteristic, dual, gen_cascade, gen_power, save_weight
+from dyadlab.weights import Weight, a2_characteristic, dual, gen_cascade, gen_power, save_weight
 
 
 class TestFitSlope:
@@ -409,6 +409,13 @@ class TestMainExitCodes:
         code = main(["a2", "--family", "file", "--file", str(wpath),
                      "--json", str(tmp_path / "o.json")])
         assert code == 0
+
+    def test_bellman_at_a_constant_weight_file(self, tmp_path, capsys):
+        # 49 fl(1/49) < 1, yet the file's Q is exactly 1, a valid domain parameter
+        wpath = tmp_path / "c49.txt"
+        save_weight(Weight.from_values([49.0] * 4), wpath)
+        assert main(["bellman", "--family", "file", "--file", str(wpath)]) == 0
+        assert json.loads(capsys.readouterr().out)["bellman"][0]["Q"] == 1.0
 
     @pytest.mark.parametrize("argv", [
         ["--family", "cascade", "--param", "0", "--seed", "0"],

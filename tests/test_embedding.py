@@ -27,6 +27,7 @@ from dyadlab.embedding import (
     term1_form,
     two_weight_ratio_max,
 )
+from dyadlab.shifts import ShiftSpec, shift_form
 
 
 def haar_leaf(depth, I):
@@ -296,3 +297,15 @@ class TestFormBuilders:
             ex = form.exact_sup().value
             se = form.search_sup(iters=60, seed=seed, restarts=8).value
             assert abs(ex - se) <= 0.01 * max(ex, 1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda w: key_sum(LeafFunction(np.arange(8.0)), LeafFunction(np.ones(8)), w),
+    key_sum_form,
+    lambda w: shift_form(ShiftSpec.random(1, 3, seed=0), w),
+], ids=["key_sum", "key_sum_form", "shift_form"])
+def test_sigma_readers_build_no_weight_cache(build):
+    # sigma is formed with the weight, so reading it needs no heap averages
+    w = gen_cascade(3, 0.6, 4)
+    build(w)
+    assert "_avg" not in vars(w)

@@ -356,6 +356,26 @@ def test_all_zero_m(monkeypatch):
         assert form.search_sup(iters=5, seed=0, restarts=2).value == 0.0
 
 
+def test_zero_m_argmax_starts_from_the_constant_vector():
+    # with m = 0 no u is positive and every x is a maximizer: each step skips
+    # its loop and returns ones / sqrt(sum metric), whatever it started from,
+    # bitwise the start an explicit branch built as ones / sqrt(sum metric 1^2)
+    form = direct_form(5, 6, 7, 8, seed=3)
+    form.m[:] = 0.0
+    rng = np.random.default_rng(0)
+    sides = [(form._argmax_left, form.left_map, form.left_metric, form.right_map),
+             (form._argmax_right, form.right_map, form.right_metric, form.left_map)]
+    for step, amap, metric, other in sides:
+        ones = np.ones(amap.shape[1])
+        x = ones / np.sqrt((metric * ones**2).sum())
+        ax = amap @ x
+        image = other @ rng.standard_normal(other.shape[1])
+        y = rng.standard_normal(amap.shape[1])
+        for prev in (None, (y, amap @ y, forms._sign(amap @ y))):
+            got = step(image, prev)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in (x, ax, forms._sign(ax))]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
 def test_metrics_must_be_finite_and_positive(bad):
     eye = np.eye(2)

@@ -17,7 +17,11 @@ call in those trees, so a setting that no caller changes does not stay.
 
 No dyadlab module calls a function or method named mean: every mean goes
 through tree._mean, the sum and division numpy's mean makes on a 1-d array
-without its microseconds of Python-level dispatch per call."""
+without its microseconds of Python-level dispatch per call.
+
+No dyadlab module divides 1 by an array's `.values` (or a slice of it): the
+dual weight sigma = 1.0 / w is formed once, when the Weight is built, and
+every reader takes w.sigma."""
 import ast
 from pathlib import Path
 
@@ -334,3 +338,29 @@ def test_check_sees_a_mean_call():
     source = ("import numpy as np\nfrom numpy import mean\n"
               "a = np.mean(x)\nb = x[1:].mean()\nc = mean(x)\nd = _mean(x) + x.mean\n")
     assert mean_calls(source) == [3, 4, 5]
+
+
+def _values_of(node) -> bool:
+    """Whether node is `<...>.values` or a subscript of it."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "values"
+
+
+def reciprocals_of_values(source: str) -> list:
+    """Line numbers of the divisions 1 / <...>.values (1 or 1.0, sliced or not)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                  and isinstance(node.left, ast.Constant) and node.left.value == 1
+                  and _values_of(node.right))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_sigma_is_read_from_the_weight(path):
+    assert reciprocals_of_values(path.read_text()) == []
+
+
+def test_check_sees_a_reciprocal_of_values():
+    source = ("a = 1.0 / w.values\nb = 1 / self.base.values\nc = x * (1.0 / w.values[sl])\n"
+              "d = psi.values / w.values\ne = 1.0 / v\nf = 2.0 / w.values\ng = w.sigma\n")
+    assert reciprocals_of_values(source) == [1, 2, 3]

@@ -291,7 +291,7 @@ class TestNormExact:
         h = _haar_operator(depth)
         for spec in (ShiftSpec.random(n, depth, seed=n) for n in range(1, depth)):
             value = shift_form(spec, w).exact_sup().value
-            swapped = weighted_form(w.sigma, ShiftOperator(spec).T, h, h).exact_sup().value
+            swapped = weighted_form(dual(w), ShiftOperator(spec).T, h, h).exact_sup().value
             assert swapped == pytest.approx(value, rel=1e-12)
 
     def test_monotone_in_coefficients(self):

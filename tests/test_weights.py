@@ -52,6 +52,27 @@ class TestWeight:
             w.base = None
 
 
+class TestSigma:
+    def test_formed_once_read_only(self):
+        w = cascade(5)
+        assert w.sigma is w.sigma
+        assert w.sigma.tobytes() == (1.0 / w.values).tobytes()
+        with pytest.raises(ValueError):
+            w.sigma[0] = 1.0
+        with pytest.raises(AttributeError):
+            w.sigma = None
+
+    def test_dual_values_are_sigma(self):
+        w = cascade(6, eps=0.8, seed=3)
+        assert dual(w).values.tobytes() == w.sigma.tobytes()
+        assert w._avg[1, w.values.size - 1 :].tobytes() == w.sigma.tobytes()
+
+    def test_sigma_builds_no_cache(self):
+        w = cascade(4)
+        assert w.sigma.size == 16
+        assert "_avg" not in vars(w)
+
+
 class TestDual:
     def test_identity_weight(self):
         w = Weight.from_values([1.0, 1.0])
@@ -74,6 +95,16 @@ class TestA2Characteristic:
     def test_constant(self):
         rep = a2_characteristic(Weight.from_values([5.0] * 8))
         assert rep.characteristic == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("c", [49.0, 98.0, 103.0, 107.0, 161.0])
+    def test_constant_is_exactly_one(self, c, depth):
+        # c fl(1/c) < 1 for these c, but Q is never below 1 (Cauchy-Schwarz)
+        w = Weight.from_values([c] * (1 << depth))
+        assert c * w.sigma[0] < 1.0
+        rep = a2_characteristic(w)
+        assert rep.characteristic == 1.0
+        assert rep.witness == ROOT
 
     def test_depth1_example(self):
         rep = a2_characteristic(Weight.from_values([2.0, 2.0 / 3.0]))
